@@ -25,9 +25,9 @@
 //! more than `|N|`, and a selector never keeps a path longer than the
 //! shortest few per partition (bounded by `|N| ·` pattern width).
 //!
-//! This engine is deliberately simple and slow (it is the benchmark
-//! baseline of EB2) but independent: property tests assert it agrees with
-//! the production engine on random graphs and patterns.
+//! This engine is deliberately simple and slow but independent: it is the
+//! one differential oracle, and property tests assert the production
+//! engine agrees with it on random graphs and patterns.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,9 +1,8 @@
 //! The flat edge-centric plan IR and its trail-backtracking interpreter.
 //!
-//! The production matcher interprets a pointer-rich NFA: every
-//! expansion chases `Vec<StateData>` → `Vec<EpsTrans>` indirections and
-//! clones the whole run state per ε-transition. This
-//! module lowers that NFA into a [`FlatProgram`] — one contiguous
+//! Walking the compiled NFA directly would chase `Vec<StateData>` →
+//! `Vec<EpsTrans>` indirections and clone the whole run state per
+//! ε-transition. This module lowers that NFA into a [`FlatProgram`] — one contiguous
 //! `Vec<Instr>` where *transitions are primary and states are implicit*:
 //! each instruction carries its opcode, operand table index, and target
 //! program counter inline, and a state survives only as the PC of its
@@ -17,12 +16,11 @@
 //! `(pc, trail watermark)` pairs; popping an entry truncates the trail
 //! back to its watermark — undoing, in reverse order, every mutation made
 //! since that configuration was current — and then applies the popped
-//! instruction in place. Because the restored state is byte-identical to
-//! the state the legacy engine would have cloned, the two engines take
-//! the same transitions in the same order and produce bit-for-bit
-//! identical results (rows AND order), which the agreement test-suite
-//! asserts with the legacy engine as differential oracle
-//! ([`EvalOptions::flat`] = false).
+//! instruction in place. The restored state is byte-identical to the
+//! state a clone-per-transition walk would hold at that point, so the
+//! search takes exactly the NFA's transitions; the agreement test-suite
+//! checks its results against the §6 spec-literal engine in
+//! [`crate::baseline`].
 //!
 //! # Binary layout
 //!
@@ -52,7 +50,7 @@ use crate::ast::{
 };
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
-use crate::eval::matcher::{
+use crate::eval::nfa::{
     self, Action, BindSite, Frame, Loop, MergeEffect, Nfa, ParenMeta, PruneMode, QuantMeta,
     RunState, Scope, SemiJoinFilters,
 };
@@ -151,8 +149,8 @@ pub(crate) struct Instr {
 /// program counters (the first instruction of each state's block).
 ///
 /// Produced by lowering the compiled NFA at prepare time; executed by
-/// the flat interpreter when [`EvalOptions::flat`] is on (the default);
-/// serialized with [`FlatProgram::to_bytes`] for plan-cache persistence.
+/// the flat interpreter; serialized with [`FlatProgram::to_bytes`] for
+/// plan-cache persistence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatProgram {
     instrs: Vec<Instr>,
@@ -1231,8 +1229,6 @@ enum Undo {
     AltMark,
     /// A prefilter was deferred.
     Deferred,
-    /// A completed restrictor span was recorded (deferred ablation).
-    Span,
     /// A restrictor scope was opened.
     ScopePushed,
     /// A restrictor scope was closed; restore it.
@@ -1273,9 +1269,6 @@ fn undo_to(work: &mut RunState, trail: &mut Vec<Undo>, mark: usize) {
             }
             Undo::Deferred => {
                 work.deferred.pop();
-            }
-            Undo::Span => {
-                work.spans.pop();
             }
             Undo::ScopePushed => {
                 work.scopes.pop();
@@ -1326,11 +1319,9 @@ fn undo_to(work: &mut RunState, trail: &mut Vec<Undo>, mark: usize) {
 // The interpreter
 // ---------------------------------------------------------------------------
 
-/// The flat-program interpreter: the drop-in replacement for
-/// [`matcher::Matcher`] used when [`EvalOptions::flat`] is on. Takes the
-/// same search decisions in the same order as the legacy engine (shared
-/// step/finalize logic, structurally-equal visited and prune keys) so
-/// results match bit-for-bit.
+/// The flat-program interpreter: the one executor of path stages. Step
+/// and accept decisions come from [`nfa::try_step`] and
+/// [`nfa::finalize`]; the ε-closure and frontier are its own.
 pub(crate) struct FlatMatcher<'a> {
     graph: &'a PropertyGraph,
     prog: &'a FlatProgram,
@@ -1339,7 +1330,6 @@ pub(crate) struct FlatMatcher<'a> {
     path_restrictor: Option<Restrictor>,
     prune: PruneMode,
     max_edges: usize,
-    defer: bool,
     filters: Option<&'a SemiJoinFilters>,
     interner: KeyInterner,
     nodes_expanded: Cell<u64>,
@@ -1350,8 +1340,9 @@ pub(crate) struct FlatMatcher<'a> {
 }
 
 impl<'a> FlatMatcher<'a> {
-    /// Builds an interpreter over a lowered program; mirrors
-    /// [`matcher::Matcher::over`].
+    /// Builds an interpreter over a lowered program. `pattern` must be the
+    /// (normalized) pattern `prog` was lowered from; it is only consulted
+    /// for the graph-dependent static edge bound.
     pub(crate) fn over(
         graph: &'a PropertyGraph,
         prog: &'a FlatProgram,
@@ -1361,9 +1352,8 @@ impl<'a> FlatMatcher<'a> {
         opts: &'a EvalOptions,
         params: &'a Params,
     ) -> FlatMatcher<'a> {
-        let static_cap = matcher::static_edge_bound(pattern, graph, path_restrictor);
+        let static_cap = nfa::static_edge_bound(pattern, graph, path_restrictor);
         let max_edges = static_cap.min(opts.max_path_length);
-        let defer = opts.defer_restrictors;
         FlatMatcher {
             graph,
             prog,
@@ -1372,7 +1362,6 @@ impl<'a> FlatMatcher<'a> {
             path_restrictor,
             prune,
             max_edges,
-            defer,
             filters: None,
             interner: KeyInterner::new(),
             nodes_expanded: Cell::new(0),
@@ -1383,8 +1372,9 @@ impl<'a> FlatMatcher<'a> {
         }
     }
 
-    /// Installs semi-join endpoint filters; mirrors
-    /// [`matcher::Matcher::with_filters`].
+    /// Installs semi-join endpoint filters for this search. Filtering only
+    /// ever removes bindings the cross-stage join would reject, so — for
+    /// the stages the executor deems eligible — results are unchanged.
     pub(crate) fn with_filters(mut self, filters: &'a SemiJoinFilters) -> FlatMatcher<'a> {
         self.filters = Some(filters);
         self
@@ -1402,9 +1392,16 @@ impl<'a> FlatMatcher<'a> {
         );
     }
 
-    /// Runs the search seeded only from `starts`; the flat counterpart of
-    /// [`matcher::Matcher::run_from`], with identical partitioning and
-    /// resource-limit semantics.
+    /// Runs the search seeded only from `starts`.
+    ///
+    /// Searches from different start nodes are fully independent — the
+    /// dominance-pruning key carries the start node, so no pruning
+    /// decision ever crosses start nodes — which makes this the unit of
+    /// work for parallel partitioned matching (see [`super::pool`]).
+    /// Running disjoint partitions and concatenating their results yields
+    /// exactly the raw matches of one run over all start nodes, up to an
+    /// order the per-stage reduce/dedup pass erases anyway. Resource
+    /// limits are enforced per call, i.e. per partition.
     pub(crate) fn run_from(&self, starts: &[NodeId]) -> Result<Vec<PathBinding>> {
         let mut results: Vec<PathBinding> = Vec::new();
         let mut queue: VecDeque<RunState> = VecDeque::new();
@@ -1420,7 +1417,6 @@ impl<'a> FlatMatcher<'a> {
                 loops: Vec::new(),
                 alt_marks: Vec::new(),
                 deferred: Vec::new(),
-                spans: Vec::new(),
             };
             if let Some(r) = self.path_restrictor {
                 init.scopes.push(Scope {
@@ -1449,10 +1445,9 @@ impl<'a> FlatMatcher<'a> {
                     let cur = state.current();
                     for step in self.graph.steps(cur) {
                         self.edges_traversed.set(self.edges_traversed.get() + 1);
-                        if let Some(next) = matcher::try_step(
+                        if let Some(next) = nfa::try_step(
                             self.graph,
                             self.params,
-                            self.defer,
                             &state,
                             ins.target as usize,
                             ep,
@@ -1479,8 +1474,8 @@ impl<'a> FlatMatcher<'a> {
 
     /// ε-closure over the flat program: one working state, an undo
     /// trail, and a DFS stack of bare `(pc, trail watermark)` pairs.
-    /// Backtracking is watermark truncation of the trail instead of the
-    /// legacy engine's clone-per-transition.
+    /// Backtracking is watermark truncation of the trail instead of a
+    /// clone per transition.
     fn closure(
         &self,
         seed: RunState,
@@ -1528,7 +1523,7 @@ impl<'a> FlatMatcher<'a> {
             return Ok(());
         }
         if work.at == self.prog.accept as usize {
-            if let Some(b) = matcher::finalize(self.graph, self.params, self.defer, work) {
+            if let Some(b) = nfa::finalize(self.graph, self.params, work) {
                 results.push(b);
             }
         }
@@ -1619,15 +1614,7 @@ impl<'a> FlatMatcher<'a> {
                 }
                 if work.scopes.last().is_some_and(|s| s.paren == arg) {
                     let scope = work.scopes.pop().expect("just checked");
-                    trail.push(Undo::ScopePopped(scope.clone()));
-                    if self.defer {
-                        work.spans.push((
-                            scope.restrictor,
-                            scope.node_start,
-                            work.path.nodes().len() - 1,
-                        ));
-                        trail.push(Undo::Span);
-                    }
+                    trail.push(Undo::ScopePopped(scope));
                 }
                 true
             }
@@ -1674,8 +1661,7 @@ impl<'a> FlatMatcher<'a> {
                 trail.push(Undo::FramePopped(frame.clone()));
                 let progressed = work.path.len() > frame.edges_at_start;
                 for (var, val) in frame.locals {
-                    let (effect, ok) =
-                        matcher::merge_binding_traced(work, &var, val, q.expose_conditional);
+                    let (effect, ok) = nfa::merge_binding(work, &var, val, q.expose_conditional);
                     match effect {
                         MergeEffect::None => {}
                         MergeEffect::Inserted { global } => {
@@ -1743,15 +1729,15 @@ impl<'a> FlatMatcher<'a> {
     /// Prefilter evaluation with trail bookkeeping for a deferral.
     fn prefilter(&self, work: &mut RunState, trail: &mut Vec<Undo>, pred: &Expr) -> bool {
         let before = work.deferred.len();
-        let ok = matcher::check_prefilter(self.graph, self.params, work, pred);
+        let ok = nfa::check_prefilter(self.graph, self.params, work, pred);
         if work.deferred.len() > before {
             trail.push(Undo::Deferred);
         }
         ok
     }
 
-    /// Frontier admission; mirrors the legacy engine's dominance pruning
-    /// and frontier limit exactly, over structural keys.
+    /// Frontier admission: dominance pruning (see [`nfa`]'s module docs)
+    /// and the frontier limit, over structural keys.
     fn enqueue(
         &self,
         state: RunState,
@@ -1782,9 +1768,10 @@ impl<'a> FlatMatcher<'a> {
         Ok(())
     }
 
-    /// The ε-closure visited key: a flat structural encoding of the same
-    /// fields the legacy engine formats into its cycle-protection string,
-    /// injective so equality classes coincide.
+    /// The ε-closure visited key: an injective structural encoding of the
+    /// complete configuration (group accumulations included, unlike the
+    /// dominance key), so ε-cycles terminate without merging distinct
+    /// states.
     fn vkey(&self, s: &RunState) -> Vec<u64> {
         let mut k = Vec::with_capacity(16);
         k.push(s.at as u64);
@@ -1813,13 +1800,16 @@ impl<'a> FlatMatcher<'a> {
         k.push(s.alt_marks.len() as u64);
         k.extend(s.alt_marks.iter().map(|&m| m as u64));
         k.push(s.deferred.len() as u64);
-        k.push(s.spans.len() as u64);
         k
     }
 
-    /// The dominance-pruning key: the structural counterpart of
-    /// [`RunState::prune_key`] — same fields (capped loop counters,
-    /// non-group globals, frame locals), same equality classes.
+    /// The dominance-pruning key: everything except group accumulations
+    /// and the walk body (see [`nfa`]'s module docs).
+    ///
+    /// Loop counters are capped: past `min` (for unbounded quantifiers) or
+    /// `max` (for bounded ones) further iterations do not change what the
+    /// state can still match, so capped counts keep the key space finite —
+    /// which is exactly what makes selector-driven search terminate.
     fn prune_key(&self, s: &RunState) -> Vec<u64> {
         let mut k = Vec::with_capacity(16);
         k.push(s.at as u64);
@@ -1861,7 +1851,7 @@ impl<'a> FlatMatcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::matcher::compile;
+    use crate::eval::nfa::compile;
     use crate::normalize::normalize;
 
     fn program_for(pattern: PathPattern) -> FlatProgram {

@@ -21,7 +21,7 @@
 
 pub(crate) mod filter;
 pub mod flat;
-pub(crate) mod matcher;
+pub(crate) mod nfa;
 pub(crate) mod pool;
 pub(crate) mod selector;
 
@@ -65,9 +65,12 @@ pub enum MatchIso {
     EdgeIsomorphic,
 }
 
-/// Evaluation knobs and resource limits.
+/// Evaluation semantics, parallelism, and resource limits.
 ///
-/// Options are `Eq + Hash` so hosts can key plan caches on
+/// Every field describes *what* a query means or how far it may run, never
+/// which generation of the engine runs it: stage order, join algorithm,
+/// and semi-join pushdown are chosen by the cost model from what it
+/// observes. Options are `Eq + Hash` so hosts can key plan caches on
 /// `(query text, EvalOptions)`.
 ///
 /// ```
@@ -100,36 +103,6 @@ pub struct EvalOptions {
     pub mode: MatchMode,
     /// Optional §7.1 isomorphic match mode.
     pub isomorphism: MatchIso,
-    /// Ablation knob: check restrictors only when a match completes
-    /// instead of pruning during the search. Semantics are unchanged
-    /// (static caps keep the search finite); cost is not — this is what
-    /// the EB8 ablation bench measures. Not meaningful together with
-    /// selector-covered unbounded quantifiers.
-    pub defer_restrictors: bool,
-    /// Cost-based optimizer knob: execute path-pattern stages in the
-    /// order chosen by the cardinality estimator over the graph's
-    /// statistics catalog instead of declaration order. Results are
-    /// order-insensitive (the cross-stage join is commutative); only cost
-    /// changes. Disable to measure the declaration-order baseline.
-    pub reorder_stages: bool,
-    /// Cost-based optimizer knob: merge stages through a hash join on the
-    /// shared singleton join keys instead of the all-pairs nested loop.
-    /// Semantics are identical; disable to measure the nested-loop
-    /// baseline.
-    pub hash_join: bool,
-    /// Cost-based optimizer knob: sideways information passing. After each
-    /// cross-stage merge, the distinct join-key node sets of the
-    /// accumulated rows are pushed *into* later stages' matchers as
-    /// endpoint filters, so bindings that cannot join are never generated.
-    /// The estimator applies a filter only where its key-set estimate is
-    /// smaller than the stage being filtered (and never to stages whose
-    /// selector or match mode could observe the pruned bindings), keeping
-    /// results — rows *and* order — bit-for-bit identical. Only
-    /// resource-limit *errors* may differ: filtered searches generate
-    /// fewer raw matches, so a run with filters can succeed where the
-    /// unfiltered run trips [`EvalOptions::max_matches`]. Disable to
-    /// measure the unfiltered baseline (CLI `--no-semijoin`).
-    pub semi_join: bool,
     /// Worker threads for parallel stage matching. `0` (the default)
     /// resolves to the machine's available parallelism but stays
     /// sequential on small graphs, where spawn cost would dominate; `1`
@@ -143,13 +116,6 @@ pub struct EvalOptions {
     /// its own (smaller) frontier, so a parallel run can succeed where a
     /// sequential run trips the limit.
     pub threads: usize,
-    /// Execute path stages with the flat transition-array interpreter
-    /// ([`flat::FlatProgram`]) instead of the pointer-chasing NFA walk.
-    /// Results are **bit-for-bit identical** (rows *and* order) either
-    /// way — the legacy engine is kept as the differential oracle
-    /// (CLI `--no-flat`, `GPML_FLAT=off` in the agreement suite); only
-    /// cost changes.
-    pub flat: bool,
     /// Abort after this many raw matches for a single path pattern.
     pub max_matches: usize,
     /// Hard cap on the number of edges in any matched walk.
@@ -191,11 +157,6 @@ impl Default for EvalOptions {
         EvalOptions {
             mode: MatchMode::Gpml,
             isomorphism: MatchIso::Homomorphism,
-            defer_restrictors: false,
-            reorder_stages: true,
-            hash_join: true,
-            semi_join: true,
-            flat: true,
             threads: 0,
             max_matches: 1_000_000,
             max_path_length: 10_000,
@@ -244,14 +205,13 @@ impl StageCounters {
         self.rows_pruned.load(Ordering::Relaxed)
     }
 
-    /// Flat-program instructions dispatched by the inner matching loop
-    /// (zero when the legacy NFA engine ran instead).
+    /// Flat-program instructions dispatched by the inner matching loop.
     pub fn instrs_dispatched(&self) -> u64 {
         self.instrs_dispatched.load(Ordering::Relaxed)
     }
 
     /// Backtracks that truncated the flat interpreter's undo trail to a
-    /// stack watermark (zero under the legacy engine).
+    /// stack watermark.
     pub fn backtrack_truncations(&self) -> u64 {
         self.backtrack_truncations.load(Ordering::Relaxed)
     }
@@ -345,7 +305,7 @@ pub(crate) fn join_and_filter(
 ) -> MatchSet {
     let mut join = JoinState::new(opts.isomorphism);
     for (expr, bindings) in normalized.paths.iter().zip(per_path) {
-        join.merge_stage(expr, bindings, &[], false);
+        join.merge_stage(expr, bindings, &[]);
     }
     join.finish(graph, normalized, opts, exists, &Params::new())
 }
@@ -398,27 +358,26 @@ impl JoinState {
     ///
     /// `keys` are the stage's equi-join variables against the already
     /// merged stages (shared unconditional singletons, from the plan's
-    /// join graph). With `use_hash` and non-empty keys the merge builds a
-    /// hash table on the smaller side and probes with the other; otherwise
-    /// it scans all pairs. Both paths run the same per-pair admission
-    /// check ([`JoinState::try_merge`]), so results — including the
-    /// edge-isomorphism overlap rejection and path-variable bindings — are
-    /// identical; the hash table only skips pairs that would fail the
-    /// equi-join anyway. Output row order is the nested loop's
+    /// join graph). With non-empty keys bound on both sides the merge
+    /// builds a hash table on the smaller side and probes with the other;
+    /// otherwise (no keys: a cartesian step, or the baseline's
+    /// declaration-order join) it scans all pairs. Both paths run the
+    /// same per-pair admission check ([`JoinState::try_merge`]), so
+    /// results — including the edge-isomorphism overlap rejection and
+    /// path-variable bindings — are identical; the hash table only skips
+    /// pairs that would fail the equi-join anyway. Output row order is the nested loop's
     /// (accumulated row outer, stage binding inner) in either case.
     pub(crate) fn merge_stage(
         &mut self,
         expr: &PathPatternExpr,
         bindings: &[PathBinding],
         keys: &[String],
-        use_hash: bool,
     ) {
         // Join keys are unconditional singletons, so they are bound on
         // both sides of every candidate pair; verify that before trusting
         // the hash path (a missing key would make strict key equality
         // drop pairs the nested loop admits).
-        let hashable = use_hash
-            && !keys.is_empty()
+        let hashable = !keys.is_empty()
             && self
                 .rows
                 .iter()

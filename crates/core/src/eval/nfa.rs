@@ -1,29 +1,34 @@
-//! The production pattern matcher.
+//! The NFA a path pattern compiles to, and the search semantics every
+//! step of its execution shares.
 //!
 //! A normalized path pattern is compiled into a small NFA whose ε-moves
 //! carry *actions* (test a node pattern, open/close a parenthesized scope,
 //! enter/exit a quantifier iteration, record an alternation branch) and
 //! whose consuming moves traverse one graph edge under an edge pattern.
-//! Matching walks the product of the graph and this NFA:
+//! The NFA is never walked directly: [`super::flat`] lowers it into a flat
+//! instruction array and interprets that. What lives here is everything
+//! the lowering and the interpreter share:
 //!
-//! * **Restrictors prune during search** (§5.1): each active `TRAIL` /
+//! * the run state of one search branch ([`RunState`]) and its binding
+//!   discipline (implicit equi-joins, group accumulation at `IterEnd`);
+//! * **restrictors prune during search** (§5.1): each active `TRAIL` /
 //!   `ACYCLIC` / `SIMPLE` scope carries the boundary of its sub-walk and
-//!   rejects extensions that would repeat an edge or node.
-//! * **Selectors drive the search for unbounded quantifiers**: when an
-//!   unbounded quantifier is covered only by a selector, the engine runs a
-//!   levelized breadth-first search with *dominance pruning* — a state
-//!   whose key (NFA state, current node, capped loop counters, singleton
-//!   bindings) has already been reached at `k` strictly shorter lengths is
-//!   discarded, where `k` is the number of length groups the selector can
-//!   keep. Group-variable accumulations are deliberately excluded from the
-//!   key: they never affect future matchability, only outputs, and longer
-//!   arrivals are exactly the outputs the selector throws away.
+//!   [`try_step`] rejects extensions that would repeat an edge or node;
+//! * **selectors drive the search for unbounded quantifiers**
+//!   ([`resolve_prune`]): when an unbounded quantifier is covered only by a
+//!   selector, the interpreter runs a levelized breadth-first search with
+//!   *dominance pruning* — a state whose key (program counter, current
+//!   node, capped loop counters, singleton bindings) has already been
+//!   reached at `k` strictly shorter lengths is discarded, where `k` is the
+//!   number of length groups the selector can keep. Group-variable
+//!   accumulations are deliberately excluded from the key: they never
+//!   affect future matchability, only outputs, and longer arrivals are
+//!   exactly the outputs the selector throws away.
 //!
-//! The matcher returns raw [`PathBinding`]s; reduction, deduplication, and
-//! selector application happen in [`super`].
+//! The search yields raw [`PathBinding`]s; reduction, deduplication, and
+//! selector application happen in [`crate::plan`].
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use property_graph::{NodeId, Path, PropertyGraph, Step};
 
@@ -31,7 +36,6 @@ use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Quantifier, Restri
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::filter;
-use crate::eval::{EvalOptions, StageCounters};
 use crate::normalize::is_anonymous;
 use crate::params::Params;
 
@@ -335,11 +339,6 @@ pub(crate) struct RunState {
     /// Prefilters whose variables were not yet bound when encountered;
     /// re-checked when the match completes.
     pub(crate) deferred: Vec<Expr>,
-    /// Completed restrictor scopes as `(restrictor, first node index,
-    /// last node index)` — only recorded under the deferred-restrictor
-    /// ablation, where they are validated at match completion instead of
-    /// pruning the search.
-    pub(crate) spans: Vec<(Restrictor, usize, usize)>,
 }
 
 /// Where [`RunState::bind_where`] landed a successful binding — the flat
@@ -423,43 +422,6 @@ impl RunState {
         target.insert(var.to_owned(), value);
         Some(site)
     }
-
-    /// A stable fingerprint of everything except group accumulations and
-    /// the walk body — the dominance-pruning key (see module docs).
-    ///
-    /// Loop counters are capped: past `min` (for unbounded quantifiers) or
-    /// `max` (for bounded ones) further iterations do not change what the
-    /// state can still match, so capped counts keep the key space finite —
-    /// which is exactly what makes selector-driven search terminate.
-    fn prune_key(&self, quants: &[QuantMeta]) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(64);
-        let _ = write!(
-            s,
-            "{}@{:?}|{:?}",
-            self.at,
-            self.path.start(),
-            self.current()
-        );
-        for l in &self.loops {
-            let q = &quants[l.qid];
-            let cap = q.max.unwrap_or(q.min);
-            let _ = write!(s, ";L{}={}/{}", l.qid, l.count.min(cap), l.stalled as u8);
-        }
-        for (k, v) in &self.globals {
-            if !matches!(v, BoundValue::NodeGroup(_) | BoundValue::EdgeGroup(_)) {
-                let _ = write!(s, ";g{k}={v:?}");
-            }
-        }
-        for f in &self.frames {
-            let _ = write!(s, ";f{}", f.qid);
-            for (k, v) in &f.locals {
-                let _ = write!(s, ",{k}={v:?}");
-            }
-        }
-        let _ = write!(s, "|a{:?}|d{}", self.alt_marks, self.deferred.len());
-        s
-    }
 }
 
 struct StateEnv<'a> {
@@ -478,7 +440,7 @@ impl filter::Env for StateEnv<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The matcher
+// Search semantics
 // ---------------------------------------------------------------------------
 
 /// How aggressively dominated states may be pruned.
@@ -512,380 +474,12 @@ pub(crate) fn resolve_prune(
     }
 }
 
-pub(crate) struct Matcher<'a> {
-    graph: &'a PropertyGraph,
-    nfa: &'a Nfa,
-    opts: &'a EvalOptions,
-    /// Parameter bindings for `$name` placeholders in prefilters.
-    params: &'a Params,
-    path_restrictor: Option<Restrictor>,
-    prune: PruneMode,
-    max_edges: usize,
-    /// Ablation: restrictors validated at completion instead of pruning
-    /// in-search (see `EvalOptions::defer_restrictors`).
-    defer: bool,
-    /// Semi-join endpoint filters pushed down by the executor, if any.
-    filters: Option<&'a SemiJoinFilters>,
-    /// Search-effort tallies (`Cell`: `run_from` takes `&self`), flushed
-    /// into a shared [`StageCounters`] via [`Matcher::flush_counters`].
-    nodes_expanded: Cell<u64>,
-    edges_traversed: Cell<u64>,
-    rows_pruned: Cell<u64>,
-}
-
-impl<'a> Matcher<'a> {
-    /// Builds a matcher over a pre-compiled NFA. `pattern` must be the
-    /// (normalized) pattern `nfa` was compiled from; it is only consulted
-    /// for the graph-dependent static edge bound.
-    pub(crate) fn over(
-        graph: &'a PropertyGraph,
-        nfa: &'a Nfa,
-        pattern: &PathPattern,
-        path_restrictor: Option<Restrictor>,
-        prune: PruneMode,
-        opts: &'a EvalOptions,
-        params: &'a Params,
-    ) -> Matcher<'a> {
-        let static_cap = static_edge_bound(pattern, graph, path_restrictor);
-        let max_edges = static_cap.min(opts.max_path_length);
-        let defer = opts.defer_restrictors;
-        Matcher {
-            graph,
-            nfa,
-            opts,
-            params,
-            path_restrictor,
-            prune,
-            max_edges,
-            defer,
-            filters: None,
-            nodes_expanded: Cell::new(0),
-            edges_traversed: Cell::new(0),
-            rows_pruned: Cell::new(0),
-        }
-    }
-
-    /// Installs semi-join endpoint filters for this search. Filtering only
-    /// ever removes bindings the cross-stage join would reject, so — for
-    /// the stages the executor deems eligible — results are unchanged.
-    pub(crate) fn with_filters(mut self, filters: &'a SemiJoinFilters) -> Matcher<'a> {
-        self.filters = Some(filters);
-        self
-    }
-
-    /// Adds this matcher's search tallies into `counters` and resets them.
-    pub(crate) fn flush_counters(&self, counters: &StageCounters) {
-        counters.add(
-            self.nodes_expanded.take(),
-            self.edges_traversed.take(),
-            self.rows_pruned.take(),
-            0,
-            0,
-        );
-    }
-
-    /// Runs the search seeded only from `starts`.
-    ///
-    /// Searches from different start nodes are fully independent — the
-    /// dominance-pruning key carries the start node, so no pruning
-    /// decision ever crosses start nodes — which makes this the unit of
-    /// work for parallel partitioned matching (see [`super::pool`]).
-    /// Running disjoint partitions and concatenating their results yields
-    /// exactly the raw matches of one full [`Matcher::run`], up to an
-    /// order the per-stage reduce/dedup pass erases anyway. Resource
-    /// limits are enforced per call, i.e. per partition.
-    pub(crate) fn run_from(&self, starts: &[NodeId]) -> Result<Vec<PathBinding>> {
-        let mut results: Vec<PathBinding> = Vec::new();
-        let mut queue: VecDeque<RunState> = VecDeque::new();
-        // Dominance bookkeeping: key → distinct arrival lengths seen.
-        let mut seen: HashMap<String, BTreeSet<usize>> = HashMap::new();
-
-        for &n in starts {
-            let mut init = RunState {
-                at: self.nfa.start,
-                path: Path::single(n),
-                globals: BTreeMap::new(),
-                frames: Vec::new(),
-                scopes: Vec::new(),
-                loops: Vec::new(),
-                alt_marks: Vec::new(),
-                deferred: Vec::new(),
-                spans: Vec::new(),
-            };
-            if let Some(r) = self.path_restrictor {
-                init.scopes.push(Scope {
-                    paren: usize::MAX,
-                    restrictor: r,
-                    node_start: 0,
-                    edge_start: 0,
-                    closed: false,
-                });
-            }
-            self.advance_eps(init, &mut queue, &mut results, &mut seen)?;
-        }
-
-        while let Some(state) = queue.pop_front() {
-            self.nodes_expanded.set(self.nodes_expanded.get() + 1);
-            if state.path.len() >= self.max_edges {
-                continue;
-            }
-            let consuming = self.nfa.states[state.at].edges.clone();
-            for (target, ep_idx) in consuming {
-                let ep = &self.nfa.edge_pats[ep_idx];
-                let cur = state.current();
-                for step in self.graph.steps(cur) {
-                    self.edges_traversed.set(self.edges_traversed.get() + 1);
-                    if let Some(next) = try_step(
-                        self.graph,
-                        self.params,
-                        self.defer,
-                        &state,
-                        target,
-                        ep,
-                        *step,
-                    ) {
-                        self.advance_eps(next, &mut queue, &mut results, &mut seen)?;
-                    }
-                }
-            }
-            if results.len() > self.opts.max_matches {
-                return Err(Error::LimitExceeded {
-                    what: "matches",
-                    limit: self.opts.max_matches,
-                });
-            }
-        }
-        Ok(results)
-    }
-
-    /// ε-closure with actions: explores all ε-reachable configurations,
-    /// queueing those with consuming transitions and recording accepts.
-    fn advance_eps(
-        &self,
-        from: RunState,
-        queue: &mut VecDeque<RunState>,
-        results: &mut Vec<PathBinding>,
-        seen: &mut HashMap<String, BTreeSet<usize>>,
-    ) -> Result<()> {
-        let mut stack = vec![from];
-        let mut visited: HashSet<String> = HashSet::new();
-        while let Some(state) = stack.pop() {
-            // ε-closure cycle protection must distinguish *complete*
-            // configurations (including group accumulations), unlike the
-            // dominance key.
-            let vkey = format!(
-                "{}#{:?}#{:?}#{:?}#{:?}#{:?}#{}#{}",
-                state.at,
-                state.loops,
-                state.frames,
-                state.globals,
-                state.scopes.len(),
-                state.alt_marks,
-                state.deferred.len(),
-                state.spans.len()
-            );
-            if !visited.insert(vkey) {
-                continue;
-            }
-            if state.at == self.nfa.accept {
-                if let Some(b) = finalize(self.graph, self.params, self.defer, &state) {
-                    results.push(b);
-                }
-            }
-            if !self.nfa.states[state.at].edges.is_empty() {
-                self.enqueue(state.clone(), queue, seen)?;
-            }
-            let eps = self.nfa.states[state.at].eps.clone();
-            for t in eps {
-                if let Some(next) = self.apply_action(&state, &t) {
-                    stack.push(next);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn enqueue(
-        &self,
-        state: RunState,
-        queue: &mut VecDeque<RunState>,
-        seen: &mut HashMap<String, BTreeSet<usize>>,
-    ) -> Result<()> {
-        if let PruneMode::ShortestGroups(k) = self.prune {
-            // Pruning is only sound for states without live restrictor
-            // scopes (scope memory affects future matchability).
-            if state.scopes.is_empty() {
-                let key = state.prune_key(&self.nfa.quants);
-                let lengths = seen.entry(key).or_default();
-                let len = state.path.len();
-                let shorter = lengths.range(..len).count();
-                if shorter >= k {
-                    return Ok(());
-                }
-                lengths.insert(len);
-            }
-        }
-        if queue.len() >= self.opts.max_frontier {
-            return Err(Error::LimitExceeded {
-                what: "frontier states",
-                limit: self.opts.max_frontier,
-            });
-        }
-        queue.push_back(state);
-        Ok(())
-    }
-
-    fn apply_action(&self, state: &RunState, t: &EpsTrans) -> Option<RunState> {
-        let mut next = state.clone();
-        next.at = t.to;
-        match &t.action {
-            Action::None => Some(next),
-            Action::AltMark(i) => {
-                next.alt_marks.push(*i);
-                Some(next)
-            }
-            Action::NodeTest(idx) => {
-                let np = &self.nfa.node_pats[*idx];
-                let n = next.current();
-                if let Some(l) = &np.label {
-                    if !l.matches(&self.graph.node(n).labels) {
-                        return None;
-                    }
-                }
-                if let Some(v) = &np.var {
-                    // The semi-join endpoint check: a node outside the
-                    // accumulated key set can never survive the join.
-                    if let Some(allowed) = self.filters.and_then(|f| f.get(v)) {
-                        if !allowed.contains(&n) {
-                            self.rows_pruned.set(self.rows_pruned.get() + 1);
-                            return None;
-                        }
-                    }
-                    if !next.bind(v, BoundValue::Node(n)) {
-                        return None;
-                    }
-                }
-                if let Some(pred) = &np.predicate {
-                    if !check_prefilter(self.graph, self.params, &mut next, pred) {
-                        return None;
-                    }
-                }
-                Some(next)
-            }
-            Action::OpenParen(id) => {
-                if let Some(r) = self.nfa.parens[*id].restrictor {
-                    next.scopes.push(Scope {
-                        paren: *id,
-                        restrictor: r,
-                        node_start: next.path.nodes().len() - 1,
-                        edge_start: next.path.edges().len(),
-                        closed: false,
-                    });
-                }
-                Some(next)
-            }
-            Action::CloseParen(id) => {
-                if let Some(pred) = &self.nfa.parens[*id].predicate {
-                    if !check_prefilter(self.graph, self.params, &mut next, pred) {
-                        return None;
-                    }
-                }
-                if next.scopes.last().is_some_and(|s| s.paren == *id) {
-                    let scope = next.scopes.pop().expect("just checked");
-                    if self.defer {
-                        next.spans.push((
-                            scope.restrictor,
-                            scope.node_start,
-                            next.path.nodes().len() - 1,
-                        ));
-                    }
-                }
-                Some(next)
-            }
-            Action::EnterQuant(id) => {
-                next.loops.push(Loop {
-                    qid: *id,
-                    count: 0,
-                    stalled: false,
-                });
-                Some(next)
-            }
-            Action::IterStart(id) => {
-                let q = &self.nfa.quants[*id];
-                let l = next.loops.last()?;
-                debug_assert_eq!(l.qid, *id);
-                if let Some(max) = q.max {
-                    if l.count >= max {
-                        return None;
-                    }
-                }
-                if l.stalled && l.count >= q.min {
-                    return None;
-                }
-                next.frames.push(Frame {
-                    qid: *id,
-                    locals: BTreeMap::new(),
-                    edges_at_start: next.path.len(),
-                });
-                Some(next)
-            }
-            Action::IterEnd(id) => {
-                let q = &self.nfa.quants[*id];
-                let frame = next.frames.pop()?;
-                debug_assert_eq!(frame.qid, *id);
-                let progressed = next.path.len() > frame.edges_at_start;
-                // Merge iteration locals outward: group accumulation (or
-                // conditional-singleton exposure for `?`).
-                for (var, val) in frame.locals {
-                    if !merge_binding(&mut next, &var, val, q.expose_conditional) {
-                        return None;
-                    }
-                }
-                let l = next.loops.last_mut()?;
-                l.count += 1;
-                if !progressed {
-                    l.stalled = true;
-                }
-                Some(next)
-            }
-            Action::ExitQuant(id) => {
-                let q = &self.nfa.quants[*id];
-                let l = next.loops.pop()?;
-                debug_assert_eq!(l.qid, *id);
-                if l.count < q.min {
-                    return None;
-                }
-                // Variables of bodies that iterated zero times bind to the
-                // empty group (COUNT(e.*) = 0 in §5.3). `?` leaves its
-                // conditional singletons unbound instead.
-                if !q.expose_conditional {
-                    for (var, is_edge) in &q.body_vars {
-                        if next.lookup(var).is_none() {
-                            let empty = if *is_edge {
-                                BoundValue::EdgeGroup(Vec::new())
-                            } else {
-                                BoundValue::NodeGroup(Vec::new())
-                            };
-                            if !next.bind(var, empty) {
-                                return None;
-                            }
-                        }
-                    }
-                }
-                Some(next)
-            }
-        }
-    }
-}
-
 /// Attempts one graph step under an edge pattern, returning the successor
 /// state if direction, labels, restrictors, bindings, and prefilters all
-/// admit it. Shared verbatim by the legacy [`Matcher`] and the flat
-/// interpreter so both engines take identical step decisions.
+/// admit it.
 pub(crate) fn try_step(
     graph: &PropertyGraph,
     params: &Params,
-    defer: bool,
     state: &RunState,
     target: usize,
     ep: &EdgePattern,
@@ -900,29 +494,26 @@ pub(crate) fn try_step(
             return None;
         }
     }
-    // Restrictor scopes prune during the search (§5.1) — unless the
-    // deferred-restrictor ablation postpones the checks to finalize.
-    if !defer {
-        for scope in &state.scopes {
-            if scope.closed {
-                return None;
+    // Restrictor scopes prune during the search (§5.1).
+    for scope in &state.scopes {
+        if scope.closed {
+            return None;
+        }
+        match scope.restrictor {
+            Restrictor::Trail => {
+                if state.path.edges()[scope.edge_start..].contains(&step.edge) {
+                    return None;
+                }
             }
-            match scope.restrictor {
-                Restrictor::Trail => {
-                    if state.path.edges()[scope.edge_start..].contains(&step.edge) {
-                        return None;
-                    }
+            Restrictor::Acyclic => {
+                if state.path.nodes()[scope.node_start..].contains(&step.to) {
+                    return None;
                 }
-                Restrictor::Acyclic => {
-                    if state.path.nodes()[scope.node_start..].contains(&step.to) {
-                        return None;
-                    }
-                }
-                Restrictor::Simple => {
-                    let nodes = &state.path.nodes()[scope.node_start..];
-                    if nodes.contains(&step.to) && step.to != nodes[0] {
-                        return None;
-                    }
+            }
+            Restrictor::Simple => {
+                let nodes = &state.path.nodes()[scope.node_start..];
+                if nodes.contains(&step.to) && step.to != nodes[0] {
+                    return None;
                 }
             }
         }
@@ -932,13 +523,10 @@ pub(crate) fn try_step(
     next.at = target;
     next.path.push(step.edge, step.to);
     // Close SIMPLE scopes that returned to their start node.
-    if !defer {
-        for scope in &mut next.scopes {
-            if scope.restrictor == Restrictor::Simple
-                && step.to == state.path.nodes()[scope.node_start]
-            {
-                scope.closed = true;
-            }
+    for scope in &mut next.scopes {
+        if scope.restrictor == Restrictor::Simple && step.to == state.path.nodes()[scope.node_start]
+        {
+            scope.closed = true;
         }
     }
     if let Some(v) = &ep.var {
@@ -977,38 +565,13 @@ pub(crate) fn check_prefilter(
 }
 
 /// Turns an accepting state into a path binding, re-checking deferred
-/// prefilters against the complete variable map (and, under the
-/// deferred-restrictor ablation, the restrictor scopes).
+/// prefilters against the complete variable map.
 pub(crate) fn finalize(
     graph: &PropertyGraph,
     params: &Params,
-    defer: bool,
     state: &RunState,
 ) -> Option<PathBinding> {
     debug_assert!(state.frames.is_empty());
-    if defer {
-        let whole_end = state.path.nodes().len() - 1;
-        let spans = state.spans.iter().copied().chain(
-            state
-                .scopes
-                .iter()
-                .map(|s| (s.restrictor, s.node_start, whole_end)),
-        );
-        for (r, s, e) in spans {
-            let sub = Path::new(
-                state.path.nodes()[s..=e].to_vec(),
-                state.path.edges()[s..e].to_vec(),
-            );
-            let ok = match r {
-                Restrictor::Trail => sub.is_trail(),
-                Restrictor::Acyclic => sub.is_acyclic(),
-                Restrictor::Simple => sub.is_simple(),
-            };
-            if !ok {
-                return None;
-            }
-        }
-    }
     for pred in &state.deferred {
         let env = StateEnv { state, params };
         if filter::truth(graph, &env, pred) != Some(true) {
@@ -1022,7 +585,7 @@ pub(crate) fn finalize(
     })
 }
 
-/// What [`merge_binding_traced`] did to the merge target — reported even
+/// What [`merge_binding`] did to the merge target — reported even
 /// when the merge *rejects*, because a rejected merge may already have
 /// inserted a fresh (empty) group that the flat interpreter's trail must
 /// still undo.
@@ -1044,20 +607,11 @@ pub(crate) enum MergeEffect {
     },
 }
 
-/// Merges one iteration-local binding outward at `IterEnd`.
-fn merge_binding(
-    state: &mut RunState,
-    var: &str,
-    val: BoundValue,
-    expose_conditional: bool,
-) -> bool {
-    merge_binding_traced(state, var, val, expose_conditional).1
-}
-
-/// [`merge_binding`] that also reports the mutation it performed, so the
-/// flat interpreter can record an exact undo entry. Note the effect is
-/// meaningful even when the merge returns `false`.
-pub(crate) fn merge_binding_traced(
+/// Merges one iteration-local binding outward at `IterEnd`: group
+/// accumulation, or conditional-singleton exposure for `?`. Also reports
+/// the mutation it performed, so the flat interpreter can record an exact
+/// undo entry; the effect is meaningful even when the merge rejects.
+pub(crate) fn merge_binding(
     state: &mut RunState,
     var: &str,
     val: BoundValue,
@@ -1178,13 +732,13 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::ast::{Direction, GraphPattern, LabelExpr};
+    use crate::eval::flat::{FlatMatcher, FlatProgram};
+    use crate::eval::EvalOptions;
     use crate::normalize::normalize;
     use property_graph::{EdgeId, Endpoints, Value};
 
-    fn opts() -> EvalOptions {
-        EvalOptions::default()
-    }
-
+    /// Compiles `pattern`, lowers it, and runs the flat interpreter from
+    /// every node — the raw search, before reduce/dedup/select.
     fn run(
         graph: &PropertyGraph,
         pattern: PathPattern,
@@ -1204,12 +758,13 @@ mod tests {
         };
         let normalized = normalize(&gp);
         analyze(&normalized).unwrap();
-        let o = opts();
+        let opts = EvalOptions::default();
         let pattern = &normalized.paths[0].pattern;
         let nfa = compile(pattern);
         let prune = resolve_prune(&nfa, restrictor, selector_groups).unwrap();
+        let prog = FlatProgram::from_nfa(&nfa);
         let params = Params::new();
-        let m = Matcher::over(graph, &nfa, pattern, restrictor, prune, &o, &params);
+        let m = FlatMatcher::over(graph, &prog, pattern, restrictor, prune, &opts, &params);
         let starts: Vec<NodeId> = graph.nodes().collect();
         m.run_from(&starts).unwrap()
     }

@@ -336,7 +336,7 @@ mod tests {
         let mut lru: PlanLru<u32> = PlanLru::new(4);
         lru.insert("q".into(), opts(), 1);
         let other = EvalOptions {
-            hash_join: false,
+            max_matches: 10,
             ..opts()
         };
         assert!(lru.get("q", &other).is_none());

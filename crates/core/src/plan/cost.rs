@@ -250,7 +250,7 @@ fn node_label_fraction(l: &LabelExpr, stats: &GraphStats) -> f64 {
 /// (`1.0` when unknown): the skewed-hub correction. A plain average
 /// assumes matching edges spread uniformly over *all* nodes, which
 /// collapses when a rare node label picks out exactly the hubs the edges
-/// concentrate on (the star workload of `benches/joins.rs`). The
+/// concentrate on (a star: many spokes into a few labeled hubs). The
 /// corrected model assumes the opposite extreme — every matching
 /// traversal is incident to the candidate set — but caps the resulting
 /// per-candidate fan-out with the *observed* per-label max degree from
@@ -390,10 +390,8 @@ fn distinct_hint(key: &str, stats: &GraphStats) -> f64 {
 pub enum JoinAlgo {
     /// The first stage: its bindings seed the accumulation.
     Scan,
-    /// Equi-keys exist and hash joins are enabled.
+    /// Equi-keys exist: hash the smaller side, probe with the other.
     Hash,
-    /// Equi-keys exist but hash joins are disabled.
-    NestedLoop,
     /// No shared singleton variables with the stages merged so far.
     Cartesian,
 }
@@ -403,7 +401,6 @@ impl fmt::Display for JoinAlgo {
         match self {
             JoinAlgo::Scan => write!(f, "scan"),
             JoinAlgo::Hash => write!(f, "hash join"),
-            JoinAlgo::NestedLoop => write!(f, "nested-loop join"),
             JoinAlgo::Cartesian => write!(f, "cartesian nested loop"),
         }
     }
@@ -473,8 +470,6 @@ pub struct CostReport {
     pub node_count: usize,
     /// `|E|` of the graph the report was computed against.
     pub edge_count: usize,
-    /// Whether the order below is cost-chosen or declaration order.
-    pub reordered: bool,
     /// The execution steps, in chosen order.
     pub steps: Vec<CostStep>,
 }
@@ -482,7 +477,7 @@ pub struct CostReport {
 impl CostReport {
     /// Computes the report exactly the way `PreparedQuery::execute`
     /// decides: same estimates, same greedy order, same join algorithm
-    /// selection under `opts`.
+    /// and semi-join selection under `opts`.
     pub(crate) fn compute(
         plan: &ExecutablePlan,
         stats: &GraphStats,
@@ -491,11 +486,7 @@ impl CostReport {
     ) -> CostReport {
         let est = estimates(plan, stats, true, params);
         let avg = estimates(plan, stats, false, params);
-        let order = if opts.reorder_stages {
-            order_from(&est, plan, stats)
-        } else {
-            (0..plan.stages.len()).collect()
-        };
+        let order = order_from(&est, plan, stats);
         let mut steps = Vec::with_capacity(order.len());
         let mut placed: Vec<usize> = Vec::new();
         for &stage in &order {
@@ -504,10 +495,8 @@ impl CostReport {
                 JoinAlgo::Scan
             } else if keys.is_empty() {
                 JoinAlgo::Cartesian
-            } else if opts.hash_join {
-                JoinAlgo::Hash
             } else {
-                JoinAlgo::NestedLoop
+                JoinAlgo::Hash
             };
             let semi_joins = semi_join_decisions(plan, stats, &est, stage, &placed, &keys, opts);
             steps.push(CostStep {
@@ -523,7 +512,6 @@ impl CostReport {
         CostReport {
             node_count: stats.node_count,
             edge_count: stats.edge_count,
-            reordered: opts.reorder_stages,
             steps,
         }
     }
@@ -572,11 +560,11 @@ pub struct SemiJoinDecision {
 /// already-merged `placed` stages and their equi-join `keys`.
 ///
 /// Returns one decision per *node-typed* join key when pushdown is
-/// admissible, and an empty vector when it is not: pushdown is disabled
-/// by [`EvalOptions::semi_join`], by a per-stage selector (selector
-/// application sees the stage's full binding set, so pre-join pruning
-/// could change which representatives survive), and by the endpoint-only
-/// SPARQL mode (whose collapse is likewise a whole-stage pass).
+/// admissible, and an empty vector when it is not: pushdown is ruled out
+/// by a per-stage selector (selector application sees the stage's full
+/// binding set, so pre-join pruning could change which representatives
+/// survive) and by the endpoint-only SPARQL mode (whose collapse is
+/// likewise a whole-stage pass).
 pub(crate) fn semi_join_decisions(
     plan: &ExecutablePlan,
     stats: &GraphStats,
@@ -586,8 +574,7 @@ pub(crate) fn semi_join_decisions(
     keys: &[String],
     opts: &EvalOptions,
 ) -> Vec<SemiJoinDecision> {
-    if !opts.semi_join
-        || opts.mode == MatchMode::EndpointOnly
+    if opts.mode == MatchMode::EndpointOnly
         || plan.stages[stage].expr.selector.is_some()
         || placed.is_empty()
     {
@@ -702,14 +689,8 @@ impl fmt::Display for CostReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "  cost model ({} nodes, {} edges, {}):",
-            self.node_count,
-            self.edge_count,
-            if self.reordered {
-                "cost-based order"
-            } else {
-                "declaration order"
-            }
+            "  cost model ({} nodes, {} edges, cost-based order):",
+            self.node_count, self.edge_count
         )?;
         for step in &self.steps {
             write!(
@@ -987,18 +968,19 @@ mod tests {
         assert!(text.contains("hash join"), "{text}");
         assert!(text.contains("order: 1 \u{2192} 0"), "{text}");
 
-        let nested = CostReport::compute(
+        // Limits are not plan inputs: a different options value reports
+        // the same decisions.
+        let limited = CostReport::compute(
             q.plan(),
             g.stats(),
             &EvalOptions {
-                hash_join: false,
-                reorder_stages: false,
+                max_matches: 10,
                 ..EvalOptions::default()
             },
             &Params::new(),
         );
-        assert_eq!(nested.order(), vec![0, 1]);
-        assert_eq!(nested.steps[1].algo, JoinAlgo::NestedLoop);
+        assert_eq!(limited.order(), report.order());
+        assert_eq!(limited.steps[1].algo, JoinAlgo::Hash);
     }
 
     /// Two stages joined on `h`: a cheap rare-label stage and an
@@ -1047,16 +1029,9 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_is_disabled_by_option_mode_and_selector() {
+    fn semi_join_is_disabled_by_mode_and_selector() {
         let g = hub();
         let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
-        let off = EvalOptions {
-            semi_join: false,
-            ..EvalOptions::default()
-        };
-        let report = CostReport::compute(q.plan(), g.stats(), &off, &Params::new());
-        assert!(report.steps.iter().all(|s| s.semi_joins.is_empty()));
-
         let endpoint = EvalOptions {
             mode: MatchMode::EndpointOnly,
             ..EvalOptions::default()

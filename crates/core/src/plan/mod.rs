@@ -12,10 +12,10 @@
 //!    anonymous element pattern receives a fresh variable;
 //! 3. **Analyze** (§4.4, §4.6, §5) — variables are classified, the join
 //!    discipline is enforced, and non-terminating patterns are rejected;
-//! 4. **Compile** — each path pattern is compiled into its NFA (one
-//!    `PathStage` per comma-separated path pattern) and its pruning mode
-//!    (exhaustive vs. selector-driven dominance-pruned search) is resolved
-//!    graph-independently;
+//! 4. **Compile** — each path pattern is compiled into its NFA and lowered
+//!    to a flat program (one `PathStage` per comma-separated path pattern),
+//!    and its pruning mode (exhaustive vs. selector-driven dominance-pruned
+//!    search) is resolved graph-independently;
 //! 5. **Join / select / filter stages** — the explicit join graph over
 //!    shared unconditional singleton variables is recorded, selectors are
 //!    attached per stage, and every `EXISTS` subquery of the final `WHERE`
@@ -60,7 +60,7 @@ use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Selector};
 use crate::binding::{MatchSet, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::flat::{FlatMatcher, FlatProgram};
-use crate::eval::matcher::{self, Matcher, Nfa, PruneMode, SemiJoinFilters};
+use crate::eval::nfa::{self, PruneMode, SemiJoinFilters};
 use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
@@ -325,10 +325,10 @@ impl PreparedQuery {
     /// graph's statistics catalog to pick the stage order (cheapest
     /// connected stage first — see [`cost`]), each stage's bindings are
     /// merged into the accumulated rows through a hash join on the plan's
-    /// join keys (nested loop when keys are absent or disabled), and the
-    /// remaining stages are skipped entirely once the accumulation is
-    /// empty. Results are identical to declaration-order nested-loop
-    /// execution up to row order.
+    /// join keys (nested loop when there are none), and the remaining
+    /// stages are skipped entirely once the accumulation is empty. Results
+    /// are identical to declaration-order nested-loop execution up to row
+    /// order.
     pub fn execute(&self, graph: &PropertyGraph) -> Result<MatchSet> {
         self.execute_with(graph, &Params::new())
     }
@@ -388,11 +388,7 @@ impl PreparedQuery {
         // One estimate pass feeds both the stage reorderer and the
         // semi-join pushdown decisions.
         let est = cost::estimates(&self.plan, stats, true, params);
-        let order: Vec<usize> = if self.opts.reorder_stages {
-            cost::order_from(&est, &self.plan, stats)
-        } else {
-            (0..self.plan.stages.len()).collect()
-        };
+        let order = cost::order_from(&est, &self.plan, stats);
         let threads = self.opts.effective_threads(graph.node_count());
         if threads > 1 && !order.is_empty() && graph.node_count() > 0 {
             return self.execute_parallel(graph, &order, threads, params, &est, profile);
@@ -400,12 +396,11 @@ impl PreparedQuery {
         let mut join = JoinState::new(self.opts.isomorphism);
         let mut placed: Vec<usize> = Vec::with_capacity(order.len());
         for &i in &order {
-            if join.is_empty() && self.opts.reorder_stages {
+            if join.is_empty() {
                 // A cheaper stage already matched nothing: every later
                 // merge is empty, so the remaining searches are pure
-                // cost. Part of the optimizer (a skipped stage can no
-                // longer raise its resource-limit error), so the
-                // declaration-order baseline keeps executing every stage.
+                // cost (a skipped stage can no longer raise its
+                // resource-limit error).
                 break;
             }
             let stage = &self.plan.stages[i];
@@ -421,7 +416,7 @@ impl PreparedQuery {
             if let (Some(c), Some(t)) = (counters, started) {
                 c.add_micros(t.elapsed().as_micros() as u64);
             }
-            join.merge_stage(&stage.expr, &bindings, &keys, self.opts.hash_join);
+            join.merge_stage(&stage.expr, &bindings, &keys);
             placed.push(i);
         }
         Ok(join.finish(
@@ -494,8 +489,8 @@ impl PreparedQuery {
     ///   are bit-for-bit the sequential stage's;
     /// * stages merge strictly in `order`, however their searches finish,
     ///   so the join accumulates exactly the sequential row order;
-    /// * the early exit fires on the same condition (empty accumulation
-    ///   under `reorder_stages`) at the same merge position — it cancels
+    /// * the early exit fires on the same condition (empty accumulation)
+    ///   at the same merge position — it cancels
     ///   the not-yet-claimed work units of later stages and ignores
     ///   whatever eager results (or resource-limit errors) those stages
     ///   already produced, which is precisely the set of stages the
@@ -512,7 +507,10 @@ impl PreparedQuery {
     /// claimed before publication simply run unfiltered — a filtered and
     /// an unfiltered partition differ only in bindings the join rejects
     /// anyway, and the per-stage reduce/dedup pass is a sorted set, so
-    /// the merged output stays bit-for-bit the sequential result.
+    /// the merged output stays bit-for-bit the sequential result. With
+    /// idle workers the race is usually lost: they claim later stages'
+    /// units as soon as the first merge begins, so parallel runs often
+    /// prune little or nothing (a known limit; see ARCHITECTURE).
     fn execute_parallel(
         &self,
         graph: &PropertyGraph,
@@ -598,7 +596,7 @@ impl PreparedQuery {
                     match stage.finish_bindings(graph, &self.opts, raw) {
                         Ok(bindings) => {
                             let keys = self.plan.join_keys(idx, &placed);
-                            join.merge_stage(&stage.expr, &bindings, &keys, self.opts.hash_join);
+                            join.merge_stage(&stage.expr, &bindings, &keys);
                             placed.push(idx);
                         }
                         Err(e) => {
@@ -608,7 +606,7 @@ impl PreparedQuery {
                         }
                     }
                     merge_pos += 1;
-                    if join.is_empty() && self.opts.reorder_stages {
+                    if join.is_empty() {
                         // Same early exit as the sequential loop: nothing
                         // can survive further merges, so later stages are
                         // pure cost — cancel their unclaimed partitions
@@ -812,18 +810,15 @@ impl ExecutablePlan {
     }
 }
 
-/// One compiled path pattern: its NFA, resolved search mode, and the
-/// per-stage reduce/dedup/select pipeline inputs.
+/// One compiled path pattern: its flat program, resolved search mode,
+/// and the per-stage reduce/dedup/select pipeline inputs.
 #[derive(Clone)]
 pub(crate) struct PathStage {
     /// The normalized pattern (kept for the graph-dependent edge bound
     /// and for EXPLAIN rendering).
     pub(crate) expr: PathPatternExpr,
-    /// The compiled NFA (the legacy interpreter's form, kept as the
-    /// differential oracle behind `EvalOptions::flat = false`).
-    pub(crate) nfa: Nfa,
-    /// The NFA lowered into the flat transition-array IR — what actually
-    /// executes when `EvalOptions::flat` is on (the default).
+    /// The compiled NFA lowered into the flat transition-array IR — what
+    /// executes.
     pub(crate) prog: FlatProgram,
     /// Search mode, resolved graph-independently at prepare time.
     pub(crate) prune: PruneMode,
@@ -834,19 +829,18 @@ pub(crate) struct PathStage {
 impl PathStage {
     /// Compiles one normalized path pattern into a stage.
     fn lower(expr: &PathPatternExpr) -> Result<PathStage> {
-        let nfa = matcher::compile(&expr.pattern);
+        let nfa = nfa::compile(&expr.pattern);
         let prog = FlatProgram::from_nfa(&nfa);
         let selector_groups = expr.selector.as_ref().and_then(selector::length_groups);
-        let prune = matcher::resolve_prune(&nfa, expr.restrictor, selector_groups)?;
+        let prune = nfa::resolve_prune(&nfa, expr.restrictor, selector_groups)?;
         let mut var_list = Vec::new();
-        matcher::collect_vars(&expr.pattern, &mut var_list);
+        nfa::collect_vars(&expr.pattern, &mut var_list);
         let mut vars: BTreeSet<String> = var_list.into_iter().map(|(v, _)| v).collect();
         if let Some(pv) = &expr.path_var {
             vars.insert(pv.clone());
         }
         Ok(PathStage {
             expr: expr.clone(),
-            nfa,
             prog,
             prune,
             vars,
@@ -875,7 +869,7 @@ impl PathStage {
 
     /// The raw product-automaton search seeded from `starts` only — the
     /// per-partition half of stage execution. Partitions are independent
-    /// (see [`Matcher::run_from`]); splicing their results in partition
+    /// (see [`FlatMatcher::run_from`]); splicing their results in partition
     /// order and handing the whole to [`PathStage::finish_bindings`]
     /// reproduces [`PathStage::execute`] exactly.
     pub(crate) fn matches_from(
@@ -887,29 +881,9 @@ impl PathStage {
         filters: Option<&SemiJoinFilters>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<PathBinding>> {
-        if opts.flat {
-            let m = FlatMatcher::over(
-                graph,
-                &self.prog,
-                &self.expr.pattern,
-                self.expr.restrictor,
-                self.prune,
-                opts,
-                params,
-            );
-            let m = match filters {
-                Some(f) => m.with_filters(f),
-                None => m,
-            };
-            let out = m.run_from(starts);
-            if let Some(c) = counters {
-                m.flush_counters(c);
-            }
-            return out;
-        }
-        let m = Matcher::over(
+        let m = FlatMatcher::over(
             graph,
-            &self.nfa,
+            &self.prog,
             &self.expr.pattern,
             self.expr.restrictor,
             self.prune,
@@ -1040,9 +1014,7 @@ impl fmt::Display for ExecutablePlan {
         for (i, stage) in self.stages.iter().enumerate() {
             writeln!(f, "  stage {i}: MATCH {}", stage.expr)?;
             // Instruction count and program bytes are the user-facing
-            // plan-size metrics (identical for the flat and legacy
-            // engines, which execute the same lowered program); NFA
-            // state counts were compiler internals.
+            // plan-size metrics; NFA state counts are compiler internals.
             let (nodes, edges, quants) = stage.prog.table_sizes();
             writeln!(
                 f,
@@ -1263,7 +1235,6 @@ mod tests {
         check::<PreparedQuery>();
         check::<ExecutablePlan>();
         check::<PathStage>();
-        check::<Nfa>();
         check::<FlatProgram>();
         check::<EvalOptions>();
     }
@@ -1581,33 +1552,29 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_filtered_execution_matches_unfiltered_bit_for_bit() {
+    fn semi_join_filtered_execution_matches_the_baseline() {
         let gp = semi_join_pattern();
         let g = double_hub();
-        let baseline = prepare(
-            &gp,
-            &EvalOptions {
-                semi_join: false,
-                threads: 1,
+        let run = |threads| {
+            let opts = EvalOptions {
+                threads,
                 ..EvalOptions::default()
-            },
-        )
-        .unwrap()
-        .execute(&g)
-        .unwrap();
-        assert_eq!(baseline.len(), 20);
-        for threads in [1, 2, 4] {
-            let q = prepare(
-                &gp,
-                &EvalOptions {
-                    threads,
-                    ..EvalOptions::default()
-                },
-            )
-            .unwrap();
-            // Same rows in the same order, filters on.
-            assert_eq!(q.execute(&g).unwrap(), baseline, "threads={threads}");
+            };
+            prepare(&gp, &opts).unwrap().execute(&g).unwrap()
+        };
+        let sequential = run(1);
+        assert_eq!(sequential.len(), 20);
+        for threads in [2, 4] {
+            // Same rows in the same order, however many units ran filtered.
+            assert_eq!(run(threads), sequential, "threads={threads}");
         }
+        let mut want = crate::baseline::evaluate(&g, &gp, &EvalOptions::default())
+            .unwrap()
+            .rows;
+        let mut got = sequential.rows;
+        want.sort();
+        got.sort();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1637,45 +1604,6 @@ mod tests {
         // big stage is stage 0 regardless of execution order.
         assert_eq!(profile.stages()[0].rows_pruned(), 20);
         assert_eq!(profile.stages()[1].rows_pruned(), 0);
-    }
-
-    #[test]
-    fn semi_join_off_produces_no_pruning() {
-        let q = prepare(
-            &semi_join_pattern(),
-            &EvalOptions {
-                semi_join: false,
-                threads: 1,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        let g = double_hub();
-        let profile = ExecProfile::new(q.plan().stage_count());
-        q.execute_with_profile(&g, &Params::new(), &profile)
-            .unwrap();
-        assert_eq!(profile.totals().2, 0);
-    }
-
-    #[test]
-    fn flat_and_legacy_engines_agree_bit_for_bit() {
-        let gp = two_stage_pattern();
-        let g = chain(40);
-        let flat_on = prepare(&gp, &EvalOptions::default())
-            .unwrap()
-            .execute(&g)
-            .unwrap();
-        let flat_off = prepare(
-            &gp,
-            &EvalOptions {
-                flat: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap()
-        .execute(&g)
-        .unwrap();
-        assert_eq!(flat_on, flat_off);
     }
 
     #[test]

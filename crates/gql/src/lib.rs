@@ -395,15 +395,6 @@ impl Session {
         self.options.threads = threads;
     }
 
-    /// Enables or disables semi-join filter pushdown (sideways
-    /// information passing; see [`EvalOptions::semi_join`] — on by
-    /// default). Takes effect for subsequent statements: options are
-    /// part of the plan cache key, so plans prepared under the old
-    /// setting are simply not reused.
-    pub fn set_semi_join(&mut self, on: bool) {
-        self.options.semi_join = on;
-    }
-
     /// Hit/miss counters and occupancy of the session's plan cache.
     pub fn plan_cache_stats(&self) -> CacheStats {
         self.plans().stats()
@@ -1255,17 +1246,17 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_toggle_preserves_results() {
+    fn thread_count_preserves_results() {
         let query = "MATCH (x:Account)-[e:Transfer]->(m), (m)-[f:Transfer]->(y:Account) \
                      RETURN x.owner AS a, y.owner AS b ORDER BY a, b";
         let s = session();
-        let on = s.execute("bank", query).unwrap();
-        assert!(!on.rows.is_empty());
+        let auto = s.execute("bank", query).unwrap();
+        assert!(!auto.rows.is_empty());
         let mut s = session();
-        s.set_semi_join(false);
-        assert!(!s.options().semi_join);
-        let off = s.execute("bank", query).unwrap();
-        assert_eq!(on, off);
+        s.set_threads(2);
+        assert_eq!(s.options().threads, 2);
+        let two = s.execute("bank", query).unwrap();
+        assert_eq!(auto, two);
     }
 
     #[test]

@@ -199,13 +199,6 @@ impl GraphTableCache {
         self.opts.threads = threads;
     }
 
-    /// Enables or disables semi-join filter pushdown (on by default; see
-    /// `EvalOptions::semi_join`). Options are part of the cache key, so
-    /// bodies prepared under the old setting are not reused.
-    pub fn set_semi_join(&mut self, on: bool) {
-        self.opts.semi_join = on;
-    }
-
     /// Hit/miss counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         self.plans().stats()

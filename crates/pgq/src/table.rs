@@ -93,8 +93,7 @@ impl Table {
 }
 
 impl fmt::Display for Table {
-    /// Renders a readable fixed-width table (used by examples and the
-    /// paper report).
+    /// Renders a readable fixed-width table (used by the examples).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
         let rendered: Vec<Vec<String>> = self

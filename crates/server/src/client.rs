@@ -1,10 +1,10 @@
 //! A blocking gpmld client: one TCP connection, one request in flight.
 //!
 //! Used by the `gpml connect` REPL, the loopback test-suite, and the
-//! EB13 wire-throughput bench. The client is deliberately synchronous —
-//! the protocol is strict request/response, so a thread per connection
-//! is the whole story (spin up more clients for concurrency, as the
-//! bench does).
+//! `benchmark/` harness. The client is deliberately synchronous — the
+//! protocol is strict request/response, so a thread per connection is
+//! the whole story (spin up more clients for concurrency, as the stress
+//! tests do).
 
 use std::fmt;
 use std::io;

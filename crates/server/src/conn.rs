@@ -1,8 +1,8 @@
-//! Per-connection protocol state, shared by both serving models.
+//! Per-connection protocol state.
 //!
-//! The event loop (`server::reactor`) and the legacy thread-per-
-//! connection model execute requests through the same three steps so
-//! their observable behavior cannot drift:
+//! The event loop (`server::reactor`) executes every request through
+//! three steps, split so the expensive one can run off the reactor
+//! thread:
 //!
 //! 1. [`ConnState::classify`] — parse the frame and either answer
 //!    immediately (`HELLO`, `STATS`, `FETCH`, `CLOSE` — all cheap,
@@ -70,13 +70,13 @@ pub(crate) enum WorkOutput {
 
 /// [`ConnState::classify`]'s verdict on one frame. Each arm carries the
 /// request's observability context (lane clock + optional span builder);
-/// the serving model threads it to [`Shared::encode_response_ctx`] —
+/// the event loop threads it to [`Shared::encode_response_ctx`] —
 /// through the worker channels for dispatched work — so every response
 /// lands in its latency lane and traced requests retire into the ring.
 pub(crate) enum Action {
     /// Answer now, no worker involved.
     Respond(Response, Option<ObsCtx>),
-    /// Dispatch to the worker pool (or run inline, threaded model).
+    /// Dispatch to the worker pool.
     Work(WorkItem, Option<ObsCtx>),
 }
 
@@ -109,8 +109,8 @@ impl ConnState {
     }
 
     /// Classifies one decoded frame payload: either an immediate
-    /// response or a work item. Request-class stats are counted here so
-    /// both serving models tally identically.
+    /// response or a work item. Request-class stats are counted here,
+    /// before any work is dispatched.
     pub(crate) fn classify(&mut self, shared: &Shared, payload: &str) -> Action {
         let request = match Request::parse(payload) {
             Ok(r) => r,
@@ -399,7 +399,7 @@ impl ConnState {
     }
 
     /// Releases everything the connection held. Must run exactly once
-    /// when a connection ends, in both serving models — it keeps the
+    /// when a connection ends — it keeps the
     /// `cursors.open` gauge honest after disconnects.
     pub(crate) fn teardown(&mut self, shared: &Shared) {
         self.handles.clear();

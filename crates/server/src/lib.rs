@@ -16,20 +16,16 @@
 //!   Results too large for one frame stream through cursors:
 //!   `QUERY CURSOR` / `EXECUTE … CURSOR` park the result server-side
 //!   and `FETCH` drains it in frame-sized chunks;
-//! * [`server`] — the serving core. The default model is a `poll(2)`
-//!   event loop (`server::reactor`, std-only via a thin syscall shim)
-//!   over non-blocking sockets with a fixed worker pool executing
-//!   queries, admission control (`--max-conns`), idle timeouts, and
-//!   bounded write queues with backpressure; the original
-//!   thread-per-connection model survives behind
-//!   [`ServeModel::Threaded`](server::ServeModel) for comparison.
-//!   Either way every connection shares one `Arc<PropertyGraph>`, one
-//!   [`gql::Session`], and one shared
+//! * [`server`] — the serving core: a `poll(2)` event loop (the
+//!   private `reactor` module, std-only via a thin syscall shim) over
+//!   non-blocking sockets with a fixed worker pool executing queries,
+//!   admission control (`--max-conns`), idle timeouts, and bounded write
+//!   queues with backpressure. Every connection shares one journal of
+//!   graph epochs, one [`gql::Session`], and one shared
 //!   [`SharedPlanLru`](gpml_core::plan::SharedPlanLru), so a thousand
 //!   clients preparing the same skeleton cost one compile;
-//! * [`client`] — a blocking [`Client`] used by the
-//!   `gpml connect` REPL, the loopback tests, and the EB13/EB16
-//!   benches.
+//! * [`client`] — a blocking [`Client`] used by the `gpml connect`
+//!   REPL, the loopback tests, and the `benchmark/` harness.
 //!
 //! ```
 //! use gpml_server::client::Client;
@@ -61,4 +57,4 @@ pub mod server;
 pub use client::{
     Client, ClientError, CommitAck, CursorHandle, MutateAck, PreparedHandle, RowChunk,
 };
-pub use server::{serve, serve_shared, ServeModel, ServerConfig, ServerHandle, DEFAULT_TRACE_RING};
+pub use server::{serve, serve_shared, ServerConfig, ServerHandle, DEFAULT_TRACE_RING};

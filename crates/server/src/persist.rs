@@ -53,8 +53,8 @@ const MAGIC: &[u8; 4] = b"GPCF";
 const FORMAT_VERSION: u32 = 2;
 
 /// The byte-compared options identity. `Debug` is exhaustive over the
-/// struct's fields, so any option that affects compilation (mode,
-/// semi-join, flat engine, limits) changes the fingerprint.
+/// struct's fields, so any option (mode, isomorphism, threads, limits)
+/// changes the fingerprint.
 fn fingerprint(opts: &EvalOptions) -> String {
     format!("{opts:?}")
 }
@@ -243,7 +243,7 @@ mod tests {
         save(&path, &opts, 0, &seeded_cache(&opts)).expect("save");
 
         let other = EvalOptions {
-            semi_join: false,
+            max_matches: 10,
             ..EvalOptions::default()
         };
         let restored = SharedPlanLru::new(8);

@@ -1,25 +1,16 @@
-//! The gpmld server: serving models, shared state, and lifecycle.
+//! The gpmld server: shared state and lifecycle.
 //!
-//! # Serving models
+//! # Serving model
 //!
-//! Two models serve the same protocol through the same per-request
-//! logic (the private `conn` module), selected by
-//! [`ServerConfig::model`]:
+//! One reactor thread multiplexes every non-blocking socket with
+//! `poll(2)` (the private `reactor` module) and dispatches query
+//! execution to a fixed worker pool sized to cores; the per-request logic
+//! lives in the private `conn` module. Thousands of mostly-idle
+//! connections cost a pollfd each, not a thread; results can be streamed
+//! through cursors; `--max-conns`, `--idle-timeout`, and bounded write
+//! queues with backpressure apply.
 //!
-//! * [`ServeModel::EventLoop`] (default) — one reactor thread
-//!   multiplexes every non-blocking socket with `poll(2)`
-//!   (the private `reactor` module) and dispatches query execution to a fixed
-//!   worker pool sized to cores. Thousands of mostly-idle connections
-//!   cost a pollfd each, not a thread; results can be streamed through
-//!   cursors; `--max-conns`, `--idle-timeout`, and bounded write queues
-//!   with backpressure apply.
-//! * [`ServeModel::Threaded`] — the original thread-per-connection
-//!   model (kept for comparison benchmarks and as a fallback): every
-//!   accepted connection gets a blocking session thread. Admission
-//!   control and idle timeouts apply here too; backpressure is the
-//!   blocking `write` itself.
-//!
-//! Both models share:
+//! Every connection shares:
 //!
 //! * one [`GraphJournal`] behind one [`gql::Session`] — every read
 //!   pins the journal's current epoch (`Arc` clone, no lock held
@@ -41,7 +32,7 @@
 //! de-duplicates the compiled plans the handles point to.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,23 +47,10 @@ use gpml_storage::{CommitError, GraphJournal, DEFAULT_SNAPSHOT_EVERY_BYTES};
 use gql::{GqlError, PreparedGqlQuery, QueryResult, Session};
 use property_graph::PropertyGraph;
 
-use crate::conn::{Action, ConnState, WorkItem, WorkOutput};
+use crate::conn::{WorkItem, WorkOutput};
 use crate::persist;
-use crate::protocol::{read_frame, write_frame, ErrorCode, Response, MAX_FRAME};
+use crate::protocol::{ErrorCode, Response, MAX_FRAME};
 use crate::reactor::{self, Waker};
-
-/// Which concurrency model serves connections.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeModel {
-    /// A `poll(2)` event loop over non-blocking sockets plus a fixed
-    /// worker pool — the default, and the only model that holds large
-    /// connection counts cheaply.
-    #[default]
-    EventLoop,
-    /// One blocking thread per connection (the original model; kept for
-    /// old-vs-new benchmarks and as a fallback).
-    Threaded,
-}
 
 /// Configuration for [`serve`].
 #[derive(Clone, Debug)]
@@ -92,8 +70,6 @@ pub struct ServerConfig {
     /// a restarted server replays its regulars with zero compile misses.
     /// A missing, stale, or corrupt file is ignored, never an error.
     pub plan_cache_file: Option<PathBuf>,
-    /// Serving model; see [`ServeModel`].
-    pub model: ServeModel,
     /// Admission cap on concurrently served connections; `0` means
     /// unlimited. A connection over the cap receives one typed
     /// `ERR BUSY` frame and is closed (it never occupies a session).
@@ -101,9 +77,8 @@ pub struct ServerConfig {
     /// Close a connection with no in-flight request and no progress for
     /// this long; [`Duration::ZERO`] disables the timeout.
     pub idle_timeout: Duration,
-    /// Worker threads executing queries in the event-loop model; `0`
-    /// sizes the pool to the host (`max(2, cores)`). Ignored by
-    /// [`ServeModel::Threaded`].
+    /// Worker threads executing queries; `0` sizes the pool to the host
+    /// (`max(2, cores)`).
     pub workers: usize,
     /// When set, mutations are durable: commits append to a WAL under
     /// this directory before they are acknowledged, and boot recovers
@@ -145,7 +120,6 @@ impl Default for ServerConfig {
             options: EvalOptions::default(),
             cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             plan_cache_file: None,
-            model: ServeModel::default(),
             max_conns: 0,
             idle_timeout: Duration::ZERO,
             workers: 0,
@@ -193,7 +167,7 @@ pub struct ServerStats {
     pub errors: AtomicU64,
     /// Cursors currently holding a parked result (gauge).
     pub cursors_open: AtomicU64,
-    /// Response frames sent (every response, every model).
+    /// Response frames sent (every response).
     pub frames_out: AtomicU64,
     /// Matcher states expanded across every `QUERY`/`EXECUTE` served.
     pub exec_nodes_expanded: AtomicU64,
@@ -203,10 +177,10 @@ pub struct ServerStats {
     /// `QUERY`/`EXECUTE` served.
     pub exec_rows_pruned: AtomicU64,
     /// Flat-program instructions dispatched across every
-    /// `QUERY`/`EXECUTE` served (0 while the legacy engine is selected).
+    /// `QUERY`/`EXECUTE` served.
     pub exec_instrs_dispatched: AtomicU64,
     /// Backtracking trail truncations across every `QUERY`/`EXECUTE`
-    /// served (0 while the legacy engine is selected).
+    /// served.
     pub exec_backtrack_truncations: AtomicU64,
 }
 
@@ -363,7 +337,7 @@ impl Shared {
         self.idle_timeout
     }
 
-    /// Worker-pool size for the event loop: configured, or
+    /// Worker-pool size: configured, or
     /// `max(2, cores)` so even a single-core box overlaps execution
     /// with socket readiness.
     pub(crate) fn worker_count(&self) -> usize {
@@ -485,8 +459,7 @@ impl Shared {
     }
 
     /// Executes one [`WorkItem`] — the request classes that do real
-    /// work. Runs on a pool worker (event loop) or the connection's own
-    /// thread (threaded model); only touches shared state. When the
+    /// work. Runs on a pool worker; only touches shared state. When the
     /// request carries a span builder, this is where its prepare /
     /// per-stage execute / WAL spans are recorded.
     pub(crate) fn run_work(
@@ -672,16 +645,12 @@ impl Shared {
     /// Serializes a response for the wire, enforcing the frame cap (an
     /// oversized result becomes the typed `HOST` error — nothing of the
     /// oversized frame is ever written, so the stream stays in sync)
-    /// and counting `errors` / `frames.out` uniformly for both models.
-    pub(crate) fn encode_response(&self, response: Response) -> String {
-        self.encode_response_ctx(response, None)
-    }
-
-    /// [`Shared::encode_response`] plus request completion: the encode
-    /// time lands in the trace's `encode` span, the request's total
-    /// latency in its lane histogram, the finished trace in the ring
-    /// and (over threshold) the slow-query log. `FETCH` contexts credit
-    /// their drain + encode time back to the originating trace instead.
+    /// and counting `errors` / `frames.out` uniformly. With a context it
+    /// also completes the request: the encode time lands in the trace's
+    /// `encode` span, the request's total latency in its lane histogram,
+    /// the finished trace in the ring and (over threshold) the slow-query
+    /// log. `FETCH` contexts credit their drain + encode time back to the
+    /// originating trace instead.
     pub(crate) fn encode_response_ctx(&self, response: Response, ctx: Option<ObsCtx>) -> String {
         let mut is_error = matches!(response, Response::Error { .. });
         let encode_started = Instant::now();
@@ -810,10 +779,7 @@ impl ServerHandle {
             return;
         };
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Wake both models: the reactor via its self-pipe, a blocking
-        // threaded accept with a throwaway connection.
         self.shared.waker.wake();
-        let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
         // Final save: catches replacements write-through skipped (same
         // length, different plan) and runs after the serving thread is
@@ -922,16 +888,9 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
     }
     let serve_thread = {
         let shared = Arc::clone(&shared);
-        let name = match config.model {
-            ServeModel::EventLoop => "gpmld-reactor",
-            ServeModel::Threaded => "gpmld-accept",
-        };
         std::thread::Builder::new()
-            .name(name.to_owned())
-            .spawn(move || match config.model {
-                ServeModel::EventLoop => reactor::run(listener, shared, waker),
-                ServeModel::Threaded => accept_loop(listener, shared),
-            })?
+            .name("gpmld-reactor".to_owned())
+            .spawn(move || reactor::run(listener, shared, waker))?
     };
     Ok(ServerHandle {
         addr,
@@ -1022,7 +981,7 @@ fn build_obs(
     }
     registry.counter(
         "gpmld_frames_out_total",
-        "Response frames written (every response, every model)",
+        "Response frames written (every response)",
         src(stats, |s| &s.frames_out),
     );
     registry.counter(
@@ -1157,113 +1116,6 @@ fn build_obs(
         ring: TraceRing::new(config.trace_ring),
         slow,
     })
-}
-
-/// The threaded model's accept loop: one blocking session thread per
-/// admitted connection.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conn_id: u64 = 0;
-    loop {
-        if shared.is_stopping() {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            // Persistent failures (fd exhaustion) must neither spin a
-            // core nor wedge stop(): back off, then re-check `stopping`
-            // at the top — the shutdown path does not depend on its
-            // wake-up connection being accepted.
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        // Frames are small request/response pairs; never batch them.
-        let _ = stream.set_nodelay(true);
-        if shared.is_stopping() {
-            return; // the wake-up connection, or a racer behind it
-        }
-        let stats = shared.stats();
-        let max = shared.max_conns();
-        if max > 0 && stats.connections_active.load(Ordering::Relaxed) as usize >= max {
-            stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut stream = stream;
-            let goodbye = shared.encode_response(Response::Error {
-                code: ErrorCode::Busy,
-                message: format!("server is at --max-conns ({max}); retry later"),
-            });
-            let _ = write_frame(&mut stream, &goodbye);
-            continue; // drop closes it
-        }
-        conn_id += 1;
-        let shared = Arc::clone(&shared);
-        shared
-            .stats
-            .connections_total
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .connections_active
-            .fetch_add(1, Ordering::Relaxed);
-        let name = format!("gpmld-conn-{conn_id}");
-        let spawned = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new().name(name).spawn(move || {
-                run_threaded_conn(&shared, stream);
-                shared
-                    .stats
-                    .connections_active
-                    .fetch_sub(1, Ordering::Relaxed);
-            })
-        };
-        // Spawn failure (thread exhaustion) drops the stream — the
-        // client sees a clean close and can retry — but must undo the
-        // active count the thread will never decrement.
-        if spawned.is_err() {
-            shared
-                .stats
-                .connections_active
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One blocking connection: read a frame, classify, execute inline,
-/// respond — the same [`ConnState`] steps the event loop takes, on one
-/// thread.
-fn run_threaded_conn(shared: &Shared, mut stream: TcpStream) {
-    let mut state = ConnState::new();
-    let idle = shared.idle_timeout();
-    if idle > Duration::ZERO {
-        let _ = stream.set_read_timeout(Some(idle));
-    }
-    // Reads end on clean EOF, a mid-frame disconnect, an oversized
-    // length prefix (no way to resynchronize), or an idle timeout
-    // (read_timeout elapsed): drop the connection. Open handles and
-    // cursors die with it, in teardown below.
-    while let Ok(Some(payload)) = read_frame(&mut stream) {
-        let (response, ctx) = match std::str::from_utf8(&payload) {
-            Ok(text) => match state.classify(shared, text) {
-                Action::Respond(response, ctx) => (response, ctx),
-                Action::Work(item, mut ctx) => {
-                    let output = shared.run_work(item, ctx.as_mut().and_then(ObsCtx::trace_mut));
-                    (state.finish(shared, output, ctx.as_mut()), ctx)
-                }
-            },
-            Err(_) => (
-                Response::Error {
-                    code: ErrorCode::Proto,
-                    message: "frame payload is not UTF-8".to_owned(),
-                },
-                None,
-            ),
-        };
-        let encoded = shared.encode_response_ctx(response, ctx);
-        if write_frame(&mut stream, &encoded).is_err() {
-            break;
-        }
-    }
-    state.teardown(shared);
 }
 
 /// Maps a host error onto the wire's typed codes. Parameter-binding

@@ -41,11 +41,11 @@ use property_graph::{PropertyGraph, Value};
 fn usage() -> ! {
     eprintln!(
         "usage: gpml [--graph fig1|chain:N|cycle:N|grid:WxH|network:N,M,SEED|csv:DIR] \
-         [--mode gpml|sparql|gsql] [--threads N] [--no-semijoin] [--no-flat] \
+         [--mode gpml|sparql|gsql] [--threads N] \
          [--param NAME=VALUE]... [--format table|json|csv] [--explain] [QUERY]\n\
-         \x20      gpml serve   [--graph ...] [--mode ...] [--threads N] [--no-semijoin] \
-         [--no-flat] [--addr HOST[:PORT]] [--port N] [--cache N] [--plan-cache-file PATH] \
-         [--max-conns N] [--idle-timeout SECS] [--workers N] [--threaded] \
+         \x20      gpml serve   [--graph ...] [--mode ...] [--threads N] \
+         [--addr HOST[:PORT]] [--port N] [--cache N] [--plan-cache-file PATH] \
+         [--max-conns N] [--idle-timeout SECS] [--workers N] \
          [--data-dir DIR] [--no-fsync] [--snapshot-every BYTES] \
          [--trace-ring N] [--slow-query-ms MS] [--trace-file PATH]\n\
          \x20      gpml connect [--addr HOST:PORT] [--format table|json|csv]\n\
@@ -60,10 +60,7 @@ fn usage() -> ! {
          (nodes expanded, edges traversed, rows pruned) after them.\n\
          --threads N runs the per-stage matcher searches on N worker\n\
          threads (0 = auto, 1 = sequential; results are identical either\n\
-         way). --no-semijoin disables semi-join filter pushdown (results\n\
-         are identical; only work changes). --no-flat falls back to the\n\
-         legacy pointer-walking matcher instead of the flat transition-\n\
-         array interpreter (results are identical; only speed changes).\n\
+         way).\n\
          `serve --plan-cache-file PATH` persists compiled plans to PATH\n\
          and warm-starts from it on the next boot (zero compile misses\n\
          for replayed statements). REPL commands: :stats dumps\n\
@@ -72,11 +69,10 @@ fn usage() -> ! {
          or sets the worker-thread count, :let name = value binds a\n\
          parameter, :unlet name unbinds one, :params lists bindings.\n\
          `serve` starts gpmld, a TCP server speaking the PREPARE/EXECUTE\n\
-         wire protocol over the graph — by default a poll(2) event loop\n\
-         with a worker pool (--workers N; 0 = cores), connection\n\
-         admission (--max-conns N; 0 = unlimited), and idle reaping\n\
-         (--idle-timeout SECS; 0 = off); --threaded restores the old\n\
-         thread-per-connection model. `serve --data-dir DIR` makes the\n\
+         wire protocol over the graph — a poll(2) event loop with a\n\
+         worker pool (--workers N; 0 = cores), connection admission\n\
+         (--max-conns N; 0 = unlimited), and idle reaping\n\
+         (--idle-timeout SECS; 0 = off). `serve --data-dir DIR` makes the\n\
          graph durable: commits append to a write-ahead log under DIR\n\
          (fsynced unless --no-fsync) and boot recovers snapshot + WAL\n\
          tail; --snapshot-every BYTES tunes compaction. Observability:\n\
@@ -406,8 +402,6 @@ struct EngineArgs {
     graph_spec: String,
     mode: MatchMode,
     threads: usize,
-    semi_join: bool,
-    flat: bool,
 }
 
 impl EngineArgs {
@@ -416,8 +410,6 @@ impl EngineArgs {
             graph_spec: "fig1".to_owned(),
             mode: MatchMode::Gpml,
             threads: 0,
-            semi_join: true,
-            flat: true,
         }
     }
 
@@ -440,8 +432,6 @@ impl EngineArgs {
                     .and_then(|n| n.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--no-semijoin" => self.semi_join = false,
-            "--no-flat" => self.flat = false,
             _ => return false,
         }
         true
@@ -451,8 +441,6 @@ impl EngineArgs {
         EvalOptions {
             mode: self.mode,
             threads: self.threads,
-            semi_join: self.semi_join,
-            flat: self.flat,
             ..EvalOptions::default()
         }
     }
@@ -468,7 +456,6 @@ fn serve_main(args: Vec<String>) -> ! {
     let mut max_conns = 0usize;
     let mut idle_timeout = std::time::Duration::ZERO;
     let mut workers = 0usize;
-    let mut model = gpml_server::ServeModel::default();
     let mut data_dir: Option<std::path::PathBuf> = None;
     let mut fsync_on_commit = true;
     let mut snapshot_every_bytes = 0u64;
@@ -520,7 +507,6 @@ fn serve_main(args: Vec<String>) -> ! {
                     .and_then(|n| n.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--threaded" => model = gpml_server::ServeModel::Threaded,
             "--data-dir" => {
                 data_dir = Some(std::path::PathBuf::from(
                     it.next().unwrap_or_else(|| usage()),
@@ -577,7 +563,6 @@ fn serve_main(args: Vec<String>) -> ! {
         options: engine.options(),
         cache_capacity: cache,
         plan_cache_file,
-        model,
         max_conns,
         idle_timeout,
         workers,

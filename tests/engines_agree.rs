@@ -1,7 +1,10 @@
-//! Property tests: the §6 spec-literal baseline, the one-shot production
-//! entry point (`evaluate`), and a *reused* `PreparedQuery` all compute
-//! the same reduced, deduplicated, selected binding sets on random graphs
-//! and random patterns.
+//! Property tests: the production engine — one-shot `evaluate`, a
+//! *reused* `PreparedQuery`, parallel execution, bound parameters, and
+//! deserialized plans — computes the same reduced, deduplicated, selected
+//! binding sets as the §6 spec-literal baseline on random graphs and
+//! random patterns. The baseline is the one differential oracle.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -9,35 +12,17 @@ mod common;
 use common::{chain_pattern, quantified_pattern, union_pattern};
 
 use gpml_suite::core::ast::*;
-use gpml_suite::core::binding::MatchRow;
+use gpml_suite::core::binding::{BoundValue, MatchRow};
 use gpml_suite::core::eval::{evaluate, EvalOptions, MatchIso, MatchMode};
 use gpml_suite::core::plan::prepare;
 use gpml_suite::core::{baseline, GraphPattern};
 use gpml_suite::datagen::small_mixed;
-use property_graph::PropertyGraph;
+use property_graph::{EdgeId, Path, PropertyGraph};
 
 fn opts() -> EvalOptions {
     EvalOptions {
         max_matches: 200_000,
-        // `GPML_SEMIJOIN=off` flips the whole suite to unfiltered
-        // execution — CI runs the suite a second time that way as a
-        // differential check on the semi-join pushdown.
-        semi_join: std::env::var("GPML_SEMIJOIN").as_deref() != Ok("off"),
-        // `GPML_FLAT=off` flips the whole suite onto the legacy
-        // pointer-walking matcher — CI runs the suite that way as a
-        // differential check on the flat transition-array interpreter.
-        flat: std::env::var("GPML_FLAT").as_deref() != Ok("off"),
         ..EvalOptions::default()
-    }
-}
-
-/// The cost-based optimizations off: declaration-order stages, all-pairs
-/// nested-loop merge.
-fn declaration_order(base: &EvalOptions) -> EvalOptions {
-    EvalOptions {
-        reorder_stages: false,
-        hash_join: false,
-        ..base.clone()
     }
 }
 
@@ -109,6 +94,174 @@ fn check_agreement(g: &PropertyGraph, pattern: &GraphPattern) {
     }
 }
 
+/// `pattern` with GSQL's default spelled out: every path pattern that has
+/// an unbounded quantifier and neither selector nor restrictor gets an
+/// explicit `ALL SHORTEST` (§3). The baseline knows only GPML semantics,
+/// so this is how it checks [`MatchMode::GsqlDefault`].
+fn with_explicit_all_shortest(pattern: &GraphPattern) -> GraphPattern {
+    fn has_unbounded(p: &PathPattern) -> bool {
+        match p {
+            PathPattern::Node(_) | PathPattern::Edge(_) => false,
+            PathPattern::Concat(parts) => parts.iter().any(has_unbounded),
+            // A restrictor inside the paren already bounds its subtree.
+            PathPattern::Paren {
+                restrictor, inner, ..
+            } => restrictor.is_none() && has_unbounded(inner),
+            PathPattern::Quantified { inner, quantifier } => {
+                quantifier.is_unbounded() || has_unbounded(inner)
+            }
+            PathPattern::Questioned(inner) => has_unbounded(inner),
+            PathPattern::Union(bs) | PathPattern::Alternation(bs) => bs.iter().any(has_unbounded),
+        }
+    }
+    let mut out = pattern.clone();
+    for p in &mut out.paths {
+        if p.selector.is_none() && p.restrictor.is_none() && has_unbounded(&p.pattern) {
+            p.selector = Some(Selector::AllShortest);
+        }
+    }
+    out
+}
+
+/// The baseline's answer under SPARQL endpoint semantics
+/// ([`MatchMode::EndpointOnly`]), collapsed here from GPML results: each
+/// path pattern keeps one representative binding per (start, end) pair —
+/// the least reduced binding, with only its singleton variables — and the
+/// representatives are then joined on shared variables (edge-isomorphism
+/// included). Covers patterns without selectors or multiset alternation,
+/// whose representative order the rows alone cannot reproduce.
+fn baseline_endpoint_rows(
+    g: &PropertyGraph,
+    pattern: &GraphPattern,
+    iso: MatchIso,
+) -> gpml_suite::core::Result<Vec<MatchRow>> {
+    assert!(
+        pattern.where_clause.is_none(),
+        "postfilters are not collapsed"
+    );
+    let mut rows: Vec<(BTreeMap<String, BoundValue>, Vec<EdgeId>)> =
+        vec![(BTreeMap::new(), Vec::new())];
+    for (i, expr) in pattern.paths.iter().enumerate() {
+        assert!(expr.selector.is_none(), "selectors are not collapsed");
+        // A path variable exposes each binding's walk.
+        let path_var = format!("stage{i}_walk");
+        let single = GraphPattern {
+            paths: vec![PathPatternExpr {
+                path_var: Some(path_var.clone()),
+                ..expr.clone()
+            }],
+            where_clause: None,
+        };
+        let mut bindings: Vec<(Path, BTreeMap<String, BoundValue>)> =
+            baseline::evaluate(g, &single, &opts())?
+                .rows
+                .into_iter()
+                .map(|mut row| {
+                    let Some(BoundValue::Path(walk)) = row.values.remove(&path_var) else {
+                        panic!("the walk variable is bound on every row");
+                    };
+                    (walk, row.values)
+                })
+                .collect();
+        bindings.sort();
+        let mut seen = std::collections::BTreeSet::new();
+        bindings.retain(|(walk, _)| seen.insert((walk.start(), walk.end())));
+        for (_, vars) in &mut bindings {
+            vars.retain(|_, v| v.is_singleton());
+        }
+
+        let mut next = Vec::new();
+        for (row, used) in &rows {
+            for (walk, vars) in &bindings {
+                if iso == MatchIso::EdgeIsomorphic
+                    && (!walk.is_trail() || walk.edges().iter().any(|e| used.contains(e)))
+                {
+                    continue;
+                }
+                if vars
+                    .iter()
+                    .any(|(k, v)| row.get(k).is_some_and(|bound| bound != v))
+                {
+                    continue;
+                }
+                let mut merged = row.clone();
+                merged.extend(vars.clone());
+                if let Some(pv) = &expr.path_var {
+                    merged.insert(pv.clone(), BoundValue::Path(walk.clone()));
+                }
+                let mut used = used.clone();
+                used.extend_from_slice(walk.edges());
+                next.push((merged, used));
+            }
+        }
+        rows = next;
+    }
+    let mut out: Vec<MatchRow> = rows
+        .into_iter()
+        .map(|(values, _)| MatchRow { values })
+        .collect();
+    out.sort();
+    Ok(out)
+}
+
+/// The baseline's rows for `pattern` under `mode`, sorted.
+fn baseline_rows(
+    g: &PropertyGraph,
+    pattern: &GraphPattern,
+    mode: MatchMode,
+    iso: MatchIso,
+) -> gpml_suite::core::Result<Vec<MatchRow>> {
+    let options = EvalOptions {
+        isomorphism: iso,
+        ..opts()
+    };
+    match mode {
+        MatchMode::Gpml => baseline::evaluate(g, pattern, &options).map(sorted),
+        MatchMode::GsqlDefault => {
+            baseline::evaluate(g, &with_explicit_all_shortest(pattern), &options).map(sorted)
+        }
+        MatchMode::EndpointOnly => baseline_endpoint_rows(g, pattern, iso),
+    }
+}
+
+/// Compares the engine under one (threads, mode, isomorphism) combination
+/// — cost-chosen stage order, hash joins, semi-join pushdown, and (for
+/// `threads >= 2`) the parallel executor all in play — against the
+/// baseline: identical acceptance and identical row sets.
+fn check_baseline_agreement(
+    g: &PropertyGraph,
+    pattern: &GraphPattern,
+    threads: usize,
+    mode: MatchMode,
+    iso: MatchIso,
+) {
+    let options = EvalOptions {
+        threads,
+        mode,
+        isomorphism: iso,
+        ..opts()
+    };
+    let engine = evaluate(g, pattern, &options).map(sorted);
+    match (engine, baseline_rows(g, pattern, mode, iso)) {
+        (Ok(x), Ok(y)) => assert_eq!(
+            x, y,
+            "engine and baseline disagree on {pattern} \
+             (threads {threads}, mode {mode:?}, iso {iso:?})"
+        ),
+        (Err(_), Err(_)) => {}
+        (Ok(_), Err(e)) | (Err(e), Ok(_)) => {
+            // The baseline may exhaust its rigid-pattern budget where the
+            // engine succeeds, and a skipped or filtered stage never hits
+            // a limit its unfiltered search would; static rejections must
+            // agree.
+            assert!(
+                matches!(e, gpml_suite::core::Error::LimitExceeded { .. }),
+                "one-sided static failure on {pattern}: {e}"
+            );
+        }
+    }
+}
+
 /// One `PreparedQuery`, many graphs: executions must be independent (no
 /// state leaks between graphs) and each must match a fresh evaluation.
 #[test]
@@ -164,44 +317,6 @@ fn gql_prepared_statement_reuses_across_graphs() {
     assert_eq!(session.execute_prepared("small", &q).unwrap(), small);
 }
 
-/// Compares default execution (reordering + hash joins, the engine
-/// default) against the declaration-order nested-loop baseline under one
-/// (mode, isomorphism) combination: identical acceptance, identical row
-/// sets.
-fn check_cost_based_agreement(
-    g: &PropertyGraph,
-    pattern: &GraphPattern,
-    mode: MatchMode,
-    iso: MatchIso,
-) {
-    let optimized = EvalOptions {
-        mode,
-        isomorphism: iso,
-        ..opts()
-    };
-    assert!(optimized.reorder_stages && optimized.hash_join);
-    let a = evaluate(g, pattern, &optimized);
-    let b = evaluate(g, pattern, &declaration_order(&optimized));
-    match (a, b) {
-        (Ok(x), Ok(y)) => assert_eq!(
-            sorted(x),
-            sorted(y),
-            "cost-based and declaration-order execution disagree on {pattern} \
-             (mode {mode:?}, iso {iso:?})"
-        ),
-        (Err(_), Err(_)) => {}
-        (Ok(_), Err(e)) | (Err(e), Ok(_)) => {
-            // Stage reordering may move a resource-limit failure across
-            // the success boundary (a skipped stage never hits its
-            // limit); static rejections must agree.
-            assert!(
-                matches!(e, gpml_suite::core::Error::LimitExceeded { .. }),
-                "one-sided static failure on {pattern}: {e}"
-            );
-        }
-    }
-}
-
 /// Compares parallel execution (`threads >= 2`) against the sequential
 /// path (`threads = 1`) under one (mode, isomorphism) combination. The
 /// contract is stricter than set equality: the *same rows in the same
@@ -245,99 +360,58 @@ fn check_parallel_agreement(
     }
 }
 
-/// Compares semi-join-filtered execution (the engine default) against
-/// the same options with only `semi_join` off, under one
-/// (threads, mode, isomorphism) combination. The contract is stricter
-/// than set equality: a semi-join filter may only remove bindings the
-/// join was about to discard, and the survivors keep their relative
-/// order, so the full `MatchSet` — rows *and* order — must be
-/// bit-for-bit identical.
-fn check_semi_join_agreement(
+/// Holds the flat transition-array interpreter — with semi-join filters
+/// pushed wherever the cost model chooses — to both references left: the
+/// baseline (which never filters) for the row set, and the sequential run
+/// for row order when `threads >= 2`. The `*_bit_for_bit_unfiltered` and
+/// `*_bit_for_bit_legacy` proptests are named for what they once compared
+/// against: a run with semi-joins switched off and the pointer-walking
+/// matcher. Neither exists any more, so these two references replace them.
+fn check_exact_agreement(
     g: &PropertyGraph,
     pattern: &GraphPattern,
     threads: usize,
     mode: MatchMode,
     iso: MatchIso,
 ) {
-    let filtered = EvalOptions {
-        threads,
-        mode,
-        isomorphism: iso,
-        semi_join: true,
-        ..opts()
-    };
-    let unfiltered = EvalOptions {
-        semi_join: false,
-        ..filtered.clone()
-    };
-    let a = evaluate(g, pattern, &filtered);
-    let b = evaluate(g, pattern, &unfiltered);
-    match (a, b) {
-        (Ok(x), Ok(y)) => assert_eq!(
-            x, y,
-            "semi-join pushdown changed the result on {pattern} \
-             (threads {threads}, mode {mode:?}, iso {iso:?})"
-        ),
-        (Err(_), Err(_)) => {}
-        (Ok(_), Err(e)) | (Err(e), Ok(_)) => {
-            // Filters shrink raw per-stage binding counts, so the
-            // filtered side may stay under a resource limit the
-            // unfiltered side hits; static rejections must agree.
-            assert!(
-                matches!(e, gpml_suite::core::Error::LimitExceeded { .. }),
-                "one-sided static failure on {pattern}: {e}"
-            );
-        }
+    check_baseline_agreement(g, pattern, threads, mode, iso);
+    if threads >= 2 {
+        check_parallel_agreement(g, pattern, threads, mode, iso);
     }
 }
 
-/// Compares the flat transition-array interpreter (the engine default)
-/// against the legacy pointer-walking matcher with only `flat` off,
-/// under one (threads, mode, isomorphism, semi-join) combination. The
-/// contract is the strictest in this suite: the flat interpreter is a
-/// different encoding of the *same* search, so the full `MatchSet` —
-/// rows *and* order — must be bit-for-bit identical, and resource-limit
-/// failures must land on the same side (same traversal, same counts).
-fn check_flat_agreement(
-    g: &PropertyGraph,
-    pattern: &GraphPattern,
-    threads: usize,
-    mode: MatchMode,
-    iso: MatchIso,
-    semi_join: bool,
-) {
-    let flat_on = EvalOptions {
-        threads,
-        mode,
-        isomorphism: iso,
-        semi_join,
-        flat: true,
-        ..opts()
-    };
-    let flat_off = EvalOptions {
-        flat: false,
-        ..flat_on.clone()
-    };
-    let a = evaluate(g, pattern, &flat_on);
-    let b = evaluate(g, pattern, &flat_off);
-    match (a, b) {
-        (Ok(x), Ok(y)) => assert_eq!(
-            x, y,
-            "flat interpreter diverged from the legacy matcher on {pattern} \
-             (threads {threads}, mode {mode:?}, iso {iso:?}, semi_join {semi_join})"
-        ),
-        (Err(ea), Err(eb)) => assert_eq!(
-            ea.to_string(),
-            eb.to_string(),
-            "flat and legacy failed differently on {pattern}"
-        ),
-        (a, b) => panic!(
-            "flat/legacy success split on {pattern} (threads {threads}, mode {mode:?}, \
-             iso {iso:?}, semi_join {semi_join}): {:?} vs {:?}",
-            a.map(|r| r.len()),
-            b.map(|r| r.len())
-        ),
+/// The two non-GPML modes against the baseline on shapes the random
+/// corpus rarely or never produces: walks through an anonymous middle
+/// node, and a join on a variable interior to one stage (where the
+/// endpoint collapse drops rows and its choice of representative decides
+/// which survive the join); and an unbounded quantifier with no cover,
+/// which only GSQL's implicit `ALL SHORTEST` admits.
+#[test]
+fn non_gpml_modes_agree_with_the_baseline() {
+    let queries = [
+        "MATCH (x)->()->(z)",
+        "MATCH (x)-[e]->(m), (m)->()->(z)",
+        "MATCH (x)->(m)->(z), (m)-[f]->(w)",
+        "MATCH (x)-[e]->+(z)",
+    ];
+    let mut collapsed_something = false;
+    for query in queries {
+        let gp = gpml_suite::parser::parse(query).unwrap();
+        for seed in 0..12u64 {
+            let g = small_mixed(seed, 5, 8);
+            for mode in [MatchMode::EndpointOnly, MatchMode::GsqlDefault] {
+                for iso in [MatchIso::Homomorphism, MatchIso::EdgeIsomorphic] {
+                    check_baseline_agreement(&g, &gp, 1, mode, iso);
+                }
+            }
+            let gpml = baseline::evaluate(&g, &gp, &opts());
+            let endpoint = baseline_endpoint_rows(&g, &gp, MatchIso::Homomorphism);
+            if let (Ok(gpml), Ok(endpoint)) = (gpml, endpoint) {
+                collapsed_something |= sorted(gpml) != endpoint;
+            }
+        }
     }
+    assert!(collapsed_something, "no case exercised the collapse");
 }
 
 /// Round-trips every stage program of a prepared plan through the binary
@@ -376,10 +450,10 @@ fn check_serialized_plan_agreement(g: &PropertyGraph, pattern: &GraphPattern) {
 }
 
 /// An early stage that matches nothing drains the join before later
-/// stages run. With the pushdown on, the executor then derives an
-/// *empty* key set for the next stage — the regression guarded here is
-/// that this early exit stays clean (no panic, no rows, no publishing
-/// into finished slots) on the sequential path and every parallel path.
+/// stages run. The executor then derives an *empty* semi-join key set
+/// for the next stage — the regression guarded here is that this early
+/// exit stays clean (no panic, no rows, no publishing into finished
+/// slots) on the sequential path and every parallel path.
 #[test]
 fn semi_join_filters_survive_early_exit_on_an_empty_stage() {
     // (x:Missing)-[e]->(m), (m)-[f]->(t): nothing is labeled Missing.
@@ -407,7 +481,7 @@ fn semi_join_filters_survive_early_exit_on_an_empty_stage() {
                 r.rows.is_empty(),
                 "empty stage produced rows (seed {seed}, threads {threads})"
             );
-            check_semi_join_agreement(&g, &gp, threads, MatchMode::Gpml, MatchIso::Homomorphism);
+            check_baseline_agreement(&g, &gp, threads, MatchMode::Gpml, MatchIso::Homomorphism);
         }
     }
 }
@@ -439,7 +513,6 @@ fn semi_join_filters_respect_the_match_limit() {
             let sequential = EvalOptions {
                 threads: 1,
                 max_matches,
-                semi_join: true,
                 ..EvalOptions::default()
             };
             let want = evaluate(&g, &gp, &sequential);
@@ -469,25 +542,23 @@ fn semi_join_filters_respect_the_match_limit() {
 /// Parameter bindings steer predicate selectivity, which steers the
 /// semi-join decisions — estimates treat bound parameters like
 /// literals. One prepared skeleton, re-bound across the selectivity
-/// range, must agree filtered vs unfiltered on every binding.
+/// range, must agree with the baseline on the literal query for every
+/// binding.
 #[test]
 fn semi_join_agrees_with_parameterized_queries_across_bindings() {
     use gpml_suite::core::Params;
 
-    // (s)-[e WHERE e.w >= $t]->(m), (m)-[f]->(t): $t sweeps the edge
-    // weights, from everything-matches down to nothing-matches.
-    let gp = GraphPattern {
+    // (s)-[e WHERE e.w >= threshold]->(m), (m)-[f]->(t2): the threshold
+    // sweeps the edge weights, from everything-matches down to
+    // nothing-matches.
+    let pattern = |threshold: Expr| GraphPattern {
         paths: vec![
             PathPatternExpr::plain(PathPattern::concat(vec![
                 PathPattern::Node(NodePattern::var("s")),
                 PathPattern::Edge(EdgePattern {
                     var: Some("e".into()),
                     label: None,
-                    predicate: Some(Expr::cmp(
-                        CmpOp::Ge,
-                        Expr::prop("e", "w"),
-                        Expr::Parameter("t".into()),
-                    )),
+                    predicate: Some(Expr::cmp(CmpOp::Ge, Expr::prop("e", "w"), threshold)),
                     direction: Direction::Right,
                 }),
                 PathPattern::Node(NodePattern::var("m")),
@@ -500,22 +571,19 @@ fn semi_join_agrees_with_parameterized_queries_across_bindings() {
         ],
         where_clause: None,
     };
-    let filtered = prepare(&gp, &opts()).unwrap();
-    let unfiltered = prepare(
-        &gp,
-        &EvalOptions {
-            semi_join: false,
-            ..opts()
-        },
-    )
-    .unwrap();
+    let skeleton = prepare(&pattern(Expr::Parameter("t".into())), &opts()).unwrap();
     for seed in 0..4u64 {
         let g = small_mixed(seed, 6, 10);
         for t in -1i64..=5 {
-            let params = Params::new().with("t", t);
-            let a = filtered.execute_with(&g, &params).unwrap();
-            let b = unfiltered.execute_with(&g, &params).unwrap();
-            assert_eq!(a, b, "binding t={t} diverged on seed {seed}");
+            let bound = skeleton
+                .execute_with(&g, &Params::new().with("t", t))
+                .unwrap();
+            let want = baseline::evaluate(&g, &pattern(Expr::lit(t)), &opts()).unwrap();
+            assert_eq!(
+                sorted(bound),
+                sorted(want),
+                "binding t={t} diverged on seed {seed}"
+            );
         }
     }
 }
@@ -770,7 +838,7 @@ proptest! {
             ],
             where_clause: None,
         };
-        check_cost_based_agreement(&g, &gp, mode, iso);
+        check_baseline_agreement(&g, &gp, 0, mode, iso);
     }
 
     #[test]
@@ -778,6 +846,7 @@ proptest! {
         seed in 0u64..500,
         (restrictor, selector, pattern) in quantified_pattern(),
         p2 in chain_pattern(),
+        threads in proptest::sample::select(vec![1usize, 2, 4]),
         iso in proptest::sample::select(vec![
             MatchIso::Homomorphism,
             MatchIso::EdgeIsomorphic,
@@ -791,7 +860,7 @@ proptest! {
             ],
             where_clause: None,
         };
-        check_cost_based_agreement(&g, &gp, MatchMode::Gpml, iso);
+        check_baseline_agreement(&g, &gp, threads, MatchMode::Gpml, iso);
     }
 
     #[test]
@@ -863,7 +932,7 @@ proptest! {
             ],
             where_clause: None,
         };
-        check_semi_join_agreement(&g, &gp, threads, mode, iso);
+        check_exact_agreement(&g, &gp, threads, mode, iso);
     }
 
     #[test]
@@ -923,7 +992,6 @@ proptest! {
             MatchIso::Homomorphism,
             MatchIso::EdgeIsomorphic,
         ]),
-        semi_join in proptest::bool::ANY,
     ) {
         let g = small_mixed(seed, 5, 8);
         let gp = GraphPattern {
@@ -933,7 +1001,7 @@ proptest! {
             ],
             where_clause: None,
         };
-        check_flat_agreement(&g, &gp, threads, mode, iso, semi_join);
+        check_exact_agreement(&g, &gp, threads, mode, iso);
     }
 
     #[test]
@@ -945,14 +1013,13 @@ proptest! {
             MatchIso::Homomorphism,
             MatchIso::EdgeIsomorphic,
         ]),
-        semi_join in proptest::bool::ANY,
     ) {
         let g = small_mixed(seed, 4, 6);
         let gp = GraphPattern {
             paths: vec![PathPatternExpr { selector, restrictor, path_var: Some("p".into()), pattern }],
             where_clause: None,
         };
-        check_flat_agreement(&g, &gp, threads, MatchMode::Gpml, iso, semi_join);
+        check_exact_agreement(&g, &gp, threads, MatchMode::Gpml, iso);
     }
 
     #[test]

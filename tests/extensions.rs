@@ -1,15 +1,14 @@
-//! §7.1 Language Opportunities implemented as extensions, plus the
-//! deferred-restrictor ablation:
+//! §7.1 Language Opportunities implemented as extensions:
 //!
 //! * cheapest path search over edge weights (`ANY CHEAPEST(w)`,
 //!   `CHEAPEST k (w)`);
 //! * edge-isomorphic match mode (all edges across all path patterns
 //!   pairwise distinct);
-//! * `defer_restrictors` produces identical results to in-search pruning.
+//! * `EXISTS` subqueries in the postfilter.
 
 use gpml_suite::core::eval::{evaluate, EvalOptions, MatchIso};
 use gpml_suite::core::{Error, MatchSet, Selector};
-use gpml_suite::datagen::{fig1, small_mixed};
+use gpml_suite::datagen::fig1;
 use gpml_suite::parser::parse;
 use property_graph::{Endpoints, PropertyGraph, Value};
 
@@ -171,52 +170,6 @@ fn edge_isomorphic_requires_trails_within_one_pattern() {
         },
     );
     assert!(iso.is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// Deferred-restrictor ablation: same semantics, different cost
-// ---------------------------------------------------------------------------
-
-#[test]
-fn deferred_restrictors_agree_with_pruned_search() {
-    let deferred = EvalOptions {
-        defer_restrictors: true,
-        ..EvalOptions::default()
-    };
-    for seed in 0..30u64 {
-        let g = small_mixed(seed, 5, 8);
-        for query in [
-            "MATCH TRAIL p = (a)-[t]->*(b)",
-            "MATCH ACYCLIC p = (a)-[t]->*(b)",
-            "MATCH SIMPLE p = (a)-[t]->*(b)",
-            "MATCH (a) [TRAIL (x)-[t]->+(y)] (b)-[u]->(c)",
-        ] {
-            let pattern = parse(query).unwrap();
-            let fast = evaluate(&g, &pattern, &EvalOptions::default()).unwrap();
-            let slow = evaluate(&g, &pattern, &deferred).unwrap();
-            let mut a = fast.rows;
-            let mut b = slow.rows;
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "seed {seed}: {query}");
-        }
-    }
-}
-
-#[test]
-fn deferred_restrictors_on_paper_examples() {
-    let g = fig1();
-    let deferred = EvalOptions {
-        defer_restrictors: true,
-        ..EvalOptions::default()
-    };
-    let rs = run_with(
-        &g,
-        "MATCH TRAIL p = (a WHERE a.owner='Dave')-[t:Transfer]->*\
-         (b WHERE b.owner='Aretha')",
-        &deferred,
-    );
-    assert_eq!(rs.len(), 3);
 }
 
 // ---------------------------------------------------------------------------

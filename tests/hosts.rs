@@ -160,6 +160,24 @@ fn session_modes_flow_through_options() {
 }
 
 #[test]
+fn projection_of_one_transfer_binding() {
+    // Figure 9's GQL side: a path binding is a first-class value that
+    // projects to a graph — Jay's one outgoing transfer, t4 to a6.
+    let s = session();
+    let rows = s
+        .match_bindings(
+            "bank",
+            "MATCH p = (a WHERE a.owner='Jay')-[t:Transfer]->(b)",
+        )
+        .unwrap();
+    assert_eq!(rows.len(), 1);
+    let sub = s.project_graph("bank", &rows[0]).unwrap();
+    assert_eq!(sub.node_count(), 2);
+    assert_eq!(sub.edge_count(), 1);
+    assert!(sub.edge_by_name("t4").is_some());
+}
+
+#[test]
 fn projection_of_multi_path_binding() {
     // §6.6: a binding over several path patterns projects to the union
     // subgraph.

@@ -96,6 +96,51 @@ fn transfers_over_five_million() {
     assert!(!names_of(&g, &rs, "e").contains(&"t6".to_owned()));
 }
 
+#[test]
+fn figure3_node_edge_and_path_patterns() {
+    let g = fig1();
+    // (a) A node pattern: the one blocked account.
+    assert_eq!(
+        run(&g, "MATCH (x:Account WHERE x.isBlocked='yes')").len(),
+        1
+    );
+    // (b) An edge pattern between two node patterns: the one 3/1/2020
+    // transfer from an unblocked account into a blocked one.
+    let rs = run(
+        &g,
+        "MATCH (x:Account WHERE x.isBlocked='no')\
+         -[e:Transfer WHERE e.date='3/1/2020']->\
+         (y:Account WHERE y.isBlocked='yes')",
+    );
+    assert_eq!(rs.len(), 1);
+    // (c) A path pattern: transfer trails into the blocked account exist.
+    let rs = run(
+        &g,
+        "MATCH TRAIL (x:Account WHERE x.isBlocked='no')-[:Transfer]->+\
+         (y:Account WHERE y.isBlocked='yes')",
+    );
+    assert!(!rs.is_empty());
+}
+
+#[test]
+fn figure5_edge_orientations_on_figure1() {
+    let g = fig1();
+    // Figure 1 has 16 directed and 6 undirected edges. A standalone
+    // undirected edge is found from both endpoints, and every orientation
+    // that admits both directions counts a directed edge twice.
+    for (pattern, expected) in [
+        ("MATCH (x)<-[e]-(y)", 16),
+        ("MATCH (x)~[e]~(y)", 12),
+        ("MATCH (x)-[e]->(y)", 16),
+        ("MATCH (x)<~[e]~(y)", 28),
+        ("MATCH (x)~[e]~>(y)", 28),
+        ("MATCH (x)<-[e]->(y)", 32),
+        ("MATCH (x)-[e]-(y)", 44),
+    ] {
+        assert_eq!(run(&g, pattern).len(), expected, "{pattern}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // §4.2 Path patterns by concatenation
 // ---------------------------------------------------------------------------
@@ -129,6 +174,9 @@ fn transfers_into_aretha() {
 fn two_hop_paths_include_the_paper_sample() {
     let g = fig1();
     let rs = run(&g, "MATCH (s)-[e]->(m)-[f]->(t)");
+    // The paper exhibits one sample binding rather than a count; 22 is
+    // the exhaustive number of directed two-hop walks in Figure 1.
+    assert_eq!(rs.len(), 22);
     // The §4.2 sample binding s↦a1, e↦t1, m↦a3, f↦t2, t↦a2.
     let found = rs
         .iter()

@@ -80,6 +80,14 @@ fn acyclic_forbids_the_third_trail() {
         paths_of(&g, &rs, "p"),
         vec!["path(a6,t5,a3,t2,a2)", "path(a6,t6,a5,t8,a1,t1,a3,t2,a2)",]
     );
+    // Dave's account is not Aretha's, so no path can close a cycle back
+    // to its start: SIMPLE keeps exactly the ACYCLIC paths.
+    let simple = run(
+        &g,
+        "MATCH SIMPLE p = (a WHERE a.owner='Dave')-[t:Transfer]->*\
+         (b WHERE b.owner='Aretha')",
+    );
+    assert_eq!(paths_of(&g, &simple, "p"), paths_of(&g, &rs, "p"));
 }
 
 #[test]

@@ -45,6 +45,9 @@ fn assert_graphs_equal(a: &PropertyGraph, b: &PropertyGraph) {
 fn fig1_roundtrips_through_figure2_tables() {
     let g = fig1();
     let db = tabulate(&g);
+    // Figure 2 has nine relations: five node-label combinations
+    // (Account, Phone, IP, Country, CityCountry) and four edge labels.
+    assert_eq!(db.len(), 9);
     // Figure 2's named relations exist, including the label-combination
     // table CityCountry (c2 appears with both labels).
     assert!(db.table("Account").is_some());

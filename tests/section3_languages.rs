@@ -66,6 +66,8 @@ fn sparql_rendering_endpoint_semantics() {
             ("Dave".to_owned(), "Jay".to_owned()),
         ]
     );
+    // One row per pair: the endpoint collapse leaves nothing else.
+    assert_eq!(rs.len(), 2);
 }
 
 #[test]
@@ -175,6 +177,8 @@ fn gsql_rendering_default_all_shortest() {
     let explicit = run(&g, &fig4("ALL SHORTEST"));
     assert_eq!(owner_pairs(&g, &implicit), owner_pairs(&g, &explicit));
     assert_eq!(implicit.len(), explicit.len());
+    // One shortest path per fraudulent pair.
+    assert_eq!(implicit.len(), 2);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use gpml_server::client::Client;
-use gpml_server::server::{serve_shared, ServeModel, ServerConfig};
+use gpml_server::server::{serve_shared, ServerConfig};
 use gpml_suite::core::eval::{EvalOptions, ExecProfile};
 use gpml_suite::core::Params;
 use gpml_suite::datagen::fig1;
@@ -305,37 +305,6 @@ fn trace_ring_zero_disables_tracing_not_metrics() {
         metrics.contains("gpmld_query_latency_us_count 1"),
         "histograms must record with tracing off: {metrics}"
     );
-    server.stop();
-}
-
-/// Both serving models answer the observability verbs through the same
-/// conn state machine.
-#[test]
-fn threaded_model_serves_metrics_and_traces() {
-    let config = ServerConfig {
-        model: ServeModel::Threaded,
-        ..ServerConfig::default()
-    };
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client.query(TWO_STAGE).expect("query");
-    let metrics = client.metrics().expect("metrics");
-    assert!(
-        metrics.contains("gpmld_requests_query_total 1"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("gpmld_query_latency_us_count 1"),
-        "{metrics}"
-    );
-    let traces = client.trace_last(10).expect("trace");
-    assert!(
-        traces.iter().any(|t| t.contains("\"label\":\"QUERY\"")),
-        "{traces:?}"
-    );
-    // TRACE LAST drains: a second ask returns only what completed since
-    // (the TRACE request itself is not traced).
-    assert!(client.trace_last(10).expect("trace").is_empty());
     server.stop();
 }
 

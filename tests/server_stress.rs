@@ -16,8 +16,9 @@ use common::abuse::AbuseClient;
 use gpml_server::client::{stat, Client};
 use gpml_server::protocol::MAX_FRAME;
 use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
-use gpml_suite::datagen::fig1;
-use gpml_suite::gql::Session;
+use gpml_suite::core::Params;
+use gpml_suite::datagen::{fig1, transfer_network, TransferNetworkConfig};
+use gpml_suite::gql::{QueryResult, Session};
 use property_graph::{PropertyGraph, Value};
 
 /// How long tests wait for an expected server action before declaring
@@ -295,6 +296,74 @@ fn over_frame_cap_result_streams_via_fetch() {
     // DONE freed the cursor server-side.
     let stats = client.stats().expect("stats");
     assert_eq!(stat(&stats, "cursors.open"), Some(0), "{stats:?}");
+    server.stop();
+}
+
+/// The mixed population the event loop exists for: 256 connections sit
+/// greeted and silent while 8 clients each run 40 prepared `EXECUTE`s,
+/// every reply checked against the in-process oracle for its binding.
+/// Closing everything returns `conns.active` to where it started.
+#[test]
+fn idle_population_does_not_disturb_active_clients() {
+    const IDLE: usize = 256;
+    const ACTIVE: usize = 8;
+    const OPS_PER_ACTIVE: usize = 40;
+    const SKELETON: &str = "MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account) \
+                            RETURN y.owner AS receiver, t.amount AS amount \
+                            ORDER BY receiver, amount";
+    let graph = transfer_network(TransferNetworkConfig {
+        accounts: 100,
+        transfers: 200,
+        blocked_share: 0.1,
+        seed: 11,
+    });
+    let owners: Vec<String> = (0..100).map(|i| format!("owner{i}")).collect();
+    let oracle: Vec<QueryResult> = {
+        let mut s = Session::new();
+        s.register("g", graph.clone());
+        let prepared = s.prepare(SKELETON).expect("oracle prepare");
+        owners
+            .iter()
+            .map(|o| {
+                s.execute_prepared_with("g", &prepared, &Params::new().with("owner", o.as_str()))
+                    .expect("oracle execute")
+            })
+            .collect()
+    };
+    assert!(oracle.iter().any(|r| !r.is_empty()), "no binding matches");
+
+    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let mut observer = Client::connect(server.addr()).expect("connect observer");
+    let start = stat(&observer.stats().expect("stats"), "conns.active").expect("conns.active");
+
+    let idle: Vec<Client> = (0..IDLE)
+        .map(|_| {
+            let mut c = Client::connect(server.addr()).expect("connect idle");
+            c.hello("idle").expect("hello");
+            c
+        })
+        .collect();
+    await_stat(&mut observer, "conns.active", start + IDLE as u64);
+
+    std::thread::scope(|scope| {
+        for i in 0..ACTIVE {
+            let (owners, oracle) = (&owners, &oracle);
+            let addr = server.addr();
+            scope.spawn(move || {
+                let mut c = Client::connect(addr).expect("connect active");
+                let handle = c.prepare(SKELETON).expect("prepare").handle;
+                for k in 0..OPS_PER_ACTIVE {
+                    let b = (i * OPS_PER_ACTIVE + k) % owners.len();
+                    let params = Params::new().with("owner", owners[b].as_str());
+                    let got = c.execute(handle, &params).expect("execute");
+                    assert_eq!(got, oracle[b], "client {i}, binding {}", owners[b]);
+                }
+            });
+        }
+    });
+
+    drop(idle);
+    await_stat(&mut observer, "conns.active", start);
     server.stop();
 }
 

@@ -214,7 +214,7 @@ fn stats_reports_execution_counters() {
             gpml_server::client::stat(&stats, key)
                 .unwrap_or_else(|| panic!("missing {key} in {stats:?}"))
         };
-        // The line exists even while zero (legacy engine, no backtracks).
+        // The line exists even while zero (a search that never backtracks).
         get("exec.backtrack_truncations");
         (
             get("exec.nodes_expanded"),
