@@ -21,33 +21,14 @@
 //! search takes exactly the NFA's transitions; the agreement test-suite
 //! checks its results against the §6 spec-literal engine in
 //! [`crate::baseline`].
-//!
-//! # Binary layout
-//!
-//! [`FlatProgram::to_bytes`] emits a versioned little-endian encoding:
-//!
-//! ```text
-//! magic "GPLN" | version u32 | fnv1a-64 checksum of payload | payload
-//! ```
-//!
-//! The payload is `start`, `accept`, the instruction array, and the four
-//! operand tables (node patterns, edge patterns, quantifier and paren
-//! metadata), with every string length-prefixed and every enum tagged.
-//! [`FlatProgram::from_bytes`] verifies magic, version, and checksum,
-//! bounds-checks every instruction target and operand index, and rejects
-//! trailing bytes — round-tripping is structural equality. The server
-//! uses this encoding to persist its shared plan cache across restarts.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use property_graph::{NodeId, Path, PropertyGraph, Value};
+use property_graph::{NodeId, Path, PropertyGraph};
 
-use crate::ast::{
-    AggArg, AggFunc, ArithOp, CmpOp, Direction, EdgePattern, Expr, GraphPattern, LabelExpr,
-    NodePattern, PathPattern, PathPatternExpr, Quantifier, Restrictor, Selector,
-};
+use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Restrictor};
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::nfa::{
@@ -91,23 +72,6 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    fn from_u8(b: u8) -> Option<Op> {
-        Some(match b {
-            0 => Op::Jump,
-            1 => Op::NodeTest,
-            2 => Op::OpenParen,
-            3 => Op::CloseParen,
-            4 => Op::EnterQuant,
-            5 => Op::IterStart,
-            6 => Op::IterEnd,
-            7 => Op::ExitQuant,
-            8 => Op::AltMark,
-            9 => Op::Consume,
-            10 => Op::Halt,
-            _ => return None,
-        })
-    }
-
     fn mnemonic(self) -> &'static str {
         match self {
             Op::Jump => "jmp",
@@ -125,9 +89,10 @@ impl Op {
     }
 }
 
-/// One flat-program instruction: 10 bytes of opcode + operand index +
-/// target PC, laid out contiguously per state block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One flat-program instruction: opcode, block-end flag, operand index
+/// and target PC (12 bytes with padding), laid out contiguously per
+/// state block.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Instr {
     pub(crate) op: Op,
     /// True on the final instruction of its state block — the block scan
@@ -148,10 +113,9 @@ pub(crate) struct Instr {
 /// instruction array plus its operand tables. States exist only as
 /// program counters (the first instruction of each state's block).
 ///
-/// Produced by lowering the compiled NFA at prepare time; executed by
-/// the flat interpreter; serialized with [`FlatProgram::to_bytes`] for
-/// plan-cache persistence.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Produced by lowering the compiled NFA at prepare time and executed
+/// by the flat interpreter.
+#[derive(Clone, Debug)]
 pub struct FlatProgram {
     instrs: Vec<Instr>,
     start: u32,
@@ -231,9 +195,10 @@ impl FlatProgram {
         self.instrs.len()
     }
 
-    /// Size of the binary encoding in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.to_bytes().len()
+    /// In-memory size of the instruction array in bytes (the EXPLAIN
+    /// and `plans.bytes` plan-size metric).
+    pub fn instr_bytes(&self) -> usize {
+        self.instr_count() * std::mem::size_of::<Instr>()
     }
 
     /// Numbers of node tests, edge tests, and quantifiers (operand-table
@@ -291,868 +256,6 @@ impl fmt::Display for FlatProgram {
             )?;
         }
         Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary encoding
-// ---------------------------------------------------------------------------
-
-const MAGIC: &[u8; 4] = b"GPLN";
-/// Current binary-format version. Bump on any layout change; decoders
-/// reject other versions with [`PlanDecodeError::WrongVersion`].
-pub const PLAN_FORMAT_VERSION: u32 = 1;
-const MAX_DECODE_DEPTH: u32 = 512;
-
-/// Why a byte buffer failed to decode as a [`FlatProgram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanDecodeError {
-    /// The buffer does not start with the `GPLN` magic.
-    BadMagic,
-    /// The buffer was written by a different format version.
-    WrongVersion(u32),
-    /// The payload checksum does not match (corruption).
-    BadChecksum,
-    /// The payload is structurally invalid (truncated, bad tag,
-    /// out-of-bounds target, trailing bytes, ...).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for PlanDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanDecodeError::BadMagic => write!(f, "not a GPLN plan (bad magic)"),
-            PlanDecodeError::WrongVersion(v) => {
-                write!(f, "unsupported plan format version {v}")
-            }
-            PlanDecodeError::BadChecksum => write!(f, "plan checksum mismatch"),
-            PlanDecodeError::Malformed(what) => write!(f, "malformed plan: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for PlanDecodeError {}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-// ---- writer -------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt<T>(out: &mut Vec<u8>, v: &Option<T>, enc: impl FnOnce(&mut Vec<u8>, &T)) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            enc(out, x);
-        }
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(out, 0),
-        Value::Bool(b) => {
-            put_u8(out, 1);
-            put_bool(out, *b);
-        }
-        Value::Int(i) => {
-            put_u8(out, 2);
-            put_i64(out, *i);
-        }
-        Value::Float(x) => {
-            put_u8(out, 3);
-            put_u64(out, x.to_bits());
-        }
-        Value::Str(s) => {
-            put_u8(out, 4);
-            put_str(out, s);
-        }
-    }
-}
-
-fn put_label(out: &mut Vec<u8>, l: &LabelExpr) {
-    match l {
-        LabelExpr::Wildcard => put_u8(out, 0),
-        LabelExpr::Label(s) => {
-            put_u8(out, 1);
-            put_str(out, s);
-        }
-        LabelExpr::Not(a) => {
-            put_u8(out, 2);
-            put_label(out, a);
-        }
-        LabelExpr::And(a, b) => {
-            put_u8(out, 3);
-            put_label(out, a);
-            put_label(out, b);
-        }
-        LabelExpr::Or(a, b) => {
-            put_u8(out, 4);
-            put_label(out, a);
-            put_label(out, b);
-        }
-    }
-}
-
-fn put_expr(out: &mut Vec<u8>, e: &Expr) {
-    match e {
-        Expr::Literal(v) => {
-            put_u8(out, 0);
-            put_value(out, v);
-        }
-        Expr::Parameter(s) => {
-            put_u8(out, 1);
-            put_str(out, s);
-        }
-        Expr::Var(s) => {
-            put_u8(out, 2);
-            put_str(out, s);
-        }
-        Expr::Property(v, p) => {
-            put_u8(out, 3);
-            put_str(out, v);
-            put_str(out, p);
-        }
-        Expr::Not(a) => {
-            put_u8(out, 4);
-            put_expr(out, a);
-        }
-        Expr::And(a, b) => {
-            put_u8(out, 5);
-            put_expr(out, a);
-            put_expr(out, b);
-        }
-        Expr::Or(a, b) => {
-            put_u8(out, 6);
-            put_expr(out, a);
-            put_expr(out, b);
-        }
-        Expr::Cmp(op, a, b) => {
-            put_u8(out, 7);
-            put_u8(
-                out,
-                match op {
-                    CmpOp::Eq => 0,
-                    CmpOp::Ne => 1,
-                    CmpOp::Lt => 2,
-                    CmpOp::Le => 3,
-                    CmpOp::Gt => 4,
-                    CmpOp::Ge => 5,
-                },
-            );
-            put_expr(out, a);
-            put_expr(out, b);
-        }
-        Expr::Arith(op, a, b) => {
-            put_u8(out, 8);
-            put_u8(
-                out,
-                match op {
-                    ArithOp::Add => 0,
-                    ArithOp::Sub => 1,
-                    ArithOp::Mul => 2,
-                    ArithOp::Div => 3,
-                },
-            );
-            put_expr(out, a);
-            put_expr(out, b);
-        }
-        Expr::IsNull(a, neg) => {
-            put_u8(out, 9);
-            put_expr(out, a);
-            put_bool(out, *neg);
-        }
-        Expr::IsDirected(s) => {
-            put_u8(out, 10);
-            put_str(out, s);
-        }
-        Expr::IsSourceOf { node, edge } => {
-            put_u8(out, 11);
-            put_str(out, node);
-            put_str(out, edge);
-        }
-        Expr::IsDestinationOf { node, edge } => {
-            put_u8(out, 12);
-            put_str(out, node);
-            put_str(out, edge);
-        }
-        Expr::Same(vs) => {
-            put_u8(out, 13);
-            put_u32(out, vs.len() as u32);
-            vs.iter().for_each(|v| put_str(out, v));
-        }
-        Expr::AllDifferent(vs) => {
-            put_u8(out, 14);
-            put_u32(out, vs.len() as u32);
-            vs.iter().for_each(|v| put_str(out, v));
-        }
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => {
-            put_u8(out, 15);
-            put_u8(
-                out,
-                match func {
-                    AggFunc::Count => 0,
-                    AggFunc::Sum => 1,
-                    AggFunc::Avg => 2,
-                    AggFunc::Min => 3,
-                    AggFunc::Max => 4,
-                },
-            );
-            match arg {
-                AggArg::Var(v) => {
-                    put_u8(out, 0);
-                    put_str(out, v);
-                }
-                AggArg::VarStar(v) => {
-                    put_u8(out, 1);
-                    put_str(out, v);
-                }
-                AggArg::Property(v, p) => {
-                    put_u8(out, 2);
-                    put_str(out, v);
-                    put_str(out, p);
-                }
-            }
-            put_bool(out, *distinct);
-        }
-        Expr::Exists(gp) => {
-            put_u8(out, 16);
-            put_graph_pattern(out, gp);
-        }
-    }
-}
-
-fn put_restrictor(out: &mut Vec<u8>, r: &Restrictor) {
-    put_u8(
-        out,
-        match r {
-            Restrictor::Trail => 0,
-            Restrictor::Acyclic => 1,
-            Restrictor::Simple => 2,
-        },
-    );
-}
-
-fn put_direction(out: &mut Vec<u8>, d: Direction) {
-    put_u8(
-        out,
-        match d {
-            Direction::Left => 0,
-            Direction::Undirected => 1,
-            Direction::Right => 2,
-            Direction::LeftOrUndirected => 3,
-            Direction::UndirectedOrRight => 4,
-            Direction::LeftOrRight => 5,
-            Direction::Any => 6,
-        },
-    );
-}
-
-fn put_selector(out: &mut Vec<u8>, s: &Selector) {
-    match s {
-        Selector::AnyShortest => put_u8(out, 0),
-        Selector::AllShortest => put_u8(out, 1),
-        Selector::Any => put_u8(out, 2),
-        Selector::AnyK(k) => {
-            put_u8(out, 3);
-            put_u32(out, *k);
-        }
-        Selector::ShortestK(k) => {
-            put_u8(out, 4);
-            put_u32(out, *k);
-        }
-        Selector::ShortestKGroup(k) => {
-            put_u8(out, 5);
-            put_u32(out, *k);
-        }
-        Selector::AnyCheapest { weight } => {
-            put_u8(out, 6);
-            put_str(out, weight);
-        }
-        Selector::CheapestK { k, weight } => {
-            put_u8(out, 7);
-            put_u32(out, *k);
-            put_str(out, weight);
-        }
-    }
-}
-
-fn put_node_pat(out: &mut Vec<u8>, np: &NodePattern) {
-    put_opt(out, &np.var, |o, v| put_str(o, v));
-    put_opt(out, &np.label, put_label);
-    put_opt(out, &np.predicate, put_expr);
-}
-
-fn put_edge_pat(out: &mut Vec<u8>, ep: &EdgePattern) {
-    put_opt(out, &ep.var, |o, v| put_str(o, v));
-    put_opt(out, &ep.label, put_label);
-    put_opt(out, &ep.predicate, put_expr);
-    put_direction(out, ep.direction);
-}
-
-fn put_path_pattern(out: &mut Vec<u8>, p: &PathPattern) {
-    match p {
-        PathPattern::Node(np) => {
-            put_u8(out, 0);
-            put_node_pat(out, np);
-        }
-        PathPattern::Edge(ep) => {
-            put_u8(out, 1);
-            put_edge_pat(out, ep);
-        }
-        PathPattern::Concat(parts) => {
-            put_u8(out, 2);
-            put_u32(out, parts.len() as u32);
-            parts.iter().for_each(|x| put_path_pattern(out, x));
-        }
-        PathPattern::Paren {
-            restrictor,
-            inner,
-            predicate,
-        } => {
-            put_u8(out, 3);
-            put_opt(out, restrictor, put_restrictor);
-            put_path_pattern(out, inner);
-            put_opt(out, predicate, put_expr);
-        }
-        PathPattern::Quantified { inner, quantifier } => {
-            put_u8(out, 4);
-            put_path_pattern(out, inner);
-            put_u32(out, quantifier.min);
-            put_opt(out, &quantifier.max, |o, m| put_u32(o, *m));
-        }
-        PathPattern::Questioned(inner) => {
-            put_u8(out, 5);
-            put_path_pattern(out, inner);
-        }
-        PathPattern::Union(bs) => {
-            put_u8(out, 6);
-            put_u32(out, bs.len() as u32);
-            bs.iter().for_each(|x| put_path_pattern(out, x));
-        }
-        PathPattern::Alternation(bs) => {
-            put_u8(out, 7);
-            put_u32(out, bs.len() as u32);
-            bs.iter().for_each(|x| put_path_pattern(out, x));
-        }
-    }
-}
-
-fn put_graph_pattern(out: &mut Vec<u8>, gp: &GraphPattern) {
-    put_u32(out, gp.paths.len() as u32);
-    for pe in &gp.paths {
-        put_opt(out, &pe.selector, put_selector);
-        put_opt(out, &pe.restrictor, put_restrictor);
-        put_opt(out, &pe.path_var, |o, v| put_str(o, v));
-        put_path_pattern(out, &pe.pattern);
-    }
-    put_opt(out, &gp.where_clause, put_expr);
-}
-
-// ---- reader -------------------------------------------------------------
-
-type DecodeResult<T> = std::result::Result<T, PlanDecodeError>;
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(PlanDecodeError::Malformed("truncated payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> DecodeResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(PlanDecodeError::Malformed("bad bool")),
-        }
-    }
-
-    fn u32(&mut self) -> DecodeResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> DecodeResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> DecodeResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn str(&mut self) -> DecodeResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| PlanDecodeError::Malformed("invalid utf-8 string"))
-    }
-
-    fn opt<T>(
-        &mut self,
-        dec: impl FnOnce(&mut Self) -> DecodeResult<T>,
-    ) -> DecodeResult<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(dec(self)?)),
-            _ => Err(PlanDecodeError::Malformed("bad option tag")),
-        }
-    }
-
-    fn value(&mut self) -> DecodeResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.bool()?),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::Str(self.str()?),
-            _ => return Err(PlanDecodeError::Malformed("bad value tag")),
-        })
-    }
-
-    fn label(&mut self, depth: u32) -> DecodeResult<LabelExpr> {
-        if depth > MAX_DECODE_DEPTH {
-            return Err(PlanDecodeError::Malformed("nesting too deep"));
-        }
-        Ok(match self.u8()? {
-            0 => LabelExpr::Wildcard,
-            1 => LabelExpr::Label(self.str()?),
-            2 => LabelExpr::Not(Box::new(self.label(depth + 1)?)),
-            3 => LabelExpr::And(
-                Box::new(self.label(depth + 1)?),
-                Box::new(self.label(depth + 1)?),
-            ),
-            4 => LabelExpr::Or(
-                Box::new(self.label(depth + 1)?),
-                Box::new(self.label(depth + 1)?),
-            ),
-            _ => return Err(PlanDecodeError::Malformed("bad label tag")),
-        })
-    }
-
-    fn strings(&mut self) -> DecodeResult<Vec<String>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(self.str()?);
-        }
-        Ok(out)
-    }
-
-    fn expr(&mut self, depth: u32) -> DecodeResult<Expr> {
-        if depth > MAX_DECODE_DEPTH {
-            return Err(PlanDecodeError::Malformed("nesting too deep"));
-        }
-        let d = depth + 1;
-        Ok(match self.u8()? {
-            0 => Expr::Literal(self.value()?),
-            1 => Expr::Parameter(self.str()?),
-            2 => Expr::Var(self.str()?),
-            3 => Expr::Property(self.str()?, self.str()?),
-            4 => Expr::Not(Box::new(self.expr(d)?)),
-            5 => Expr::And(Box::new(self.expr(d)?), Box::new(self.expr(d)?)),
-            6 => Expr::Or(Box::new(self.expr(d)?), Box::new(self.expr(d)?)),
-            7 => {
-                let op = match self.u8()? {
-                    0 => CmpOp::Eq,
-                    1 => CmpOp::Ne,
-                    2 => CmpOp::Lt,
-                    3 => CmpOp::Le,
-                    4 => CmpOp::Gt,
-                    5 => CmpOp::Ge,
-                    _ => return Err(PlanDecodeError::Malformed("bad cmp op")),
-                };
-                Expr::Cmp(op, Box::new(self.expr(d)?), Box::new(self.expr(d)?))
-            }
-            8 => {
-                let op = match self.u8()? {
-                    0 => ArithOp::Add,
-                    1 => ArithOp::Sub,
-                    2 => ArithOp::Mul,
-                    3 => ArithOp::Div,
-                    _ => return Err(PlanDecodeError::Malformed("bad arith op")),
-                };
-                Expr::Arith(op, Box::new(self.expr(d)?), Box::new(self.expr(d)?))
-            }
-            9 => Expr::IsNull(Box::new(self.expr(d)?), self.bool()?),
-            10 => Expr::IsDirected(self.str()?),
-            11 => Expr::IsSourceOf {
-                node: self.str()?,
-                edge: self.str()?,
-            },
-            12 => Expr::IsDestinationOf {
-                node: self.str()?,
-                edge: self.str()?,
-            },
-            13 => Expr::Same(self.strings()?),
-            14 => Expr::AllDifferent(self.strings()?),
-            15 => {
-                let func = match self.u8()? {
-                    0 => AggFunc::Count,
-                    1 => AggFunc::Sum,
-                    2 => AggFunc::Avg,
-                    3 => AggFunc::Min,
-                    4 => AggFunc::Max,
-                    _ => return Err(PlanDecodeError::Malformed("bad aggregate func")),
-                };
-                let arg = match self.u8()? {
-                    0 => AggArg::Var(self.str()?),
-                    1 => AggArg::VarStar(self.str()?),
-                    2 => AggArg::Property(self.str()?, self.str()?),
-                    _ => return Err(PlanDecodeError::Malformed("bad aggregate arg")),
-                };
-                Expr::Aggregate {
-                    func,
-                    arg,
-                    distinct: self.bool()?,
-                }
-            }
-            16 => Expr::Exists(Box::new(self.graph_pattern(d)?)),
-            _ => return Err(PlanDecodeError::Malformed("bad expr tag")),
-        })
-    }
-
-    fn restrictor(&mut self) -> DecodeResult<Restrictor> {
-        Ok(match self.u8()? {
-            0 => Restrictor::Trail,
-            1 => Restrictor::Acyclic,
-            2 => Restrictor::Simple,
-            _ => return Err(PlanDecodeError::Malformed("bad restrictor")),
-        })
-    }
-
-    fn direction(&mut self) -> DecodeResult<Direction> {
-        Ok(match self.u8()? {
-            0 => Direction::Left,
-            1 => Direction::Undirected,
-            2 => Direction::Right,
-            3 => Direction::LeftOrUndirected,
-            4 => Direction::UndirectedOrRight,
-            5 => Direction::LeftOrRight,
-            6 => Direction::Any,
-            _ => return Err(PlanDecodeError::Malformed("bad direction")),
-        })
-    }
-
-    fn selector(&mut self) -> DecodeResult<Selector> {
-        Ok(match self.u8()? {
-            0 => Selector::AnyShortest,
-            1 => Selector::AllShortest,
-            2 => Selector::Any,
-            3 => Selector::AnyK(self.u32()?),
-            4 => Selector::ShortestK(self.u32()?),
-            5 => Selector::ShortestKGroup(self.u32()?),
-            6 => Selector::AnyCheapest {
-                weight: self.str()?,
-            },
-            7 => Selector::CheapestK {
-                k: self.u32()?,
-                weight: self.str()?,
-            },
-            _ => return Err(PlanDecodeError::Malformed("bad selector")),
-        })
-    }
-
-    fn node_pat(&mut self, depth: u32) -> DecodeResult<NodePattern> {
-        Ok(NodePattern {
-            var: self.opt(|r| r.str())?,
-            label: self.opt(|r| r.label(depth))?,
-            predicate: self.opt(|r| r.expr(depth))?,
-        })
-    }
-
-    fn edge_pat(&mut self, depth: u32) -> DecodeResult<EdgePattern> {
-        Ok(EdgePattern {
-            var: self.opt(|r| r.str())?,
-            label: self.opt(|r| r.label(depth))?,
-            predicate: self.opt(|r| r.expr(depth))?,
-            direction: self.direction()?,
-        })
-    }
-
-    fn path_pattern(&mut self, depth: u32) -> DecodeResult<PathPattern> {
-        if depth > MAX_DECODE_DEPTH {
-            return Err(PlanDecodeError::Malformed("nesting too deep"));
-        }
-        let d = depth + 1;
-        Ok(match self.u8()? {
-            0 => PathPattern::Node(self.node_pat(d)?),
-            1 => PathPattern::Edge(self.edge_pat(d)?),
-            2 => {
-                let n = self.u32()? as usize;
-                let mut parts = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    parts.push(self.path_pattern(d)?);
-                }
-                PathPattern::Concat(parts)
-            }
-            3 => PathPattern::Paren {
-                restrictor: self.opt(|r| r.restrictor())?,
-                inner: Box::new(self.path_pattern(d)?),
-                predicate: self.opt(|r| r.expr(d))?,
-            },
-            4 => PathPattern::Quantified {
-                inner: Box::new(self.path_pattern(d)?),
-                quantifier: Quantifier {
-                    min: self.u32()?,
-                    max: self.opt(|r| r.u32())?,
-                },
-            },
-            5 => PathPattern::Questioned(Box::new(self.path_pattern(d)?)),
-            6 => {
-                let n = self.u32()? as usize;
-                let mut bs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    bs.push(self.path_pattern(d)?);
-                }
-                PathPattern::Union(bs)
-            }
-            7 => {
-                let n = self.u32()? as usize;
-                let mut bs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    bs.push(self.path_pattern(d)?);
-                }
-                PathPattern::Alternation(bs)
-            }
-            _ => return Err(PlanDecodeError::Malformed("bad path-pattern tag")),
-        })
-    }
-
-    fn graph_pattern(&mut self, depth: u32) -> DecodeResult<GraphPattern> {
-        if depth > MAX_DECODE_DEPTH {
-            return Err(PlanDecodeError::Malformed("nesting too deep"));
-        }
-        let d = depth + 1;
-        let n = self.u32()? as usize;
-        let mut paths = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            paths.push(PathPatternExpr {
-                selector: self.opt(|r| r.selector())?,
-                restrictor: self.opt(|r| r.restrictor())?,
-                path_var: self.opt(|r| r.str())?,
-                pattern: self.path_pattern(d)?,
-            });
-        }
-        Ok(GraphPattern {
-            paths,
-            where_clause: self.opt(|r| r.expr(d))?,
-        })
-    }
-}
-
-impl FlatProgram {
-    /// Serializes the program into the versioned, checksummed binary
-    /// format described in the module docs.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.instrs.len() * 10);
-        put_u32(&mut payload, self.start);
-        put_u32(&mut payload, self.accept);
-        put_u32(&mut payload, self.instrs.len() as u32);
-        for ins in &self.instrs {
-            put_u8(&mut payload, ins.op as u8);
-            put_bool(&mut payload, ins.last);
-            put_u32(&mut payload, ins.arg);
-            put_u32(&mut payload, ins.target);
-        }
-        put_u32(&mut payload, self.node_pats.len() as u32);
-        for np in &self.node_pats {
-            put_node_pat(&mut payload, np);
-        }
-        put_u32(&mut payload, self.edge_pats.len() as u32);
-        for ep in &self.edge_pats {
-            put_edge_pat(&mut payload, ep);
-        }
-        put_u32(&mut payload, self.quants.len() as u32);
-        for q in &self.quants {
-            put_u32(&mut payload, q.min);
-            put_opt(&mut payload, &q.max, |o, m| put_u32(o, *m));
-            put_bool(&mut payload, q.expose_conditional);
-            put_u32(&mut payload, q.body_vars.len() as u32);
-            for (v, is_edge) in &q.body_vars {
-                put_str(&mut payload, v);
-                put_bool(&mut payload, *is_edge);
-            }
-        }
-        put_u32(&mut payload, self.parens.len() as u32);
-        for p in &self.parens {
-            put_opt(&mut payload, &p.restrictor, put_restrictor);
-            put_opt(&mut payload, &p.predicate, put_expr);
-        }
-
-        let mut out = Vec::with_capacity(16 + payload.len());
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, PLAN_FORMAT_VERSION);
-        put_u64(&mut out, fnv1a(&payload));
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Decodes a buffer produced by [`FlatProgram::to_bytes`], verifying
-    /// magic, version, checksum, and every instruction's operand and
-    /// target bounds. Round-tripping is structural equality, and a
-    /// decoded program executes identically to the original.
-    pub fn from_bytes(bytes: &[u8]) -> DecodeResult<FlatProgram> {
-        if bytes.len() < 16 {
-            return Err(if bytes.len() < 4 || &bytes[..4] != MAGIC {
-                PlanDecodeError::BadMagic
-            } else {
-                PlanDecodeError::Malformed("truncated header")
-            });
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(PlanDecodeError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4"));
-        if version != PLAN_FORMAT_VERSION {
-            return Err(PlanDecodeError::WrongVersion(version));
-        }
-        let checksum = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
-        let payload = &bytes[16..];
-        if fnv1a(payload) != checksum {
-            return Err(PlanDecodeError::BadChecksum);
-        }
-
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
-        let start = r.u32()?;
-        let accept = r.u32()?;
-        let n_instrs = r.u32()? as usize;
-        let mut instrs = Vec::with_capacity(n_instrs.min(1 << 16));
-        for _ in 0..n_instrs {
-            let op = Op::from_u8(r.u8()?).ok_or(PlanDecodeError::Malformed("bad opcode"))?;
-            instrs.push(Instr {
-                op,
-                last: r.bool()?,
-                arg: r.u32()?,
-                target: r.u32()?,
-            });
-        }
-        let n = r.u32()? as usize;
-        let mut node_pats = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            node_pats.push(r.node_pat(0)?);
-        }
-        let n = r.u32()? as usize;
-        let mut edge_pats = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            edge_pats.push(r.edge_pat(0)?);
-        }
-        let n = r.u32()? as usize;
-        let mut quants = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let min = r.u32()?;
-            let max = r.opt(|x| x.u32())?;
-            let expose_conditional = r.bool()?;
-            let nb = r.u32()? as usize;
-            let mut body_vars = Vec::with_capacity(nb.min(1024));
-            for _ in 0..nb {
-                body_vars.push((r.str()?, r.bool()?));
-            }
-            quants.push(QuantMeta {
-                min,
-                max,
-                expose_conditional,
-                body_vars,
-            });
-        }
-        let n = r.u32()? as usize;
-        let mut parens = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            parens.push(ParenMeta {
-                restrictor: r.opt(|x| x.restrictor())?,
-                predicate: r.opt(|x| x.expr(0))?,
-            });
-        }
-        if r.pos != r.buf.len() {
-            return Err(PlanDecodeError::Malformed("trailing bytes"));
-        }
-
-        // Structural validation: the interpreter indexes instrs and the
-        // operand tables unchecked in its hot loop, so reject anything
-        // out of bounds (or an unterminated final block) here.
-        let len = instrs.len() as u32;
-        if len == 0 {
-            return Err(PlanDecodeError::Malformed("empty program"));
-        }
-        if !instrs[len as usize - 1].last {
-            return Err(PlanDecodeError::Malformed("unterminated final block"));
-        }
-        if start >= len || accept >= len {
-            return Err(PlanDecodeError::Malformed("entry point out of bounds"));
-        }
-        for ins in &instrs {
-            if ins.target >= len {
-                return Err(PlanDecodeError::Malformed("jump target out of bounds"));
-            }
-            let table_len = match ins.op {
-                Op::NodeTest => node_pats.len(),
-                Op::Consume => edge_pats.len(),
-                Op::OpenParen | Op::CloseParen => parens.len(),
-                Op::EnterQuant | Op::IterStart | Op::IterEnd | Op::ExitQuant => quants.len(),
-                Op::Jump | Op::AltMark | Op::Halt => usize::MAX,
-            };
-            if table_len != usize::MAX && ins.arg as usize >= table_len {
-                return Err(PlanDecodeError::Malformed("operand index out of bounds"));
-            }
-        }
-        Ok(FlatProgram {
-            instrs,
-            start,
-            accept,
-            node_pats,
-            edge_pats,
-            quants,
-            parens,
-        })
     }
 }
 
@@ -1851,6 +954,7 @@ impl<'a> FlatMatcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::{Direction, GraphPattern, LabelExpr, Quantifier};
     use crate::eval::nfa::compile;
     use crate::normalize::normalize;
 
@@ -1892,57 +996,6 @@ mod tests {
         assert!(prog.instrs.last().expect("non-empty").last);
         for ins in &prog.instrs {
             assert!((ins.target as usize) < prog.instrs.len());
-        }
-    }
-
-    #[test]
-    fn round_trip_is_structural_equality() {
-        let prog = program_for(sample_pattern());
-        let bytes = prog.to_bytes();
-        assert_eq!(bytes.len(), prog.encoded_len());
-        let back = FlatProgram::from_bytes(&bytes).expect("round trip");
-        assert_eq!(prog, back);
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = program_for(sample_pattern()).to_bytes();
-        bytes[0] = b'X';
-        assert_eq!(
-            FlatProgram::from_bytes(&bytes),
-            Err(PlanDecodeError::BadMagic)
-        );
-    }
-
-    #[test]
-    fn wrong_version_is_rejected() {
-        let mut bytes = program_for(sample_pattern()).to_bytes();
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            FlatProgram::from_bytes(&bytes),
-            Err(PlanDecodeError::WrongVersion(99))
-        );
-    }
-
-    #[test]
-    fn corruption_is_rejected_by_checksum() {
-        let mut bytes = program_for(sample_pattern()).to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        assert_eq!(
-            FlatProgram::from_bytes(&bytes),
-            Err(PlanDecodeError::BadChecksum)
-        );
-    }
-
-    #[test]
-    fn truncation_is_rejected() {
-        let bytes = program_for(sample_pattern()).to_bytes();
-        for cut in [0, 3, 8, 15, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                FlatProgram::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must not decode"
-            );
         }
     }
 

@@ -86,7 +86,7 @@ pub(crate) struct StateData {
     pub(crate) edges: Vec<(usize, usize)>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub(crate) struct QuantMeta {
     pub(crate) min: u32,
     pub(crate) max: Option<u32>,
@@ -98,7 +98,7 @@ pub(crate) struct QuantMeta {
     pub(crate) body_vars: Vec<(String, bool /*is_edge*/)>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub(crate) struct ParenMeta {
     pub(crate) restrictor: Option<Restrictor>,
     pub(crate) predicate: Option<Expr>,

@@ -75,7 +75,7 @@ pub use ast::{
 };
 pub use binding::{BoundValue, MatchRow, MatchSet, PathBinding};
 pub use error::{Error, Result};
-pub use eval::flat::{FlatProgram, PlanDecodeError, PLAN_FORMAT_VERSION};
+pub use eval::flat::FlatProgram;
 pub use eval::{evaluate, EvalOptions, MatchMode};
 pub use params::{ParamType, Params};
 pub use plan::{prepare, ExecutablePlan, PreparedQuery};

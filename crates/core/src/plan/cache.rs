@@ -158,27 +158,13 @@ impl<V> PlanLru<V> {
     where
         V: Clone,
     {
-        self.entries_full()
-            .into_iter()
-            .map(|(q, o, _, v)| (q, o, v))
-            .collect()
-    }
-
-    /// Like [`PlanLru::entries`] but with each entry's graph epoch.
-    pub fn entries_full(&self) -> Vec<(String, EvalOptions, u64, V)>
-    where
-        V: Clone,
-    {
         let mut snapshot: Vec<_> = self
             .entries
             .iter()
-            .map(|((q, o, e), (v, stamp))| (*stamp, q.clone(), o.clone(), *e, v.clone()))
+            .map(|((q, o, _), (v, stamp))| (*stamp, q.clone(), o.clone(), v.clone()))
             .collect();
         snapshot.sort_by_key(|entry| std::cmp::Reverse(entry.0));
-        snapshot
-            .into_iter()
-            .map(|(_, q, o, e, v)| (q, o, e, v))
-            .collect()
+        snapshot.into_iter().map(|(_, q, o, v)| (q, o, v)).collect()
     }
 
     /// Hit/miss counters and occupancy.
@@ -303,14 +289,6 @@ impl<V> SharedPlanLru<V> {
     {
         self.lock().entries()
     }
-
-    /// Like [`SharedPlanLru::entries`] but with each entry's graph epoch.
-    pub fn entries_full(&self) -> Vec<(String, EvalOptions, u64, V)>
-    where
-        V: Clone,
-    {
-        self.lock().entries_full()
-    }
 }
 
 #[cfg(test)]
@@ -401,10 +379,7 @@ mod tests {
         assert!(lru.get_at("q", &opts(), 4).is_none());
         assert!(lru.get("q", &opts()).is_none()); // epoch-0 shorthand
         assert_eq!(lru.get_at("q", &opts(), 3), Some(&1));
-        let full = lru.entries_full();
-        assert_eq!(full.len(), 1);
-        assert_eq!(full[0].2, 3);
-        // The epochless view drops the epoch but keeps the entry.
+        // The snapshot drops the epoch but keeps the entry.
         assert_eq!(lru.entries().len(), 1);
     }
 

@@ -654,12 +654,6 @@ impl PreparedQuery {
         &self.plan
     }
 
-    /// Replaces the plan's stage programs with deserialized ones; see
-    /// [`ExecutablePlan::adopt_stage_programs`].
-    pub fn adopt_stage_programs(&mut self, progs: Vec<FlatProgram>) -> Result<()> {
-        self.plan.adopt_stage_programs(progs)
-    }
-
     /// Registers the `$name` parameters of a host-side expression (a
     /// `RETURN` item, `ORDER BY` key, or `COLUMNS` projection) as
     /// additional slots of this plan, so bind-time validation covers the
@@ -758,38 +752,9 @@ impl ExecutablePlan {
             .map(|j| (j.left, j.right, j.on.as_slice()))
     }
 
-    /// The flat programs of all stages, in declaration order — the unit
-    /// of plan serialization ([`FlatProgram::to_bytes`]).
+    /// The flat programs of all stages, in declaration order.
     pub fn stage_programs(&self) -> Vec<&FlatProgram> {
         self.stages.iter().map(|s| &s.prog).collect()
-    }
-
-    /// Replaces the stages' flat programs with `progs` (e.g. programs
-    /// decoded from a persisted plan-cache file), after checking they are
-    /// shape-compatible with the freshly compiled stages. Used by hosts
-    /// that warm-start a plan cache: the adopted, deserialized programs
-    /// are what subsequently executes.
-    pub fn adopt_stage_programs(&mut self, progs: Vec<FlatProgram>) -> Result<()> {
-        if progs.len() != self.stages.len() {
-            return Err(Error::Unsupported(format!(
-                "adopted plan has {} stage program(s), expected {}",
-                progs.len(),
-                self.stages.len()
-            )));
-        }
-        for (stage, prog) in self.stages.iter().zip(&progs) {
-            if prog.instr_count() != stage.prog.instr_count()
-                || prog.table_sizes() != stage.prog.table_sizes()
-            {
-                return Err(Error::Unsupported(
-                    "adopted plan program does not match the compiled stage".to_owned(),
-                ));
-            }
-        }
-        for (stage, prog) in self.stages.iter_mut().zip(progs) {
-            stage.prog = prog;
-        }
-        Ok(())
     }
 
     /// The equi-join variables between `stage` and the already-executed
@@ -1021,7 +986,7 @@ impl fmt::Display for ExecutablePlan {
                 "    program: {} instr{}, {} bytes, {nodes} node test{}, {edges} edge test{}, {quants} quantifier{}",
                 stage.prog.instr_count(),
                 plural(stage.prog.instr_count()),
-                stage.prog.encoded_len(),
+                stage.prog.instr_bytes(),
                 plural(nodes),
                 plural(edges),
                 plural(quants),

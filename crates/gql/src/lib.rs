@@ -279,21 +279,9 @@ impl PreparedGqlQuery {
         self.projection.is_some()
     }
 
-    /// The flat program of each path stage, in declaration order — the
-    /// serializable half of the plan (see [`FlatProgram::to_bytes`]).
+    /// The flat program of each path stage, in declaration order.
     pub fn stage_programs(&self) -> Vec<&FlatProgram> {
         self.query.plan().stage_programs()
-    }
-
-    /// Replaces this plan's per-stage flat programs with `progs`, e.g.
-    /// decoded from a persisted plan file. Fails (leaving the plan
-    /// untouched) unless every program structurally matches the stage it
-    /// replaces, so a stale file cannot smuggle in a mismatched program.
-    pub fn adopt_stage_programs(
-        &mut self,
-        progs: Vec<FlatProgram>,
-    ) -> Result<(), gpml_core::Error> {
-        self.query.adopt_stage_programs(progs)
     }
 }
 

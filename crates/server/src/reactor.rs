@@ -1,4 +1,4 @@
-//! The readiness-based event loop behind gpmld's default serving model.
+//! The readiness-based event loop that serves every gpmld connection.
 //!
 //! # Shape
 //!
@@ -201,9 +201,9 @@ impl Conn {
         !self.busy && self.write_buf.is_empty() && !self.closing
     }
 
-    /// Serializes a response into the bounded write queue, downgrading
-    /// oversized results to the typed frame-cap error exactly like the
-    /// threaded model. The request's observability context (if any) is
+    /// Serializes a response into the bounded write queue;
+    /// `encode_response_ctx` downgrades an oversized result to the typed
+    /// frame-cap error. The request's observability context (if any) is
     /// consumed here — response-ready is where the lane latency record
     /// and the trace retire.
     fn queue_response(&mut self, shared: &Shared, response: Response, ctx: Option<ObsCtx>) {

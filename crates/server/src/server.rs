@@ -360,7 +360,7 @@ impl Shared {
         if p.last_saved_len.swap(len, Ordering::Relaxed) == len {
             return;
         }
-        if let Err(e) = persist::save(&p.path, &self.options, self.session.epoch(), &self.cache) {
+        if let Err(e) = persist::save(&p.path, &self.cache) {
             eprintln!("gpmld: plan cache save to {} failed: {e}", p.path.display());
         }
     }
@@ -389,8 +389,7 @@ impl Shared {
     /// prepared-handle count (handles are connection-local).
     pub(crate) fn stats_response(&self, handles_open: usize) -> Response {
         let cache = self.cache.stats();
-        // Total encoded size of every cached flat program: what a
-        // `--plan-cache-file` save would write for the plans themselves.
+        // In-memory instruction bytes of every cached flat program.
         let plan_bytes: usize = self
             .cache
             .entries()
@@ -398,7 +397,7 @@ impl Shared {
             .map(|(_, _, plan)| {
                 plan.stage_programs()
                     .iter()
-                    .map(|p| p.encoded_len())
+                    .map(|p| p.instr_bytes())
                     .sum::<usize>()
             })
             .sum();
@@ -785,12 +784,7 @@ impl ServerHandle {
         // length, different plan) and runs after the serving thread is
         // done admitting connections that could still compile.
         if let Some(p) = &self.shared.persist {
-            if let Err(e) = persist::save(
-                &p.path,
-                &self.shared.options,
-                self.shared.session.epoch(),
-                &self.shared.cache,
-            ) {
+            if let Err(e) = persist::save(&p.path, &self.shared.cache) {
                 eprintln!("gpmld: plan cache save to {} failed: {e}", p.path.display());
             }
         }
@@ -871,20 +865,16 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
         workers: config.workers,
     });
     if let Some(p) = &shared.persist {
-        let seeded = persist::load(
-            &p.path,
-            &shared.options,
-            shared.session.epoch(),
-            &shared.cache,
-        );
-        p.last_saved_len
-            .store(shared.cache.stats().len as u64, Ordering::Relaxed);
-        if seeded > 0 {
-            eprintln!(
+        match persist::load(&p.path, &shared.session) {
+            Ok(0) => {}
+            Ok(seeded) => eprintln!(
                 "gpmld: warm-started {seeded} plan(s) from {}",
                 p.path.display()
-            );
+            ),
+            Err(why) => eprintln!("gpmld: ignoring {why} plan file {}", p.path.display()),
         }
+        p.last_saved_len
+            .store(shared.cache.stats().len as u64, Ordering::Relaxed);
     }
     let serve_thread = {
         let shared = Arc::clone(&shared);

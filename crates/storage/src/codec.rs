@@ -1,7 +1,7 @@
 //! Byte-level codec shared by the WAL and snapshot files.
 //!
-//! The discipline mirrors the GPLN plan codec: explicit magic and format
-//! version at the head of every file, little-endian fixed-width integers,
+//! Every storage file follows one discipline: explicit magic and format
+//! version at its head, little-endian fixed-width integers,
 //! length-prefixed strings, an FNV-1a 64 checksum over each payload, and
 //! typed decode errors — a reader never panics on foreign bytes.
 

@@ -15,8 +15,7 @@
 //! as property graphs iff their images are byte-identical, which is what
 //! the crash-recovery tests mean by "bit-identical" — see
 //! [`graph_digest`]. Writes go through a temp file and an atomic rename,
-//! mirroring the `--plan-cache-file` discipline: a crash mid-snapshot
-//! leaves the previous snapshot intact.
+//! so a crash mid-snapshot leaves the previous snapshot intact.
 
 use std::fs::{self, File};
 use std::io::{self, Write};

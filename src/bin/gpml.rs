@@ -61,11 +61,11 @@ fn usage() -> ! {
          --threads N runs the per-stage matcher searches on N worker\n\
          threads (0 = auto, 1 = sequential; results are identical either\n\
          way).\n\
-         `serve --plan-cache-file PATH` persists compiled plans to PATH\n\
-         and warm-starts from it on the next boot (zero compile misses\n\
-         for replayed statements). REPL commands: :stats dumps\n\
-         the graph's statistics catalog (including per-label degree\n\
-         histograms), :cache the plan-cache counters, :threads [N] shows\n\
+         `serve --plan-cache-file PATH` saves the cached statements to\n\
+         PATH as text, one per line, and recompiles them at the next boot\n\
+         (zero compile misses for replayed statements). REPL commands:\n\
+         :stats dumps the graph's statistics catalog (including per-label\n\
+         degree histograms), :cache the plan-cache counters, :threads [N] shows\n\
          or sets the worker-thread count, :let name = value binds a\n\
          parameter, :unlet name unbinds one, :params lists bindings.\n\
          `serve` starts gpmld, a TCP server speaking the PREPARE/EXECUTE\n\

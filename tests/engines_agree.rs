@@ -363,10 +363,7 @@ fn check_parallel_agreement(
 /// Holds the flat transition-array interpreter — with semi-join filters
 /// pushed wherever the cost model chooses — to both references left: the
 /// baseline (which never filters) for the row set, and the sequential run
-/// for row order when `threads >= 2`. The `*_bit_for_bit_unfiltered` and
-/// `*_bit_for_bit_legacy` proptests are named for what they once compared
-/// against: a run with semi-joins switched off and the pointer-walking
-/// matcher. Neither exists any more, so these two references replace them.
+/// for row order when `threads >= 2`.
 fn check_exact_agreement(
     g: &PropertyGraph,
     pattern: &GraphPattern,
@@ -412,41 +409,6 @@ fn non_gpml_modes_agree_with_the_baseline() {
         }
     }
     assert!(collapsed_something, "no case exercised the collapse");
-}
-
-/// Round-trips every stage program of a prepared plan through the binary
-/// codec and checks (a) structural equality of the decoded programs and
-/// (b) bit-for-bit identical execution after the plan adopts them — the
-/// persistence path a `--plan-cache-file` warm start takes.
-fn check_serialized_plan_agreement(g: &PropertyGraph, pattern: &GraphPattern) {
-    use gpml_suite::core::FlatProgram;
-    let Ok(mut prepared) = prepare(pattern, &opts()) else {
-        return; // static rejections have nothing to serialize
-    };
-    let want = prepared.execute(g);
-    let decoded: Vec<FlatProgram> = prepared
-        .plan()
-        .stage_programs()
-        .iter()
-        .map(|p| {
-            let d = FlatProgram::from_bytes(&p.to_bytes()).expect("round-trip decodes");
-            assert_eq!(&d, *p, "decode(encode(p)) is not structural identity");
-            d
-        })
-        .collect();
-    prepared
-        .adopt_stage_programs(decoded)
-        .expect("round-tripped programs match their own plan");
-    let got = prepared.execute(g);
-    match (want, got) {
-        (Ok(x), Ok(y)) => assert_eq!(x, y, "deserialized plan diverged on {pattern}"),
-        (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
-        (a, b) => panic!(
-            "deserialized plan success split on {pattern}: {:?} vs {:?}",
-            a.map(|r| r.len()),
-            b.map(|r| r.len())
-        ),
-    }
 }
 
 /// An early stage that matches nothing drains the join before later
@@ -909,7 +871,7 @@ proptest! {
     }
 
     #[test]
-    fn semi_join_filtered_execution_is_bit_for_bit_unfiltered(
+    fn semi_join_filtered_execution_agrees_with_baseline(
         seed in 0u64..500,
         p1 in chain_pattern(),
         p2 in chain_pattern(),
@@ -978,7 +940,7 @@ proptest! {
     }
 
     #[test]
-    fn flat_interpreter_is_bit_for_bit_legacy(
+    fn flat_interpreter_agrees_with_baseline(
         seed in 0u64..500,
         p1 in chain_pattern(),
         p2 in chain_pattern(),
@@ -1005,7 +967,7 @@ proptest! {
     }
 
     #[test]
-    fn flat_interpreter_quantified_is_bit_for_bit_legacy(
+    fn flat_interpreter_quantified_agrees_with_baseline(
         seed in 0u64..500,
         (restrictor, selector, pattern) in quantified_pattern(),
         threads in proptest::sample::select(vec![1usize, 2, 4]),
@@ -1020,33 +982,6 @@ proptest! {
             where_clause: None,
         };
         check_exact_agreement(&g, &gp, threads, MatchMode::Gpml, iso);
-    }
-
-    #[test]
-    fn serialized_plans_execute_identically(
-        seed in 0u64..500,
-        p1 in chain_pattern(),
-        p2 in chain_pattern(),
-    ) {
-        let g = small_mixed(seed, 5, 8);
-        let gp = GraphPattern {
-            paths: vec![PathPatternExpr::plain(p1), PathPatternExpr::plain(p2)],
-            where_clause: None,
-        };
-        check_serialized_plan_agreement(&g, &gp);
-    }
-
-    #[test]
-    fn serialized_quantified_plans_execute_identically(
-        seed in 0u64..500,
-        (restrictor, selector, pattern) in quantified_pattern(),
-    ) {
-        let g = small_mixed(seed, 4, 6);
-        let gp = GraphPattern {
-            paths: vec![PathPatternExpr { selector, restrictor, path_var: None, pattern }],
-            where_clause: None,
-        };
-        check_serialized_plan_agreement(&g, &gp);
     }
 
     #[test]

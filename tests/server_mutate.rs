@@ -13,7 +13,8 @@
 //!   `ERR MUTATE …`, never as protocol or host errors;
 //! * `STATS` exposes the storage engine's counters;
 //! * a server restarted on the same `--data-dir` recovers committed
-//!   writes;
+//!   writes, and its `--plan-cache-file` warm-starts at the recovered
+//!   epoch;
 //! * a cursor opened at epoch *N* keeps draining epoch-*N* rows while
 //!   another connection commits epoch *N*+1 — at 1, 2, and 4 eval
 //!   threads.
@@ -311,6 +312,44 @@ fn commits_survive_server_restart_on_the_same_data_dir() {
     assert_eq!(epoch, 3);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--plan-cache-file` saved before a commit warm-starts the server
+/// that recovers past it: the statement recompiles at the recovered
+/// epoch, so replaying it costs no miss and sees the committed write.
+#[test]
+fn plan_cache_file_warm_starts_across_commits() {
+    let dir = scratch_dir("plans");
+    let plans = dir.with_extension("plans.txt");
+    let config = || ServerConfig {
+        data_dir: Some(dir.clone()),
+        plan_cache_file: Some(plans.clone()),
+        ..ServerConfig::default()
+    };
+    let stmt = "MATCH (x:Account) RETURN x.owner AS o ORDER BY o";
+
+    let handle = start(config());
+    let mut c = client(&handle);
+    let before = c.query(stmt).expect("query").rows.len();
+    committed(
+        c.insert_node("late", &["Account"], &[("owner", Value::str("Zed"))])
+            .expect("insert"),
+    );
+    drop(c);
+    handle.stop();
+
+    let handle = start(config());
+    let mut c = client(&handle);
+    let after = c.query(stmt).expect("warm query");
+    assert_eq!(after.rows.len(), before + 1);
+    assert!(after
+        .rows
+        .contains(&vec![GqlValue::Scalar(Value::str("Zed"))]));
+    let stats = handle.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (0, 1), "{stats:?}");
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&plans);
 }
 
 /// A cursor pins the epoch it was opened at: it drains exactly the rows

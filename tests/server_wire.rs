@@ -245,7 +245,7 @@ fn stats_reports_execution_counters() {
     assert!(instrs > 0, "flat interpreter dispatched no instructions");
     let stats = client.stats().expect("stats");
     let plan_bytes = gpml_server::client::stat(&stats, "plans.bytes").expect("plans.bytes");
-    assert!(plan_bytes > 0, "a cached plan reports no encoded bytes");
+    assert!(plan_bytes > 0, "a cached plan reports no instruction bytes");
 
     // A selective second stage makes the semi-join filter prune rows,
     // and EXECUTE feeds the same counters as QUERY.
@@ -274,7 +274,7 @@ fn stats_reports_execution_counters() {
 #[test]
 fn plan_cache_file_warm_starts_with_zero_misses() {
     let path = std::env::temp_dir().join(format!(
-        "gpml-warmstart-{}-{:?}.gpcf",
+        "gpml-warmstart-{}-{:?}.txt",
         std::process::id(),
         std::thread::current().id()
     ));
