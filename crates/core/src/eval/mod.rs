@@ -200,7 +200,10 @@ impl StageCounters {
         self.edges_traversed.load(Ordering::Relaxed)
     }
 
-    /// Partial bindings rejected by a pushed-down semi-join filter.
+    /// Work the accumulated join ruled out before the search did it:
+    /// partial bindings rejected by a pushed-down semi-join filter, plus,
+    /// for a seeded stage, the access-path start nodes left out of its
+    /// seed set (`|access set| − |seeds|`).
     pub fn rows_pruned(&self) -> u64 {
         self.rows_pruned.load(Ordering::Relaxed)
     }
@@ -255,8 +258,8 @@ impl ExecProfile {
     }
 
     /// Totals across all stages: `(nodes expanded, edges traversed, rows
-    /// pruned by semi-join, flat instructions dispatched, backtrack
-    /// truncations)`.
+    /// pruned by the join (see [`StageCounters::rows_pruned`]), flat
+    /// instructions dispatched, backtrack truncations)`.
     pub fn totals(&self) -> (u64, u64, u64, u64, u64) {
         self.stages
             .iter()

@@ -3,11 +3,12 @@
 //! Given a graph's [`GraphStats`] catalog, `estimates` predicts how many
 //! bindings each compiled `PathStage` produces by
 //! walking its label constraints, degree statistics, and predicate
-//! selectivity hints; `greedy_order` then picks a cheapest-first stage
+//! selectivity hints; `plan_order` then picks a cheapest-first stage
 //! order that stays connected over the plan's explicit join graph, so the
 //! cross-stage join always shrinks the accumulation as early as possible
 //! and only falls back to a cartesian step when the pattern itself is
-//! disconnected.
+//! disconnected. A stage is priced as the start nodes its search runs
+//! from (its [`StartSet`]) plus the rows it is estimated to produce.
 //!
 //! The model is deliberately classical (textbook System-R-style
 //! independence assumptions):
@@ -27,7 +28,7 @@
 
 use std::fmt;
 
-use property_graph::GraphStats;
+use property_graph::{GraphStats, PropertyGraph};
 
 use crate::analysis::VarKind;
 use crate::ast::{
@@ -36,6 +37,7 @@ use crate::ast::{
 use crate::eval::{EvalOptions, MatchMode};
 use crate::params::Params;
 
+use super::access::AccessPath;
 use super::{ExecutablePlan, JoinEdge};
 
 /// How many further iterations beyond the minimum an unbounded quantifier
@@ -84,16 +86,78 @@ pub(crate) fn estimates(
         .collect()
 }
 
+/// One position of the chosen stage order.
+#[derive(Debug)]
+pub(crate) struct Placement<'p> {
+    /// Declaration index of the stage run at this position.
+    pub(crate) stage: usize,
+    /// The start variable to seed the stage from: the search starts at
+    /// the distinct nodes the accumulated rows bind it to (see
+    /// [`seed_var`]). `None` runs the stage from its access path.
+    pub(crate) seed: Option<&'p str>,
+}
+
+/// The one stage-order function, shared by the sequential executor, the
+/// parallel executor and [`CostReport::compute`], so all three run the
+/// same stages in the same order.
+///
+/// Greedy, cheapest connected stage first (see [`greedy`]). A stage is
+/// priced `|start set| + estimated rows`. A stage that can be seeded
+/// after the placed ones (see [`seed_var`]) starts from its join key's
+/// estimated distinct nodes ([`key_count_estimate`]) instead of its
+/// access path, and its rows shrink by the same ratio. When every stage
+/// scans all nodes (no probe, label or seed) the price is
+/// `|N| + estimate`, which orders exactly like the estimates alone. An
+/// empty graph keeps declaration order.
+pub(crate) fn plan_order<'p>(
+    plan: &'p ExecutablePlan,
+    graph: &PropertyGraph,
+    est: &[f64],
+    params: &Params,
+    opts: &EvalOptions,
+) -> Vec<Placement<'p>> {
+    let stats = graph.stats();
+    let n = plan.stages.len();
+    let order: Vec<usize> = if stats.node_count == 0 {
+        (0..n).collect()
+    } else {
+        let access: Vec<f64> = plan
+            .stages
+            .iter()
+            .map(|s| s.start.resolve(graph, params).len(graph) as f64)
+            .collect();
+        greedy(n, &plan.joins, |s, placed| {
+            match seed_var(plan, s, placed, opts) {
+                Some(var) => {
+                    let keys = key_count_estimate(plan, stats, est, s, placed, var);
+                    keys + est[s] * keys / access[s].max(1.0)
+                }
+                None => access[s] + est[s],
+            }
+        })
+    };
+    let mut placed = Vec::with_capacity(n);
+    order
+        .into_iter()
+        .map(|stage| {
+            let seed = seed_var(plan, stage, &placed, opts);
+            placed.push(stage);
+            Placement { stage, seed }
+        })
+        .collect()
+}
+
 /// Greedy cheapest-connected-first ordering over the join graph: start at
 /// the cheapest stage, then repeatedly take the cheapest remaining stage
 /// that shares a join edge with the stages already placed (falling back to
 /// the cheapest remaining stage when none is connected — a cartesian step
-/// the pattern forces anyway). Ties break toward declaration order.
-pub(crate) fn greedy_order(est: &[f64], joins: &[JoinEdge]) -> Vec<usize> {
-    let n = est.len();
-    if n <= 1 {
-        return (0..n).collect();
-    }
+/// the pattern forces anyway). `cost(stage, placed)` prices a candidate
+/// after the stages placed so far. Ties break toward declaration order.
+fn greedy(
+    n: usize,
+    joins: &[JoinEdge],
+    mut cost: impl FnMut(usize, &[usize]) -> f64,
+) -> Vec<usize> {
     let connected = |s: usize, placed: &[usize]| {
         joins.iter().any(|j| {
             (j.left == s && placed.contains(&j.right)) || (j.right == s && placed.contains(&j.left))
@@ -102,27 +166,21 @@ pub(crate) fn greedy_order(est: &[f64], joins: &[JoinEdge]) -> Vec<usize> {
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     while !remaining.is_empty() {
-        let candidates: Vec<usize> = if order.is_empty() {
-            remaining.clone()
-        } else {
-            let adjacent: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|s| connected(*s, &order))
-                .collect();
-            if adjacent.is_empty() {
-                remaining.clone()
-            } else {
-                adjacent
-            }
-        };
-        let pick = candidates
+        let mut candidates: Vec<usize> = remaining
+            .iter()
+            .copied()
+            .filter(|s| connected(*s, &order))
+            .collect();
+        if candidates.is_empty() {
+            candidates = remaining.clone();
+        }
+        let (_, pick) = candidates
             .into_iter()
+            .map(|s| (cost(s, &order), s))
             .min_by(|a, b| {
-                est[*a]
-                    .partial_cmp(&est[*b])
+                a.0.partial_cmp(&b.0)
                     .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(b))
+                    .then(a.1.cmp(&b.1))
             })
             .expect("candidates nonempty");
         order.push(pick);
@@ -428,6 +486,90 @@ pub struct CostStep {
     /// stage's search as a filter (see [`SemiJoinDecision`]). Empty when
     /// pushdown is inadmissible for the stage.
     pub semi_joins: Vec<SemiJoinDecision>,
+    /// The start nodes the stage's search runs from.
+    pub start: StartSet,
+}
+
+/// The start set of one step: where the stage's search begins. Every
+/// option is a superset of the start nodes whose bindings can survive
+/// the stage's first node test and the join, so none changes a result.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StartSet {
+    /// The distinct nodes the accumulated rows bind the join key `var`
+    /// to — exact, and known only at run time, so the report carries the
+    /// estimate that priced it.
+    Seeded {
+        /// The stage's start variable, a join key with the placed stages.
+        var: String,
+        /// Estimated distinct key nodes.
+        keys_estimate: f64,
+    },
+    /// An equality-index probe `label.key = value`.
+    Index {
+        /// The start node pattern's label.
+        label: String,
+        /// The probed property key.
+        key: String,
+        /// The compared value as written: a literal or `$name`.
+        value: String,
+        /// Nodes the probe returned.
+        nodes: usize,
+    },
+    /// Every node carrying `label`.
+    Label {
+        /// The start node pattern's label.
+        label: String,
+        /// Nodes carrying it.
+        nodes: usize,
+    },
+    /// Every node of the graph.
+    All {
+        /// `|N|`.
+        nodes: usize,
+    },
+}
+
+impl StartSet {
+    fn of(path: AccessPath<'_>, graph: &PropertyGraph) -> StartSet {
+        let nodes = path.len(graph);
+        match path {
+            AccessPath::Index {
+                label, key, value, ..
+            } => StartSet::Index {
+                label: label.to_owned(),
+                key: key.to_owned(),
+                value: value.to_string(),
+                nodes,
+            },
+            AccessPath::Label { label, .. } => StartSet::Label {
+                label: label.to_owned(),
+                nodes,
+            },
+            AccessPath::All => StartSet::All { nodes },
+        }
+    }
+}
+
+impl fmt::Display for StartSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StartSet::Seeded { var, keys_estimate } => {
+                write!(
+                    f,
+                    "seeded from {var} (~{} keys)",
+                    fmt_estimate(*keys_estimate)
+                )
+            }
+            StartSet::Index {
+                label,
+                key,
+                value,
+                nodes,
+            } => write!(f, "index {label}.{key} = {value} \u{2192} {nodes}"),
+            StartSet::Label { label, nodes } => write!(f, "label {label} \u{2192} {nodes}"),
+            StartSet::All { nodes } => write!(f, "all nodes \u{2192} {nodes}"),
+        }
+    }
 }
 
 /// The cost-based execution decision for one (plan, graph) pair: per-stage
@@ -476,20 +618,21 @@ pub struct CostReport {
 
 impl CostReport {
     /// Computes the report exactly the way `PreparedQuery::execute`
-    /// decides: same estimates, same greedy order, same join algorithm
-    /// and semi-join selection under `opts`.
+    /// decides: same estimates, same stage order and start sets, same
+    /// join algorithm and semi-join selection under `opts`.
     pub(crate) fn compute(
         plan: &ExecutablePlan,
-        stats: &GraphStats,
+        graph: &PropertyGraph,
         opts: &EvalOptions,
         params: &Params,
     ) -> CostReport {
+        let stats = graph.stats();
         let est = estimates(plan, stats, true, params);
         let avg = estimates(plan, stats, false, params);
-        let order = order_from(&est, plan, stats);
+        let order = plan_order(plan, graph, &est, params, opts);
         let mut steps = Vec::with_capacity(order.len());
         let mut placed: Vec<usize> = Vec::new();
-        for &stage in &order {
+        for Placement { stage, seed } in order {
             let keys = plan.join_keys(stage, &placed);
             let algo = if placed.is_empty() {
                 JoinAlgo::Scan
@@ -499,6 +642,13 @@ impl CostReport {
                 JoinAlgo::Hash
             };
             let semi_joins = semi_join_decisions(plan, stats, &est, stage, &placed, &keys, opts);
+            let start = match seed {
+                Some(var) => StartSet::Seeded {
+                    var: var.to_owned(),
+                    keys_estimate: key_count_estimate(plan, stats, &est, stage, &placed, var),
+                },
+                None => StartSet::of(plan.stages[stage].start.resolve(graph, params), graph),
+            };
             steps.push(CostStep {
                 stage,
                 estimate: est[stage],
@@ -506,6 +656,7 @@ impl CostReport {
                 keys,
                 algo,
                 semi_joins,
+                start,
             });
             placed.push(stage);
         }
@@ -520,13 +671,6 @@ impl CostReport {
     pub fn order(&self) -> Vec<usize> {
         self.steps.iter().map(|s| s.stage).collect()
     }
-}
-
-pub(crate) fn order_from(est: &[f64], plan: &ExecutablePlan, stats: &GraphStats) -> Vec<usize> {
-    if stats.node_count == 0 {
-        return (0..plan.stages.len()).collect();
-    }
-    greedy_order(est, &plan.joins)
 }
 
 // ---------------------------------------------------------------------------
@@ -560,11 +704,8 @@ pub struct SemiJoinDecision {
 /// already-merged `placed` stages and their equi-join `keys`.
 ///
 /// Returns one decision per *node-typed* join key when pushdown is
-/// admissible, and an empty vector when it is not: pushdown is ruled out
-/// by a per-stage selector (selector application sees the stage's full
-/// binding set, so pre-join pruning could change which representatives
-/// survive) and by the endpoint-only SPARQL mode (whose collapse is
-/// likewise a whole-stage pass).
+/// admissible ([`pushdown_admissible`]), and an empty vector when it is
+/// not.
 pub(crate) fn semi_join_decisions(
     plan: &ExecutablePlan,
     stats: &GraphStats,
@@ -574,10 +715,7 @@ pub(crate) fn semi_join_decisions(
     keys: &[String],
     opts: &EvalOptions,
 ) -> Vec<SemiJoinDecision> {
-    if opts.mode == MatchMode::EndpointOnly
-        || plan.stages[stage].expr.selector.is_some()
-        || placed.is_empty()
-    {
+    if !pushdown_admissible(plan, stage, opts) || placed.is_empty() {
         return Vec::new();
     }
     keys.iter()
@@ -597,13 +735,51 @@ pub(crate) fn semi_join_decisions(
         .collect()
 }
 
+/// Whether pruning `stage`'s search by the accumulated join — a semi-join
+/// filter or a seeded start set — is sound: not under a per-stage
+/// selector (selector application sees the stage's full binding set, so
+/// pre-join pruning could change which representatives survive), and not
+/// in the endpoint-only SPARQL mode (whose collapse is likewise a
+/// whole-stage pass).
+fn pushdown_admissible(plan: &ExecutablePlan, stage: usize, opts: &EvalOptions) -> bool {
+    opts.mode != MatchMode::EndpointOnly && plan.stages[stage].expr.selector.is_none()
+}
+
+/// The variable `stage` is seeded from after the `placed` stages: its
+/// start variable, when that is a node-typed join key with a placed
+/// stage and pruning is admissible ([`pushdown_admissible`]). A seeded
+/// search starts only at the distinct nodes the accumulated rows bind
+/// the key to; every binding it skips would fail the join.
+pub(crate) fn seed_var<'p>(
+    plan: &'p ExecutablePlan,
+    stage: usize,
+    placed: &[usize],
+    opts: &EvalOptions,
+) -> Option<&'p str> {
+    if placed.is_empty() || !pushdown_admissible(plan, stage, opts) {
+        return None;
+    }
+    let var = plan.stages[stage].start.var.as_deref()?;
+    let joined = plan.joins.iter().any(|j| {
+        ((j.left == stage && placed.contains(&j.right))
+            || (j.right == stage && placed.contains(&j.left)))
+            && j.on.iter().any(|v| v == var)
+    });
+    let is_node = plan
+        .analysis
+        .var(var)
+        .is_some_and(|info| info.kind == VarKind::Node);
+    (joined && is_node).then_some(var)
+}
+
 /// Estimated distinct nodes bound to join key `k` across the accumulated
 /// rows when `stage` runs: at most the estimate of the cheapest placed
-/// stage binding `k`, refined by the statistics catalog's degree
-/// histograms — a key bound inside a stage that traverses edges must
-/// land on a node of degree ≥ 1, and a key whose node pattern carries a
-/// plain label can hold at most that label's (histogram-counted)
-/// population.
+/// stage binding `k`, refined by the statistics catalog — a key bound
+/// inside a stage that traverses edges must land on a node of degree
+/// ≥ 1 (the overall degree histogram's population), and a key whose
+/// node pattern carries a plain label can hold at most that label's
+/// node count. (The per-label histograms are keyed by *edge* label, so
+/// they do not bound a node label's population.)
 fn key_count_estimate(
     plan: &ExecutablePlan,
     stats: &GraphStats,
@@ -630,17 +806,16 @@ fn key_count_estimate(
             label = plain_node_label(pattern, k);
         }
     }
-    let population = if via_edges {
+    if via_edges {
         // The histogram only records nodes with at least one adjacency
         // step, which is exactly the set an edge-traversing binding can
         // place the key on.
-        stats.histogram(label).nodes() as f64
-    } else if let Some(l) = label {
-        stats.nodes_with_label(l) as f64
-    } else {
-        stats.node_count as f64
-    };
-    keys_est.min(population)
+        keys_est = keys_est.min(stats.histogram(None).nodes() as f64);
+    }
+    if let Some(l) = label {
+        keys_est = keys_est.min(stats.nodes_with_label(l) as f64);
+    }
+    keys_est
 }
 
 /// Whether the pattern contains any edge traversal.
@@ -710,6 +885,7 @@ impl fmt::Display for CostReport {
             } else {
                 writeln!(f, ") on {{{}}}", step.keys.join(", "))?;
             }
+            writeln!(f, "      start: {}", step.start)?;
             for d in &step.semi_joins {
                 writeln!(
                     f,
@@ -789,8 +965,8 @@ mod tests {
             est[1] < est[0],
             "rare stage must be cheaper: {est:?} (order should start there)"
         );
-        let order = order_from(&est, q.plan(), g.stats());
-        assert_eq!(order[0], 1, "cheapest stage first: {order:?}");
+        let order = plan_order(q.plan(), &g, &est, &Params::new(), &EvalOptions::default());
+        assert_eq!(order[0].stage, 1, "cheapest stage first: {order:?}");
     }
 
     #[test]
@@ -821,8 +997,7 @@ mod tests {
         );
 
         // And EXPLAIN surfaces the before/after pair.
-        let report =
-            CostReport::compute(q.plan(), g.stats(), &EvalOptions::default(), &Params::new());
+        let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
         let text = report.to_string();
         assert!(text.contains("avg-degree model"), "{text}");
     }
@@ -855,7 +1030,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_order_prefers_connected_stages() {
+    fn greedy_prefers_connected_stages() {
         // Estimates: stage 2 cheapest, but stage 1 is the only one joined
         // to it; stage 0 is disconnected and must come last despite being
         // cheaper than stage 1.
@@ -865,11 +1040,11 @@ mod tests {
             right: 2,
             on: vec!["m".to_owned()],
         }];
-        assert_eq!(greedy_order(&est, &joins), vec![2, 1, 0]);
+        assert_eq!(greedy(3, &joins, |s, _| est[s]), vec![2, 1, 0]);
     }
 
     #[test]
-    fn greedy_order_is_declaration_order_on_ties() {
+    fn greedy_is_declaration_order_on_ties() {
         let est = [1.0, 1.0, 1.0];
         let joins = vec![
             JoinEdge {
@@ -883,7 +1058,7 @@ mod tests {
                 on: vec!["b".to_owned()],
             },
         ];
-        assert_eq!(greedy_order(&est, &joins), vec![0, 1, 2]);
+        assert_eq!(greedy(3, &joins, |s, _| est[s]), vec![0, 1, 2]);
     }
 
     #[test]
@@ -902,7 +1077,11 @@ mod tests {
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
         let g = PropertyGraph::new();
         let est = estimates(q.plan(), g.stats(), true, &Params::new());
-        assert_eq!(order_from(&est, q.plan(), g.stats()), vec![0, 1]);
+        let order = plan_order(q.plan(), &g, &est, &Params::new(), &EvalOptions::default());
+        assert_eq!(
+            order.iter().map(|p| p.stage).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
     }
 
     #[test]
@@ -958,8 +1137,7 @@ mod tests {
         };
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
         let g = hub();
-        let report =
-            CostReport::compute(q.plan(), g.stats(), &EvalOptions::default(), &Params::new());
+        let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
         assert_eq!(report.order(), vec![1, 0]);
         assert_eq!(report.steps[0].algo, JoinAlgo::Scan);
         assert_eq!(report.steps[1].algo, JoinAlgo::Hash);
@@ -972,7 +1150,7 @@ mod tests {
         // the same decisions.
         let limited = CostReport::compute(
             q.plan(),
-            g.stats(),
+            &g,
             &EvalOptions {
                 max_matches: 10,
                 ..EvalOptions::default()
@@ -1007,8 +1185,7 @@ mod tests {
     fn semi_join_filters_the_bigger_stage_with_the_smaller_key_set() {
         let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
         let g = hub();
-        let report =
-            CostReport::compute(q.plan(), g.stats(), &EvalOptions::default(), &Params::new());
+        let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
         // The rare stage scans first; its tiny key set is pushed into the
         // big stage's search.
         assert_eq!(report.order(), vec![1, 0]);
@@ -1036,7 +1213,7 @@ mod tests {
             mode: MatchMode::EndpointOnly,
             ..EvalOptions::default()
         };
-        let report = CostReport::compute(q.plan(), g.stats(), &endpoint, &Params::new());
+        let report = CostReport::compute(q.plan(), &g, &endpoint, &Params::new());
         assert!(report.steps.iter().all(|s| s.semi_joins.is_empty()));
 
         // A per-stage selector sees the stage's full binding set, so the
@@ -1044,8 +1221,7 @@ mod tests {
         let mut gp = semi_join_pattern();
         gp.paths[0].selector = Some(crate::ast::Selector::AnyShortest);
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
-        let report =
-            CostReport::compute(q.plan(), g.stats(), &EvalOptions::default(), &Params::new());
+        let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
         let selected = report.steps.iter().find(|s| s.stage == 0).unwrap();
         assert!(selected.semi_joins.is_empty(), "{:?}", selected.semi_joins);
     }

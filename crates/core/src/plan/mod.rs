@@ -24,7 +24,9 @@
 //! Executing the plan then only performs the graph-dependent work: the
 //! [`cost`] model consults the graph's statistics catalog to order the
 //! stages (cheapest connected stage first), each stage runs its
-//! product-automaton search, §6.5 reduction/deduplication, and §5.1
+//! product-automaton search from its start set (an index probe, a label
+//! scan, the accumulated join's key nodes, or all nodes — see
+//! `access`), §6.5 reduction/deduplication, and §5.1
 //! selector application, the per-stage results merge through hash joins
 //! on the plan's join keys (see `eval::JoinState`), and the
 //! postfilter runs last. Stages whose accumulated join is already empty
@@ -47,6 +49,7 @@
 //! identical to the sequential path (see `PreparedQuery::execute_parallel`
 //! internals and `eval::pool`).
 
+mod access;
 pub mod cache;
 pub mod cost;
 
@@ -64,9 +67,11 @@ use crate::eval::nfa::{self, PruneMode, SemiJoinFilters};
 use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
+use access::StartPattern;
+use cost::Placement;
 
 pub use cache::{CacheStats, PlanLru, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use cost::{CostReport, CostStep, JoinAlgo, SemiJoinDecision};
+pub use cost::{CostReport, CostStep, JoinAlgo, SemiJoinDecision, StartSet};
 
 /// Lowers `pattern` into an executable plan under `opts`.
 ///
@@ -385,17 +390,18 @@ impl PreparedQuery {
         profile: Option<&ExecProfile>,
     ) -> Result<MatchSet> {
         let stats = graph.stats();
-        // One estimate pass feeds both the stage reorderer and the
+        // One estimate pass feeds the stage order, the start sets and the
         // semi-join pushdown decisions.
         let est = cost::estimates(&self.plan, stats, true, params);
-        let order = cost::order_from(&est, &self.plan, stats);
+        let order = cost::plan_order(&self.plan, graph, &est, params, &self.opts);
         let threads = self.opts.effective_threads(graph.node_count());
         if threads > 1 && !order.is_empty() && graph.node_count() > 0 {
+            let order: Vec<usize> = order.iter().map(|p| p.stage).collect();
             return self.execute_parallel(graph, &order, threads, params, &est, profile);
         }
         let mut join = JoinState::new(self.opts.isomorphism);
         let mut placed: Vec<usize> = Vec::with_capacity(order.len());
-        for &i in &order {
+        for Placement { stage: i, seed } in order {
             if join.is_empty() {
                 // A cheaper stage already matched nothing: every later
                 // merge is empty, so the remaining searches are pure
@@ -412,7 +418,28 @@ impl PreparedQuery {
             let filters = self.semi_join_filters(&join, stats, &est, i, &placed, &keys);
             let counters = profile.and_then(|p| p.stage(i));
             let started = counters.map(|_| std::time::Instant::now());
-            let bindings = stage.execute(graph, &self.opts, params, filters.as_ref(), counters)?;
+            let access = stage.start.resolve(graph, params);
+            // A seeded stage starts only where its join key can land; the
+            // access-path starts it skips are counted as pruned.
+            let starts = match seed.and_then(|v| join.distinct_key_nodes(v)) {
+                Some(seeds) => {
+                    if let Some(c) = counters {
+                        let skipped = access.len(graph).saturating_sub(seeds.len());
+                        c.add(0, 0, skipped as u64, 0, 0);
+                    }
+                    seeds.into_iter().collect()
+                }
+                None => access.nodes(graph),
+            };
+            let raw = stage.matches_from(
+                graph,
+                &self.opts,
+                params,
+                &starts,
+                filters.as_ref(),
+                counters,
+            )?;
+            let bindings = stage.finish_bindings(graph, &self.opts, raw)?;
             if let (Some(c), Some(t)) = (counters, started) {
                 c.add_micros(t.elapsed().as_micros() as u64);
             }
@@ -479,10 +506,11 @@ impl PreparedQuery {
     }
 
     /// Parallel execution: every stage's search is kicked off eagerly on
-    /// a scoped worker pool, split into per-start-node partitions (see
-    /// [`crate::eval::pool`]), while the caller's thread merges completed
-    /// stages through the [`JoinState`] *in the same cost-chosen order*
-    /// as the sequential path. Determinism falls out of three facts:
+    /// a scoped worker pool, its access-path start set split into
+    /// partitions (see [`crate::eval::pool`]), while the caller's thread
+    /// merges completed stages through the [`JoinState`] *in the same
+    /// cost-chosen order* as the sequential path. Determinism falls out
+    /// of three facts:
     ///
     /// * partition results are spliced back in partition order before the
     ///   stage's (sorting) reduce/dedup pass, so each stage's bindings
@@ -510,7 +538,9 @@ impl PreparedQuery {
     /// the merged output stays bit-for-bit the sequential result. With
     /// idle workers the race is usually lost: they claim later stages'
     /// units as soon as the first merge begins, so parallel runs often
-    /// prune little or nothing (a known limit; see ARCHITECTURE).
+    /// prune little or nothing (a known limit; see ARCHITECTURE). For the
+    /// same reason seeding is sequential-only: a stage the order marks
+    /// seeded runs from its access path here.
     fn execute_parallel(
         &self,
         graph: &PropertyGraph,
@@ -525,10 +555,31 @@ impl PreparedQuery {
         use std::sync::{Arc, RwLock};
 
         let stats = graph.stats();
-        let starts: Vec<property_graph::NodeId> = graph.nodes().collect();
-        let chunks = self.start_chunks(graph, stats, &starts, threads);
-        let per_stage = chunks.len();
-        let unit_count = order.len() * per_stage;
+        // Each position's access-path start set, chunked on its own; at
+        // least one (possibly empty) unit per position, so every stage
+        // merges. Units are numbered position-major: position `pos` owns
+        // `first_unit[pos]..first_unit[pos + 1]`.
+        let starts: Vec<_> = order
+            .iter()
+            .map(|&i| {
+                self.plan.stages[i]
+                    .start
+                    .resolve(graph, params)
+                    .nodes(graph)
+            })
+            .collect();
+        let mut units: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut first_unit = Vec::with_capacity(order.len() + 1);
+        for (pos, set) in starts.iter().enumerate() {
+            first_unit.push(units.len());
+            let chunks = self.start_chunks(graph, stats, set, threads);
+            if chunks.is_empty() {
+                units.push((pos, 0..0));
+            }
+            units.extend(chunks.into_iter().map(|c| (pos, c)));
+        }
+        first_unit.push(units.len());
+        let unit_count = units.len();
 
         // Stage positions >= this are cancelled (early exit): workers
         // return an empty result instead of searching.
@@ -551,7 +602,7 @@ impl PreparedQuery {
             threads,
             unit_count,
             |u| {
-                let pos = u / per_stage;
+                let (pos, chunk) = units[u].clone();
                 if pos >= cancel_from.load(Ordering::Relaxed) {
                     return Ok(Vec::new());
                 }
@@ -564,7 +615,7 @@ impl PreparedQuery {
                     graph,
                     &self.opts,
                     params,
-                    &starts[chunks[u % per_stage].clone()],
+                    &starts[pos][chunk],
                     filters.as_deref(),
                     counters,
                 );
@@ -574,15 +625,17 @@ impl PreparedQuery {
                 out
             },
             |u, out| {
-                let pos = u / per_stage;
+                let pos = units[u].0;
                 pending[u] = Some(out);
                 received[pos] += 1;
-                while merge_pos < order.len() && received[merge_pos] == per_stage {
+                while merge_pos < order.len()
+                    && received[merge_pos] == first_unit[merge_pos + 1] - first_unit[merge_pos]
+                {
                     let idx = order[merge_pos];
                     let stage = &self.plan.stages[idx];
                     let mut raw = Vec::new();
-                    for c in 0..per_stage {
-                        match pending[merge_pos * per_stage + c].take().expect("received") {
+                    for slot in &mut pending[first_unit[merge_pos]..first_unit[merge_pos + 1]] {
+                        match slot.take().expect("received") {
                             Ok(mut part) => raw.append(&mut part),
                             Err(e) => {
                                 // Abort: make every still-unclaimed unit
@@ -686,7 +739,7 @@ impl PreparedQuery {
     /// the report shows the stage order an `execute_with` call with the
     /// same bindings would use.
     pub fn cost_report_with(&self, graph: &PropertyGraph, params: &Params) -> CostReport {
-        CostReport::compute(&self.plan, graph.stats(), &self.opts, params)
+        CostReport::compute(&self.plan, graph, &self.opts, params)
     }
 
     /// The EXPLAIN rendering annotated with the cost model's decisions
@@ -789,6 +842,8 @@ pub(crate) struct PathStage {
     pub(crate) prune: PruneMode,
     /// Named (non-anonymous) variables this stage binds.
     pub(crate) vars: BTreeSet<String>,
+    /// The start node pattern, read once for the access-path choice.
+    pub(crate) start: StartPattern,
 }
 
 impl PathStage {
@@ -809,34 +864,19 @@ impl PathStage {
             prog,
             prune,
             vars,
+            start: StartPattern::of(&expr.pattern),
         })
     }
 
-    /// Matches this stage against `graph`: raw product-automaton search →
-    /// §6.5 reduce → dedup → §5.1 selector. The SPARQL endpoint-only mode
-    /// additionally collapses results to distinct endpoint bindings.
-    ///
-    /// `filters` carries the semi-join node sets pushed down from the
-    /// accumulated join (checked at every `NodeTest` the search takes);
-    /// `counters` receives the search's execution tallies when profiling.
-    pub(crate) fn execute(
-        &self,
-        graph: &PropertyGraph,
-        opts: &EvalOptions,
-        params: &Params,
-        filters: Option<&SemiJoinFilters>,
-        counters: Option<&StageCounters>,
-    ) -> Result<Vec<PathBinding>> {
-        let starts: Vec<property_graph::NodeId> = graph.nodes().collect();
-        let raw = self.matches_from(graph, opts, params, &starts, filters, counters)?;
-        self.finish_bindings(graph, opts, raw)
-    }
-
-    /// The raw product-automaton search seeded from `starts` only — the
-    /// per-partition half of stage execution. Partitions are independent
-    /// (see [`FlatMatcher::run_from`]); splicing their results in partition
-    /// order and handing the whole to [`PathStage::finish_bindings`]
-    /// reproduces [`PathStage::execute`] exactly.
+    /// The raw product-automaton search seeded from `starts` only — a
+    /// stage's start set, or one partition of it. Partitions are
+    /// independent (see [`FlatMatcher::run_from`]); splicing their results
+    /// in partition order and handing the whole to
+    /// [`PathStage::finish_bindings`] reproduces one search over the
+    /// whole set. `filters` carries the semi-join node sets pushed down
+    /// from the accumulated join (checked at every `NodeTest` the search
+    /// takes); `counters` receives the search's execution tallies when
+    /// profiling.
     pub(crate) fn matches_from(
         &self,
         graph: &PropertyGraph,

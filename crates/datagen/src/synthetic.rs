@@ -208,7 +208,9 @@ pub fn transfer_network(cfg: TransferNetworkConfig) -> PropertyGraph {
 
 /// A random graph and pattern workload for engine-equivalence property
 /// tests: a small dense graph with mixed directed/undirected edges, two
-/// labels, and integer weights.
+/// labels, and integer weights. Nodes also carry a string `k`
+/// (`k0`–`k2`) and a boolean `b`, set by position so the random draws
+/// stay those of the weights and edges: the equality-indexed types.
 pub fn small_mixed(seed: u64, nodes: usize, edges: usize) -> PropertyGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = PropertyGraph::new();
@@ -218,7 +220,11 @@ pub fn small_mixed(seed: u64, nodes: usize, edges: usize) -> PropertyGraph {
             g.add_node(
                 &format!("n{i}"),
                 [label],
-                [("w", Value::Int(rng.gen_range(0..5)))],
+                [
+                    ("w", Value::Int(rng.gen_range(0..5))),
+                    ("k", Value::str(format!("k{}", i % 3))),
+                    ("b", Value::Bool(i % 2 == 0)),
+                ],
             )
         })
         .collect();

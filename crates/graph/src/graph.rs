@@ -1,9 +1,10 @@
 //! The [`PropertyGraph`] container and its adjacency structure.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::ids::{EdgeId, ElementId, NodeId};
+use crate::index::NodeIndex;
 use crate::stats::GraphStats;
 use crate::value::Value;
 
@@ -190,6 +191,11 @@ pub struct PropertyGraph {
     /// Lazily computed statistics catalog (see [`GraphStats`]); reset by
     /// every mutation so planners always see numbers for the current graph.
     stats: OnceLock<GraphStats>,
+    /// Lazily built label and equality index over the nodes. Shared by
+    /// clones (an `Arc`), so it is dropped by node mutations rather than
+    /// maintained: edge mutations leave every node id, label and
+    /// property in place and keep it.
+    index: OnceLock<Arc<NodeIndex>>,
 }
 
 impl PropertyGraph {
@@ -244,6 +250,7 @@ impl PropertyGraph {
         // one node are O(labels + properties)); a never-computed one
         // stays lazy.
         let cached = self.stats.take();
+        let _ = self.index.take();
         let id = NodeId(self.nodes.len() as u32);
         self.names.insert(name.to_owned(), id.into());
         self.nodes.push(NodeData {
@@ -366,13 +373,17 @@ impl PropertyGraph {
 
     /// Sets `π(el, key) = value`; a [`Value::Null`] removes the property
     /// (restoring π's partiality at that key). The cached statistics
-    /// catalog is invalidated and recomputed lazily on next use.
+    /// catalog is invalidated and recomputed lazily on next use, and so
+    /// is the node index when `el` is a node.
     pub fn set_property(&mut self, el: ElementId, key: &str, value: Value) {
         // Property edits can retarget planner-visible selectivities in
         // ways the incremental add path never models, so drop the cache.
         let _ = self.stats.take();
         let props = match el {
-            ElementId::Node(n) => &mut self.nodes[n.index()].properties,
+            ElementId::Node(n) => {
+                let _ = self.index.take();
+                &mut self.nodes[n.index()].properties
+            }
             ElementId::Edge(e) => &mut self.edges[e.index()].properties,
         };
         if value == Value::Null {
@@ -386,7 +397,8 @@ impl PropertyGraph {
     /// only once no edges are incident to it ([`GraphError::NodeHasEdges`]
     /// otherwise). Ids stay dense: every element with a higher id of the
     /// same kind is shifted down by one, in adjacency and the name index
-    /// alike. The cached statistics catalog is invalidated.
+    /// alike. The cached statistics catalog is invalidated, and removing
+    /// a node also drops the node index.
     pub fn remove_element(&mut self, el: ElementId) -> Result<(), GraphError> {
         match el {
             ElementId::Edge(e) => {
@@ -417,6 +429,7 @@ impl PropertyGraph {
                     return Err(GraphError::NodeHasEdges(self.nodes[n.index()].name.clone()));
                 }
                 let _ = self.stats.take();
+                let _ = self.index.take();
                 let data = self.nodes.remove(n.index());
                 self.adjacency.remove(n.index());
                 self.names.remove(&data.name);
@@ -477,6 +490,45 @@ impl PropertyGraph {
                 "cached stats diverged from full recompute:\n cached: {cached:?}\n   full: {full:?}"
             ))
         }
+    }
+
+    /// The index oracle, next to [`PropertyGraph::verify_stats`]:
+    /// compares the cached node index (if any) against one rebuilt from
+    /// a scan of the nodes. `Ok` when no index is cached.
+    pub fn verify_index(&self) -> Result<(), String> {
+        let Some(cached) = self.index.get() else {
+            return Ok(());
+        };
+        let full = NodeIndex::build(&self.nodes);
+        if **cached == full {
+            Ok(())
+        } else {
+            Err(format!(
+                "cached node index diverged from a full scan:\n cached: {cached:?}\n   full: {full:?}"
+            ))
+        }
+    }
+
+    fn index(&self) -> &NodeIndex {
+        self.index
+            .get_or_init(|| Arc::new(NodeIndex::build(&self.nodes)))
+    }
+
+    /// The nodes carrying `label`, in ascending id order. The index
+    /// behind it is built on first use and dropped by node mutations.
+    pub fn nodes_with_label(&self, label: &str) -> &[NodeId] {
+        self.index().label(label)
+    }
+
+    /// The nodes carrying `label` whose property `key` equals `value`, in
+    /// ascending id order — exactly the nodes for which
+    /// `value.sql_eq(π(n, key)) == Some(true)` among those labeled
+    /// `label`. `None` when `value` is neither a string nor a boolean:
+    /// only those types are indexed, because only for them is query
+    /// equality structural equality (`Int(2) = Float(2.0)`, and `NULL`
+    /// equals nothing).
+    pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<&[NodeId]> {
+        self.index().prop(label, key, value)
     }
 
     /// The record of node `n`.
@@ -764,5 +816,82 @@ mod tests {
         assert!(!g.node(b).has_label("T"));
         assert!(g.edge(e1).has_label("T"));
         assert_eq!(g.labels(b.into()).len(), 2);
+    }
+
+    #[test]
+    fn index_probes_labels_and_structural_values() {
+        let mut g = PropertyGraph::new();
+        let a = g.add_node(
+            "a",
+            ["L"],
+            [("k", Value::str("x")), ("b", Value::Bool(true))],
+        );
+        let b = g.add_node(
+            "b",
+            ["L", "M"],
+            [("k", Value::str("x")), ("n", Value::Int(2))],
+        );
+        let c = g.add_node("c", ["M"], [("k", Value::str("y"))]);
+        assert_eq!(g.nodes_with_label("L"), [a, b]);
+        assert_eq!(g.nodes_with_label("M"), [b, c]);
+        assert!(g.nodes_with_label("Nope").is_empty());
+        assert_eq!(
+            g.nodes_with_prop("L", "k", &Value::str("x")),
+            Some(&[a, b][..])
+        );
+        assert_eq!(
+            g.nodes_with_prop("M", "k", &Value::str("x")),
+            Some(&[b][..])
+        );
+        assert_eq!(
+            g.nodes_with_prop("L", "b", &Value::Bool(true)),
+            Some(&[a][..])
+        );
+        assert_eq!(
+            g.nodes_with_prop("L", "b", &Value::Bool(false)),
+            Some(&[][..])
+        );
+        assert_eq!(
+            g.nodes_with_prop("Nope", "k", &Value::str("x")),
+            Some(&[][..])
+        );
+        // Numbers and NULL are not indexed: `Int(2) = Float(2.0)` under
+        // query equality, and NULL equals nothing.
+        assert_eq!(g.nodes_with_prop("L", "n", &Value::Int(2)), None);
+        assert_eq!(g.nodes_with_prop("L", "n", &Value::Float(2.0)), None);
+        assert_eq!(g.nodes_with_prop("L", "k", &Value::Null), None);
+        g.verify_index().unwrap();
+    }
+
+    #[test]
+    fn node_mutations_drop_the_index_and_clones_keep_theirs() {
+        let (mut g, [a, b, c], [e1, ..]) = diamond();
+        assert_eq!(g.nodes_with_label("L"), [a, b]);
+        let before = g.clone();
+        // Edge mutations keep the index: no node id, label or property moved.
+        g.add_edge("e5", Endpoints::directed(a, c), ["T"], []);
+        g.set_property(e1.into(), "w", Value::Int(1));
+        g.remove_element(ElementId::Edge(e1)).unwrap();
+        assert!(g.index.get().is_some());
+        g.verify_index().unwrap();
+        // Node mutations drop it.
+        g.set_property(c.into(), "k", Value::str("z"));
+        assert!(g.index.get().is_none());
+        assert_eq!(g.nodes_with_prop("U", "k", &Value::str("z")), Some(&[][..]));
+        let d = g.add_node("d", ["L"], [("k", Value::str("z"))]);
+        assert_eq!(
+            g.nodes_with_prop("L", "k", &Value::str("z")),
+            Some(&[d][..])
+        );
+        g.remove_element(ElementId::Node(d)).unwrap();
+        assert_eq!(g.nodes_with_label("L"), [a, b]);
+        g.verify_index().unwrap();
+        // The clone taken before any of it still answers for its own graph.
+        assert_eq!(before.nodes_with_label("L"), [a, b]);
+        assert_eq!(
+            before.nodes_with_prop("L", "k", &Value::str("z")),
+            Some(&[][..])
+        );
+        before.verify_index().unwrap();
     }
 }

@@ -36,6 +36,7 @@
 
 pub mod graph;
 pub mod ids;
+mod index;
 pub mod path;
 pub mod stats;
 pub mod value;

@@ -173,8 +173,9 @@ pub struct ServerStats {
     pub exec_nodes_expanded: AtomicU64,
     /// Edges traversed across every `QUERY`/`EXECUTE` served.
     pub exec_edges_traversed: AtomicU64,
-    /// Candidate bindings pruned by semi-join filters across every
-    /// `QUERY`/`EXECUTE` served.
+    /// Candidate bindings pruned by semi-join filters, and start nodes
+    /// left out of seeded start sets, across every `QUERY`/`EXECUTE`
+    /// served.
     pub exec_rows_pruned: AtomicU64,
     /// Flat-program instructions dispatched across every
     /// `QUERY`/`EXECUTE` served.
@@ -1032,7 +1033,7 @@ fn build_obs(
     );
     registry.counter(
         "gpmld_exec_rows_pruned_total",
-        "Candidate bindings pruned by semi-join filters",
+        "Candidate bindings and start nodes pruned by the accumulated join",
         src(stats, |s| &s.exec_rows_pruned),
     );
     registry.counter(

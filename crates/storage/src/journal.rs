@@ -6,20 +6,36 @@
 //! [`GraphJournal::snapshot`], which clones the `Arc` under a lock held
 //! for nanoseconds — from then on they hold epoch *N* immutably and can
 //! match, stream cursors, and project against it for as long as they
-//! like. A writer takes the (separate) writer lock, clones the graph,
-//! applies its whole batch to the clone, makes the batch durable, and
-//! only then swaps the `Arc` and bumps the epoch counter. Readers never
-//! wait on the clone, the fsync, or each other; at worst they observe
-//! epoch *N* while *N+1* is already current — exactly the isolation the
-//! acceptance tests pin down.
+//! like. A writer takes the (separate) writer lock, builds the next
+//! epoch's graph off to the side, applies its whole batch to it, makes
+//! the batch durable, and only then swaps the `Arc` and bumps the epoch
+//! counter. Readers never wait on the build, the fsync, or each other;
+//! at worst they observe epoch *N* while *N+1* is already current —
+//! exactly the isolation the acceptance tests pin down.
+//!
+//! # Spare-epoch reuse
+//!
+//! The graph a commit replaces is not dropped: the writer keeps it as
+//! the *spare*, together with the batch it lacks. The next commit first
+//! tries `Arc::try_unwrap` on the spare, which succeeds only when no
+//! reader, cursor or snapshot still pins it; it then applies the lagging
+//! batch and the new one to the spare, in place. Only when the spare is
+//! still pinned (or on the first commit) does the writer clone the
+//! current graph instead. So in the steady state a commit costs work
+//! proportional to its batch, and no graph is cloned or dropped on the
+//! commit path. A pinned spare is never touched — `try_unwrap` cannot
+//! succeed while anyone else holds it — and a batch that fails on the
+//! reused graph discards it, so the next commit clones.
 //!
 //! # Commit protocol (durable mode)
 //!
 //! 1. take the writer lock (writers are serialized);
-//! 2. clone the current graph, apply every mutation — any failure aborts
-//!    the whole batch with the graph and the log untouched;
+//! 2. reuse the spare or clone the current graph, apply every mutation —
+//!    any failure aborts the whole batch with `current` and the log
+//!    untouched;
 //! 3. append one WAL record for the batch (fsync if the knob is on);
-//! 4. swap the `Arc`, bump the epoch, release the lock, acknowledge.
+//! 4. swap the `Arc`, bump the epoch, keep the replaced graph as the
+//!    spare, release the lock, acknowledge.
 //!
 //! `kill -9` between (3) and (4) is safe: replay reapplies the batch.
 //! `kill -9` before (3) is safe: the batch was never acknowledged.
@@ -102,7 +118,8 @@ pub struct JournalStats {
 /// commit's trace without the journal knowing anything about tracing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommitTimings {
-    /// Cloning the current graph and applying the batch to the clone.
+    /// Building the next epoch's graph — bringing the spare up to date,
+    /// or cloning the current graph — and applying the batch to it.
     pub apply_us: u64,
     /// Writing the WAL record, *excluding* the fsync (0 when in-memory).
     pub append_us: u64,
@@ -124,6 +141,9 @@ struct Durable {
 /// The mutable half, guarded by the writer lock.
 struct Writer {
     durable: Option<Durable>,
+    /// The previous epoch's graph and the batch it lacks to equal the
+    /// current one (see "Spare-epoch reuse" in the module docs).
+    spare: Option<(Arc<PropertyGraph>, Vec<Mutation>)>,
 }
 
 /// A mutable, versioned property graph with WAL-backed durability and
@@ -146,7 +166,10 @@ impl GraphJournal {
         GraphJournal {
             current: Mutex::new(Arc::new(graph)),
             epoch: AtomicU64::new(0),
-            writer: Mutex::new(Writer { durable: None }),
+            writer: Mutex::new(Writer {
+                durable: None,
+                spare: None,
+            }),
             writes_applied: AtomicU64::new(0),
             snapshots_taken: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -158,6 +181,11 @@ impl GraphJournal {
     /// load the snapshot if one exists (else start from `boot` at epoch
     /// 0), then replay every intact WAL record with a later epoch, each
     /// batch all-or-nothing.
+    ///
+    /// Records are applied in place to one graph. The graph is cloned at
+    /// most once, before the first record, so that a record which no
+    /// longer applies can be rolled back: recovery then rebuilds the
+    /// last good epoch from that copy and the records before it.
     pub fn open(
         dir: &Path,
         boot: PropertyGraph,
@@ -171,26 +199,26 @@ impl GraphJournal {
             None => (0, boot),
         };
         let (wal, commits) = Wal::open(&dir.join(WAL_FILE), fsync_on_commit)?;
-        for rec in commits {
-            if rec.epoch <= epoch {
-                continue; // already folded into the snapshot
-            }
-            let mut next = graph.clone();
-            let mut ok = true;
-            for m in &rec.mutations {
-                if let Err(e) = m.apply(&mut next) {
-                    // A record that applied when written but no longer
-                    // does means the files disagree with each other;
-                    // refuse to guess past it.
-                    eprintln!("gpml-storage: replay stopped at epoch {}: {e}", rec.epoch);
-                    ok = false;
-                    break;
+        let pending: Vec<_> = commits.into_iter().filter(|r| r.epoch > epoch).collect();
+        // Records at or below `epoch` are already folded into the snapshot.
+        let base = (!pending.is_empty()).then(|| graph.clone());
+        for (i, rec) in pending.iter().enumerate() {
+            if let Err(e) = rec.mutations.iter().try_for_each(|m| m.apply(&mut graph)) {
+                // A record that applied when written but no longer does
+                // means the files disagree with each other; refuse to
+                // guess past it, and drop its partial effects by
+                // replaying the good prefix onto the untouched copy.
+                eprintln!("gpml-storage: replay stopped at epoch {}: {e}", rec.epoch);
+                graph = base.expect("cloned before the first record");
+                for good in &pending[..i] {
+                    for m in &good.mutations {
+                        m.apply(&mut graph).map_err(|e| {
+                            io::Error::other(format!("replay of epoch {}: {e}", good.epoch))
+                        })?;
+                    }
                 }
-            }
-            if !ok {
                 break;
             }
-            graph = next;
             epoch = rec.epoch;
         }
         let journal = GraphJournal {
@@ -204,6 +232,7 @@ impl GraphJournal {
                     snapshot_path,
                     snapshot_every: snapshot_every_bytes.max(1),
                 }),
+                spare: None,
             }),
             writes_applied: AtomicU64::new(0),
             snapshots_taken: AtomicU64::new(0),
@@ -252,8 +281,19 @@ impl GraphJournal {
         }
         let started = std::time::Instant::now();
         let base = self.snapshot();
-        let mut next = (*base).clone();
+        // Reuse the spare when nothing pins it (see the module docs);
+        // if its lagging batch somehow fails, fall back to a clone.
+        let reused = writer.spare.take().and_then(|(spare, lag)| {
+            let mut graph = Arc::try_unwrap(spare).ok()?;
+            lag.iter()
+                .try_for_each(|m| m.apply(&mut graph))
+                .ok()
+                .map(|()| graph)
+        });
+        let mut next = reused.unwrap_or_else(|| (*base).clone());
         for m in mutations {
+            // On failure `next` is dropped and no spare is kept, so the
+            // next commit clones; `current` was never touched.
             m.apply(&mut next)?;
         }
         timings.apply_us = started.elapsed().as_micros() as u64;
@@ -269,6 +309,7 @@ impl GraphJournal {
             let mut cur = self.current.lock().unwrap_or_else(|e| e.into_inner());
             *cur = Arc::new(next);
         }
+        writer.spare = Some((base, mutations.to_vec()));
         self.epoch.store(next_epoch, Ordering::SeqCst);
         timings.swap_us = started.elapsed().as_micros() as u64;
         self.writes_applied
@@ -388,6 +429,63 @@ mod tests {
         assert_eq!(j2.epoch(), epoch);
         assert_eq!(graph_digest(&j2.snapshot()), digest);
         assert!(j2.is_durable());
+    }
+
+    #[test]
+    fn replay_stops_at_a_record_that_no_longer_applies() {
+        let dir = tmpdir("bad-record");
+        let j = GraphJournal::open(&dir, PropertyGraph::new(), false, u64::MAX).unwrap();
+        for i in 1..=3 {
+            j.commit(&add(i)).unwrap();
+        }
+        let digest = graph_digest(&j.snapshot());
+        drop(j);
+        // Intact, checksummed records whose first batch fails half-way:
+        // its first mutation applies, its second names a missing element.
+        // The valid record after it must not be replayed either.
+        let (mut wal, _) = Wal::open(&dir.join(WAL_FILE), false).unwrap();
+        let mut bad = add(4);
+        bad.push(Mutation::Delete {
+            element: "ghost".into(),
+        });
+        wal.append(4, &bad).unwrap();
+        wal.append(5, &add(5)).unwrap();
+        drop(wal);
+        let j2 = GraphJournal::open(&dir, PropertyGraph::new(), false, u64::MAX).unwrap();
+        assert_eq!(j2.epoch(), 3);
+        assert_eq!(graph_digest(&j2.snapshot()), digest);
+        assert!(j2.snapshot().node_by_name("n4").is_none());
+    }
+
+    #[test]
+    fn commits_build_on_the_spare_and_leave_pinned_epochs_alone() {
+        let j = GraphJournal::in_memory(PropertyGraph::new());
+        let mut reference = PropertyGraph::new();
+        for i in 1..=6 {
+            // Pin every other epoch across the next two commits.
+            let pinned = (i % 2 == 0).then(|| (j.snapshot(), graph_digest(&j.snapshot())));
+            for _ in 0..2 {
+                let batch = add(reference.node_count() as u64 + 1);
+                for m in &batch {
+                    m.apply(&mut reference).unwrap();
+                }
+                j.commit(&batch).unwrap();
+                assert_eq!(graph_digest(&j.snapshot()), graph_digest(&reference));
+                if let Some((graph, digest)) = &pinned {
+                    assert_eq!(graph_digest(graph), *digest);
+                }
+            }
+            // A failing batch leaves the epoch and the graph unchanged.
+            let bad = vec![
+                add(1000 + i).remove(0),
+                Mutation::Delete {
+                    element: "ghost".into(),
+                },
+            ];
+            assert!(j.commit(&bad).is_err());
+            assert_eq!(graph_digest(&j.snapshot()), graph_digest(&reference));
+        }
+        assert_eq!(j.epoch(), 12);
     }
 
     #[test]

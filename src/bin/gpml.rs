@@ -55,9 +55,12 @@ fn usage() -> ! {
          --param name=value flags (values parse as literals: 5M, 'str',\n\
          true; bare words are strings). --explain prints each query's\n\
          lowered plan — with per-stage estimated cardinality, the chosen\n\
-         stage order, the join algorithm, and each semi-join pushdown\n\
-         decision — before the results, and per-stage execution counters\n\
-         (nodes expanded, edges traversed, rows pruned) after them.\n\
+         stage order, the join algorithm, each semi-join pushdown\n\
+         decision, and each stage's start set (`start: index\n\
+         Account.owner = $owner → 1`, `label Account → 2000`, `seeded\n\
+         from m (~7.33 keys)`, `all nodes → 3003`) — before the results,\n\
+         and per-stage execution counters (nodes expanded, edges\n\
+         traversed, rows pruned) after them.\n\
          --threads N runs the per-stage matcher searches on N worker\n\
          threads (0 = auto, 1 = sequential; results are identical either\n\
          way).\n\
@@ -379,7 +382,7 @@ fn print_profile(profile: &gpml_suite::core::eval::ExecProfile) {
     eprintln!("  execution counters (by declaration stage):");
     for (i, c) in profile.stages().iter().enumerate() {
         eprintln!(
-            "    stage {i}: {} nodes expanded, {} edges traversed, {} rows pruned by semi-join, \
+            "    stage {i}: {} nodes expanded, {} edges traversed, {} rows pruned by the join, \
              {} instrs dispatched, {} backtrack truncations",
             c.nodes_expanded(),
             c.edges_traversed(),

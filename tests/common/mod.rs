@@ -15,6 +15,7 @@ pub mod abuse;
 use proptest::prelude::*;
 
 use gpml_suite::core::ast::*;
+use gpml_suite::graph::Value;
 
 pub fn var() -> impl Strategy<Value = Option<String>> {
     proptest::option::of(proptest::sample::select(vec![
@@ -90,9 +91,45 @@ pub fn step() -> impl Strategy<Value = Vec<PathPattern>> {
     (edge_pat(), node_pat(true)).prop_map(|(e, n)| vec![PathPattern::Edge(e), PathPattern::Node(n)])
 }
 
+/// An equality prefilter on an indexed property of `small_mixed` nodes:
+/// `var.k = 'k0'|'k1'|'k2'` (string) or `var.b = true|false` (boolean).
+/// The parameterized suites lift its literal into a `$param`.
+pub fn probe_predicate(var: &str) -> impl Strategy<Value = Expr> {
+    let var = var.to_owned();
+    prop_oneof![
+        (0u8..3).prop_map(|i| ("k", Value::str(format!("k{i}")))),
+        proptest::bool::ANY.prop_map(|b| ("b", Value::Bool(b))),
+    ]
+    .prop_map(move |(key, value)| Expr::prop(var.clone(), key).eq(Expr::Literal(value)))
+}
+
+/// The first node of a chain: biased toward the start variable `x`, so
+/// chains of one graph pattern often share their start variable (the
+/// seeded-start case), and, when named, sometimes carrying an index
+/// probe (the access-path case).
+pub fn start_node_pat() -> impl Strategy<Value = NodePattern> {
+    let node = prop_oneof![
+        node_pat(true),
+        label().prop_map(|label| NodePattern {
+            var: Some("x".to_owned()),
+            label,
+            predicate: None,
+        }),
+    ];
+    node.prop_flat_map(|np| match np.var.clone() {
+        Some(v) => proptest::option::of(probe_predicate(&v))
+            .prop_map(move |predicate| NodePattern {
+                predicate,
+                ..np.clone()
+            })
+            .boxed(),
+        None => Just(np).boxed(),
+    })
+}
+
 /// A linear chain pattern `(n) (step)*`.
 pub fn chain_pattern() -> impl Strategy<Value = PathPattern> {
-    (node_pat(true), proptest::collection::vec(step(), 0..3)).prop_map(|(first, steps)| {
+    (start_node_pat(), proptest::collection::vec(step(), 0..3)).prop_map(|(first, steps)| {
         let mut parts = vec![PathPattern::Node(first)];
         for s in steps {
             parts.extend(s);

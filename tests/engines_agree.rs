@@ -692,6 +692,149 @@ fn check_parameterized_agreement(
     }
 }
 
+/// Index probes cover only the value types whose query equality is
+/// structural (strings, booleans). Everything else must fall back to a
+/// scan and still return exactly the scan's rows: `Int(2) = Float(2.0)`
+/// holds under query equality, `= NULL` is never true, and a parameter
+/// bound to an integer probes nothing.
+#[test]
+fn unindexed_equalities_return_exactly_the_scans_rows() {
+    use gpml_suite::core::plan::StartSet;
+    use gpml_suite::core::Params;
+    use gpml_suite::graph::Value;
+
+    let mut g = PropertyGraph::new();
+    let values = [
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::str("2"),
+        Value::Bool(true),
+        Value::Int(3),
+    ];
+    for (i, v) in values.into_iter().enumerate() {
+        g.add_node(&format!("a{i}"), ["A"], [("n", v), ("k", Value::str("s"))]);
+    }
+    g.add_node("b0", ["B"], [("n", Value::Int(2))]);
+    let parse = |q: &str| gpml_suite::parser::parse(q).expect("parses");
+    let start_of = |gp: &GraphPattern, params: &Params| {
+        let q = prepare(gp, &opts()).unwrap();
+        q.cost_report_with(&g, params).steps[0].start.clone()
+    };
+    let rows = |gp: &GraphPattern, params: &Params| {
+        sorted(
+            prepare(gp, &opts())
+                .unwrap()
+                .execute_with(&g, params)
+                .unwrap(),
+        )
+    };
+    let scan = |gp: &GraphPattern| sorted(baseline::evaluate(&g, gp, &opts()).unwrap());
+
+    let float = parse("MATCH (x:A WHERE x.n = 2.0)");
+    assert!(matches!(
+        start_of(&float, &Params::new()),
+        StartSet::Label { .. }
+    ));
+    assert_eq!(rows(&float, &Params::new()), scan(&float));
+    assert_eq!(scan(&float).len(), 2, "Int(2) and Float(2.0)");
+
+    let null = parse("MATCH (x:A WHERE x.k = NULL)");
+    assert!(matches!(
+        start_of(&null, &Params::new()),
+        StartSet::Label { .. }
+    ));
+    assert_eq!(rows(&null, &Params::new()), scan(&null));
+    assert!(scan(&null).is_empty());
+
+    let param = parse("MATCH (x:A WHERE x.n = $v)");
+    let int = Params::new().with("v", 2);
+    assert!(matches!(start_of(&param, &int), StartSet::Label { .. }));
+    let literal = parse("MATCH (x:A WHERE x.n = 2)");
+    assert_eq!(rows(&param, &int), scan(&literal));
+    assert_eq!(scan(&literal).len(), 2);
+
+    // The indexed types do probe, and agree with the scan too.
+    let string = parse("MATCH (x:A WHERE x.n = '2' AND x.k = 's')");
+    assert!(matches!(
+        start_of(&string, &Params::new()),
+        StartSet::Index { nodes: 1, .. }
+    ));
+    assert_eq!(rows(&string, &Params::new()), scan(&string));
+    let boolean = parse("MATCH (x:A WHERE x.n = $v)");
+    let yes = Params::new().with("v", true);
+    assert!(matches!(
+        start_of(&boolean, &yes),
+        StartSet::Index { nodes: 1, .. }
+    ));
+    assert_eq!(
+        rows(&boolean, &yes),
+        scan(&parse("MATCH (x:A WHERE x.n = true)"))
+    );
+}
+
+/// The benchmark's `point_lookup` statement starts from its one indexed
+/// account: one node expanded and a handful of instructions, at 200 and
+/// at 20 000 accounts alike, sequential or parallel.
+#[test]
+fn point_lookup_expands_one_node_at_any_scale() {
+    use gpml_suite::core::eval::ExecProfile;
+    use gpml_suite::core::Params;
+    use gpml_suite::datagen::{transfer_network, TransferNetworkConfig};
+
+    let gp = gpml_suite::parser::parse(
+        "MATCH (x:Account WHERE x.owner=$owner)-[t:Transfer]->(y:Account)",
+    )
+    .expect("parses");
+    let params = Params::new().with("owner", "owner7");
+    for accounts in [200, 20_000] {
+        let g = transfer_network(TransferNetworkConfig {
+            accounts,
+            transfers: 3 * accounts,
+            seed: 1,
+            ..TransferNetworkConfig::default()
+        });
+        for threads in [1, 2] {
+            let q = prepare(&gp, &EvalOptions { threads, ..opts() }).unwrap();
+            let profile = ExecProfile::new(q.plan().stage_count());
+            let got = q.execute_with_profile(&g, &params, &profile).unwrap();
+            assert!(!got.is_empty());
+            let (nodes, _, _, instrs, _) = profile.totals();
+            assert_eq!(nodes, 1, "{accounts} accounts, threads {threads}");
+            assert!(
+                instrs < 60,
+                "{instrs} instrs at {accounts} accounts, threads {threads}"
+            );
+        }
+    }
+}
+
+/// The parallel executor merges stages in the one cost-chosen order the
+/// sequential executor uses (start sets included in the price), so row
+/// *order* matches too. Small random graphs rarely produce enough rows
+/// on both sides of a join for a different merge order to show, so this
+/// sweeps denser graphs where the chosen order is not declaration order.
+#[test]
+fn parallel_execution_keeps_the_sequential_stage_order() {
+    let gp = gpml_suite::parser::parse("MATCH (x:A)-[e]->(y), (y:B)-[f]->(z:A)").expect("parses");
+    let mut reordered_with_rows = 0;
+    for seed in 0..24u64 {
+        let g = small_mixed(seed, 8, 20);
+        let run = |threads| evaluate(&g, &gp, &EvalOptions { threads, ..opts() }).unwrap();
+        let sequential = run(1);
+        let order = prepare(&gp, &opts()).unwrap().cost_report(&g).order();
+        if order != [0, 1] && sequential.len() > 2 {
+            reordered_with_rows += 1;
+        }
+        for threads in [2, 4] {
+            assert_eq!(run(threads), sequential, "seed {seed}, threads {threads}");
+        }
+    }
+    assert!(
+        reordered_with_rows > 0,
+        "no seed exercised a reordered join"
+    );
+}
+
 /// `threads = 1` must stay on the sequential executor and behave exactly
 /// like the pre-parallelism engine; `threads = 0` (auto) must agree too.
 #[test]

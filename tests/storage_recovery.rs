@@ -17,6 +17,14 @@
 //!   ([`PropertyGraph::verify_stats`]).
 //! * **Readers never see a half-applied batch.** A pinned snapshot is
 //!   immutable while concurrent commits advance the journal.
+//! * **The node index oracle holds under mutation.** The lazily built
+//!   label/equality index equals a brute-force scan
+//!   ([`PropertyGraph::verify_index`]), and a clone taken before a
+//!   mutation keeps answering for its own graph.
+//! * **Commits that reuse the spare epoch are clone-and-apply.** Random
+//!   batches, failing batches and snapshots pinned across commits leave
+//!   every epoch's digest equal to a reference built by cloning and
+//!   applying, and never move a pinned graph.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,13 +256,84 @@ proptest! {
         let _ = tracker.graph.stats();
         let journal = GraphJournal::in_memory(PropertyGraph::new());
         for _ in 0..batches {
+            // A clone taken before the batch shares the model's index;
+            // the batch must leave the clone's answers untouched.
+            let _ = tracker.graph.nodes_with_label("Account");
+            let before = tracker.graph.clone();
+            let probe = |g: &PropertyGraph| {
+                (
+                    g.nodes_with_label("Account").to_vec(),
+                    g.nodes_with_prop("Account", "owner", &Value::str("Ada")).map(<[_]>::to_vec),
+                    g.nodes_with_prop("Account", "owner", &Value::Bool(true)).map(<[_]>::to_vec),
+                )
+            };
+            let before_answers = probe(&before);
             let batch = tracker.random_batch(&mut rng);
             journal.commit(&batch).expect("generated batches apply");
             tracker.graph.verify_stats().expect("model stats oracle");
+            tracker.graph.verify_index().expect("model index oracle");
+            let _ = probe(&tracker.graph); // rebuild if the batch dropped it
+            tracker.graph.verify_index().expect("rebuilt model index oracle");
+            before.verify_index().expect("pre-batch clone index oracle");
+            prop_assert_eq!(probe(&before), before_answers);
             let snap = journal.snapshot();
             let _ = snap.stats(); // force a catalog, then cross-check it
             snap.verify_stats().expect("snapshot stats oracle");
+            let _ = snap.nodes_with_label("Account");
+            snap.verify_index().expect("snapshot index oracle");
             prop_assert_eq!(graph_digest(&snap), graph_digest(&tracker.graph));
+        }
+    }
+
+    /// Commits build each epoch on the spare graph when nothing pins it.
+    /// Over random batches, interleaved failing batches (a valid first
+    /// mutation, then one naming a missing element) and snapshots pinned
+    /// across one to three commits: after every commit the current
+    /// digest equals the clone-and-apply reference, every failing batch
+    /// leaves it unchanged, and every pinned graph keeps its digest.
+    #[test]
+    fn spare_epoch_commits_equal_clone_and_apply(
+        seed in 0u64..1_000_000,
+        batches in 1usize..16,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tracker = Tracker::new();
+        let journal = GraphJournal::in_memory(PropertyGraph::new());
+        let mut reference = PropertyGraph::new();
+        let mut pins: Vec<(std::sync::Arc<PropertyGraph>, u64, usize)> = Vec::new();
+        for i in 0..batches {
+            if rng.gen_bool(0.4) {
+                let snap = journal.snapshot();
+                let digest = graph_digest(&snap);
+                pins.push((snap, digest, rng.gen_range(1..=3usize)));
+            }
+            if rng.gen_bool(0.25) {
+                let bad = vec![
+                    Mutation::AddNode {
+                        name: format!("doomed{i}"),
+                        labels: vec!["Account".to_owned()],
+                        properties: vec![],
+                    },
+                    Mutation::Delete { element: "ghost".to_owned() },
+                ];
+                prop_assert!(journal.commit(&bad).is_err());
+                prop_assert_eq!(graph_digest(&journal.snapshot()), graph_digest(&reference));
+            }
+            let batch = tracker.random_batch(&mut rng);
+            let mut next = reference.clone();
+            for m in &batch {
+                m.apply(&mut next).expect("generated batches apply");
+            }
+            reference = next;
+            journal.commit(&batch).expect("generated batches apply");
+            prop_assert_eq!(graph_digest(&journal.snapshot()), graph_digest(&reference));
+            for (graph, digest, _) in &pins {
+                prop_assert_eq!(graph_digest(graph), *digest, "a pinned epoch moved");
+            }
+            for pin in &mut pins {
+                pin.2 -= 1;
+            }
+            pins.retain(|pin| pin.2 > 0);
         }
     }
 }
