@@ -108,11 +108,12 @@ pub struct EvalOptions {
     /// sequential on small graphs, where spawn cost would dominate; `1`
     /// forces the sequential path; `n >= 2` always uses `n` workers.
     ///
-    /// Results are **bit-for-bit identical** at every setting: per-stage
-    /// searches are partitioned by start node, spliced back in partition
-    /// order, and merged through the join in the same cost-chosen stage
-    /// order as the sequential executor. Only resource-limit *errors* may
-    /// differ — each partition enforces [`EvalOptions::max_frontier`] on
+    /// Stages always run one at a time in the cost-chosen order; the
+    /// workers split *one* stage's start set (its join seeds or its access
+    /// path) into chunks, and the stage merges before the next one starts.
+    /// Results are **bit-for-bit identical** at every setting, and so is
+    /// the work counted by [`ExecProfile`]. Only resource-limit *errors*
+    /// may differ — each chunk enforces [`EvalOptions::max_frontier`] on
     /// its own (smaller) frontier, so a parallel run can succeed where a
     /// sequential run trips the limit.
     pub threads: usize,
@@ -219,14 +220,13 @@ impl StageCounters {
         self.backtrack_truncations.load(Ordering::Relaxed)
     }
 
-    /// Folds in wall time spent matching this stage. Under parallel
-    /// execution each partition's worker adds its own share, so this is
-    /// *work* time: it can exceed the stage's wall-clock span.
+    /// Folds in wall time spent matching this stage: its (possibly
+    /// chunked) search plus its reduce/dedup/select pass.
     pub(crate) fn add_micros(&self, micros: u64) {
         self.micros.fetch_add(micros, Ordering::Relaxed);
     }
 
-    /// Microseconds spent matching this stage, summed over partitions.
+    /// Microseconds of wall time spent matching this stage.
     pub fn micros(&self) -> u64 {
         self.micros.load(Ordering::Relaxed)
     }

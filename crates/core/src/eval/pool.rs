@@ -9,25 +9,23 @@
 //! a semantics-preserving parallelization — the executor only has to
 //! splice the per-chunk results back together in chunk order.
 //!
-//! This module provides the two pieces the executor needs, built on
+//! The executor runs one stage at a time: a stage's start set (its join
+//! seeds or its access path) is chunked, the chunks are searched, and the
+//! stage merges before the next one's start set and filters exist. This
+//! module provides the two pieces a chunked stage search needs, built on
 //! `std::thread::scope` (the build environment has no crates.io access,
 //! so no rayon):
 //!
 //! * [`chunks`] — the deterministic partition of `n` items into at most
 //!   `threads` contiguous ranges, with a minimum chunk size so tiny
 //!   graphs are not sliced into spawn-dominated confetti;
-//! * [`run_units`] — a tiny work-stealing pool: `unit_count` work items
-//!   are claimed off a shared atomic counter by up to `threads` scoped
-//!   workers, and results are delivered to a sink closure *on the
-//!   caller's thread* as they land, in completion order. The sink can
-//!   stop the run early (the executor does this when the accumulated
-//!   join is already empty), which cancels undelivered units at their
-//!   next claim.
+//! * [`map_units`] — an ordered scoped map: `unit_count` work items are
+//!   claimed off a shared atomic counter by up to `threads` scoped
+//!   workers, and the results come back in unit order once every unit
+//!   has run.
 
-use std::ops::ControlFlow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Minimum number of start nodes one worker chunk should carry. Below
 /// this the per-thread spawn cost dominates the search itself.
@@ -108,56 +106,51 @@ pub(crate) fn adaptive_chunks(
     out
 }
 
-/// Runs `unit_count` work units on up to `threads` scoped worker threads,
-/// delivering `(unit index, result)` pairs to `sink` on the caller's
-/// thread as they complete (in completion order, not unit order).
+/// Runs `work` over `0..unit_count` on up to `threads` scoped worker
+/// threads and returns the results in unit order.
 ///
 /// Workers claim unit indices off a shared counter, so cheap units never
-/// idle a thread while an expensive one runs. When `sink` returns
-/// [`ControlFlow::Break`], delivery stops; workers finish the unit they
-/// are on, fail their next send, and exit. With `threads <= 1` (or a
-/// single unit) everything runs inline on the caller's thread — the
-/// sequential path stays allocation- and thread-free.
-pub(crate) fn run_units<R: Send>(
+/// idle a thread while an expensive one runs. With `threads <= 1` (or a
+/// single unit) everything runs inline on the caller's thread — no spawn.
+/// A worker panic resurfaces on the caller's thread.
+pub(crate) fn map_units<R: Send>(
     threads: usize,
     unit_count: usize,
     work: impl Fn(usize) -> R + Sync,
-    mut sink: impl FnMut(usize, R) -> ControlFlow<()>,
-) {
+) -> Vec<R> {
     if threads <= 1 || unit_count <= 1 {
-        for u in 0..unit_count {
-            if sink(u, work(u)).is_break() {
-                return;
-            }
-        }
-        return;
+        return (0..unit_count).map(work).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let mut slots: Vec<Option<R>> = (0..unit_count).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(unit_count) {
-            let tx = tx.clone();
-            let next = &next;
-            let work = &work;
-            scope.spawn(move || loop {
-                let u = next.fetch_add(1, Ordering::Relaxed);
-                if u >= unit_count {
-                    break;
-                }
-                if tx.send((u, work(u))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (u, r) in rx {
-            if sink(u, r).is_break() {
-                // Dropping the receiver makes every later send fail, so
-                // workers wind down after at most one more unit each.
-                break;
+        let workers: Vec<_> = (0..threads.min(unit_count))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let u = next.fetch_add(1, Ordering::Relaxed);
+                        if u >= unit_count {
+                            return done;
+                        }
+                        done.push((u, work(u)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (u, r) in done {
+                slots[u] = Some(r);
             }
         }
     });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every unit ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -223,39 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn run_units_delivers_every_unit_once() {
+    fn map_units_returns_every_unit_once_in_order() {
         for threads in [1usize, 2, 4] {
-            let mut seen = vec![0u32; 64];
-            run_units(
-                threads,
-                64,
-                |u| u * 3,
-                |u, r| {
-                    assert_eq!(r, u * 3);
-                    seen[u] += 1;
-                    ControlFlow::Continue(())
-                },
+            let seen: Vec<std::sync::atomic::AtomicU32> = (0..64)
+                .map(|_| std::sync::atomic::AtomicU32::new(0))
+                .collect();
+            let out = map_units(threads, 64, |u| {
+                seen[u].fetch_add(1, Ordering::Relaxed);
+                u * 3
+            });
+            assert_eq!(out, (0..64).map(|u| u * 3).collect::<Vec<_>>());
+            assert!(
+                seen.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "{threads} threads: {seen:?}"
             );
-            assert!(seen.iter().all(|&c| c == 1), "{threads} threads: {seen:?}");
         }
-    }
-
-    #[test]
-    fn run_units_stops_on_break() {
-        let delivered = std::cell::Cell::new(0usize);
-        run_units(
-            4,
-            1000,
-            |u| u,
-            |_, _| {
-                delivered.set(delivered.get() + 1);
-                if delivered.get() >= 5 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        );
-        assert_eq!(delivered.get(), 5);
     }
 }

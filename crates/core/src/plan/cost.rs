@@ -97,9 +97,9 @@ pub(crate) struct Placement<'p> {
     pub(crate) seed: Option<&'p str>,
 }
 
-/// The one stage-order function, shared by the sequential executor, the
-/// parallel executor and [`CostReport::compute`], so all three run the
-/// same stages in the same order.
+/// The one stage-order function, shared by the executor and
+/// [`CostReport::compute`], so both see the same stages in the same
+/// order.
 ///
 /// Greedy, cheapest connected stage first (see [`greedy`]). A stage is
 /// priced `|start set| + estimated rows`. A stage that can be seeded
@@ -703,9 +703,9 @@ pub struct SemiJoinDecision {
 /// The semi-join pushdown decisions for the stage at `stage` given the
 /// already-merged `placed` stages and their equi-join `keys`.
 ///
-/// Returns one decision per *node-typed* join key when pushdown is
-/// admissible ([`pushdown_admissible`]), and an empty vector when it is
-/// not.
+/// Returns one decision per *node-typed* join key other than the stage's
+/// seed variable ([`seed_var`]) when pushdown is admissible
+/// ([`pushdown_admissible`]), and an empty vector when it is not.
 pub(crate) fn semi_join_decisions(
     plan: &ExecutablePlan,
     stats: &GraphStats,
@@ -718,11 +718,17 @@ pub(crate) fn semi_join_decisions(
     if !pushdown_admissible(plan, stage, opts) || placed.is_empty() {
         return Vec::new();
     }
+    // The seed set is the same projection of the accumulated rows as a
+    // filter on the seed variable would be, so that filter would only
+    // re-check nodes the seed already admitted.
+    let seed = seed_var(plan, stage, placed, opts);
     keys.iter()
         .filter(|k| {
-            plan.analysis
-                .var(k)
-                .is_some_and(|info| info.kind == VarKind::Node)
+            Some(k.as_str()) != seed
+                && plan
+                    .analysis
+                    .var(k)
+                    .is_some_and(|info| info.kind == VarKind::Node)
         })
         .map(|k| {
             let keys_estimate = key_count_estimate(plan, stats, est, stage, placed, k);
@@ -1203,6 +1209,36 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("semi-join on h"), "{text}");
         assert!(text.contains("push filter"), "{text}");
+    }
+
+    #[test]
+    fn seeded_stage_pushes_no_filter_on_its_seed_var() {
+        // (h:Hub)-[f]->(y:Rare), (h)-[g]->(z): the second stage starts
+        // from the distinct h nodes, so a filter on h would only re-check
+        // its own seeds.
+        let gp = GraphPattern {
+            paths: vec![
+                PathPatternExpr::plain(PathPattern::concat(vec![
+                    labeled("h", "Hub"),
+                    edge_r("f"),
+                    labeled("y", "Rare"),
+                ])),
+                PathPatternExpr::plain(PathPattern::concat(vec![
+                    node("h"),
+                    edge_r("g"),
+                    node("z"),
+                ])),
+            ],
+            where_clause: None,
+        };
+        let q = prepare(&gp, &EvalOptions::default()).unwrap();
+        let report = CostReport::compute(q.plan(), &hub(), &EvalOptions::default(), &Params::new());
+        assert_eq!(report.order(), vec![0, 1]);
+        assert!(
+            matches!(&report.steps[1].start, StartSet::Seeded { var, .. } if var == "h"),
+            "{report}"
+        );
+        assert!(report.steps[1].semi_joins.is_empty(), "{report}");
     }
 
     #[test]

@@ -43,11 +43,11 @@
 //! surfaced as `--explain` in the CLI).
 //!
 //! With [`EvalOptions::threads`] ≥ 2 (or auto-detected parallelism on a
-//! large enough graph), execution runs the per-stage searches on a scoped
-//! worker pool — partitioned by start node, kicked off eagerly in cost
-//! order, merged deterministically as results land — and stays bit-for-bit
-//! identical to the sequential path (see `PreparedQuery::execute_parallel`
-//! internals and `eval::pool`).
+//! large enough graph), the same stage loop splits each stage's start set
+//! into chunks searched on scoped workers (see `eval::pool`). The stage
+//! is a barrier: its chunks are spliced back in chunk order and merged
+//! before the next stage's seeds and filters are computed, so the result
+//! and the work done are those of the sequential run.
 
 mod access;
 pub mod cache;
@@ -395,10 +395,6 @@ impl PreparedQuery {
         let est = cost::estimates(&self.plan, stats, true, params);
         let order = cost::plan_order(&self.plan, graph, &est, params, &self.opts);
         let threads = self.opts.effective_threads(graph.node_count());
-        if threads > 1 && !order.is_empty() && graph.node_count() > 0 {
-            let order: Vec<usize> = order.iter().map(|p| p.stage).collect();
-            return self.execute_parallel(graph, &order, threads, params, &est, profile);
-        }
         let mut join = JoinState::new(self.opts.isomorphism);
         let mut placed: Vec<usize> = Vec::with_capacity(order.len());
         for Placement { stage: i, seed } in order {
@@ -431,14 +427,32 @@ impl PreparedQuery {
                 }
                 None => access.nodes(graph),
             };
-            let raw = stage.matches_from(
-                graph,
-                &self.opts,
-                params,
-                &starts,
-                filters.as_ref(),
-                counters,
-            )?;
+            let search = |starts: &[property_graph::NodeId]| {
+                stage.matches_from(
+                    graph,
+                    &self.opts,
+                    params,
+                    starts,
+                    filters.as_ref(),
+                    counters,
+                )
+            };
+            let raw = if threads <= 1 {
+                search(&starts)?
+            } else {
+                // The stage barrier: every chunk of this stage's start set
+                // is searched before its bindings merge, and the results
+                // are spliced in chunk order, so the next stage's seeds and
+                // filters see exactly the sequential accumulation.
+                let chunks = self.start_chunks(graph, stats, &starts, threads);
+                let mut raw = Vec::new();
+                for part in pool::map_units(threads, chunks.len(), |u| {
+                    search(&starts[chunks[u].clone()])
+                }) {
+                    raw.append(&mut part?);
+                }
+                raw
+            };
             let bindings = stage.finish_bindings(graph, &self.opts, raw)?;
             if let (Some(c), Some(t)) = (counters, started) {
                 c.add_micros(t.elapsed().as_micros() as u64);
@@ -503,203 +517,6 @@ impl PreparedQuery {
         pool::adaptive_chunks(starts.len(), threads, |i| {
             graph.steps(starts[i]).len() >= hub_threshold
         })
-    }
-
-    /// Parallel execution: every stage's search is kicked off eagerly on
-    /// a scoped worker pool, its access-path start set split into
-    /// partitions (see [`crate::eval::pool`]), while the caller's thread
-    /// merges completed stages through the [`JoinState`] *in the same
-    /// cost-chosen order* as the sequential path. Determinism falls out
-    /// of three facts:
-    ///
-    /// * partition results are spliced back in partition order before the
-    ///   stage's (sorting) reduce/dedup pass, so each stage's bindings
-    ///   are bit-for-bit the sequential stage's;
-    /// * stages merge strictly in `order`, however their searches finish,
-    ///   so the join accumulates exactly the sequential row order;
-    /// * the early exit fires on the same condition (empty accumulation)
-    ///   at the same merge position — it cancels
-    ///   the not-yet-claimed work units of later stages and ignores
-    ///   whatever eager results (or resource-limit errors) those stages
-    ///   already produced, which is precisely the set of stages the
-    ///   sequential executor never runs.
-    ///
-    /// Errors surface in merge order: the first failing stage at or
-    /// before the merge frontier aborts the run, like the sequential
-    /// loop; failures of stages past an early exit are dropped with their
-    /// results.
-    ///
-    /// Semi-join filters reach the pool through per-position slots: after
-    /// each merge, the sink publishes the next position's filter map, and
-    /// a worker snapshots its position's slot *at claim time*. Units
-    /// claimed before publication simply run unfiltered — a filtered and
-    /// an unfiltered partition differ only in bindings the join rejects
-    /// anyway, and the per-stage reduce/dedup pass is a sorted set, so
-    /// the merged output stays bit-for-bit the sequential result. With
-    /// idle workers the race is usually lost: they claim later stages'
-    /// units as soon as the first merge begins, so parallel runs often
-    /// prune little or nothing (a known limit; see ARCHITECTURE). For the
-    /// same reason seeding is sequential-only: a stage the order marks
-    /// seeded runs from its access path here.
-    fn execute_parallel(
-        &self,
-        graph: &PropertyGraph,
-        order: &[usize],
-        threads: usize,
-        params: &Params,
-        est: &[f64],
-        profile: Option<&ExecProfile>,
-    ) -> Result<MatchSet> {
-        use std::ops::ControlFlow;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::{Arc, RwLock};
-
-        let stats = graph.stats();
-        // Each position's access-path start set, chunked on its own; at
-        // least one (possibly empty) unit per position, so every stage
-        // merges. Units are numbered position-major: position `pos` owns
-        // `first_unit[pos]..first_unit[pos + 1]`.
-        let starts: Vec<_> = order
-            .iter()
-            .map(|&i| {
-                self.plan.stages[i]
-                    .start
-                    .resolve(graph, params)
-                    .nodes(graph)
-            })
-            .collect();
-        let mut units: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        let mut first_unit = Vec::with_capacity(order.len() + 1);
-        for (pos, set) in starts.iter().enumerate() {
-            first_unit.push(units.len());
-            let chunks = self.start_chunks(graph, stats, set, threads);
-            if chunks.is_empty() {
-                units.push((pos, 0..0));
-            }
-            units.extend(chunks.into_iter().map(|c| (pos, c)));
-        }
-        first_unit.push(units.len());
-        let unit_count = units.len();
-
-        // Stage positions >= this are cancelled (early exit): workers
-        // return an empty result instead of searching.
-        let cancel_from = AtomicUsize::new(usize::MAX);
-
-        // One semi-join filter slot per order position, published by the
-        // merging (caller) thread, snapshot by workers at claim time.
-        let filter_slots: Vec<RwLock<Option<Arc<SemiJoinFilters>>>> =
-            (0..order.len()).map(|_| RwLock::new(None)).collect();
-
-        let mut pending: Vec<Option<Result<Vec<PathBinding>>>> =
-            (0..unit_count).map(|_| None).collect();
-        let mut received = vec![0usize; order.len()];
-        let mut join = JoinState::new(self.opts.isomorphism);
-        let mut placed: Vec<usize> = Vec::with_capacity(order.len());
-        let mut merge_pos = 0usize;
-        let mut failure: Option<crate::error::Error> = None;
-
-        pool::run_units(
-            threads,
-            unit_count,
-            |u| {
-                let (pos, chunk) = units[u].clone();
-                if pos >= cancel_from.load(Ordering::Relaxed) {
-                    return Ok(Vec::new());
-                }
-                let idx = order[pos];
-                let stage = &self.plan.stages[idx];
-                let filters = filter_slots[pos].read().expect("filter slot").clone();
-                let counters = profile.and_then(|p| p.stage(idx));
-                let started = counters.map(|_| std::time::Instant::now());
-                let out = stage.matches_from(
-                    graph,
-                    &self.opts,
-                    params,
-                    &starts[pos][chunk],
-                    filters.as_deref(),
-                    counters,
-                );
-                if let (Some(c), Some(t)) = (counters, started) {
-                    c.add_micros(t.elapsed().as_micros() as u64);
-                }
-                out
-            },
-            |u, out| {
-                let pos = units[u].0;
-                pending[u] = Some(out);
-                received[pos] += 1;
-                while merge_pos < order.len()
-                    && received[merge_pos] == first_unit[merge_pos + 1] - first_unit[merge_pos]
-                {
-                    let idx = order[merge_pos];
-                    let stage = &self.plan.stages[idx];
-                    let mut raw = Vec::new();
-                    for slot in &mut pending[first_unit[merge_pos]..first_unit[merge_pos + 1]] {
-                        match slot.take().expect("received") {
-                            Ok(mut part) => raw.append(&mut part),
-                            Err(e) => {
-                                // Abort: make every still-unclaimed unit
-                                // a no-op before winding down.
-                                cancel_from.store(0, Ordering::Relaxed);
-                                failure = Some(e);
-                                return ControlFlow::Break(());
-                            }
-                        }
-                    }
-                    match stage.finish_bindings(graph, &self.opts, raw) {
-                        Ok(bindings) => {
-                            let keys = self.plan.join_keys(idx, &placed);
-                            join.merge_stage(&stage.expr, &bindings, &keys);
-                            placed.push(idx);
-                        }
-                        Err(e) => {
-                            cancel_from.store(0, Ordering::Relaxed);
-                            failure = Some(e);
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    merge_pos += 1;
-                    if join.is_empty() {
-                        // Same early exit as the sequential loop: nothing
-                        // can survive further merges, so later stages are
-                        // pure cost — cancel their unclaimed partitions
-                        // (immediately, without waiting for their searches
-                        // to land) and ignore what already ran.
-                        cancel_from.store(merge_pos, Ordering::Relaxed);
-                        return ControlFlow::Break(());
-                    }
-                    if merge_pos < order.len() {
-                        // Publish the next position's semi-join filters:
-                        // units of that stage claimed from here on prune
-                        // against the now-complete accumulated key sets.
-                        let next = order[merge_pos];
-                        let keys = self.plan.join_keys(next, &placed);
-                        if let Some(f) =
-                            self.semi_join_filters(&join, stats, est, next, &placed, &keys)
-                        {
-                            *filter_slots[merge_pos].write().expect("filter slot") =
-                                Some(Arc::new(f));
-                        }
-                    }
-                }
-                if merge_pos == order.len() {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        );
-
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        Ok(join.finish(
-            graph,
-            &self.plan.normalized,
-            &self.opts,
-            &self.plan.exists,
-            params,
-        ))
     }
 
     /// The lowered plan (inspect or `Display` it for an EXPLAIN view).
@@ -1232,7 +1049,7 @@ mod tests {
 
     #[test]
     fn plan_types_are_send_sync() {
-        // The parallel executor shares these across scoped worker
+        // A parallel stage search shares these across scoped worker
         // threads; this affirmation is the compile-time audit.
         fn check<T: Send + Sync>() {}
         check::<PropertyGraph>();
@@ -1584,31 +1401,33 @@ mod tests {
 
     #[test]
     fn profile_counts_semi_join_pruning() {
-        let q = prepare(
-            &semi_join_pattern(),
-            &EvalOptions {
-                threads: 1,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        let g = double_hub();
-        let profile = ExecProfile::new(q.plan().stage_count());
-        let got = q
-            .execute_with_profile(&g, &Params::new(), &profile)
+        for threads in [1, 2, 4] {
+            let q = prepare(
+                &semi_join_pattern(),
+                &EvalOptions {
+                    threads,
+                    ..EvalOptions::default()
+                },
+            )
             .unwrap();
-        assert_eq!(got.len(), 20);
-        let (nodes, edges, pruned, instrs, _truncations) = profile.totals();
-        assert!(nodes > 0, "start nodes are expanded");
-        assert!(edges > 0, "edges are traversed");
-        assert!(instrs > 0, "the flat interpreter dispatched instructions");
-        // The 20 spoke->h2 bindings die at the h NodeTest instead of
-        // surviving to the join.
-        assert_eq!(pruned, 20, "totals: {:?}", profile.totals());
-        // Counters are addressed by declaration stage index: the filtered
-        // big stage is stage 0 regardless of execution order.
-        assert_eq!(profile.stages()[0].rows_pruned(), 20);
-        assert_eq!(profile.stages()[1].rows_pruned(), 0);
+            let g = double_hub();
+            let profile = ExecProfile::new(q.plan().stage_count());
+            let got = q
+                .execute_with_profile(&g, &Params::new(), &profile)
+                .unwrap();
+            assert_eq!(got.len(), 20);
+            let (nodes, edges, pruned, instrs, _truncations) = profile.totals();
+            assert!(nodes > 0, "start nodes are expanded");
+            assert!(edges > 0, "edges are traversed");
+            assert!(instrs > 0, "the flat interpreter dispatched instructions");
+            // The 20 spoke->h2 bindings die at the h NodeTest instead of
+            // surviving to the join, at every thread count.
+            assert_eq!(pruned, 20, "threads {threads}: {:?}", profile.totals());
+            // Counters are addressed by declaration stage index: the
+            // filtered big stage is stage 0 regardless of execution order.
+            assert_eq!(profile.stages()[0].rows_pruned(), 20);
+            assert_eq!(profile.stages()[1].rows_pruned(), 0);
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn baseline_rows(
 
 /// Compares the engine under one (threads, mode, isomorphism) combination
 /// — cost-chosen stage order, hash joins, semi-join pushdown, and (for
-/// `threads >= 2`) the parallel executor all in play — against the
+/// `threads >= 2`) chunked parallel stage searches all in play — against the
 /// baseline: identical acceptance and identical row sets.
 fn check_baseline_agreement(
     g: &PropertyGraph,
@@ -414,8 +414,7 @@ fn non_gpml_modes_agree_with_the_baseline() {
 /// An early stage that matches nothing drains the join before later
 /// stages run. The executor then derives an *empty* semi-join key set
 /// for the next stage — the regression guarded here is that this early
-/// exit stays clean (no panic, no rows, no publishing into finished
-/// slots) on the sequential path and every parallel path.
+/// exit stays clean (no panic, no rows) at every thread count.
 #[test]
 fn semi_join_filters_survive_early_exit_on_an_empty_stage() {
     // (x:Missing)-[e]->(m), (m)-[f]->(t): nothing is labeled Missing.
@@ -448,10 +447,9 @@ fn semi_join_filters_survive_early_exit_on_an_empty_stage() {
     }
 }
 
-/// Early exit by `max_matches` while filters are mid-publication: once
-/// the parallel sink stops merging, no further filter slots may be
-/// written, and whatever was produced (or the limit error) must match
-/// the sequential filtered run bit-for-bit.
+/// Early exit by `max_matches` on a filtered join: whatever a parallel
+/// run produces (or the limit error) must match the sequential filtered
+/// run bit-for-bit.
 #[test]
 fn semi_join_filters_respect_the_match_limit() {
     let gp = GraphPattern {
@@ -808,8 +806,67 @@ fn point_lookup_expands_one_node_at_any_scale() {
     }
 }
 
-/// The parallel executor merges stages in the one cost-chosen order the
-/// sequential executor uses (start sets included in the price), so row
+/// The `ExecProfile` totals of one run of `gp` at `threads` — nodes
+/// expanded, edges traversed, rows pruned, instructions dispatched,
+/// backtrack truncations — or `None` when the run fails. Wall time is
+/// not among them: it is the one counter allowed to vary.
+fn work_at(
+    g: &PropertyGraph,
+    gp: &GraphPattern,
+    threads: usize,
+    mode: MatchMode,
+    iso: MatchIso,
+) -> Option<(u64, u64, u64, u64, u64)> {
+    use gpml_suite::core::eval::ExecProfile;
+    use gpml_suite::core::Params;
+
+    let options = EvalOptions {
+        threads,
+        mode,
+        isomorphism: iso,
+        ..opts()
+    };
+    let q = prepare(gp, &options).ok()?;
+    let profile = ExecProfile::new(q.plan().stage_count());
+    q.execute_with_profile(g, &Params::new(), &profile).ok()?;
+    Some(profile.totals())
+}
+
+/// Parallel runs do exactly the sequential work: each stage's seeds and
+/// semi-join filters come from the complete accumulation at every thread
+/// count, and each start node's search costs the same on any worker.
+fn check_work_conservation(g: &PropertyGraph, gp: &GraphPattern, mode: MatchMode, iso: MatchIso) {
+    let Some(want) = work_at(g, gp, 1, mode, iso) else {
+        return;
+    };
+    for threads in [2usize, 4, 8] {
+        if let Some(got) = work_at(g, gp, threads, mode, iso) {
+            assert_eq!(
+                got, want,
+                "threads {threads} did different work than threads 1 on {gp} \
+                 (mode {mode:?}, iso {iso:?})"
+            );
+        }
+    }
+}
+
+/// A first stage that searches all 64 nodes and matches nothing ends
+/// the run: the second stage never starts, at any thread count, so every
+/// run does the first stage's work alone.
+#[test]
+fn parallel_early_exit_conserves_work() {
+    let gp = gpml_suite::parser::parse("MATCH (x)-[e]->(m:Missing), (m)-[f]->(t)").expect("parses");
+    for seed in 0..4u64 {
+        let g = small_mixed(seed, 64, 96);
+        let q = prepare(&gp, &opts()).unwrap();
+        assert_eq!(q.cost_report(&g).order(), [0, 1], "seed {seed}");
+        assert!(q.execute(&g).unwrap().is_empty());
+        check_work_conservation(&g, &gp, MatchMode::Gpml, MatchIso::Homomorphism);
+    }
+}
+
+/// Parallel runs merge stages in the one cost-chosen order the
+/// sequential run uses (start sets included in the price), so row
 /// *order* matches too. Small random graphs rarely produce enough rows
 /// on both sides of a join for a different merge order to show, so this
 /// sweeps denser graphs where the chosen order is not declaration order.
@@ -835,7 +892,7 @@ fn parallel_execution_keeps_the_sequential_stage_order() {
     );
 }
 
-/// `threads = 1` must stay on the sequential executor and behave exactly
+/// `threads = 1` must stay on the inline search and behave exactly
 /// like the pre-parallelism engine; `threads = 0` (auto) must agree too.
 #[test]
 fn threads_one_is_the_sequential_regression_guard() {
@@ -1014,11 +1071,10 @@ proptest! {
     }
 
     #[test]
-    fn semi_join_filtered_execution_agrees_with_baseline(
+    fn parallel_execution_conserves_work(
         seed in 0u64..500,
         p1 in chain_pattern(),
         p2 in chain_pattern(),
-        threads in proptest::sample::select(vec![1usize, 2, 4]),
         mode in proptest::sample::select(vec![
             MatchMode::Gpml,
             MatchMode::EndpointOnly,
@@ -1029,15 +1085,36 @@ proptest! {
             MatchIso::EdgeIsomorphic,
         ]),
     ) {
-        let g = small_mixed(seed, 5, 8);
+        // 40 nodes: an access-path start set of 32+ nodes is chunked.
+        let g = small_mixed(seed, 40, 48);
+        let gp = GraphPattern {
+            paths: vec![PathPatternExpr::plain(p1), PathPatternExpr::plain(p2)],
+            where_clause: None,
+        };
+        check_work_conservation(&g, &gp, mode, iso);
+    }
+
+    #[test]
+    fn parallel_three_stage_execution_conserves_work(
+        seed in 0u64..500,
+        p1 in chain_pattern(),
+        p2 in chain_pattern(),
+        p3 in chain_pattern(),
+        iso in proptest::sample::select(vec![
+            MatchIso::Homomorphism,
+            MatchIso::EdgeIsomorphic,
+        ]),
+    ) {
+        let g = small_mixed(seed, 36, 40);
         let gp = GraphPattern {
             paths: vec![
                 PathPatternExpr::plain(p1),
                 PathPatternExpr::plain(p2),
+                PathPatternExpr::plain(p3),
             ],
             where_clause: None,
         };
-        check_exact_agreement(&g, &gp, threads, mode, iso);
+        check_work_conservation(&g, &gp, MatchMode::Gpml, iso);
     }
 
     #[test]
@@ -1083,33 +1160,6 @@ proptest! {
     }
 
     #[test]
-    fn flat_interpreter_agrees_with_baseline(
-        seed in 0u64..500,
-        p1 in chain_pattern(),
-        p2 in chain_pattern(),
-        threads in proptest::sample::select(vec![1usize, 2, 4]),
-        mode in proptest::sample::select(vec![
-            MatchMode::Gpml,
-            MatchMode::EndpointOnly,
-            MatchMode::GsqlDefault,
-        ]),
-        iso in proptest::sample::select(vec![
-            MatchIso::Homomorphism,
-            MatchIso::EdgeIsomorphic,
-        ]),
-    ) {
-        let g = small_mixed(seed, 5, 8);
-        let gp = GraphPattern {
-            paths: vec![
-                PathPatternExpr::plain(p1),
-                PathPatternExpr::plain(p2),
-            ],
-            where_clause: None,
-        };
-        check_exact_agreement(&g, &gp, threads, mode, iso);
-    }
-
-    #[test]
     fn flat_interpreter_quantified_agrees_with_baseline(
         seed in 0u64..500,
         (restrictor, selector, pattern) in quantified_pattern(),
@@ -1145,5 +1195,39 @@ proptest! {
             )),
         ]);
         check_agreement(&g, &GraphPattern::single(pattern));
+    }
+}
+
+// The agreement suite's widest case runs at twice the block above: the
+// vendored proptest seeds each test by its name, so one test at 192 cases
+// covers as many distinct inputs as two same-bodied tests at 96.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn semi_join_filtered_execution_agrees_with_baseline(
+        seed in 0u64..500,
+        p1 in chain_pattern(),
+        p2 in chain_pattern(),
+        threads in proptest::sample::select(vec![1usize, 2, 4]),
+        mode in proptest::sample::select(vec![
+            MatchMode::Gpml,
+            MatchMode::EndpointOnly,
+            MatchMode::GsqlDefault,
+        ]),
+        iso in proptest::sample::select(vec![
+            MatchIso::Homomorphism,
+            MatchIso::EdgeIsomorphic,
+        ]),
+    ) {
+        let g = small_mixed(seed, 5, 8);
+        let gp = GraphPattern {
+            paths: vec![
+                PathPatternExpr::plain(p1),
+                PathPatternExpr::plain(p2),
+            ],
+            where_clause: None,
+        };
+        check_exact_agreement(&g, &gp, threads, mode, iso);
     }
 }
