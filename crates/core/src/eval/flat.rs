@@ -1,13 +1,12 @@
-//! The flat edge-centric plan IR and its trail-backtracking interpreter.
+//! The flat edge-centric plan IR, its compiler, and its
+//! trail-backtracking interpreter.
 //!
-//! Walking the compiled NFA directly would chase `Vec<StateData>` →
-//! `Vec<EpsTrans>` indirections and clone the whole run state per
-//! ε-transition. This module lowers that NFA into a [`FlatProgram`] — one contiguous
-//! `Vec<Instr>` where *transitions are primary and states are implicit*:
-//! each instruction carries its opcode, operand table index, and target
-//! program counter inline, and a state survives only as the PC of its
-//! first instruction. The inner matching loop becomes a linear walk over
-//! contiguous memory.
+//! A normalized path pattern compiles by Thompson construction straight
+//! into a [`FlatProgram`] — one contiguous `Vec<Instr>` where *transitions
+//! are primary and states are implicit*: each instruction carries its
+//! opcode, operand table index, and target program counter inline, and a
+//! state survives only as the PC of its first instruction, and the inner
+//! matching loop is a linear walk over contiguous memory.
 //!
 //! # Watermark backtracking
 //!
@@ -18,8 +17,8 @@
 //! since that configuration was current — and then applies the popped
 //! instruction in place. The restored state is byte-identical to the
 //! state a clone-per-transition walk would hold at that point, so the
-//! search takes exactly the NFA's transitions; the agreement test-suite
-//! checks its results against the §6 spec-literal engine in
+//! search takes exactly the program's transitions; the agreement
+//! test-suite checks its results against the §6 spec-literal engine in
 //! [`crate::baseline`].
 
 use std::cell::{Cell, RefCell};
@@ -28,22 +27,22 @@ use std::fmt;
 
 use property_graph::{NodeId, Path, PropertyGraph};
 
-use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Restrictor};
+use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Quantifier, Restrictor};
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
-use crate::eval::nfa::{
-    self, Action, BindSite, Frame, Loop, MergeEffect, Nfa, ParenMeta, PruneMode, QuantMeta,
-    RunState, Scope, SemiJoinFilters,
+use crate::eval::search::{
+    self, BindSite, Frame, Loop, MergeEffect, PruneMode, RunState, Scope, SemiJoinFilters,
 };
 use crate::eval::{EvalOptions, StageCounters};
+use crate::normalize::is_anonymous;
 use crate::params::Params;
 
 // ---------------------------------------------------------------------------
 // Instruction set
 // ---------------------------------------------------------------------------
 
-/// Flat-program opcodes: the nine ε-actions of the NFA, plus `Consume`
-/// (a graph step under an edge pattern) and `Halt` (a dead state).
+/// Flat-program opcodes: nine ε-actions, plus `Consume` (a graph step
+/// under an edge pattern) and `Halt` (a state with no transitions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum Op {
@@ -109,12 +108,32 @@ pub(crate) struct Instr {
 // The program
 // ---------------------------------------------------------------------------
 
+/// Quantifier operand: the loop bounds and what an iteration exposes.
+#[derive(Clone, Debug)]
+pub(crate) struct QuantMeta {
+    pub(crate) min: u32,
+    pub(crate) max: Option<u32>,
+    /// True for `?`: variables inside are exposed as conditional
+    /// singletons instead of group variables (§4.6).
+    pub(crate) expose_conditional: bool,
+    /// All named variables declared in the body (with their kinds), used
+    /// to bind empty groups when the quantifier iterates zero times.
+    pub(crate) body_vars: Vec<(String, bool /*is_edge*/)>,
+}
+
+/// Parenthesized-scope operand: its restrictor and `WHERE` prefilter.
+#[derive(Clone, Debug)]
+pub(crate) struct ParenMeta {
+    pub(crate) restrictor: Option<Restrictor>,
+    pub(crate) predicate: Option<Expr>,
+}
+
 /// A compiled path stage in flat edge-centric form: one contiguous
 /// instruction array plus its operand tables. States exist only as
 /// program counters (the first instruction of each state's block).
 ///
-/// Produced by lowering the compiled NFA at prepare time and executed
-/// by the flat interpreter.
+/// Compiled from a normalized path pattern at prepare time
+/// ([`FlatProgram::compile`]) and executed by the flat interpreter.
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
     instrs: Vec<Instr>,
@@ -127,70 +146,17 @@ pub struct FlatProgram {
 }
 
 impl FlatProgram {
-    /// Lowers a compiled NFA into flat form. Each state becomes a block
-    /// of instructions — its ε-transitions in order, then its consuming
-    /// transitions in order (a `Halt` for states with neither) — with the
-    /// block's last instruction flagged as the scan terminator.
-    pub(crate) fn from_nfa(nfa: &Nfa) -> FlatProgram {
-        let mut block_start = Vec::with_capacity(nfa.states.len());
-        let mut next = 0u32;
-        for s in &nfa.states {
-            block_start.push(next);
-            next += (s.eps.len() + s.edges.len()).max(1) as u32;
-        }
-        let mut instrs = Vec::with_capacity(next as usize);
-        for s in &nfa.states {
-            let begin = instrs.len();
-            for t in &s.eps {
-                let (op, arg) = match t.action {
-                    Action::None => (Op::Jump, 0),
-                    Action::NodeTest(i) => (Op::NodeTest, i as u32),
-                    Action::OpenParen(i) => (Op::OpenParen, i as u32),
-                    Action::CloseParen(i) => (Op::CloseParen, i as u32),
-                    Action::EnterQuant(i) => (Op::EnterQuant, i as u32),
-                    Action::IterStart(i) => (Op::IterStart, i as u32),
-                    Action::IterEnd(i) => (Op::IterEnd, i as u32),
-                    Action::ExitQuant(i) => (Op::ExitQuant, i as u32),
-                    Action::AltMark(i) => (Op::AltMark, i),
-                };
-                instrs.push(Instr {
-                    op,
-                    last: false,
-                    arg,
-                    target: block_start[t.to],
-                });
-            }
-            for &(target, ep_idx) in &s.edges {
-                instrs.push(Instr {
-                    op: Op::Consume,
-                    last: false,
-                    arg: ep_idx as u32,
-                    target: block_start[target],
-                });
-            }
-            if instrs.len() == begin {
-                instrs.push(Instr {
-                    op: Op::Halt,
-                    last: false,
-                    arg: 0,
-                    target: 0,
-                });
-            }
-            instrs.last_mut().expect("block is non-empty").last = true;
-        }
-        FlatProgram {
-            instrs,
-            start: block_start[nfa.start],
-            accept: block_start[nfa.accept],
-            node_pats: nfa.node_pats.clone(),
-            edge_pats: nfa.edge_pats.clone(),
-            quants: nfa.quants.clone(),
-            parens: nfa.parens.clone(),
-        }
+    /// Compiles a normalized path pattern by Thompson construction,
+    /// straight into flat form: each fragment's states are instruction
+    /// blocks, and [`Lowering::layout`] lays them out contiguously.
+    pub(crate) fn compile(pattern: &PathPattern) -> FlatProgram {
+        let mut lowering = Lowering::default();
+        let (start, accept) = lowering.fragment(pattern);
+        lowering.layout(start, accept)
     }
 
     /// Number of instructions in the program (the plan-introspection
-    /// metric, replacing compiler-internal NFA state counts).
+    /// metric).
     pub fn instr_count(&self) -> usize {
         self.instrs.len()
     }
@@ -209,6 +175,194 @@ impl FlatProgram {
             self.edge_pats.len(),
             self.quants.len(),
         )
+    }
+}
+
+/// Thompson construction into instruction blocks, one per automaton
+/// state. A block holds the state's outgoing transitions in order; while
+/// building, an instruction's `target` is its successor's block id. The
+/// operand tables fill as fragments are lowered.
+#[derive(Default)]
+struct Lowering {
+    blocks: Vec<Vec<Instr>>,
+    node_pats: Vec<NodePattern>,
+    edge_pats: Vec<EdgePattern>,
+    quants: Vec<QuantMeta>,
+    parens: Vec<ParenMeta>,
+}
+
+impl Lowering {
+    fn block(&mut self) -> u32 {
+        self.blocks.push(Vec::new());
+        (self.blocks.len() - 1) as u32
+    }
+
+    fn emit(&mut self, from: u32, op: Op, arg: usize, to: u32) {
+        let ins = Instr {
+            op,
+            last: false,
+            arg: arg as u32,
+            target: to,
+        };
+        self.blocks[from as usize].push(ins);
+    }
+
+    /// Lowers `p`, returning the fragment's `(entry, exit)` blocks.
+    fn fragment(&mut self, p: &PathPattern) -> (u32, u32) {
+        match p {
+            PathPattern::Node(n) => {
+                let (s, e) = (self.block(), self.block());
+                self.node_pats.push(n.clone());
+                self.emit(s, Op::NodeTest, self.node_pats.len() - 1, e);
+                (s, e)
+            }
+            PathPattern::Edge(ep) => {
+                let (s, e) = (self.block(), self.block());
+                self.edge_pats.push(ep.clone());
+                self.emit(s, Op::Consume, self.edge_pats.len() - 1, e);
+                (s, e)
+            }
+            PathPattern::Concat(parts) => {
+                let s = self.block();
+                let mut cur = s;
+                for part in parts {
+                    let (ps, pe) = self.fragment(part);
+                    self.emit(cur, Op::Jump, 0, ps);
+                    cur = pe;
+                }
+                (s, cur)
+            }
+            PathPattern::Paren {
+                restrictor,
+                inner,
+                predicate,
+            } => {
+                self.parens.push(ParenMeta {
+                    restrictor: *restrictor,
+                    predicate: predicate.clone(),
+                });
+                let id = self.parens.len() - 1;
+                let (is, ie) = self.fragment(inner);
+                let (s, e) = (self.block(), self.block());
+                self.emit(s, Op::OpenParen, id, is);
+                self.emit(ie, Op::CloseParen, id, e);
+                (s, e)
+            }
+            PathPattern::Quantified { inner, quantifier } => {
+                self.quantifier(inner, *quantifier, false)
+            }
+            PathPattern::Questioned(inner) => {
+                self.quantifier(inner, Quantifier::range(0, Some(1)), true)
+            }
+            PathPattern::Union(branches) | PathPattern::Alternation(branches) => {
+                // `|+|` marks which branch was taken; `|` does not.
+                let marked = matches!(p, PathPattern::Alternation(_));
+                let (s, e) = (self.block(), self.block());
+                for (i, b) in branches.iter().enumerate() {
+                    let (bs, be) = self.fragment(b);
+                    let (op, arg) = if marked {
+                        (Op::AltMark, i)
+                    } else {
+                        (Op::Jump, 0)
+                    };
+                    self.emit(s, op, arg, bs);
+                    self.emit(be, Op::Jump, 0, e);
+                }
+                (s, e)
+            }
+        }
+    }
+
+    /// A quantifier loop: `enter` to a head block that either starts an
+    /// iteration of `body` (which ends back at the head) or exits.
+    fn quantifier(
+        &mut self,
+        body: &PathPattern,
+        q: Quantifier,
+        expose_conditional: bool,
+    ) -> (u32, u32) {
+        let mut body_vars = Vec::new();
+        collect_vars(body, &mut body_vars);
+        self.quants.push(QuantMeta {
+            min: q.min,
+            max: q.max,
+            expose_conditional,
+            body_vars,
+        });
+        let id = self.quants.len() - 1;
+        let (s, head, e) = (self.block(), self.block(), self.block());
+        self.emit(s, Op::EnterQuant, id, head);
+        let (bs, be) = self.fragment(body);
+        self.emit(head, Op::IterStart, id, bs);
+        self.emit(be, Op::IterEnd, id, head);
+        self.emit(head, Op::ExitQuant, id, e);
+        (s, e)
+    }
+
+    /// Lays the blocks out in creation order: assigns each its PC, gives
+    /// an empty block (a state with no transitions) a `Halt`, flags each
+    /// block's last instruction and rewrites block-id targets to PCs.
+    fn layout(self, start: u32, accept: u32) -> FlatProgram {
+        let mut pcs = Vec::with_capacity(self.blocks.len());
+        let mut next = 0u32;
+        for b in &self.blocks {
+            pcs.push(next);
+            next += b.len().max(1) as u32;
+        }
+        let mut instrs = Vec::with_capacity(next as usize);
+        for block in self.blocks {
+            let n = block.len();
+            instrs.extend(block.into_iter().enumerate().map(|(i, ins)| Instr {
+                last: i + 1 == n,
+                target: pcs[ins.target as usize],
+                ..ins
+            }));
+            if n == 0 {
+                let halt = Instr {
+                    op: Op::Halt,
+                    last: true,
+                    arg: 0,
+                    target: 0,
+                };
+                instrs.push(halt);
+            }
+        }
+        FlatProgram {
+            instrs,
+            start: pcs[start as usize],
+            accept: pcs[accept as usize],
+            node_pats: self.node_pats,
+            edge_pats: self.edge_pats,
+            quants: self.quants,
+            parens: self.parens,
+        }
+    }
+}
+
+/// Collects all named (non-anonymous) variables in a pattern subtree.
+pub(crate) fn collect_vars(p: &PathPattern, out: &mut Vec<(String, bool)>) {
+    match p {
+        PathPattern::Node(n) => {
+            if let Some(v) = &n.var {
+                if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
+                    out.push((v.clone(), false));
+                }
+            }
+        }
+        PathPattern::Edge(e) => {
+            if let Some(v) = &e.var {
+                if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
+                    out.push((v.clone(), true));
+                }
+            }
+        }
+        PathPattern::Concat(parts) => parts.iter().for_each(|x| collect_vars(x, out)),
+        PathPattern::Paren { inner, .. } => collect_vars(inner, out),
+        PathPattern::Quantified { inner, .. } => collect_vars(inner, out),
+        PathPattern::Questioned(inner) => collect_vars(inner, out),
+        PathPattern::Union(bs) | PathPattern::Alternation(bs) => {
+            bs.iter().for_each(|x| collect_vars(x, out))
+        }
     }
 }
 
@@ -423,8 +577,8 @@ fn undo_to(work: &mut RunState, trail: &mut Vec<Undo>, mark: usize) {
 // ---------------------------------------------------------------------------
 
 /// The flat-program interpreter: the one executor of path stages. Step
-/// and accept decisions come from [`nfa::try_step`] and
-/// [`nfa::finalize`]; the ε-closure and frontier are its own.
+/// and accept decisions come from [`search::try_step`] and
+/// [`search::finalize`]; the ε-closure and frontier are its own.
 pub(crate) struct FlatMatcher<'a> {
     graph: &'a PropertyGraph,
     prog: &'a FlatProgram,
@@ -455,7 +609,7 @@ impl<'a> FlatMatcher<'a> {
         opts: &'a EvalOptions,
         params: &'a Params,
     ) -> FlatMatcher<'a> {
-        let static_cap = nfa::static_edge_bound(pattern, graph, path_restrictor);
+        let static_cap = search::static_edge_bound(pattern, graph, path_restrictor);
         let max_edges = static_cap.min(opts.max_path_length);
         FlatMatcher {
             graph,
@@ -548,7 +702,7 @@ impl<'a> FlatMatcher<'a> {
                     let cur = state.current();
                     for step in self.graph.steps(cur) {
                         self.edges_traversed.set(self.edges_traversed.get() + 1);
-                        if let Some(next) = nfa::try_step(
+                        if let Some(next) = search::try_step(
                             self.graph,
                             self.params,
                             &state,
@@ -626,7 +780,7 @@ impl<'a> FlatMatcher<'a> {
             return Ok(());
         }
         if work.at == self.prog.accept as usize {
-            if let Some(b) = nfa::finalize(self.graph, self.params, work) {
+            if let Some(b) = search::finalize(self.graph, self.params, work) {
                 results.push(b);
             }
         }
@@ -764,7 +918,7 @@ impl<'a> FlatMatcher<'a> {
                 trail.push(Undo::FramePopped(frame.clone()));
                 let progressed = work.path.len() > frame.edges_at_start;
                 for (var, val) in frame.locals {
-                    let (effect, ok) = nfa::merge_binding(work, &var, val, q.expose_conditional);
+                    let (effect, ok) = search::merge_binding(work, &var, val, q.expose_conditional);
                     match effect {
                         MergeEffect::None => {}
                         MergeEffect::Inserted { global } => {
@@ -832,14 +986,14 @@ impl<'a> FlatMatcher<'a> {
     /// Prefilter evaluation with trail bookkeeping for a deferral.
     fn prefilter(&self, work: &mut RunState, trail: &mut Vec<Undo>, pred: &Expr) -> bool {
         let before = work.deferred.len();
-        let ok = nfa::check_prefilter(self.graph, self.params, work, pred);
+        let ok = search::check_prefilter(self.graph, self.params, work, pred);
         if work.deferred.len() > before {
             trail.push(Undo::Deferred);
         }
         ok
     }
 
-    /// Frontier admission: dominance pruning (see [`nfa`]'s module docs)
+    /// Frontier admission: dominance pruning (see [`search`]'s module docs)
     /// and the frontier limit, over structural keys.
     fn enqueue(
         &self,
@@ -907,7 +1061,7 @@ impl<'a> FlatMatcher<'a> {
     }
 
     /// The dominance-pruning key: everything except group accumulations
-    /// and the walk body (see [`nfa`]'s module docs).
+    /// and the walk body (see [`search`]'s module docs).
     ///
     /// Loop counters are capped: past `min` (for unbounded quantifiers) or
     /// `max` (for bounded ones) further iterations do not change what the
@@ -954,57 +1108,105 @@ impl<'a> FlatMatcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Direction, GraphPattern, LabelExpr, Quantifier};
-    use crate::eval::nfa::compile;
+    use crate::ast::{Direction, GraphPattern, LabelExpr};
     use crate::normalize::normalize;
 
     fn program_for(pattern: PathPattern) -> FlatProgram {
         let normalized = normalize(&GraphPattern::single(pattern));
-        FlatProgram::from_nfa(&compile(&normalized.paths[0].pattern))
+        FlatProgram::compile(&normalized.paths[0].pattern)
     }
 
-    fn sample_pattern() -> PathPattern {
-        // (x:Account WHERE x.owner = 'Ada') (-[t:Transfer]-> (y)){1,3}
-        PathPattern::Concat(vec![
+    /// Patterns that together emit every opcode.
+    fn golden_patterns() -> [PathPattern; 3] {
+        // (x:Account WHERE x.owner = 'Ada')
+        //   [TRAIL ()-[t:Transfer]->() WHERE t.amount > 5]?
+        let trail = PathPattern::Paren {
+            restrictor: Some(Restrictor::Trail),
+            inner: Box::new(PathPattern::concat(vec![
+                PathPattern::Node(NodePattern::any()),
+                PathPattern::Edge(
+                    EdgePattern::any(Direction::Right)
+                        .with_var("t")
+                        .with_label(LabelExpr::label("Transfer")),
+                ),
+                PathPattern::Node(NodePattern::any()),
+            ])),
+            predicate: Some(Expr::cmp(
+                crate::ast::CmpOp::Gt,
+                Expr::prop("t", "amount"),
+                Expr::lit(5),
+            )),
+        };
+        let optional = PathPattern::concat(vec![
             PathPattern::Node(
                 NodePattern::var("x")
                     .with_label(LabelExpr::label("Account"))
                     .with_predicate(Expr::prop("x", "owner").eq(Expr::lit("Ada"))),
             ),
-            PathPattern::Quantified {
-                inner: Box::new(PathPattern::Concat(vec![
-                    PathPattern::Edge(
-                        EdgePattern::any(Direction::Right)
-                            .with_var("t")
-                            .with_label(LabelExpr::label("Transfer")),
-                    ),
-                    PathPattern::Node(NodePattern::var("y")),
-                ])),
-                quantifier: Quantifier {
-                    min: 1,
-                    max: Some(3),
-                },
-            },
-        ])
+            PathPattern::Questioned(Box::new(trail)),
+        ]);
+        let labeled =
+            |l: &str| PathPattern::Node(NodePattern::var("x").with_label(LabelExpr::label(l)));
+        [
+            optional,
+            // (x:N) | (x:M)
+            PathPattern::Union(vec![labeled("N"), labeled("M")]),
+            // (x:N) |+| (x:M)
+            PathPattern::Alternation(vec![labeled("N"), labeled("M")]),
+        ]
     }
 
+    /// The full program layout — block order, PCs, targets, block-end
+    /// flags, start and accept. Search order follows the layout, so a
+    /// change here changes row order and `instrs_dispatched`.
     #[test]
-    fn lowering_emits_one_block_per_state() {
-        let prog = program_for(sample_pattern());
-        assert!(prog.instr_count() > 0);
-        // Every block is terminated and every target is a valid pc.
-        assert!(prog.instrs.last().expect("non-empty").last);
-        for ins in &prog.instrs {
-            assert!((ins.target as usize) < prog.instrs.len());
+    fn lowering_layout_is_pinned() {
+        let expected: [&[&str]; 3] = [
+            &[
+                "flat program: 16 instrs, start=0, accept=6",
+                "    0: jmp                                     ->    1  |",
+                "    1: ntest  n0 ((x:Account WHERE x.owner='Ada')) ->    2  |",
+                "    2: jmp                                     ->    3  |",
+                "    3: enter  q0 {0,1}                         ->    4  |",
+                "    4: iter   q0 {0,1}                         ->   14",
+                "    5: exit   q0 {0,1}                         ->    6  |",
+                "    6: halt                                    ->    0  |",
+                "    7: jmp                                     ->    8  |",
+                "    8: ntest  n1 ((□1))                        ->    9  |",
+                "    9: jmp                                     ->   10  |",
+                "   10: step   e0 (-[t:Transfer]->)             ->   11  |",
+                "   11: jmp                                     ->   12  |",
+                "   12: ntest  n2 ((□2))                        ->   13  |",
+                "   13: close  p0 (TRAIL)                       ->   15  |",
+                "   14: open   p0 (TRAIL)                       ->    7  |",
+                "   15: endit  q0 {0,1}                         ->    4  |",
+            ],
+            &[
+                "flat program: 7 instrs, start=0, accept=2",
+                "    0: jmp                                     ->    3",
+                "    1: jmp                                     ->    5  |",
+                "    2: halt                                    ->    0  |",
+                "    3: ntest  n0 ((x:N))                       ->    4  |",
+                "    4: jmp                                     ->    2  |",
+                "    5: ntest  n1 ((x:M))                       ->    6  |",
+                "    6: jmp                                     ->    2  |",
+            ],
+            &[
+                "flat program: 7 instrs, start=0, accept=2",
+                "    0: alt    #0                               ->    3",
+                "    1: alt    #1                               ->    5  |",
+                "    2: halt                                    ->    0  |",
+                "    3: ntest  n0 ((x:N))                       ->    4  |",
+                "    4: jmp                                     ->    2  |",
+                "    5: ntest  n1 ((x:M))                       ->    6  |",
+                "    6: jmp                                     ->    2  |",
+            ],
+        ];
+        let progs = golden_patterns().map(program_for);
+        let ends: Vec<_> = progs.iter().map(|p| (p.start, p.accept)).collect();
+        assert_eq!(ends, [(0, 6), (0, 2), (0, 2)]);
+        for (prog, lines) in progs.iter().zip(expected) {
+            assert_eq!(prog.to_string().lines().collect::<Vec<_>>(), lines);
         }
-    }
-
-    #[test]
-    fn disassembly_names_opcodes_and_tests() {
-        let prog = program_for(sample_pattern());
-        let dis = prog.to_string();
-        assert!(dis.contains("ntest"), "disassembly: {dis}");
-        assert!(dis.contains("step"), "disassembly: {dis}");
-        assert!(dis.contains("Transfer"), "disassembly: {dis}");
     }
 }

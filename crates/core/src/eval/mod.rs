@@ -21,8 +21,8 @@
 
 pub(crate) mod filter;
 pub mod flat;
-pub(crate) mod nfa;
 pub(crate) mod pool;
+pub(crate) mod search;
 pub(crate) mod selector;
 
 use std::cell::RefCell;

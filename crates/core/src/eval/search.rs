@@ -1,13 +1,11 @@
-//! The NFA a path pattern compiles to, and the search semantics every
-//! step of its execution shares.
+//! The search semantics every step of a path-stage search shares.
 //!
-//! A normalized path pattern is compiled into a small NFA whose ε-moves
-//! carry *actions* (test a node pattern, open/close a parenthesized scope,
-//! enter/exit a quantifier iteration, record an alternation branch) and
-//! whose consuming moves traverse one graph edge under an edge pattern.
-//! The NFA is never walked directly: [`super::flat`] lowers it into a flat
-//! instruction array and interprets that. What lives here is everything
-//! the lowering and the interpreter share:
+//! A normalized path pattern compiles to a [`super::flat::FlatProgram`]
+//! whose ε-instructions carry the bookkeeping (test a node pattern,
+//! open/close a parenthesized scope, enter/exit a quantifier iteration,
+//! record an alternation branch) and whose `step` instructions traverse
+//! one graph edge under an edge pattern. The flat interpreter owns the
+//! ε-closure and the frontier; what lives here is the rest:
 //!
 //! * the run state of one search branch ([`RunState`]) and its binding
 //!   discipline (implicit equi-joins, group accumulation at `IterEnd`);
@@ -32,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use property_graph::{NodeId, Path, PropertyGraph, Step};
 
-use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Quantifier, Restrictor};
+use crate::ast::{EdgePattern, Expr, PathPattern, Restrictor};
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::filter;
@@ -45,253 +43,6 @@ use crate::params::Params;
 /// binds a filtered variable to a node outside its set can never join
 /// and is cut immediately.
 pub(crate) type SemiJoinFilters = BTreeMap<String, BTreeSet<NodeId>>;
-
-// ---------------------------------------------------------------------------
-// NFA representation
-// ---------------------------------------------------------------------------
-
-/// ε-transition actions.
-#[derive(Clone, Debug)]
-pub(crate) enum Action {
-    /// Plain ε.
-    None,
-    /// Test the current node against a node pattern; bind its variable.
-    NodeTest(usize),
-    /// Begin a parenthesized scope (restrictor bookkeeping).
-    OpenParen(usize),
-    /// End a parenthesized scope; evaluate its `WHERE` prefilter.
-    CloseParen(usize),
-    /// Enter a quantifier (push a loop counter).
-    EnterQuant(usize),
-    /// Begin one iteration (push a variable frame). Guarded by `count < max`.
-    IterStart(usize),
-    /// End one iteration (merge the frame into groups, bump the counter).
-    IterEnd(usize),
-    /// Leave the quantifier. Guarded by `count >= min`.
-    ExitQuant(usize),
-    /// Record which `|+|` branch was taken (multiset provenance, §4.5).
-    AltMark(u32),
-}
-
-#[derive(Clone, Debug)]
-pub(crate) struct EpsTrans {
-    pub(crate) to: usize,
-    pub(crate) action: Action,
-}
-
-#[derive(Clone, Debug, Default)]
-pub(crate) struct StateData {
-    pub(crate) eps: Vec<EpsTrans>,
-    /// Consuming transitions: `(target state, edge-pattern index)`.
-    pub(crate) edges: Vec<(usize, usize)>,
-}
-
-#[derive(Clone, Debug)]
-pub(crate) struct QuantMeta {
-    pub(crate) min: u32,
-    pub(crate) max: Option<u32>,
-    /// True for `?`: variables inside are exposed as conditional
-    /// singletons instead of group variables (§4.6).
-    pub(crate) expose_conditional: bool,
-    /// All named variables declared in the body (with their kinds), used
-    /// to bind empty groups when the quantifier iterates zero times.
-    pub(crate) body_vars: Vec<(String, bool /*is_edge*/)>,
-}
-
-#[derive(Clone, Debug)]
-pub(crate) struct ParenMeta {
-    pub(crate) restrictor: Option<Restrictor>,
-    pub(crate) predicate: Option<Expr>,
-}
-
-/// A compiled path pattern.
-#[derive(Clone, Debug)]
-pub(crate) struct Nfa {
-    pub(crate) states: Vec<StateData>,
-    pub(crate) start: usize,
-    pub(crate) accept: usize,
-    pub(crate) node_pats: Vec<NodePattern>,
-    pub(crate) edge_pats: Vec<EdgePattern>,
-    pub(crate) quants: Vec<QuantMeta>,
-    pub(crate) parens: Vec<ParenMeta>,
-    /// True when some unbounded quantifier is not inside any restrictor
-    /// scope — the case that needs selector-driven dominance pruning.
-    pub(crate) has_unrestricted_unbounded: bool,
-}
-
-struct Compiler {
-    nfa: Nfa,
-}
-
-impl Compiler {
-    fn new() -> Compiler {
-        Compiler {
-            nfa: Nfa {
-                states: Vec::new(),
-                start: 0,
-                accept: 0,
-                node_pats: Vec::new(),
-                edge_pats: Vec::new(),
-                quants: Vec::new(),
-                parens: Vec::new(),
-                has_unrestricted_unbounded: false,
-            },
-        }
-    }
-
-    fn state(&mut self) -> usize {
-        self.nfa.states.push(StateData::default());
-        self.nfa.states.len() - 1
-    }
-
-    fn eps(&mut self, from: usize, to: usize, action: Action) {
-        self.nfa.states[from].eps.push(EpsTrans { to, action });
-    }
-
-    /// Compiles `p`, returning the fragment's `(entry, exit)` states.
-    /// `restricted` is true while a restrictor scope encloses the fragment.
-    fn compile(&mut self, p: &PathPattern, restricted: bool) -> (usize, usize) {
-        match p {
-            PathPattern::Node(n) => {
-                let s = self.state();
-                let e = self.state();
-                self.nfa.node_pats.push(n.clone());
-                let idx = self.nfa.node_pats.len() - 1;
-                self.eps(s, e, Action::NodeTest(idx));
-                (s, e)
-            }
-            PathPattern::Edge(ep) => {
-                let s = self.state();
-                let e = self.state();
-                self.nfa.edge_pats.push(ep.clone());
-                let idx = self.nfa.edge_pats.len() - 1;
-                self.nfa.states[s].edges.push((e, idx));
-                (s, e)
-            }
-            PathPattern::Concat(parts) => {
-                let s = self.state();
-                let mut cur = s;
-                for part in parts {
-                    let (ps, pe) = self.compile(part, restricted);
-                    self.eps(cur, ps, Action::None);
-                    cur = pe;
-                }
-                (s, cur)
-            }
-            PathPattern::Paren {
-                restrictor,
-                inner,
-                predicate,
-            } => {
-                self.nfa.parens.push(ParenMeta {
-                    restrictor: *restrictor,
-                    predicate: predicate.clone(),
-                });
-                let id = self.nfa.parens.len() - 1;
-                let inner_restricted = restricted || restrictor.is_some();
-                let (is, ie) = self.compile(inner, inner_restricted);
-                let s = self.state();
-                let e = self.state();
-                self.eps(s, is, Action::OpenParen(id));
-                self.eps(ie, e, Action::CloseParen(id));
-                (s, e)
-            }
-            PathPattern::Quantified { inner, quantifier } => {
-                self.compile_loop(inner, *quantifier, false, restricted)
-            }
-            PathPattern::Questioned(inner) => {
-                self.compile_loop(inner, Quantifier::range(0, Some(1)), true, restricted)
-            }
-            PathPattern::Union(branches) => {
-                let s = self.state();
-                let e = self.state();
-                for b in branches {
-                    let (bs, be) = self.compile(b, restricted);
-                    self.eps(s, bs, Action::None);
-                    self.eps(be, e, Action::None);
-                }
-                (s, e)
-            }
-            PathPattern::Alternation(branches) => {
-                let s = self.state();
-                let e = self.state();
-                for (i, b) in branches.iter().enumerate() {
-                    let (bs, be) = self.compile(b, restricted);
-                    self.eps(s, bs, Action::AltMark(i as u32));
-                    self.eps(be, e, Action::None);
-                }
-                (s, e)
-            }
-        }
-    }
-
-    fn compile_loop(
-        &mut self,
-        body: &PathPattern,
-        q: Quantifier,
-        expose_conditional: bool,
-        restricted: bool,
-    ) -> (usize, usize) {
-        let mut body_vars = Vec::new();
-        collect_vars(body, &mut body_vars);
-        self.nfa.quants.push(QuantMeta {
-            min: q.min,
-            max: q.max,
-            expose_conditional,
-            body_vars,
-        });
-        let id = self.nfa.quants.len() - 1;
-        if q.is_unbounded() && !restricted {
-            self.nfa.has_unrestricted_unbounded = true;
-        }
-
-        let s = self.state();
-        let head = self.state();
-        let e = self.state();
-        self.eps(s, head, Action::EnterQuant(id));
-        let (bs, be) = self.compile(body, restricted);
-        self.eps(head, bs, Action::IterStart(id));
-        self.eps(be, head, Action::IterEnd(id));
-        self.eps(head, e, Action::ExitQuant(id));
-        (s, e)
-    }
-}
-
-/// Collects all named (non-anonymous) variables in a pattern subtree.
-pub(crate) fn collect_vars(p: &PathPattern, out: &mut Vec<(String, bool)>) {
-    match p {
-        PathPattern::Node(n) => {
-            if let Some(v) = &n.var {
-                if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
-                    out.push((v.clone(), false));
-                }
-            }
-        }
-        PathPattern::Edge(e) => {
-            if let Some(v) = &e.var {
-                if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
-                    out.push((v.clone(), true));
-                }
-            }
-        }
-        PathPattern::Concat(parts) => parts.iter().for_each(|x| collect_vars(x, out)),
-        PathPattern::Paren { inner, .. } => collect_vars(inner, out),
-        PathPattern::Quantified { inner, .. } => collect_vars(inner, out),
-        PathPattern::Questioned(inner) => collect_vars(inner, out),
-        PathPattern::Union(bs) | PathPattern::Alternation(bs) => {
-            bs.iter().for_each(|x| collect_vars(x, out))
-        }
-    }
-}
-
-/// Compiles a normalized path pattern.
-pub(crate) fn compile(pattern: &PathPattern) -> Nfa {
-    let mut c = Compiler::new();
-    let (s, e) = c.compile(pattern, false);
-    c.nfa.start = s;
-    c.nfa.accept = e;
-    c.nfa
-}
 
 // ---------------------------------------------------------------------------
 // Runtime state
@@ -454,15 +205,17 @@ pub(crate) enum PruneMode {
     ShortestGroups(usize),
 }
 
-/// Decides — graph-independently, so it can run at prepare time — how the
-/// search over `nfa` must prune, rejecting patterns whose unbounded
+/// Decides — graph-independently, so it can run at prepare time — how a
+/// stage's search must prune, rejecting patterns whose unbounded
 /// quantifiers are covered by neither a restrictor nor a selector (§5).
+/// `unrestricted_unbounded` says whether the pattern has an unbounded
+/// quantifier outside every restrictor paren (`plan::has_unbounded`).
 pub(crate) fn resolve_prune(
-    nfa: &Nfa,
+    unrestricted_unbounded: bool,
     path_restrictor: Option<Restrictor>,
     selector_groups: Option<usize>,
 ) -> Result<PruneMode> {
-    if nfa.has_unrestricted_unbounded && path_restrictor.is_none() {
+    if unrestricted_unbounded && path_restrictor.is_none() {
         match selector_groups {
             Some(k) => Ok(PruneMode::ShortestGroups(k)),
             None => Err(Error::UnboundedQuantifier {
@@ -731,14 +484,15 @@ fn restrictor_bound(r: Restrictor, graph: &PropertyGraph) -> usize {
 mod tests {
     use super::*;
     use crate::analysis::analyze;
-    use crate::ast::{Direction, GraphPattern, LabelExpr};
+    use crate::ast::{Direction, GraphPattern, LabelExpr, NodePattern, Quantifier};
     use crate::eval::flat::{FlatMatcher, FlatProgram};
     use crate::eval::EvalOptions;
     use crate::normalize::normalize;
+    use crate::plan::has_unbounded;
     use property_graph::{EdgeId, Endpoints, Value};
 
-    /// Compiles `pattern`, lowers it, and runs the flat interpreter from
-    /// every node — the raw search, before reduce/dedup/select.
+    /// Compiles `pattern` and runs the flat interpreter from every node —
+    /// the raw search, before reduce/dedup/select.
     fn run(
         graph: &PropertyGraph,
         pattern: PathPattern,
@@ -760,9 +514,8 @@ mod tests {
         analyze(&normalized).unwrap();
         let opts = EvalOptions::default();
         let pattern = &normalized.paths[0].pattern;
-        let nfa = compile(pattern);
-        let prune = resolve_prune(&nfa, restrictor, selector_groups).unwrap();
-        let prog = FlatProgram::from_nfa(&nfa);
+        let prune = resolve_prune(has_unbounded(pattern), restrictor, selector_groups).unwrap();
+        let prog = FlatProgram::compile(pattern);
         let params = Params::new();
         let m = FlatMatcher::over(graph, &prog, pattern, restrictor, prune, &opts, &params);
         let starts: Vec<NodeId> = graph.nodes().collect();

@@ -8,9 +8,9 @@
 //! compiled query-plan layer, and two interchangeable evaluation engines:
 //!
 //! * [`plan`] — the prepare-once/execute-many layer: [`plan::prepare`]
-//!   lowers a pattern (normalize → analyze → compile NFAs → join/select/
-//!   filter stages) into a graph-independent [`plan::PreparedQuery`] that
-//!   serves any number of executions;
+//!   lowers a pattern (normalize → analyze → compile flat programs →
+//!   join/select/filter stages) into a graph-independent
+//!   [`plan::PreparedQuery`] that serves any number of executions;
 //! * [`eval`] — the production engine: a single-pass matcher with
 //!   restrictor pruning carried on the search frontier and selector-driven
 //!   breadth-first search with dominance pruning for unbounded

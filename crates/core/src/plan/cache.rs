@@ -1,5 +1,5 @@
 //! A small LRU cache for prepared plans, keyed by `(query text,
-//! EvalOptions, graph epoch)`.
+//! EvalOptions)`.
 //!
 //! Hosts that see the same query text repeatedly (the GQL session, the
 //! SQL/PGQ `GRAPH_TABLE` front-end, the CLI REPL) use one of these to skip
@@ -31,15 +31,13 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// An LRU cache from `(query text, EvalOptions, graph epoch)` to a
-/// prepared plan.
+/// An LRU cache from `(query text, EvalOptions)` to a prepared plan.
 ///
-/// The epoch dimension exists for hosts whose graph mutates underneath
-/// them (the server's `GraphJournal`): a plan whose cost decisions were
-/// taken against epoch *N*'s statistics must not answer a lookup at
-/// epoch *N+1*. Hosts with an immutable graph use the epoch-0 shorthand
-/// [`PlanLru::get`] / [`PlanLru::insert`]; epoch-aware hosts use
-/// [`PlanLru::get_at`] / [`PlanLru::insert_at`].
+/// The graph is not part of the key, so hosts whose graph mutates
+/// underneath them (the server's `GraphJournal`) keep their plans across
+/// commits. That is sound because a prepared plan is graph-independent:
+/// it holds no statistics, and every execution re-costs its stage order,
+/// start sets and joins against the graph it runs on.
 ///
 /// ```
 /// use gpml_core::eval::EvalOptions;
@@ -59,7 +57,7 @@ pub struct PlanLru<V> {
     clock: u64,
     hits: u64,
     misses: u64,
-    entries: HashMap<(String, EvalOptions, u64), (V, u64)>,
+    entries: HashMap<(String, EvalOptions), (V, u64)>,
 }
 
 impl<V> Default for PlanLru<V> {
@@ -80,21 +78,12 @@ impl<V> PlanLru<V> {
         }
     }
 
-    /// Looks up a plan at epoch 0 (immutable-graph hosts).
+    /// Looks up a plan, counting a hit or miss and refreshing recency.
     pub fn get(&mut self, query: &str, opts: &EvalOptions) -> Option<&V> {
-        self.get_at(query, opts, 0)
-    }
-
-    /// Looks up a plan at a graph epoch, counting a hit or miss and
-    /// refreshing recency.
-    pub fn get_at(&mut self, query: &str, opts: &EvalOptions, epoch: u64) -> Option<&V> {
         self.clock += 1;
         // Owned key avoidance is not worth a borrowed-key wrapper here:
         // lookups happen once per query execution, not per row.
-        match self
-            .entries
-            .get_mut(&(query.to_owned(), opts.clone(), epoch))
-        {
+        match self.entries.get_mut(&(query.to_owned(), opts.clone())) {
             Some((v, stamp)) => {
                 self.hits += 1;
                 *stamp = self.clock;
@@ -107,17 +96,11 @@ impl<V> PlanLru<V> {
         }
     }
 
-    /// Inserts (or replaces) a plan at epoch 0 (immutable-graph hosts).
+    /// Inserts (or replaces) a plan, evicting the least recently used
+    /// entry when the cache is full.
     pub fn insert(&mut self, query: String, opts: EvalOptions, plan: V) {
-        self.insert_at(query, opts, 0, plan);
-    }
-
-    /// Inserts (or replaces) a plan at a graph epoch, evicting the least
-    /// recently used entry when the cache is full. Entries from stale
-    /// epochs age out of the LRU naturally — they stop being touched.
-    pub fn insert_at(&mut self, query: String, opts: EvalOptions, epoch: u64, plan: V) {
         self.clock += 1;
-        let key = (query, opts, epoch);
+        let key = (query, opts);
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(oldest) = self
                 .entries
@@ -161,7 +144,7 @@ impl<V> PlanLru<V> {
         let mut snapshot: Vec<_> = self
             .entries
             .iter()
-            .map(|((q, o, _), (v, stamp))| (*stamp, q.clone(), o.clone(), v.clone()))
+            .map(|((q, o), (v, stamp))| (*stamp, q.clone(), o.clone(), v.clone()))
             .collect();
         snapshot.sort_by_key(|entry| std::cmp::Reverse(entry.0));
         snapshot.into_iter().map(|(_, q, o, v)| (q, o, v)).collect()
@@ -237,7 +220,7 @@ impl<V> SharedPlanLru<V> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up a plan by value at epoch 0, counting a hit or miss.
+    /// Looks up a plan by value, counting a hit or miss.
     pub fn get_cloned(&self, query: &str, opts: &EvalOptions) -> Option<V>
     where
         V: Clone,
@@ -245,24 +228,9 @@ impl<V> SharedPlanLru<V> {
         self.lock().get(query, opts).cloned()
     }
 
-    /// Looks up a plan by value at a graph epoch, counting a hit or miss.
-    pub fn get_cloned_at(&self, query: &str, opts: &EvalOptions, epoch: u64) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.lock().get_at(query, opts, epoch).cloned()
-    }
-
-    /// Inserts (or replaces) a plan at epoch 0, evicting the LRU entry
-    /// when full.
+    /// Inserts (or replaces) a plan, evicting the LRU entry when full.
     pub fn insert(&self, query: String, opts: EvalOptions, plan: V) {
         self.lock().insert(query, opts, plan);
-    }
-
-    /// Inserts (or replaces) a plan at a graph epoch, evicting the LRU
-    /// entry when full.
-    pub fn insert_at(&self, query: String, opts: EvalOptions, epoch: u64, plan: V) {
-        self.lock().insert_at(query, opts, epoch, plan);
     }
 
     /// Changes the capacity, evicting oldest entries if now over it.
@@ -368,19 +336,6 @@ mod tests {
         assert_eq!(stats.len, 1, "{stats:?}");
         assert_eq!(stats.hits + stats.misses, 8, "{stats:?}");
         assert!(shared.get_cloned("q", &opts()).is_some());
-    }
-
-    #[test]
-    fn epochs_are_part_of_the_key() {
-        let mut lru: PlanLru<u32> = PlanLru::new(4);
-        lru.insert_at("q".into(), opts(), 3, 1);
-        // A stale (or future) epoch never answers the lookup.
-        assert!(lru.get_at("q", &opts(), 2).is_none());
-        assert!(lru.get_at("q", &opts(), 4).is_none());
-        assert!(lru.get("q", &opts()).is_none()); // epoch-0 shorthand
-        assert_eq!(lru.get_at("q", &opts(), 3), Some(&1));
-        // The snapshot drops the epoch but keeps the entry.
-        assert_eq!(lru.entries().len(), 1);
     }
 
     #[test]

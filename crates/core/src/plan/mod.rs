@@ -12,9 +12,9 @@
 //!    anonymous element pattern receives a fresh variable;
 //! 3. **Analyze** (§4.4, §4.6, §5) — variables are classified, the join
 //!    discipline is enforced, and non-terminating patterns are rejected;
-//! 4. **Compile** — each path pattern is compiled into its NFA and lowered
-//!    to a flat program (one `PathStage` per comma-separated path pattern),
-//!    and its pruning mode (exhaustive vs. selector-driven dominance-pruned
+//! 4. **Compile** — each path pattern is compiled straight into a flat
+//!    program (one `PathStage` per comma-separated path pattern), and its
+//!    pruning mode (exhaustive vs. selector-driven dominance-pruned
 //!    search) is resolved graph-independently;
 //! 5. **Join / select / filter stages** — the explicit join graph over
 //!    shared unconditional singleton variables is recorded, selectors are
@@ -62,8 +62,8 @@ use crate::analysis::{analyze, collect_exists, Analysis, VarClass};
 use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Selector};
 use crate::binding::{MatchSet, PathBinding};
 use crate::error::{Error, Result};
-use crate::eval::flat::{FlatMatcher, FlatProgram};
-use crate::eval::nfa::{self, PruneMode, SemiJoinFilters};
+use crate::eval::flat::{collect_vars, FlatMatcher, FlatProgram};
+use crate::eval::search::{self, PruneMode, SemiJoinFilters};
 use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
@@ -76,10 +76,10 @@ pub use cost::{CostReport, CostStep, JoinAlgo, SemiJoinDecision, StartSet};
 /// Lowers `pattern` into an executable plan under `opts`.
 ///
 /// All per-query work — mode rewriting, normalization, static analysis,
-/// NFA compilation, join-graph construction, and `EXISTS` subplanning —
-/// happens here, exactly once. The result is graph-independent: one
-/// [`PreparedQuery`] may be executed against any number of graphs, in any
-/// order, with independent results.
+/// flat-program compilation, join-graph construction, and `EXISTS`
+/// subplanning — happens here, exactly once. The result is
+/// graph-independent: one [`PreparedQuery`] may be executed against any
+/// number of graphs, in any order, with independent results.
 ///
 /// ```
 /// use gpml_core::ast::*;
@@ -572,9 +572,9 @@ impl PreparedQuery {
     }
 }
 
-/// The flat, inspectable result of lowering a graph pattern: one compiled
-/// NFA stage per path pattern, the explicit join graph over shared
-/// singleton variables, and the selector/postfilter stages.
+/// The flat, inspectable result of lowering a graph pattern: one
+/// flat-program stage per path pattern, the explicit join graph over
+/// shared singleton variables, and the selector/postfilter stages.
 #[derive(Clone)]
 pub struct ExecutablePlan {
     /// The normalized pattern the stages were compiled from.
@@ -652,7 +652,7 @@ pub(crate) struct PathStage {
     /// The normalized pattern (kept for the graph-dependent edge bound
     /// and for EXPLAIN rendering).
     pub(crate) expr: PathPatternExpr,
-    /// The compiled NFA lowered into the flat transition-array IR — what
+    /// The pattern compiled into the flat transition-array IR — what
     /// executes.
     pub(crate) prog: FlatProgram,
     /// Search mode, resolved graph-independently at prepare time.
@@ -666,12 +666,15 @@ pub(crate) struct PathStage {
 impl PathStage {
     /// Compiles one normalized path pattern into a stage.
     fn lower(expr: &PathPatternExpr) -> Result<PathStage> {
-        let nfa = nfa::compile(&expr.pattern);
-        let prog = FlatProgram::from_nfa(&nfa);
+        let prog = FlatProgram::compile(&expr.pattern);
         let selector_groups = expr.selector.as_ref().and_then(selector::length_groups);
-        let prune = nfa::resolve_prune(&nfa, expr.restrictor, selector_groups)?;
+        let prune = search::resolve_prune(
+            has_unbounded(&expr.pattern),
+            expr.restrictor,
+            selector_groups,
+        )?;
         let mut var_list = Vec::new();
-        nfa::collect_vars(&expr.pattern, &mut var_list);
+        collect_vars(&expr.pattern, &mut var_list);
         let mut vars: BTreeSet<String> = var_list.into_iter().map(|(v, _)| v).collect();
         if let Some(pv) = &expr.path_var {
             vars.insert(pv.clone());
@@ -808,7 +811,9 @@ fn apply_gsql_default(pattern: &mut GraphPattern) {
     }
 }
 
-fn has_unbounded(p: &PathPattern) -> bool {
+/// True when `p` has an unbounded quantifier outside every restrictor
+/// paren: the case that needs a selector or a path restrictor (§5).
+pub(crate) fn has_unbounded(p: &PathPattern) -> bool {
     match p {
         PathPattern::Node(_) | PathPattern::Edge(_) => false,
         PathPattern::Concat(parts) => parts.iter().any(has_unbounded),
@@ -836,7 +841,7 @@ impl fmt::Display for ExecutablePlan {
         for (i, stage) in self.stages.iter().enumerate() {
             writeln!(f, "  stage {i}: MATCH {}", stage.expr)?;
             // Instruction count and program bytes are the user-facing
-            // plan-size metrics; NFA state counts are compiler internals.
+            // plan-size metrics.
             let (nodes, edges, quants) = stage.prog.table_sizes();
             writeln!(
                 f,

@@ -302,10 +302,6 @@ pub struct Session {
     /// Thread-safe handle (possibly shared with sibling sessions); lock
     /// scopes are per-lookup, never held across execution.
     plans: SharedPlanLru<PreparedGqlQuery>,
-    /// The graph epoch plans are cached under. Immutable-graph hosts
-    /// leave it at 0; the server bumps it on every committed mutation
-    /// batch so stale-catalog plans are never replayed.
-    epoch: std::sync::atomic::AtomicU64,
 }
 
 impl Session {
@@ -320,7 +316,6 @@ impl Session {
             catalog: BTreeMap::new(),
             options,
             plans: SharedPlanLru::default(),
-            epoch: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -333,23 +328,7 @@ impl Session {
             catalog: BTreeMap::new(),
             options,
             plans: cache,
-            epoch: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// The graph epoch this session caches plans under (see
-    /// [`Session::set_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Moves the session to a new graph epoch. Plans are cached under
-    /// `(statement, options, epoch)`, so after a bump every statement
-    /// recompiles once against the new catalog and old-epoch entries age
-    /// out of the LRU. Takes `&self`: the server bumps one shared
-    /// session's epoch from its commit path.
-    pub fn set_epoch(&self, epoch: u64) {
-        self.epoch.store(epoch, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// The locked plan cache.
@@ -419,17 +398,12 @@ impl Session {
     /// [`Session::execute`], or in [`Session::match_bindings`]) skips
     /// parse, analysis, and compilation.
     pub fn prepare(&self, query: &str) -> Result<PreparedGqlQuery, GqlError> {
-        let epoch = self.epoch();
-        if let Some(cached) = self.plans().get_at(query, &self.options, epoch) {
+        if let Some(cached) = self.plans().get(query, &self.options) {
             return Ok(cached.clone());
         }
         let prepared = self.parse_statement(query, false)?;
-        self.plans().insert_at(
-            query.to_owned(),
-            self.options.clone(),
-            epoch,
-            prepared.clone(),
-        );
+        self.plans()
+            .insert(query.to_owned(), self.options.clone(), prepared.clone());
         Ok(prepared)
     }
 
@@ -717,44 +691,38 @@ impl Session {
         query: &str,
         params: &Params,
     ) -> Result<QueryResult, GqlError> {
-        let epoch = self.epoch();
-        let cached = self.plans().get_at(query, &self.options, epoch).cloned();
-        let prepared = match cached {
-            // A cached RETURN-less statement falls through to a fresh
-            // parse so the caller gets the parse error `execute` has
-            // always raised for bare MATCH.
-            Some(p) if p.has_return() => p,
+        let prepared = self.prepare_returning(query)?;
+        self.execute_prepared_with(graph, &prepared, params)
+    }
+
+    /// The cached plan of a `RETURN` statement, or a fresh parse that
+    /// replaces it. A cached RETURN-less statement falls through to a
+    /// fresh parse so the caller gets the parse error `execute` has
+    /// always raised for bare MATCH.
+    fn prepare_returning(&self, query: &str) -> Result<PreparedGqlQuery, GqlError> {
+        let cached = self.plans().get(query, &self.options).cloned();
+        match cached {
+            Some(p) if p.has_return() => Ok(p),
             _ => {
                 let p = self.parse_statement(query, true)?;
                 self.plans()
-                    .insert_at(query.to_owned(), self.options.clone(), epoch, p.clone());
-                p
+                    .insert(query.to_owned(), self.options.clone(), p.clone());
+                Ok(p)
             }
-        };
-        self.execute_prepared_with(graph, &prepared, params)
+        }
     }
 
     /// [`Session::execute_with_params`] against a graph the caller
     /// already holds (a pinned epoch snapshot), bypassing the catalog.
     /// Caching behaves identically: the statement is keyed by
-    /// `(text, options, epoch)`.
+    /// `(text, options)`.
     pub fn execute_with_params_on(
         &self,
         g: &PropertyGraph,
         query: &str,
         params: &Params,
     ) -> Result<QueryResult, GqlError> {
-        let epoch = self.epoch();
-        let cached = self.plans().get_at(query, &self.options, epoch).cloned();
-        let prepared = match cached {
-            Some(p) if p.has_return() => p,
-            _ => {
-                let p = self.parse_statement(query, true)?;
-                self.plans()
-                    .insert_at(query.to_owned(), self.options.clone(), epoch, p.clone());
-                p
-            }
-        };
+        let prepared = self.prepare_returning(query)?;
         self.execute_prepared_on_inner(g, &prepared, params, None)
     }
 

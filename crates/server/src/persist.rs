@@ -11,9 +11,8 @@
 //! the compiler derives the same plan from statement, options and graph
 //! statistics every time, so the file carries nothing else — no version,
 //! options fingerprint or graph epoch. Loading re-prepares every line
-//! with the booting server's options and seeds the cache at its
-//! recovered epoch, so a file saved at epoch *n* warm-starts a server
-//! recovered at any later epoch.
+//! with the booting server's options, so a file saved at epoch *n*
+//! warm-starts a server recovered at any later epoch.
 //!
 //! A cache file is a hint, never a source of truth. A line that no
 //! longer compiles is skipped. A file that is not UTF-8 text, or that
@@ -55,7 +54,7 @@ pub(crate) fn save(path: &Path, cache: &SharedPlanLru<PreparedGqlQuery>) -> io::
 }
 
 /// Warm-starts `session`'s plan cache from `path` at the session's
-/// options and epoch, returning how many plans were seeded. A missing
+/// options, returning how many plans were seeded. A missing
 /// file is a clean cold start (`Ok(0)`); a file that is unreadable, not
 /// UTF-8 text, or in the retired binary format is `Err` with the reason
 /// it was ignored.
@@ -74,12 +73,9 @@ pub(crate) fn load(path: &Path, session: &Session) -> Result<usize, String> {
         // prepare_uncached bypasses the cache, so these compiles count
         // neither as hits nor as misses.
         if let Ok(prepared) = session.prepare_uncached(stmt) {
-            session.plan_cache().insert_at(
-                stmt.to_owned(),
-                session.options().clone(),
-                session.epoch(),
-                prepared,
-            );
+            session
+                .plan_cache()
+                .insert(stmt.to_owned(), session.options().clone(), prepared);
             seeded += 1;
         }
     }
@@ -100,15 +96,13 @@ mod tests {
         p
     }
 
-    /// A session over a fresh cache at `epoch`, as a booting server has.
-    fn session_at(epoch: u64) -> Session {
-        let session = Session::with_cache(EvalOptions::default(), SharedPlanLru::new(8));
-        session.set_epoch(epoch);
-        session
+    /// A session over a fresh cache, as a booting server has.
+    fn session() -> Session {
+        Session::with_cache(EvalOptions::default(), SharedPlanLru::new(8))
     }
 
     fn seeded_cache(stmts: &[&str]) -> SharedPlanLru<PreparedGqlQuery> {
-        let session = session_at(0);
+        let session = session();
         for stmt in stmts {
             session.prepare(stmt).expect("statement compiles");
         }
@@ -121,7 +115,7 @@ mod tests {
         save(&path, &seeded_cache(&[STMT])).expect("save");
         assert_eq!(fs::read_to_string(&path).unwrap(), format!("{STMT}\n"));
 
-        let session = session_at(0);
+        let session = session();
         assert_eq!(load(&path, &session), Ok(1));
         let stats = session.plan_cache_stats();
         assert_eq!((stats.len, stats.hits, stats.misses), (1, 0, 0));
@@ -136,24 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn a_file_saved_at_one_epoch_warm_starts_a_later_one() {
-        let path = tmp("epoch");
-        save(&path, &seeded_cache(&[STMT])).expect("save");
-
-        // The server recovered past further commits: the statement is
-        // recompiled and seeded at the recovered epoch.
-        let session = session_at(3);
-        assert_eq!(load(&path, &session), Ok(1));
-        let cache = session.plan_cache();
-        assert!(cache.get_cloned_at(STMT, session.options(), 3).is_some());
-        assert!(cache.get_cloned_at(STMT, session.options(), 0).is_none());
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
     fn old_or_hostile_files_are_ignored() {
         let path = tmp("hostile");
-        let session = session_at(0);
+        let session = session();
 
         // The retired binary format, header only.
         fs::write(&path, b"GPCF\x02\x00\x00\x00").unwrap();
@@ -176,7 +155,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_clean_cold_start() {
-        let session = session_at(0);
+        let session = session();
         assert_eq!(
             load(Path::new("/nonexistent/gpml-plans.txt"), &session),
             Ok(0)

@@ -501,10 +501,6 @@ impl Shared {
                 match self.journal.commit_timed(&mutations) {
                     Ok((epoch, applied, timings)) => {
                         let applied = applied as u64;
-                        // Readers from here on pin the new epoch; plans
-                        // compiled against older epochs stop being
-                        // cache keys and age out of the LRU.
-                        self.session.set_epoch(epoch);
                         if let Some(tb) = trace {
                             let total = timings.apply_us
                                 + timings.append_us
@@ -840,10 +836,8 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
         None => Arc::new(GraphJournal::in_memory((*graph).clone())),
     };
     // Register the *recovered* graph (it may be epochs ahead of the
-    // seed) and start the session at the journal's epoch so plan-cache
-    // keys and `--plan-cache-file` gating line up with recovery.
+    // seed).
     session.register_shared(&config.graph_name, journal.snapshot());
-    session.set_epoch(journal.epoch());
     let waker = Arc::new(Waker::new()?);
     let stats = Arc::new(ServerStats::default());
     let obs = build_obs(&config, &stats, &journal, &cache)?;

@@ -352,6 +352,29 @@ fn plan_cache_file_warm_starts_across_commits() {
     let _ = std::fs::remove_file(&plans);
 }
 
+/// A commit does not evict or re-key cached plans: a one-shot QUERY
+/// compiled before an `INSERT NODE` is replayed from the cache after it
+/// and still sees the new node.
+#[test]
+fn one_shot_plans_survive_commits() {
+    let handle = start(ServerConfig::default());
+    let mut c = client(&handle);
+    let stmt = "MATCH (x:Account) RETURN x.owner AS o ORDER BY o";
+    let before = c.query(stmt).expect("query").rows.len();
+    committed(
+        c.insert_node("late", &["Account"], &[("owner", Value::str("Zed"))])
+            .expect("insert"),
+    );
+    let after = c.query(stmt).expect("query after commit");
+    assert_eq!(after.rows.len(), before + 1);
+    assert!(after
+        .rows
+        .contains(&vec![GqlValue::Scalar(Value::str("Zed"))]));
+    let stats = handle.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
+    handle.stop();
+}
+
 /// A cursor pins the epoch it was opened at: it drains exactly the rows
 /// of the pre-commit graph even while another connection commits, at
 /// every worker-thread setting the engine supports.
