@@ -133,14 +133,15 @@ pub(crate) struct ParenMeta {
 /// program counters (the first instruction of each state's block).
 ///
 /// Compiled from a normalized path pattern at prepare time
-/// ([`FlatProgram::compile`]) and executed by the flat interpreter.
+/// (`FlatProgram::compile`) and executed by the flat interpreter or the
+/// shortest-path kernel.
 #[derive(Clone, Debug)]
 pub struct FlatProgram {
-    instrs: Vec<Instr>,
-    start: u32,
-    accept: u32,
-    node_pats: Vec<NodePattern>,
-    edge_pats: Vec<EdgePattern>,
+    pub(crate) instrs: Vec<Instr>,
+    pub(crate) start: u32,
+    pub(crate) accept: u32,
+    pub(crate) node_pats: Vec<NodePattern>,
+    pub(crate) edge_pats: Vec<EdgePattern>,
     quants: Vec<QuantMeta>,
     parens: Vec<ParenMeta>,
 }
@@ -519,8 +520,9 @@ enum Undo {
 }
 
 fn undo_to(work: &mut RunState, trail: &mut Vec<Undo>, mark: usize) {
-    while trail.len() > mark {
-        match trail.pop().expect("trail is longer than mark") {
+    let from = mark.min(trail.len());
+    for undo in trail.drain(from..).rev() {
+        match undo {
             Undo::AltMark => {
                 work.alt_marks.pop();
             }
@@ -536,39 +538,40 @@ fn undo_to(work: &mut RunState, trail: &mut Vec<Undo>, mark: usize) {
             }
             Undo::LoopPopped(l) => work.loops.push(l),
             Undo::LoopCounts { count, stalled } => {
-                let l = work.loops.last_mut().expect("loop for undo");
-                l.count = count;
-                l.stalled = stalled;
+                if let Some(l) = work.loops.last_mut() {
+                    l.count = count;
+                    l.stalled = stalled;
+                }
             }
             Undo::FramePushed => {
                 work.frames.pop();
             }
             Undo::FramePopped(f) => work.frames.push(f),
             Undo::Inserted { var, global } => {
-                let target = if global {
-                    &mut work.globals
-                } else {
-                    &mut work.frames.last_mut().expect("frame for undo").locals
-                };
-                target.remove(&var);
+                if let Some(target) = undo_target(work, global) {
+                    target.remove(&var);
+                }
             }
             Undo::Extended {
                 var,
                 global,
                 old_len,
-            } => {
-                let target = if global {
-                    &mut work.globals
-                } else {
-                    &mut work.frames.last_mut().expect("frame for undo").locals
-                };
-                match target.get_mut(&var) {
-                    Some(BoundValue::NodeGroup(g)) => g.truncate(old_len),
-                    Some(BoundValue::EdgeGroup(g)) => g.truncate(old_len),
-                    _ => {}
-                }
-            }
+            } => match undo_target(work, global).and_then(|t| t.get_mut(&var)) {
+                Some(BoundValue::NodeGroup(g)) => g.truncate(old_len),
+                Some(BoundValue::EdgeGroup(g)) => g.truncate(old_len),
+                _ => {}
+            },
         }
+    }
+}
+
+/// The map an undo entry recorded against: the globals, or the innermost
+/// frame's locals (always present when the entry was recorded).
+fn undo_target(work: &mut RunState, global: bool) -> Option<&mut BTreeMap<String, BoundValue>> {
+    if global {
+        Some(&mut work.globals)
+    } else {
+        work.frames.last_mut().map(|f| &mut f.locals)
     }
 }
 
@@ -576,8 +579,9 @@ fn undo_to(work: &mut RunState, trail: &mut Vec<Undo>, mark: usize) {
 // The interpreter
 // ---------------------------------------------------------------------------
 
-/// The flat-program interpreter: the one executor of path stages. Step
-/// and accept decisions come from [`search::try_step`] and
+/// The flat-program interpreter: the executor of every path stage the
+/// shortest-path kernel does not take (see [`super::kernel`]). Step and
+/// accept decisions come from [`search::try_step`] and
 /// [`search::finalize`]; the ε-closure and frontier are its own.
 pub(crate) struct FlatMatcher<'a> {
     graph: &'a PropertyGraph,
@@ -869,8 +873,7 @@ impl<'a> FlatMatcher<'a> {
                         return false;
                     }
                 }
-                if work.scopes.last().is_some_and(|s| s.paren == arg) {
-                    let scope = work.scopes.pop().expect("just checked");
+                if let Some(scope) = work.scopes.pop_if(|s| s.paren == arg) {
                     trail.push(Undo::ScopePopped(scope));
                 }
                 true

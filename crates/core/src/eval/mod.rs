@@ -21,6 +21,7 @@
 
 pub(crate) mod filter;
 pub mod flat;
+pub(crate) mod kernel;
 pub(crate) mod pool;
 pub(crate) mod search;
 pub(crate) mod selector;

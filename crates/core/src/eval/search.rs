@@ -23,6 +23,13 @@
 //!   affect future matchability, only outputs, and longer arrivals are
 //!   exactly the outputs the selector throws away.
 //!
+//! Selector-driven search has two executors over the same program. The
+//! interpreter's dominance-pruned BFS above serves every selector; a
+//! kernel-eligible `ANY` / `ANY SHORTEST` stage runs on the shortest-path
+//! kernel ([`super::kernel`]) instead, which picks each partition's
+//! canonical walk during its BFS rather than listing every shortest walk
+//! for the selector to discard.
+//!
 //! The search yields raw [`PathBinding`]s; reduction, deduplication, and
 //! selector application happen in [`crate::plan`].
 

@@ -14,8 +14,9 @@
 //!    discipline is enforced, and non-terminating patterns are rejected;
 //! 4. **Compile** — each path pattern is compiled straight into a flat
 //!    program (one `PathStage` per comma-separated path pattern), and its
-//!    pruning mode (exhaustive vs. selector-driven dominance-pruned
-//!    search) is resolved graph-independently;
+//!    search mode (exhaustive, selector-driven dominance-pruned search, or
+//!    the shortest-path kernel for kernel-eligible `ANY` / `ANY SHORTEST`
+//!    stages) is resolved graph-independently;
 //! 5. **Join / select / filter stages** — the explicit join graph over
 //!    shared unconditional singleton variables is recorded, selectors are
 //!    attached per stage, and every `EXISTS` subquery of the final `WHERE`
@@ -63,6 +64,7 @@ use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Selector};
 use crate::binding::{MatchSet, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::flat::{collect_vars, FlatMatcher, FlatProgram};
+use crate::eval::kernel::{KernelPlan, ShortestKernel};
 use crate::eval::search::{self, PruneMode, SemiJoinFilters};
 use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
 use crate::normalize::normalize;
@@ -657,6 +659,9 @@ pub(crate) struct PathStage {
     pub(crate) prog: FlatProgram,
     /// Search mode, resolved graph-independently at prepare time.
     pub(crate) prune: PruneMode,
+    /// Set for kernel-eligible stages: they run on the shortest-path
+    /// kernel instead of the interpreter (see `eval::kernel`).
+    pub(crate) kernel: Option<KernelPlan>,
     /// Named (non-anonymous) variables this stage binds.
     pub(crate) vars: BTreeSet<String>,
     /// The start node pattern, read once for the access-path choice.
@@ -665,7 +670,7 @@ pub(crate) struct PathStage {
 
 impl PathStage {
     /// Compiles one normalized path pattern into a stage.
-    fn lower(expr: &PathPatternExpr) -> Result<PathStage> {
+    pub(crate) fn lower(expr: &PathPatternExpr) -> Result<PathStage> {
         let prog = FlatProgram::compile(&expr.pattern);
         let selector_groups = expr.selector.as_ref().and_then(selector::length_groups);
         let prune = search::resolve_prune(
@@ -681,6 +686,7 @@ impl PathStage {
         }
         Ok(PathStage {
             expr: expr.clone(),
+            kernel: KernelPlan::for_stage(expr, &prog),
             prog,
             prune,
             vars,
@@ -693,11 +699,42 @@ impl PathStage {
     /// independent (see [`FlatMatcher::run_from`]); splicing their results
     /// in partition order and handing the whole to
     /// [`PathStage::finish_bindings`] reproduces one search over the
-    /// whole set. `filters` carries the semi-join node sets pushed down
-    /// from the accumulated join (checked at every `NodeTest` the search
-    /// takes); `counters` receives the search's execution tallies when
-    /// profiling.
+    /// whole set. Kernel-eligible stages run on the shortest-path kernel,
+    /// which yields only each partition's canonical walk; the rest run on
+    /// the interpreter. `filters` carries the semi-join node sets pushed
+    /// down from the accumulated join (checked at every `NodeTest` the
+    /// search takes); `counters` receives the search's execution tallies
+    /// when profiling.
     pub(crate) fn matches_from(
+        &self,
+        graph: &PropertyGraph,
+        opts: &EvalOptions,
+        params: &Params,
+        starts: &[property_graph::NodeId],
+        filters: Option<&SemiJoinFilters>,
+        counters: Option<&StageCounters>,
+    ) -> Result<Vec<PathBinding>> {
+        let Some(plan) = &self.kernel else {
+            return self.interpret(graph, opts, params, starts, filters, counters);
+        };
+        let k = ShortestKernel::over(
+            graph,
+            &self.prog,
+            plan,
+            &self.expr.pattern,
+            opts,
+            params,
+            filters,
+        );
+        let out = k.run_from(starts);
+        if let Some(c) = counters {
+            k.flush_counters(c);
+        }
+        out
+    }
+
+    /// [`Self::matches_from`] on the flat interpreter, whatever the stage.
+    pub(crate) fn interpret(
         &self,
         graph: &PropertyGraph,
         opts: &EvalOptions,
@@ -853,9 +890,12 @@ impl fmt::Display for ExecutablePlan {
                 plural(edges),
                 plural(quants),
             )?;
-            let search = match stage.prune {
-                PruneMode::Exhaustive => "exhaustive (statically bounded)".to_owned(),
-                PruneMode::ShortestGroups(k) => {
+            let search = match (&stage.kernel, stage.prune) {
+                (Some(_), _) => {
+                    "shortest-path kernel (one canonical walk per endpoint pair)".to_owned()
+                }
+                (None, PruneMode::Exhaustive) => "exhaustive (statically bounded)".to_owned(),
+                (None, PruneMode::ShortestGroups(k)) => {
                     format!("dominance-pruned BFS ({k} length group{})", plural(k))
                 }
             };

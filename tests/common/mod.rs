@@ -188,6 +188,45 @@ pub fn quantified_pattern(
         )
 }
 
+/// A walk only its selector makes finite: `(first) [()-[e]-(n)]+|* (last)`
+/// with no restrictor anywhere, under any of the six length-based
+/// selectors. The body edge is named (`e`/`f`, sometimes with a weight
+/// prefilter) or anonymous. `ANY` / `ANY SHORTEST` draws of this shape are
+/// what the shortest-path kernel runs; the other four take the
+/// interpreter's dominance-pruned search.
+pub fn selector_walk_pattern() -> impl Strategy<Value = (Selector, PathPattern)> {
+    let body = (edge_pat(), node_pat(false)).prop_map(|(e, n)| {
+        PathPattern::concat(vec![
+            PathPattern::Node(NodePattern::any()),
+            PathPattern::Edge(e),
+            PathPattern::Node(n),
+        ])
+        .paren()
+    });
+    (
+        node_pat(true),
+        body,
+        proptest::sample::select(vec![Quantifier::plus(), Quantifier::star()]),
+        node_pat(true),
+        proptest::sample::select(vec![
+            Selector::AnyShortest,
+            Selector::AllShortest,
+            Selector::ShortestK(2),
+            Selector::ShortestKGroup(2),
+            Selector::AnyK(2),
+            Selector::Any,
+        ]),
+    )
+        .prop_map(|(first, body, q, last, selector)| {
+            let pattern = PathPattern::concat(vec![
+                PathPattern::Node(first),
+                body.quantified(q),
+                PathPattern::Node(last),
+            ]);
+            (selector, pattern)
+        })
+}
+
 pub fn union_pattern() -> impl Strategy<Value = PathPattern> {
     (
         proptest::collection::vec(chain_pattern(), 2..4),

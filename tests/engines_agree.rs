@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 mod common;
-use common::{chain_pattern, quantified_pattern, union_pattern};
+use common::{chain_pattern, quantified_pattern, selector_walk_pattern, union_pattern};
 
 use gpml_suite::core::ast::*;
 use gpml_suite::core::binding::{BoundValue, MatchRow};
@@ -1084,14 +1084,30 @@ proptest! {
             MatchIso::Homomorphism,
             MatchIso::EdgeIsomorphic,
         ]),
+        (_, walk) in selector_walk_pattern(),
     ) {
         // 40 nodes: an access-path start set of 32+ nodes is chunked.
         let g = small_mixed(seed, 40, 48);
         let gp = GraphPattern {
-            paths: vec![PathPatternExpr::plain(p1), PathPatternExpr::plain(p2)],
+            paths: vec![PathPatternExpr::plain(p1.clone()), PathPatternExpr::plain(p2)],
             where_clause: None,
         };
         check_work_conservation(&g, &gp, mode, iso);
+        // A shortest-path kernel stage, joined with a chain (so it may be
+        // seeded or filtered), does the same work at every thread count.
+        let kernel = GraphPattern {
+            paths: vec![
+                PathPatternExpr {
+                    selector: Some(Selector::AnyShortest),
+                    restrictor: None,
+                    path_var: Some("p".into()),
+                    pattern: walk,
+                },
+                PathPatternExpr::plain(p1),
+            ],
+            where_clause: None,
+        };
+        check_work_conservation(&g, &kernel, mode, iso);
     }
 
     #[test]
@@ -1172,6 +1188,38 @@ proptest! {
         let g = small_mixed(seed, 4, 6);
         let gp = GraphPattern {
             paths: vec![PathPatternExpr { selector, restrictor, path_var: Some("p".into()), pattern }],
+            where_clause: None,
+        };
+        check_exact_agreement(&g, &gp, threads, MatchMode::Gpml, iso);
+    }
+
+    /// Walks that only their selector bounds — no restrictor, so the
+    /// search is the shortest-path kernel (`ANY`, `ANY SHORTEST`) or the
+    /// dominance-pruned interpreter (the other four) — against the
+    /// baseline, which budgets its expansion for exactly these walks.
+    #[test]
+    fn selector_walks_agree_with_baseline(
+        seed in 0u64..500,
+        (selector, pattern) in selector_walk_pattern(),
+        threads in proptest::sample::select(vec![1usize, 2, 4]),
+        iso in proptest::sample::select(vec![
+            MatchIso::Homomorphism,
+            MatchIso::EdgeIsomorphic,
+        ]),
+    ) {
+        // Three nodes and five edges: dense enough for parallel edges,
+        // self-loops and ties between shortest walks, and small enough
+        // for the baseline, whose `SHORTEST 2`-style budgets expand to
+        // 16 iterations per walk (on four nodes a single case can spend
+        // tens of seconds there before its budget trips).
+        let g = small_mixed(seed, 3, 5);
+        let gp = GraphPattern {
+            paths: vec![PathPatternExpr {
+                selector: Some(selector),
+                restrictor: None,
+                path_var: Some("p".into()),
+                pattern,
+            }],
             where_clause: None,
         };
         check_exact_agreement(&g, &gp, threads, MatchMode::Gpml, iso);

@@ -42,6 +42,16 @@ fn paths(rs: &gpml_suite::core::MatchSet) -> Vec<Path> {
         .collect()
 }
 
+/// A row of [`star_query`] in `PathBinding` order: the walk, then the
+/// remaining variables.
+type BindingKey = (Path, BTreeMap<String, BoundValue>);
+
+fn binding_key(row: &gpml_suite::core::binding::MatchRow) -> BindingKey {
+    let mut vars = row.values.clone();
+    let walk = vars.remove("p").unwrap().as_path().unwrap().clone();
+    (walk, vars)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -112,7 +122,10 @@ proptest! {
     }
 
     /// ANY SHORTEST keeps exactly one path per nonempty partition of
-    /// ALL SHORTEST, with the same (minimal) length.
+    /// ALL SHORTEST, with the same (minimal) length — and it is the
+    /// canonical one: the least binding of the partition, ordered by walk
+    /// (node sequence, then edge sequence) and then by the other
+    /// variables, as `PathBinding` orders.
     #[test]
     fn any_shortest_picks_one_of_all_shortest(seed in 0u64..300) {
         let g = small_mixed(seed, 5, 9);
@@ -128,6 +141,21 @@ proptest! {
         prop_assert_eq!(any_paths.len(), all_parts.len());
         for p in any_paths {
             prop_assert_eq!(all_parts.get(&(p.start(), p.end())), Some(&p.len()));
+        }
+        let mut least: BTreeMap<(NodeId, NodeId), BindingKey> = BTreeMap::new();
+        for row in all.iter() {
+            let key = binding_key(row);
+            let part = (key.0.start(), key.0.end());
+            match least.get(&part) {
+                Some(kept) if *kept <= key => {}
+                _ => {
+                    least.insert(part, key);
+                }
+            }
+        }
+        for row in any.iter() {
+            let key = binding_key(row);
+            prop_assert_eq!(least.get(&(key.0.start(), key.0.end())), Some(&key));
         }
     }
 

@@ -3,6 +3,7 @@
 //! paper lists.
 
 use gpml_suite::core::eval::{evaluate, EvalOptions};
+use gpml_suite::core::plan::prepare;
 use gpml_suite::core::{Error, MatchSet};
 use gpml_suite::datagen::fig1;
 use gpml_suite::parser::parse;
@@ -100,6 +101,24 @@ fn any_shortest_dave_to_aretha() {
          (b WHERE b.owner='Aretha')",
     );
     assert_eq!(paths_of(&g, &rs, "p"), vec!["path(a6,t5,a3,t2,a2)"]);
+}
+
+#[test]
+fn any_shortest_dave_to_aretha_runs_on_the_kernel() {
+    // The §5.1 statement is kernel-eligible: EXPLAIN names the
+    // shortest-path kernel as its search.
+    let pattern = parse(
+        "MATCH ANY SHORTEST p = (a WHERE a.owner='Dave')-[t:Transfer]->*\
+         (b WHERE b.owner='Aretha')",
+    )
+    .unwrap();
+    let explain = prepare(&pattern, &EvalOptions::default())
+        .unwrap()
+        .explain();
+    assert!(
+        explain.contains("search: shortest-path kernel (one canonical walk per endpoint pair)"),
+        "{explain}"
+    );
 }
 
 #[test]
