@@ -31,7 +31,7 @@ use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Quantifier, Restri
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::search::{
-    self, BindSite, Frame, Loop, MergeEffect, PruneMode, RunState, Scope, SemiJoinFilters,
+    self, BindSite, Frame, JoinKeyNodes, Loop, MergeEffect, PruneMode, RunState, Scope,
 };
 use crate::eval::{EvalOptions, StageCounters};
 use crate::normalize::is_anonymous;
@@ -591,7 +591,7 @@ pub(crate) struct FlatMatcher<'a> {
     path_restrictor: Option<Restrictor>,
     prune: PruneMode,
     max_edges: usize,
-    filters: Option<&'a SemiJoinFilters>,
+    filters: Option<&'a JoinKeyNodes>,
     interner: KeyInterner,
     nodes_expanded: Cell<u64>,
     edges_traversed: Cell<u64>,
@@ -633,10 +633,11 @@ impl<'a> FlatMatcher<'a> {
         }
     }
 
-    /// Installs semi-join endpoint filters for this search. Filtering only
-    /// ever removes bindings the cross-stage join would reject, so — for
-    /// the stages the executor deems eligible — results are unchanged.
-    pub(crate) fn with_filters(mut self, filters: &'a SemiJoinFilters) -> FlatMatcher<'a> {
+    /// Installs the join's key node sets as `NodeTest` filters for this
+    /// search. Filtering only ever removes bindings the cross-stage join
+    /// would reject, so — for the stages the executor prunes — results
+    /// are unchanged.
+    pub(crate) fn with_filters(mut self, filters: &'a JoinKeyNodes) -> FlatMatcher<'a> {
         self.filters = Some(filters);
         self
     }
@@ -830,7 +831,7 @@ impl<'a> FlatMatcher<'a> {
                     }
                 }
                 if let Some(v) = &np.var {
-                    // The semi-join endpoint check: a node outside the
+                    // The join key check: a node outside the
                     // accumulated key set can never survive the join.
                     if let Some(allowed) = self.filters.and_then(|f| f.get(v)) {
                         if !allowed.contains(&n) {

@@ -52,7 +52,7 @@ use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, PathPatternExpr, S
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::flat::{FlatProgram, Op};
-use crate::eval::search::{self, SemiJoinFilters};
+use crate::eval::search;
 use crate::eval::{filter, EvalOptions, StageCounters};
 use crate::normalize::is_anonymous;
 use crate::params::Params;
@@ -442,10 +442,8 @@ pub(crate) struct ShortestKernel<'a> {
     opts: &'a EvalOptions,
     params: &'a Params,
     max_edges: usize,
-    filters: Option<&'a SemiJoinFilters>,
     nodes_expanded: Cell<u64>,
     edges_traversed: Cell<u64>,
-    rows_pruned: Cell<u64>,
     instrs_dispatched: Cell<u64>,
 }
 
@@ -460,7 +458,6 @@ impl<'a> ShortestKernel<'a> {
         pattern: &PathPattern,
         opts: &'a EvalOptions,
         params: &'a Params,
-        filters: Option<&'a SemiJoinFilters>,
     ) -> ShortestKernel<'a> {
         let static_cap = search::static_edge_bound(pattern, graph, None);
         ShortestKernel {
@@ -470,10 +467,8 @@ impl<'a> ShortestKernel<'a> {
             opts,
             params,
             max_edges: static_cap.min(opts.max_path_length),
-            filters,
             nodes_expanded: Cell::new(0),
             edges_traversed: Cell::new(0),
-            rows_pruned: Cell::new(0),
             instrs_dispatched: Cell::new(0),
         }
     }
@@ -483,7 +478,7 @@ impl<'a> ShortestKernel<'a> {
         counters.add(
             self.nodes_expanded.take(),
             self.edges_traversed.take(),
-            self.rows_pruned.take(),
+            0,
             self.instrs_dispatched.take(),
             0,
         );
@@ -713,15 +708,8 @@ impl<'a> ShortestKernel<'a> {
                 return false;
             }
         }
-        let own = np.var.as_deref();
-        if let Some(allowed) = own.and_then(|v| self.filters.and_then(|f| f.get(v))) {
-            if !allowed.contains(&n) {
-                self.rows_pruned.set(self.rows_pruned.get() + 1);
-                return false;
-            }
-        }
         match &np.predicate {
-            Some(pred) => self.holds(pred, own, BoundValue::Node(n), start),
+            Some(pred) => self.holds(pred, np.var.as_deref(), BoundValue::Node(n), start),
             None => true,
         }
     }

@@ -70,8 +70,8 @@ pub enum MatchIso {
 ///
 /// Every field describes *what* a query means or how far it may run, never
 /// which generation of the engine runs it: stage order, join algorithm,
-/// and semi-join pushdown are chosen by the cost model from what it
-/// observes. Options are `Eq + Hash` so hosts can key plan caches on
+/// and start sets are chosen by the cost model from what it observes,
+/// and every admissible stage is pruned by the join's key node sets. Options are `Eq + Hash` so hosts can key plan caches on
 /// `(query text, EvalOptions)`.
 ///
 /// ```
@@ -110,11 +110,11 @@ pub struct EvalOptions {
     /// forces the sequential path; `n >= 2` always uses `n` workers.
     ///
     /// Stages always run one at a time in the cost-chosen order; the
-    /// workers split *one* stage's start set (its join seeds or its access
-    /// path) into chunks, and the stage merges before the next one starts.
+    /// workers drain *one* stage's start set (its join seeds or its access
+    /// path) in morsels, and the stage merges before the next one starts.
     /// Results are **bit-for-bit identical** at every setting, and so is
     /// the work counted by [`ExecProfile`]. Only resource-limit *errors*
-    /// may differ — each chunk enforces [`EvalOptions::max_frontier`] on
+    /// may differ — each morsel enforces [`EvalOptions::max_frontier`] on
     /// its own (smaller) frontier, so a parallel run can succeed where a
     /// sequential run trips the limit.
     pub threads: usize,
@@ -203,7 +203,7 @@ impl StageCounters {
     }
 
     /// Work the accumulated join ruled out before the search did it:
-    /// partial bindings rejected by a pushed-down semi-join filter, plus,
+    /// partial bindings rejected at `NodeTest` by a join key's node set, plus,
     /// for a seeded stage, the access-path start nodes left out of its
     /// seed set (`|access set| − |seeds|`).
     pub fn rows_pruned(&self) -> u64 {
@@ -342,7 +342,7 @@ impl JoinState {
 
     /// The distinct node ids the accumulated rows bind `var` to, or
     /// `None` when any row lacks `var` or binds it to a non-node — the
-    /// semi-join key-set extraction of sideways information passing.
+    /// key-set extraction of sideways information passing.
     /// A later stage sharing `var` can only produce joinable bindings
     /// with `var` inside this set.
     pub(crate) fn distinct_key_nodes(&self, var: &str) -> Option<BTreeSet<NodeId>> {

@@ -10,19 +10,22 @@
 //! splice the per-chunk results back together in chunk order.
 //!
 //! The executor runs one stage at a time: a stage's start set (its join
-//! seeds or its access path) is chunked, the chunks are searched, and the
-//! stage merges before the next one's start set and filters exist. This
-//! module provides the two pieces a chunked stage search needs, built on
-//! `std::thread::scope` (the build environment has no crates.io access,
-//! so no rayon):
+//! seeds or its access path) is cut into *morsels*, the morsels are
+//! searched, and the stage merges before the next one's start set and
+//! join key sets exist. This module provides the two pieces a morsel-driven
+//! stage search needs, built on `std::thread::scope` (the build
+//! environment has no crates.io access, so no rayon):
 //!
 //! * [`chunks`] — the deterministic partition of `n` items into at most
-//!   `threads` contiguous ranges, with a minimum chunk size so tiny
-//!   graphs are not sliced into spawn-dominated confetti;
+//!   `parts` contiguous ranges, with a minimum chunk size so tiny
+//!   graphs are not sliced into spawn-dominated confetti. The executor
+//!   asks for [`MORSELS_PER_THREAD`] morsels per worker;
 //! * [`map_units`] — an ordered scoped map: `unit_count` work items are
 //!   claimed off a shared atomic counter by up to `threads` scoped
 //!   workers, and the results come back in unit order once every unit
-//!   has run.
+//!   has run. Because there are more morsels than workers, a worker that
+//!   drew an expensive morsel (a hub start node) keeps it while the
+//!   others drain the rest — load balance without scanning degrees.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,15 +34,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// this the per-thread spawn cost dominates the search itself.
 pub(crate) const MIN_CHUNK: usize = 16;
 
-/// Partitions `0..items` into at most `threads` contiguous ranges of
+/// Morsels a stage's start set is cut into per worker thread: enough that
+/// the atomic claim counter of [`map_units`] balances uneven morsels,
+/// few enough that per-morsel overhead stays negligible.
+pub(crate) const MORSELS_PER_THREAD: usize = 4;
+
+/// Partitions `0..items` into at most `parts` contiguous ranges of
 /// near-equal size (earlier ranges get the remainder), each at least
 /// [`MIN_CHUNK`] long where possible. Returns an empty vector for zero
 /// items and a single full range when splitting is not worth it.
-pub(crate) fn chunks(items: usize, threads: usize) -> Vec<Range<usize>> {
+pub(crate) fn chunks(items: usize, parts: usize) -> Vec<Range<usize>> {
     if items == 0 {
         return Vec::new();
     }
-    let parts = threads.min(items / MIN_CHUNK).max(1);
+    let parts = parts.min(items / MIN_CHUNK).max(1);
     let base = items / parts;
     let extra = items % parts;
     let mut out = Vec::with_capacity(parts);
@@ -50,59 +58,6 @@ pub(crate) fn chunks(items: usize, threads: usize) -> Vec<Range<usize>> {
         at += len;
     }
     debug_assert_eq!(at, items);
-    out
-}
-
-/// Maximum number of hub start nodes one base chunk is split around:
-/// bounds the unit-count explosion on graphs where "everything is a hub"
-/// (where splitting buys nothing anyway — the load is already uniform).
-pub(crate) const MAX_HUB_SPLITS: usize = 4;
-
-/// [`chunks`], refined by degree skew: any base chunk containing a *hub*
-/// start node (per `is_hub`, typically "degree ≫ label average" from the
-/// statistics catalog's degree histogram) is split around the first
-/// [`MAX_HUB_SPLITS`] hubs it contains, so one expensive start node gets
-/// its own work unit instead of serializing a whole chunk behind it.
-///
-/// The refined ranges still cover `0..items` contiguously and in order —
-/// splicing per-unit results back in range order yields exactly the
-/// concatenation the base chunking would have produced, so determinism is
-/// untouched; only the work-stealing granularity changes.
-pub(crate) fn adaptive_chunks(
-    items: usize,
-    threads: usize,
-    is_hub: impl Fn(usize) -> bool,
-) -> Vec<Range<usize>> {
-    let base = chunks(items, threads);
-    if threads <= 1 {
-        return base;
-    }
-    let mut out = Vec::with_capacity(base.len());
-    for range in base {
-        if range.len() <= 1 {
-            out.push(range);
-            continue;
-        }
-        let mut at = range.start;
-        let mut splits = 0;
-        for i in range.clone() {
-            if splits >= MAX_HUB_SPLITS {
-                break;
-            }
-            if is_hub(i) {
-                if i > at {
-                    out.push(at..i);
-                }
-                out.push(i..i + 1);
-                at = i + 1;
-                splits += 1;
-            }
-        }
-        if at < range.end {
-            out.push(at..range.end);
-        }
-    }
-    debug_assert_eq!(out.iter().map(Range::len).sum::<usize>(), items);
     out
 }
 
@@ -179,40 +134,6 @@ mod tests {
         // 20 items at MIN_CHUNK=16: at most 2 chunks however many threads.
         assert!(chunks(20, 8).len() <= 2);
         assert_eq!(chunks(5, 8).len(), 1);
-    }
-
-    #[test]
-    fn adaptive_chunks_isolate_hubs_in_order() {
-        // 64 items, hubs at 10 and 40: each hub gets a singleton unit and
-        // coverage stays contiguous and ordered.
-        let hubs = [10usize, 40];
-        let cs = adaptive_chunks(64, 2, |i| hubs.contains(&i));
-        let mut at = 0;
-        for c in &cs {
-            assert_eq!(c.start, at);
-            assert!(!c.is_empty());
-            at = c.end;
-        }
-        assert_eq!(at, 64);
-        for h in hubs {
-            assert!(
-                cs.contains(&(h..h + 1)),
-                "hub {h} must be its own unit: {cs:?}"
-            );
-        }
-        // No hubs → identical to the base chunking.
-        assert_eq!(adaptive_chunks(64, 2, |_| false), chunks(64, 2));
-        // Sequential runs never split (there is no pool to feed).
-        assert_eq!(adaptive_chunks(64, 1, |i| hubs.contains(&i)), chunks(64, 1));
-    }
-
-    #[test]
-    fn adaptive_chunks_cap_hub_splits() {
-        // Every item a hub: the split count stays bounded per base chunk.
-        let cs = adaptive_chunks(64, 2, |_| true);
-        let singletons = cs.iter().filter(|c| c.len() == 1).count();
-        assert!(singletons <= 2 * MAX_HUB_SPLITS, "{cs:?}");
-        assert_eq!(cs.iter().map(|c| c.len()).sum::<usize>(), 64);
     }
 
     #[test]

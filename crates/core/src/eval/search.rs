@@ -44,12 +44,13 @@ use crate::eval::filter;
 use crate::normalize::is_anonymous;
 use crate::params::Params;
 
-/// Semi-join endpoint filters (sideways information passing): for each
-/// unconditional singleton node variable, the set of nodes the
-/// accumulated join rows still admit. A search state whose `NodeTest`
-/// binds a filtered variable to a node outside its set can never join
-/// and is cut immediately.
-pub(crate) type SemiJoinFilters = BTreeMap<String, BTreeSet<NodeId>>;
+/// The join's node sets for one stage (sideways information passing):
+/// for each node-typed join key the stage shares with the stages merged
+/// before it, the distinct nodes the accumulated rows bind it to. The
+/// start variable's set is the stage's start set; the search checks the
+/// other entries at `NodeTest`, where a node outside its set can never
+/// join and is cut immediately.
+pub(crate) type JoinKeyNodes = BTreeMap<String, BTreeSet<NodeId>>;
 
 // ---------------------------------------------------------------------------
 // Runtime state

@@ -481,11 +481,12 @@ pub struct CostStep {
     pub keys: Vec<String>,
     /// How the merge runs.
     pub algo: JoinAlgo,
-    /// Semi-join pushdown decisions for this step: for each node-typed
-    /// join key, whether the accumulated key set is pushed into this
-    /// stage's search as a filter (see [`SemiJoinDecision`]). Empty when
-    /// pushdown is inadmissible for the stage.
-    pub semi_joins: Vec<SemiJoinDecision>,
+    /// The node-typed join keys other than the seed variable, each with
+    /// its estimated distinct key nodes: the search checks the
+    /// accumulated key set of each at `NodeTest`. Empty when pruning is
+    /// inadmissible for the stage (a selector stage, or endpoint-only
+    /// mode).
+    pub filters: Vec<(String, f64)>,
     /// The start nodes the stage's search runs from.
     pub start: StartSet,
 }
@@ -619,7 +620,7 @@ pub struct CostReport {
 impl CostReport {
     /// Computes the report exactly the way `PreparedQuery::execute`
     /// decides: same estimates, same stage order and start sets, same
-    /// join algorithm and semi-join selection under `opts`.
+    /// join algorithm and join key filters under `opts`.
     pub(crate) fn compute(
         plan: &ExecutablePlan,
         graph: &PropertyGraph,
@@ -641,7 +642,13 @@ impl CostReport {
             } else {
                 JoinAlgo::Hash
             };
-            let semi_joins = semi_join_decisions(plan, stats, &est, stage, &placed, &keys, opts);
+            let filters = pruning_keys(plan, stage, &keys, opts)
+                .filter(|&k| Some(k) != seed)
+                .map(|k| {
+                    let keys_estimate = key_count_estimate(plan, stats, &est, stage, &placed, k);
+                    (k.to_owned(), keys_estimate)
+                })
+                .collect();
             let start = match seed {
                 Some(var) => StartSet::Seeded {
                     var: var.to_owned(),
@@ -655,7 +662,7 @@ impl CostReport {
                 avg_estimate: avg[stage],
                 keys,
                 algo,
-                semi_joins,
+                filters,
                 start,
             });
             placed.push(stage);
@@ -674,74 +681,34 @@ impl CostReport {
 }
 
 // ---------------------------------------------------------------------------
-// Semi-join pushdown decisions (sideways information passing)
+// Pruning a stage by the join (sideways information passing)
 // ---------------------------------------------------------------------------
 
-/// One semi-join pushdown decision: whether the distinct values a join key
-/// has accumulated so far should be pushed *into* the next stage's search
-/// as a node filter.
-///
-/// The executor and EXPLAIN both obtain their decisions from the same
-/// internal function (`semi_join_decisions`), so the report names
-/// exactly the filters an execution with the same options applies.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SemiJoinDecision {
-    /// The shared singleton node variable the filter keys on.
-    pub var: String,
-    /// Estimated distinct key nodes accumulated by the time this stage
-    /// runs: the cheapest already-placed stage binding the variable,
-    /// capped by the degree histogram (a key adjacent to an edge pattern
-    /// must have degree ≥ 1) and the node count.
-    pub keys_estimate: f64,
-    /// Whether the filter is pushed: the estimated key set must be
-    /// *smaller* than the stage it would prune — filtering the bigger
-    /// side with the smaller key set — otherwise the per-candidate set
-    /// probes cost more than the bindings they could save.
-    pub apply: bool,
-}
-
-/// The semi-join pushdown decisions for the stage at `stage` given the
-/// already-merged `placed` stages and their equi-join `keys`.
-///
-/// Returns one decision per *node-typed* join key other than the stage's
-/// seed variable ([`seed_var`]) when pushdown is admissible
-/// ([`pushdown_admissible`]), and an empty vector when it is not.
-pub(crate) fn semi_join_decisions(
-    plan: &ExecutablePlan,
-    stats: &GraphStats,
-    est: &[f64],
+/// The join keys whose accumulated node sets prune `stage`'s search: every
+/// node-typed key of `keys` (the stage's equi-join variables against the
+/// placed stages) when pruning is admissible ([`pushdown_admissible`]),
+/// none otherwise. The executor builds one node set per key; the seed
+/// variable's ([`seed_var`]) is the start set, the others are checked at
+/// `NodeTest`.
+pub(crate) fn pruning_keys<'k>(
+    plan: &'k ExecutablePlan,
     stage: usize,
-    placed: &[usize],
-    keys: &[String],
+    keys: &'k [String],
     opts: &EvalOptions,
-) -> Vec<SemiJoinDecision> {
-    if !pushdown_admissible(plan, stage, opts) || placed.is_empty() {
-        return Vec::new();
-    }
-    // The seed set is the same projection of the accumulated rows as a
-    // filter on the seed variable would be, so that filter would only
-    // re-check nodes the seed already admitted.
-    let seed = seed_var(plan, stage, placed, opts);
+) -> impl Iterator<Item = &'k str> {
+    let admissible = pushdown_admissible(plan, stage, opts);
     keys.iter()
-        .filter(|k| {
-            Some(k.as_str()) != seed
-                && plan
-                    .analysis
-                    .var(k)
-                    .is_some_and(|info| info.kind == VarKind::Node)
-        })
-        .map(|k| {
-            let keys_estimate = key_count_estimate(plan, stats, est, stage, placed, k);
-            SemiJoinDecision {
-                var: k.clone(),
-                keys_estimate,
-                apply: keys_estimate < est[stage],
-            }
-        })
-        .collect()
+        .map(String::as_str)
+        .filter(move |k| admissible && is_node_var(plan, k))
 }
 
-/// Whether pruning `stage`'s search by the accumulated join — a semi-join
+fn is_node_var(plan: &ExecutablePlan, var: &str) -> bool {
+    plan.analysis
+        .var(var)
+        .is_some_and(|info| info.kind == VarKind::Node)
+}
+
+/// Whether pruning `stage`'s search by the accumulated join — a join key
 /// filter or a seeded start set — is sound: not under a per-stage
 /// selector (selector application sees the stage's full binding set, so
 /// pre-join pruning could change which representatives survive), and not
@@ -771,11 +738,7 @@ pub(crate) fn seed_var<'p>(
             || (j.right == stage && placed.contains(&j.left)))
             && j.on.iter().any(|v| v == var)
     });
-    let is_node = plan
-        .analysis
-        .var(var)
-        .is_some_and(|info| info.kind == VarKind::Node);
-    (joined && is_node).then_some(var)
+    (joined && is_node_var(plan, var)).then_some(var)
 }
 
 /// Estimated distinct nodes bound to join key `k` across the accumulated
@@ -786,7 +749,7 @@ pub(crate) fn seed_var<'p>(
 /// node pattern carries a plain label can hold at most that label's
 /// node count. (The per-label histograms are keyed by *edge* label, so
 /// they do not bound a node label's population.)
-fn key_count_estimate(
+pub(crate) fn key_count_estimate(
     plan: &ExecutablePlan,
     stats: &GraphStats,
     est: &[f64],
@@ -892,18 +855,11 @@ impl fmt::Display for CostReport {
                 writeln!(f, ") on {{{}}}", step.keys.join(", "))?;
             }
             writeln!(f, "      start: {}", step.start)?;
-            for d in &step.semi_joins {
+            for (var, keys_estimate) in &step.filters {
                 writeln!(
                     f,
-                    "      semi-join on {}: ~{} keys vs ~{} rows \u{2192} {}",
-                    d.var,
-                    fmt_estimate(d.keys_estimate),
-                    fmt_estimate(step.estimate),
-                    if d.apply {
-                        "push filter"
-                    } else {
-                        "skip (key set not smaller)"
-                    }
+                    "      filter: {var} (~{} keys)",
+                    fmt_estimate(*keys_estimate)
                 )?;
             }
         }
@@ -1188,27 +1144,25 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_filters_the_bigger_stage_with_the_smaller_key_set() {
+    fn tail_join_key_is_pushed_as_a_filter() {
         let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
         let g = hub();
         let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
-        // The rare stage scans first; its tiny key set is pushed into the
-        // big stage's search.
+        // The rare stage scans first; the big stage joins it on h, its
+        // tail, so it runs from its access path and filters h.
         assert_eq!(report.order(), vec![1, 0]);
-        assert!(report.steps[0].semi_joins.is_empty(), "scan has no filter");
-        let decisions = &report.steps[1].semi_joins;
-        assert_eq!(decisions.len(), 1, "{decisions:?}");
-        assert_eq!(decisions[0].var, "h");
-        assert!(decisions[0].apply, "{decisions:?}");
+        assert!(report.steps[0].filters.is_empty(), "scan has no filter");
         assert!(
-            decisions[0].keys_estimate < report.steps[1].estimate,
-            "{decisions:?} vs {}",
-            report.steps[1].estimate
+            !matches!(report.steps[1].start, StartSet::Seeded { .. }),
+            "{report}"
         );
-        // EXPLAIN names the decision.
+        let filters = &report.steps[1].filters;
+        assert_eq!(filters.len(), 1, "{filters:?}");
+        assert_eq!(filters[0].0, "h");
+        // EXPLAIN names the filter with its key estimate.
         let text = report.to_string();
-        assert!(text.contains("semi-join on h"), "{text}");
-        assert!(text.contains("push filter"), "{text}");
+        let line = format!("filter: h (~{} keys)", fmt_estimate(filters[0].1));
+        assert!(text.contains(&line), "{text}");
     }
 
     #[test]
@@ -1238,11 +1192,12 @@ mod tests {
             matches!(&report.steps[1].start, StartSet::Seeded { var, .. } if var == "h"),
             "{report}"
         );
-        assert!(report.steps[1].semi_joins.is_empty(), "{report}");
+        assert!(report.steps[1].filters.is_empty(), "{report}");
+        assert!(!report.to_string().contains("filter:"), "{report}");
     }
 
     #[test]
-    fn semi_join_is_disabled_by_mode_and_selector() {
+    fn no_filter_under_a_selector_or_endpoint_only() {
         let g = hub();
         let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
         let endpoint = EvalOptions {
@@ -1250,7 +1205,8 @@ mod tests {
             ..EvalOptions::default()
         };
         let report = CostReport::compute(q.plan(), &g, &endpoint, &Params::new());
-        assert!(report.steps.iter().all(|s| s.semi_joins.is_empty()));
+        assert!(report.steps.iter().all(|s| s.filters.is_empty()));
+        assert!(!report.to_string().contains("filter:"), "{report}");
 
         // A per-stage selector sees the stage's full binding set, so the
         // selected stage must not be pre-filtered.
@@ -1259,7 +1215,7 @@ mod tests {
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
         let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
         let selected = report.steps.iter().find(|s| s.stage == 0).unwrap();
-        assert!(selected.semi_joins.is_empty(), "{:?}", selected.semi_joins);
+        assert!(selected.filters.is_empty(), "{:?}", selected.filters);
     }
 
     #[test]
@@ -1270,19 +1226,7 @@ mod tests {
         let g = hub();
         let stats = g.stats();
         let est = estimates(q.plan(), stats, true, &Params::new());
-        let d = semi_join_decisions(
-            q.plan(),
-            stats,
-            &est,
-            0,
-            &[1],
-            &["h".to_owned()],
-            &EvalOptions::default(),
-        );
-        assert_eq!(d.len(), 1);
-        assert!(
-            d[0].keys_estimate <= stats.histogram(None).nodes() as f64,
-            "{d:?}"
-        );
+        let keys = key_count_estimate(q.plan(), stats, &est, 0, &[1], "h");
+        assert!(keys <= stats.histogram(None).nodes() as f64, "{keys}");
     }
 }

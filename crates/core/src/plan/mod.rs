@@ -44,10 +44,10 @@
 //! surfaced as `--explain` in the CLI).
 //!
 //! With [`EvalOptions::threads`] ≥ 2 (or auto-detected parallelism on a
-//! large enough graph), the same stage loop splits each stage's start set
-//! into chunks searched on scoped workers (see `eval::pool`). The stage
-//! is a barrier: its chunks are spliced back in chunk order and merged
-//! before the next stage's seeds and filters are computed, so the result
+//! large enough graph), the same stage loop cuts each stage's start set
+//! into morsels drained by scoped workers (see `eval::pool`). The stage
+//! is a barrier: its morsels are spliced back in morsel order and merged
+//! before the next stage's join key sets are computed, so the result
 //! and the work done are those of the sequential run.
 
 mod access;
@@ -57,7 +57,7 @@ pub mod cost;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use property_graph::{GraphStats, PropertyGraph};
+use property_graph::PropertyGraph;
 
 use crate::analysis::{analyze, collect_exists, Analysis, VarClass};
 use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Selector};
@@ -65,7 +65,7 @@ use crate::binding::{MatchSet, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::flat::{collect_vars, FlatMatcher, FlatProgram};
 use crate::eval::kernel::{KernelPlan, ShortestKernel};
-use crate::eval::search::{self, PruneMode, SemiJoinFilters};
+use crate::eval::search::{self, JoinKeyNodes, PruneMode};
 use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
@@ -73,7 +73,7 @@ use access::StartPattern;
 use cost::Placement;
 
 pub use cache::{CacheStats, PlanLru, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use cost::{CostReport, CostStep, JoinAlgo, SemiJoinDecision, StartSet};
+pub use cost::{CostReport, CostStep, JoinAlgo, StartSet};
 
 /// Lowers `pattern` into an executable plan under `opts`.
 ///
@@ -360,8 +360,8 @@ impl PreparedQuery {
     }
 
     /// [`Self::execute_with`], additionally tallying per-stage execution
-    /// counters (nodes expanded, edges traversed, rows pruned by
-    /// semi-join filters) into `profile`.
+    /// counters (nodes expanded, edges traversed, rows pruned by the
+    /// join's key sets) into `profile`.
     ///
     /// Create the profile with [`ExecProfile::new`] sized to
     /// [`ExecutablePlan::stage_count`]; its slots are indexed by
@@ -391,10 +391,8 @@ impl PreparedQuery {
         params: &Params,
         profile: Option<&ExecProfile>,
     ) -> Result<MatchSet> {
-        let stats = graph.stats();
-        // One estimate pass feeds the stage order, the start sets and the
-        // semi-join pushdown decisions.
-        let est = cost::estimates(&self.plan, stats, true, params);
+        // One estimate pass feeds the stage order and the start sets.
+        let est = cost::estimates(&self.plan, graph.stats(), true, params);
         let order = cost::plan_order(&self.plan, graph, &est, params, &self.opts);
         let threads = self.opts.effective_threads(graph.node_count());
         let mut join = JoinState::new(self.opts.isomorphism);
@@ -410,16 +408,19 @@ impl PreparedQuery {
             let stage = &self.plan.stages[i];
             let keys = self.plan.join_keys(i, &placed);
             // Sideways information passing: the distinct nodes the
-            // accumulated rows hold for each shared join key become
-            // start/endpoint filters inside the next stage's search, so
-            // bindings that cannot join are never generated.
-            let filters = self.semi_join_filters(&join, stats, &est, i, &placed, &keys);
+            // accumulated rows bind each node-typed join key to. The seed
+            // variable's set is the stage's start set; the search checks
+            // the others at `NodeTest`, so bindings that cannot join are
+            // never generated.
+            let mut key_nodes: JoinKeyNodes = cost::pruning_keys(&self.plan, i, &keys, &self.opts)
+                .filter_map(|k| Some((k.to_owned(), join.distinct_key_nodes(k)?)))
+                .collect();
             let counters = profile.and_then(|p| p.stage(i));
             let started = counters.map(|_| std::time::Instant::now());
             let access = stage.start.resolve(graph, params);
             // A seeded stage starts only where its join key can land; the
             // access-path starts it skips are counted as pruned.
-            let starts = match seed.and_then(|v| join.distinct_key_nodes(v)) {
+            let starts = match seed.and_then(|v| key_nodes.remove(v)) {
                 Some(seeds) => {
                     if let Some(c) = counters {
                         let skipped = access.len(graph).saturating_sub(seeds.len());
@@ -429,27 +430,21 @@ impl PreparedQuery {
                 }
                 None => access.nodes(graph),
             };
+            let filters = (!key_nodes.is_empty()).then_some(&key_nodes);
             let search = |starts: &[property_graph::NodeId]| {
-                stage.matches_from(
-                    graph,
-                    &self.opts,
-                    params,
-                    starts,
-                    filters.as_ref(),
-                    counters,
-                )
+                stage.matches_from(graph, &self.opts, params, starts, filters, counters)
             };
             let raw = if threads <= 1 {
                 search(&starts)?
             } else {
-                // The stage barrier: every chunk of this stage's start set
+                // The stage barrier: every morsel of this stage's start set
                 // is searched before its bindings merge, and the results
-                // are spliced in chunk order, so the next stage's seeds and
-                // filters see exactly the sequential accumulation.
-                let chunks = self.start_chunks(graph, stats, &starts, threads);
+                // are spliced in morsel order, so the next stage's key
+                // sets see exactly the sequential accumulation.
+                let morsels = pool::chunks(starts.len(), threads * pool::MORSELS_PER_THREAD);
                 let mut raw = Vec::new();
-                for part in pool::map_units(threads, chunks.len(), |u| {
-                    search(&starts[chunks[u].clone()])
+                for part in pool::map_units(threads, morsels.len(), |u| {
+                    search(&starts[morsels[u].clone()])
                 }) {
                     raw.append(&mut part?);
                 }
@@ -469,56 +464,6 @@ impl PreparedQuery {
             &self.plan.exists,
             params,
         ))
-    }
-
-    /// Builds the semi-join filter map for `stage` from the accumulated
-    /// join rows: the exact distinct node sets of every key whose
-    /// [`cost::semi_join_decisions`] verdict is *apply* and whose rows
-    /// all bind the key to a node. Returns `None` when no filter is
-    /// worth (or safe to) push.
-    fn semi_join_filters(
-        &self,
-        join: &JoinState,
-        stats: &GraphStats,
-        est: &[f64],
-        stage: usize,
-        placed: &[usize],
-        keys: &[String],
-    ) -> Option<SemiJoinFilters> {
-        let decisions =
-            cost::semi_join_decisions(&self.plan, stats, est, stage, placed, keys, &self.opts);
-        let mut filters = SemiJoinFilters::new();
-        for d in decisions.iter().filter(|d| d.apply) {
-            if let Some(set) = join.distinct_key_nodes(&d.var) {
-                filters.insert(d.var.clone(), set);
-            }
-        }
-        (!filters.is_empty()).then_some(filters)
-    }
-
-    /// The start-node partition for the worker pool, refined by degree
-    /// skew: when the statistics catalog's degree histogram shows nodes
-    /// far above the average degree, each such *hub* start node becomes
-    /// its own work unit (see [`pool::adaptive_chunks`]), so one
-    /// expensive start cannot serialize a whole chunk behind it. Uniform
-    /// graphs take the plain contiguous partition — the histogram check
-    /// costs a few bucket sums, not a per-node scan.
-    fn start_chunks(
-        &self,
-        graph: &PropertyGraph,
-        stats: &GraphStats,
-        starts: &[property_graph::NodeId],
-        threads: usize,
-    ) -> Vec<std::ops::Range<usize>> {
-        const HUB_FACTOR: usize = 8;
-        let avg_steps = (2 * stats.edge_count).div_ceil(stats.node_count.max(1));
-        let hub_threshold = avg_steps.max(1) * HUB_FACTOR;
-        if stats.degree_histogram.nodes_at_or_above(hub_threshold) == 0 {
-            return pool::chunks(starts.len(), threads);
-        }
-        pool::adaptive_chunks(starts.len(), threads, |i| {
-            graph.steps(starts[i]).len() >= hub_threshold
-        })
     }
 
     /// The lowered plan (inspect or `Display` it for an EXPLAIN view).
@@ -701,31 +646,25 @@ impl PathStage {
     /// [`PathStage::finish_bindings`] reproduces one search over the
     /// whole set. Kernel-eligible stages run on the shortest-path kernel,
     /// which yields only each partition's canonical walk; the rest run on
-    /// the interpreter. `filters` carries the semi-join node sets pushed
-    /// down from the accumulated join (checked at every `NodeTest` the
-    /// search takes); `counters` receives the search's execution tallies
-    /// when profiling.
+    /// the interpreter. `filters` carries the join's key node sets other
+    /// than the start set (checked at every `NodeTest` the search takes);
+    /// a kernel stage always has a selector, so the join never prunes it
+    /// and it gets none. `counters` receives the search's execution
+    /// tallies when profiling.
     pub(crate) fn matches_from(
         &self,
         graph: &PropertyGraph,
         opts: &EvalOptions,
         params: &Params,
         starts: &[property_graph::NodeId],
-        filters: Option<&SemiJoinFilters>,
+        filters: Option<&JoinKeyNodes>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<PathBinding>> {
         let Some(plan) = &self.kernel else {
             return self.interpret(graph, opts, params, starts, filters, counters);
         };
-        let k = ShortestKernel::over(
-            graph,
-            &self.prog,
-            plan,
-            &self.expr.pattern,
-            opts,
-            params,
-            filters,
-        );
+        debug_assert!(filters.is_none(), "a selector stage is never pruned");
+        let k = ShortestKernel::over(graph, &self.prog, plan, &self.expr.pattern, opts, params);
         let out = k.run_from(starts);
         if let Some(c) = counters {
             k.flush_counters(c);
@@ -740,7 +679,7 @@ impl PathStage {
         opts: &EvalOptions,
         params: &Params,
         starts: &[property_graph::NodeId],
-        filters: Option<&SemiJoinFilters>,
+        filters: Option<&JoinKeyNodes>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<PathBinding>> {
         let m = FlatMatcher::over(

@@ -515,7 +515,7 @@ impl Session {
 
     /// [`Self::execute_prepared_with`], additionally tallying per-stage
     /// execution counters (nodes expanded, edges traversed, rows pruned
-    /// by semi-join filters) into `profile` — see
+    /// by the join's key sets) into `profile` — see
     /// [`PreparedQuery::execute_with_profile`]. Create the profile with
     /// [`ExecProfile::new`] sized to the plan's stage count; counters
     /// accumulate across executions sharing a profile.
@@ -752,16 +752,16 @@ impl Session {
         };
         for value in row.values.values() {
             match value {
-                BoundValue::Node(_) | BoundValue::Edge(_) => {
-                    add_el(
-                        value.as_element().expect("singleton"),
-                        &mut nodes,
-                        &mut edges,
-                    );
+                BoundValue::Node(n) => add_el(ElementId::Node(*n), &mut nodes, &mut edges),
+                BoundValue::Edge(e) => add_el(ElementId::Edge(*e), &mut nodes, &mut edges),
+                BoundValue::NodeGroup(ns) => {
+                    for n in ns {
+                        add_el(ElementId::Node(*n), &mut nodes, &mut edges);
+                    }
                 }
-                BoundValue::NodeGroup(_) | BoundValue::EdgeGroup(_) => {
-                    for el in value.as_group().expect("group") {
-                        add_el(el, &mut nodes, &mut edges);
+                BoundValue::EdgeGroup(es) => {
+                    for e in es {
+                        add_el(ElementId::Edge(*e), &mut nodes, &mut edges);
                     }
                 }
                 BoundValue::Path(p) => {
@@ -787,18 +787,19 @@ impl Session {
         nodes.sort();
         edges.sort();
 
+        // Names are unique in `g`, so adding its elements cannot fail.
+        let copy_err = |e: property_graph::GraphError| GqlError::Host(e.to_string());
         let mut out = PropertyGraph::new();
         let mut map = BTreeMap::new();
         for n in nodes {
             let data = g.node(n);
-            let id = out.add_node(
-                &data.name,
-                data.labels.iter().cloned(),
-                data.properties
-                    .iter()
-                    .map(|(k, v)| (leak(k), v.clone()))
-                    .collect::<Vec<_>>(),
-            );
+            let id = out
+                .try_add_node(
+                    &data.name,
+                    data.labels.iter().cloned(),
+                    data.properties.clone(),
+                )
+                .map_err(copy_err)?;
             map.insert(n, id);
         }
         for e in edges {
@@ -809,15 +810,13 @@ impl Session {
             } else {
                 property_graph::Endpoints::undirected(map[&s], map[&d])
             };
-            out.add_edge(
+            out.try_add_edge(
                 &data.name,
                 endpoints,
                 data.labels.iter().cloned(),
-                data.properties
-                    .iter()
-                    .map(|(k, v)| (leak(k), v.clone()))
-                    .collect::<Vec<_>>(),
-            );
+                data.properties.clone(),
+            )
+            .map_err(copy_err)?;
         }
         Ok(out)
     }
@@ -887,12 +886,6 @@ fn project(g: &PropertyGraph, row: &MatchRow, expr: &Expr, params: &Params) -> G
 
 fn order_value(g: &PropertyGraph, row: &MatchRow, expr: &Expr, params: &Params) -> GqlValue {
     project(g, row, expr, params)
-}
-
-/// Dynamic property keys for projected graphs (bounded by the source
-/// graph's property vocabulary).
-fn leak(s: &str) -> &'static str {
-    Box::leak(s.to_owned().into_boxed_str())
 }
 
 #[cfg(test)]

@@ -92,8 +92,7 @@ impl DegreeStats {
 /// zero-degree nodes are not recorded. Where [`DegreeStats`] keeps only
 /// the maxima, the histogram shows how the mass is distributed between
 /// the average and the maximum — the signal an estimator needs to tell
-/// "one hub" from "everything is a hub", and the work splitter needs to
-/// size its units.
+/// "one hub" from "everything is a hub".
 ///
 /// # Examples
 ///
@@ -106,7 +105,6 @@ impl DegreeStats {
 /// h.record(6);
 /// assert_eq!(h.nodes(), 3);
 /// assert_eq!(h.to_string(), "1: 1, 4..7: 2");
-/// assert_eq!(h.nodes_at_or_above(4), 2);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DegreeHistogram {
@@ -174,15 +172,6 @@ impl DegreeHistogram {
             .filter(|(_, c)| **c > 0)
             .map(|(i, c)| (1 << i, (1 << (i + 1)) - 1, *c))
     }
-
-    /// Upper bound on the number of nodes with degree ≥ `degree`: every
-    /// bucket whose range reaches `degree` counts in full.
-    pub fn nodes_at_or_above(&self, degree: usize) -> usize {
-        self.ranges()
-            .filter(|(_, hi, _)| *hi >= degree)
-            .map(|(_, _, c)| c)
-            .sum()
-    }
 }
 
 impl fmt::Display for DegreeHistogram {
@@ -245,8 +234,8 @@ pub struct GraphStats {
     /// fan-out is *distributed*, not just its maximum.
     pub degree_histogram: DegreeHistogram,
     /// Degree histograms counting only steps over edges carrying each
-    /// label — the distinct-endpoint and hub-population signal behind
-    /// semi-join and work-splitting decisions.
+    /// label — the distinct-endpoint signal behind the join key
+    /// estimates.
     pub degree_histogram_per_label: BTreeMap<String, DegreeHistogram>,
     /// Hashes of the observed values per property key, backing
     /// `distinct_property_values`. Kept private: it lets incremental
@@ -699,8 +688,6 @@ mod tests {
             all.ranges().collect::<Vec<_>>(),
             vec![(1, 1, 3), (2, 3, 1), (4, 7, 1)]
         );
-        assert_eq!(all.nodes_at_or_above(4), 1);
-        assert_eq!(all.nodes_at_or_above(2), 2, "the 2..3 bucket counts");
         // Per-label: only :T steps count toward the :T histogram — the
         // spokes and `p` each take one, the hub 3 out + 1 in = 4.
         let t = s.histogram(Some("T"));

@@ -26,13 +26,16 @@ use gpml_parser::Parser;
 use property_graph::{PropertyGraph, Value};
 
 use crate::table::Table;
+use crate::view::ViewError;
 
-/// A failure while evaluating a `GRAPH_TABLE` query.
+/// A failure while evaluating a `GRAPH_TABLE` query or a DDL statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PgqError {
     Parse(gpml_parser::ParseError),
     Eval(gpml_core::Error),
     Syntax(String),
+    /// A `CREATE PROPERTY GRAPH` view that does not fit its tables.
+    View(ViewError),
 }
 
 impl std::fmt::Display for PgqError {
@@ -41,6 +44,7 @@ impl std::fmt::Display for PgqError {
             PgqError::Parse(e) => write!(f, "{e}"),
             PgqError::Eval(e) => write!(f, "{e}"),
             PgqError::Syntax(s) => write!(f, "syntax error: {s}"),
+            PgqError::View(e) => write!(f, "{e}"),
         }
     }
 }

@@ -68,8 +68,7 @@ impl Catalog {
     /// Runs a `CREATE PROPERTY GRAPH` DDL statement against the catalog.
     pub fn execute_ddl(&mut self, ddl: &str) -> Result<(), PgqError> {
         let view = parse_ddl(ddl)?;
-        self.create_property_graph(view)
-            .map_err(|e| PgqError::Syntax(e.to_string()))
+        self.create_property_graph(view).map_err(PgqError::View)
     }
 
     /// The materialized graph of a view.

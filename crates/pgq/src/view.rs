@@ -170,39 +170,21 @@ impl GraphView {
             let table = db
                 .table(&v.table)
                 .ok_or_else(|| ViewError::MissingTable(v.table.clone()))?;
-            let key_col = table
-                .column_index(&v.key)
-                .ok_or_else(|| ViewError::MissingColumn {
-                    table: v.table.clone(),
-                    column: v.key.clone(),
-                })?;
+            let key_col = column(table, &v.key)?;
             let prop_cols: Vec<(String, usize)> = v
                 .properties
                 .iter()
-                .map(|p| {
-                    table
-                        .column_index(p)
-                        .map(|i| (p.clone(), i))
-                        .ok_or_else(|| ViewError::MissingColumn {
-                            table: v.table.clone(),
-                            column: p.clone(),
-                        })
-                })
+                .map(|p| column(table, p).map(|i| (p.clone(), i)))
                 .collect::<Result<_, _>>()?;
             for row in &table.rows {
                 let key = row[key_col].to_string();
-                if keys.contains_key(&key) {
-                    return Err(ViewError::DuplicateKey {
-                        table: v.table.clone(),
-                        key,
-                    });
-                }
-                let props: Vec<(&str, Value)> = prop_cols
+                let props = prop_cols
                     .iter()
                     .filter(|(_, i)| !row[*i].is_null())
-                    .map(|(p, i)| (leak(p), row[*i].clone()))
-                    .collect();
-                let id = g.add_node(&key, v.labels.iter().cloned(), props);
+                    .map(|(p, i)| (p.clone(), row[*i].clone()));
+                let id = g
+                    .try_add_node(&key, v.labels.iter().cloned(), props)
+                    .map_err(|_| duplicate(&v.table, &key))?;
                 keys.insert(key, id);
             }
         }
@@ -211,21 +193,13 @@ impl GraphView {
             let table = db
                 .table(&e.table)
                 .ok_or_else(|| ViewError::MissingTable(e.table.clone()))?;
-            let col = |name: &str| {
-                table
-                    .column_index(name)
-                    .ok_or_else(|| ViewError::MissingColumn {
-                        table: e.table.clone(),
-                        column: name.to_owned(),
-                    })
-            };
-            let key_col = col(&e.key)?;
-            let src_col = col(&e.source_column)?;
-            let dst_col = col(&e.destination_column)?;
+            let key_col = column(table, &e.key)?;
+            let src_col = column(table, &e.source_column)?;
+            let dst_col = column(table, &e.destination_column)?;
             let prop_cols: Vec<(String, usize)> = e
                 .properties
                 .iter()
-                .map(|p| col(p).map(|i| (p.clone(), i)))
+                .map(|p| column(table, p).map(|i| (p.clone(), i)))
                 .collect::<Result<_, _>>()?;
             for row in &table.rows {
                 let key = row[key_col].to_string();
@@ -248,24 +222,25 @@ impl GraphView {
                 } else {
                     Endpoints::undirected(src, dst)
                 };
-                let props: Vec<(&str, Value)> = prop_cols
+                let props = prop_cols
                     .iter()
                     .filter(|(_, i)| !row[*i].is_null())
-                    .map(|(p, i)| (leak(p), row[*i].clone()))
-                    .collect();
-                g.add_edge(&key, endpoints, e.labels.iter().cloned(), props);
+                    .map(|(p, i)| (p.clone(), row[*i].clone()));
+                g.try_add_edge(&key, endpoints, e.labels.iter().cloned(), props)
+                    .map_err(|_| duplicate(&e.table, &key))?;
             }
         }
         Ok(g)
     }
 }
 
-/// `PropertyGraph::add_node` takes `&'static str` property keys for
-/// ergonomic literals; view-driven construction needs dynamic keys, so we
-/// intern them. Property-name cardinality is tiny and views are
-/// long-lived catalog objects, so the leak is bounded and deliberate.
-fn leak(s: &str) -> &'static str {
-    Box::leak(s.to_owned().into_boxed_str())
+/// The error for an element key already taken by a node or edge: the
+/// only way adding an element can fail once its endpoints resolved.
+fn duplicate(table: &str, key: &str) -> ViewError {
+    ViewError::DuplicateKey {
+        table: table.to_owned(),
+        key: key.to_owned(),
+    }
 }
 
 /// Exports a property graph in the Figure 2 tabular representation: one
@@ -404,16 +379,18 @@ pub fn materialize_tabulation(db: &Database) -> Result<PropertyGraph, ViewError>
             continue; // edge table, second pass
         }
         let labels = split_labels(&t.name);
-        for (r, row) in t.rows.iter().enumerate() {
-            let key = t.get(r, "ID").expect("ID column").to_string();
-            let props: Vec<(&str, Value)> = t
+        let id_col = column(t, "ID")?;
+        for row in &t.rows {
+            let key = row[id_col].to_string();
+            let props = t
                 .columns
                 .iter()
                 .zip(row)
                 .filter(|(c, v)| *c != "ID" && !v.is_null())
-                .map(|(c, v)| (leak(c), v.clone()))
-                .collect();
-            let id = g.add_node(&key, labels.iter().cloned(), props);
+                .map(|(c, v)| (c.clone(), v.clone()));
+            let id = g
+                .try_add_node(&key, labels.iter().cloned(), props)
+                .map_err(|_| duplicate(&t.name, &key))?;
             keys.insert(key, id);
         }
     }
@@ -422,10 +399,11 @@ pub fn materialize_tabulation(db: &Database) -> Result<PropertyGraph, ViewError>
             continue;
         }
         let labels = split_labels(&t.name);
+        let (id_col, src_col, dst_col) = (column(t, "ID")?, column(t, "SRC")?, column(t, "DST")?);
         for (r, row) in t.rows.iter().enumerate() {
-            let key = t.get(r, "ID").expect("ID").to_string();
-            let src_key = t.get(r, "SRC").expect("SRC").to_string();
-            let dst_key = t.get(r, "DST").expect("DST").to_string();
+            let key = row[id_col].to_string();
+            let src_key = row[src_col].to_string();
+            let dst_key = row[dst_col].to_string();
             let directed = t.get(r, "DIRECTED") == Some(&Value::Bool(true));
             let src = *keys
                 .get(&src_key)
@@ -444,19 +422,28 @@ pub fn materialize_tabulation(db: &Database) -> Result<PropertyGraph, ViewError>
             } else {
                 Endpoints::undirected(src, dst)
             };
-            let props: Vec<(&str, Value)> = t
+            let props = t
                 .columns
                 .iter()
                 .zip(row)
                 .filter(|(c, v)| {
                     !matches!(c.as_str(), "ID" | "SRC" | "DST" | "DIRECTED") && !v.is_null()
                 })
-                .map(|(c, v)| (leak(c), v.clone()))
-                .collect();
-            g.add_edge(&key, endpoints, labels.iter().cloned(), props);
+                .map(|(c, v)| (c.clone(), v.clone()));
+            g.try_add_edge(&key, endpoints, labels.iter().cloned(), props)
+                .map_err(|_| duplicate(&t.name, &key))?;
         }
     }
     Ok(g)
+}
+
+/// The index of `name` in `t`, or the view error naming the column.
+fn column(t: &Table, name: &str) -> Result<usize, ViewError> {
+    t.column_index(name)
+        .ok_or_else(|| ViewError::MissingColumn {
+            table: t.name.clone(),
+            column: name.to_owned(),
+        })
 }
 
 #[cfg(test)]

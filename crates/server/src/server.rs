@@ -173,7 +173,7 @@ pub struct ServerStats {
     pub exec_nodes_expanded: AtomicU64,
     /// Edges traversed across every `QUERY`/`EXECUTE` served.
     pub exec_edges_traversed: AtomicU64,
-    /// Candidate bindings pruned by semi-join filters, and start nodes
+    /// Candidate bindings pruned by join key filters, and start nodes
     /// left out of seeded start sets, across every `QUERY`/`EXECUTE`
     /// served.
     pub exec_rows_pruned: AtomicU64,

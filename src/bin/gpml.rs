@@ -55,10 +55,11 @@ fn usage() -> ! {
          --param name=value flags (values parse as literals: 5M, 'str',\n\
          true; bare words are strings). --explain prints each query's\n\
          lowered plan — with per-stage estimated cardinality, the chosen\n\
-         stage order, the join algorithm, each semi-join pushdown\n\
-         decision, and each stage's start set (`start: index\n\
-         Account.owner = $owner → 1`, `label Account → 2000`, `seeded\n\
-         from m (~7.33 keys)`, `all nodes → 3003`) — before the results,\n\
+         stage order, the join algorithm, each stage's start set\n\
+         (`start: index Account.owner = $owner → 1`, `label Account →\n\
+         2000`, `seeded from m (~7.33 keys)`, `all nodes → 3003`) and\n\
+         each other join key its search checks (`filter: m (~7.33\n\
+         keys)`) — before the results,\n\
          and per-stage execution counters (nodes expanded, edges\n\
          traversed, rows pruned) after them.\n\
          --threads N runs the per-stage matcher searches on N worker\n\
@@ -329,7 +330,7 @@ fn run_one(session: &Session, params: &Params, query: &str, format: Format, expl
     if prepared.has_return() {
         if explain {
             // Profile the run so the post-run counters line up with the
-            // semi-join decisions printed above.
+            // start sets and join key filters printed above.
             let profile = gpml_suite::core::eval::ExecProfile::new(prepared.plan().stage_count());
             match session.execute_prepared_profiled("g", &prepared, params, &profile) {
                 Ok(result) => {

@@ -360,8 +360,8 @@ fn check_parallel_agreement(
     }
 }
 
-/// Holds the flat transition-array interpreter — with semi-join filters
-/// pushed wherever the cost model chooses — to both references left: the
+/// Holds the flat transition-array interpreter — with the join's key sets
+/// seeding and filtering every admissible stage — to both references left: the
 /// baseline (which never filters) for the row set, and the sequential run
 /// for row order when `threads >= 2`.
 fn check_exact_agreement(
@@ -412,7 +412,7 @@ fn non_gpml_modes_agree_with_the_baseline() {
 }
 
 /// An early stage that matches nothing drains the join before later
-/// stages run. The executor then derives an *empty* semi-join key set
+/// stages run. The executor then derives an *empty* join key set
 /// for the next stage — the regression guarded here is that this early
 /// exit stays clean (no panic, no rows) at every thread count.
 #[test]
@@ -445,6 +445,55 @@ fn semi_join_filters_survive_early_exit_on_an_empty_stage() {
             check_baseline_agreement(&g, &gp, threads, MatchMode::Gpml, MatchIso::Homomorphism);
         }
     }
+}
+
+/// A tail join key prunes its stage even when the key set is estimated no
+/// smaller than the stage: `(x:Src)-[:A]->(m)` (one start, ~10 rows) runs
+/// first and `(y:Dst)-[:B]->(m)` (~8 rows) joins it on `m`, its tail. Half
+/// of the `Dst` walks end outside the `m` set, and the search cuts them at
+/// the `NodeTest`, with the rows the baseline computes and the same work at
+/// every thread count.
+#[test]
+fn tail_key_filter_prunes_a_stage_no_bigger_than_its_key_set() {
+    use gpml_suite::core::eval::ExecProfile;
+    use gpml_suite::core::Params;
+    use property_graph::Endpoints;
+
+    let mut g = PropertyGraph::new();
+    let s = g.add_node("s", ["Src"], []);
+    let m: Vec<_> = (0..10)
+        .map(|i| g.add_node(&format!("m{i}"), ["M"], []))
+        .collect();
+    let p: Vec<_> = (0..4)
+        .map(|i| g.add_node(&format!("p{i}"), ["M"], []))
+        .collect();
+    for (i, &mi) in m.iter().enumerate() {
+        g.add_edge(&format!("a{i}"), Endpoints::directed(s, mi), ["A"], []);
+    }
+    for i in 0..8 {
+        let d = g.add_node(&format!("d{i}"), ["Dst"], []);
+        let to = if i < 4 { m[i] } else { p[i - 4] };
+        g.add_edge(&format!("b{i}"), Endpoints::directed(d, to), ["B"], []);
+    }
+    let gp = gpml_suite::parser::parse("MATCH (x:Src)-[:A]->(m), (y:Dst)-[:B]->(m)").unwrap();
+    let want = sorted(baseline::evaluate(&g, &gp, &opts()).unwrap());
+    assert_eq!(want.len(), 4);
+    let mut work = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let options = EvalOptions { threads, ..opts() };
+        let q = prepare(&gp, &options).unwrap();
+        let explain = q.explain_for(&g);
+        assert!(explain.contains("filter: m (~"), "{explain}");
+        let profile = ExecProfile::new(q.plan().stage_count());
+        let got = q
+            .execute_with_profile(&g, &Params::new(), &profile)
+            .unwrap();
+        assert_eq!(sorted(got), want, "threads {threads}");
+        let totals = profile.totals();
+        assert!(totals.2 > 0, "threads {threads}: nothing pruned\n{explain}");
+        work.push((totals.0, totals.1, totals.2, totals.3));
+    }
+    assert!(work.windows(2).all(|w| w[0] == w[1]), "{work:?}");
 }
 
 /// Early exit by `max_matches` on a filtered join: whatever a parallel
@@ -500,8 +549,8 @@ fn semi_join_filters_respect_the_match_limit() {
 }
 
 /// Parameter bindings steer predicate selectivity, which steers the
-/// semi-join decisions — estimates treat bound parameters like
-/// literals. One prepared skeleton, re-bound across the selectivity
+/// stage order and so which join keys seed and which filter —
+/// estimates treat bound parameters like literals. One prepared skeleton, re-bound across the selectivity
 /// range, must agree with the baseline on the literal query for every
 /// binding.
 #[test]

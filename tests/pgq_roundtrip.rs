@@ -4,8 +4,8 @@
 
 use gpml_suite::datagen::{fig1, transfer_network, TransferNetworkConfig};
 use gpml_suite::pgq::{
-    graph_table, materialize_tabulation, tabulate, Catalog, EdgeTable, GraphView, Table,
-    VertexTable,
+    graph_table, materialize_tabulation, tabulate, Catalog, Database, EdgeTable, GraphView,
+    PgqError, Table, VertexTable, ViewError,
 };
 use property_graph::{PropertyGraph, Value};
 
@@ -181,6 +181,59 @@ fn create_property_graph_over_hand_written_tables() {
             "path(a6,t6,a5,t8,a1,t1,a3,t2,a2)",
             "path(a6,t5,a3,t7,a5,t8,a1,t1,a3,t2,a2)",
         ]
+    );
+}
+
+/// An edge key equal to a vertex key is a duplicate element name: the
+/// view reports it instead of aborting the build.
+#[test]
+fn edge_key_clashing_with_a_vertex_key_is_a_view_error() {
+    let mut db = Database::new();
+    db.insert(Table::from_csv("Account", "ID,owner\n1,Scott\n2,Jay\n").unwrap());
+    db.insert(Table::from_csv("Transfer", "ID,SRC,DST\n1,1,2\n").unwrap());
+    let mut cat = Catalog::new(db);
+    let err = cat
+        .execute_ddl(
+            "CREATE PROPERTY GRAPH bank \
+             VERTEX TABLES (Account KEY (ID) PROPERTIES (owner)) \
+             EDGE TABLES (Transfer KEY (ID) \
+               SOURCE KEY (SRC) REFERENCES Account \
+               DESTINATION KEY (DST) REFERENCES Account)",
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        PgqError::View(ViewError::DuplicateKey {
+            table: "Transfer".into(),
+            key: "1".into()
+        })
+    );
+    assert!(cat.graph("bank").is_none());
+}
+
+/// A tabulation whose edge table lacks a `DST` column is reported as a
+/// missing column, not a panic.
+#[test]
+fn tabulation_without_an_endpoint_column_is_a_view_error() {
+    let mut db = tabulate(&fig1());
+    let transfer = db.table("Transfer").unwrap();
+    let keep: Vec<usize> = (0..transfer.columns.len())
+        .filter(|&i| transfer.columns[i] != "DST")
+        .collect();
+    let mut cut = Table::new(
+        "Transfer",
+        keep.iter().map(|&i| transfer.columns[i].clone()),
+    );
+    for row in &transfer.rows {
+        cut.push(keep.iter().map(|&i| row[i].clone()));
+    }
+    db.insert(cut);
+    assert_eq!(
+        materialize_tabulation(&db).unwrap_err(),
+        ViewError::MissingColumn {
+            table: "Transfer".into(),
+            column: "DST".into()
+        }
     );
 }
 

@@ -202,7 +202,7 @@ fn concurrent_clients_share_one_plan_cache() {
 
 /// `STATS` reports server-wide execution counters: matcher work done by
 /// `QUERY` and `EXECUTE` requests accumulates into `exec.*` lines, and a
-/// selective two-stage join drives the semi-join pruning counter.
+/// selective two-stage join drives the join pruning counter.
 #[test]
 fn stats_reports_execution_counters() {
     let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
