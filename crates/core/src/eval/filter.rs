@@ -8,6 +8,8 @@
 //! optional pattern part does not match, `p.isBlocked='yes'` is unknown,
 //! so the other disjunct must hold.
 
+use std::borrow::Cow;
+
 use property_graph::{ElementId, PropertyGraph, Value};
 
 use crate::ast::{AggArg, AggFunc, ArithOp, CmpOp, Expr, GraphPattern};
@@ -96,16 +98,12 @@ pub fn truth(graph: &PropertyGraph, env: &dyn Env, expr: &Expr) -> Option<bool> 
 /// Evaluates `expr` to a scalar [`Value`]; failures surface as `Null`.
 pub fn eval(graph: &PropertyGraph, env: &dyn Env, expr: &Expr) -> Value {
     match expr {
-        Expr::Literal(v) => v.clone(),
+        Expr::Literal(_) | Expr::Property(..) => operand(graph, env, expr).into_owned(),
         Expr::Parameter(name) => env.param(name).unwrap_or(Value::Null),
         Expr::Var(_) => Value::Null, // bare element refs have no scalar value
-        Expr::Property(var, key) => match element(env, var) {
-            Some(el) => graph.property(el, key).clone(),
-            None => Value::Null,
-        },
         Expr::Arith(op, a, b) => {
-            let a = eval(graph, env, a);
-            let b = eval(graph, env, b);
+            let a = operand(graph, env, a);
+            let b = operand(graph, env, b);
             let r = match op {
                 ArithOp::Add => a.add(&b),
                 ArithOp::Sub => a.subtract(&b),
@@ -124,6 +122,20 @@ pub fn eval(graph: &PropertyGraph, env: &dyn Env, expr: &Expr) -> Value {
             Some(b) => Value::Bool(b),
             None => Value::Null,
         },
+    }
+}
+
+/// The value of an operand: literals and properties borrowed from the
+/// expression and the graph, anything else evaluated.
+fn operand<'a>(graph: &'a PropertyGraph, env: &dyn Env, expr: &'a Expr) -> Cow<'a, Value> {
+    const NULL: &Value = &Value::Null;
+    match expr {
+        Expr::Literal(v) => Cow::Borrowed(v),
+        Expr::Property(var, key) => Cow::Borrowed(match element(env, var) {
+            Some(el) => graph.property(el, key),
+            None => NULL,
+        }),
+        other => Cow::Owned(eval(graph, env, other)),
     }
 }
 
@@ -166,8 +178,8 @@ fn cmp(graph: &PropertyGraph, env: &dyn Env, op: CmpOp, a: &Expr, b: &Expr) -> O
             _ => None,
         };
     }
-    let va = eval(graph, env, a);
-    let vb = eval(graph, env, b);
+    let va = operand(graph, env, a);
+    let vb = operand(graph, env, b);
     va.sql_compare(&vb).map(|ord| op.test(ord))
 }
 
@@ -299,6 +311,71 @@ mod tests {
         let e = Expr::prop("y", "isBlocked").eq(Expr::lit("no"));
         // a2 lacks isBlocked → NULL → unknown.
         assert_eq!(truth(&g, &env, &e), None);
+    }
+
+    /// The three-valued result of every comparison operator over
+    /// borrowed literal and property operands and an owned parameter:
+    /// numbers compare across `Int` and `Float`, strings by code point,
+    /// and NULL, a missing property, an unbound variable or a missing
+    /// parameter make every comparison unknown.
+    #[test]
+    fn comparisons_are_three_valued() {
+        struct ParamEnv(MapEnv);
+        impl Env for ParamEnv {
+            fn lookup(&self, var: &str) -> Option<BoundValue> {
+                self.0.lookup(var)
+            }
+            fn param(&self, name: &str) -> Option<Value> {
+                (name == "n").then_some(Value::Float(8e6))
+            }
+        }
+        let (g, env) = setup();
+        let env = ParamEnv(env);
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let results = |a: Expr, b: Expr| -> Vec<Option<bool>> {
+            (ops.iter())
+                .map(|&op| truth(&g, &env, &Expr::cmp(op, a.clone(), b.clone())))
+                .collect()
+        };
+        let (t, f) = (Some(true), Some(false));
+        let amount = || Expr::prop("e", "amount");
+        // Int property vs Float literal and parameter: 8e6 = 8_000_000.
+        assert_eq!(results(amount(), Expr::lit(8e6)), [t, f, f, t, f, t]);
+        assert_eq!(
+            results(amount(), Expr::Parameter("n".into())),
+            [t, f, f, t, f, t]
+        );
+        assert_eq!(results(Expr::lit(7.5), amount()), [f, t, t, t, f, f]);
+        // Strings order by code point: "Aretha" < "Scott" < "a".
+        let owner = |v: &str| Expr::prop(v, "owner");
+        assert_eq!(results(owner("y"), owner("x")), [f, t, t, t, f, f]);
+        assert_eq!(results(owner("x"), Expr::lit("a")), [f, t, t, t, f, f]);
+        assert_eq!(results(owner("x"), Expr::lit("Scott")), [t, f, f, t, f, t]);
+        // Unknown on every operator.
+        let unknown = [None; 6];
+        assert_eq!(
+            results(Expr::lit(Value::Null), Expr::lit(Value::Null)),
+            unknown
+        );
+        assert_eq!(results(owner("x"), Expr::lit(Value::Null)), unknown);
+        assert_eq!(
+            results(Expr::prop("y", "isBlocked"), Expr::lit("no")),
+            unknown
+        );
+        assert_eq!(results(Expr::prop("ghost", "owner"), owner("x")), unknown);
+        assert_eq!(
+            results(amount(), Expr::Parameter("missing".into())),
+            unknown
+        );
+        // Incomparable types are unknown too.
+        assert_eq!(results(owner("x"), amount()), unknown);
     }
 
     #[test]

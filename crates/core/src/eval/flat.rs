@@ -30,6 +30,7 @@ use property_graph::{NodeId, Path, PropertyGraph};
 use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, Quantifier, Restrictor};
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
+use crate::eval::labels::ProgramLabels;
 use crate::eval::search::{
     self, BindSite, Frame, JoinKeyNodes, Loop, MergeEffect, PruneMode, RunState, Scope,
 };
@@ -591,6 +592,8 @@ pub(crate) struct FlatMatcher<'a> {
     path_restrictor: Option<Restrictor>,
     prune: PruneMode,
     max_edges: usize,
+    /// The program's node and edge patterns resolved against `graph`.
+    labels: ProgramLabels,
     filters: Option<&'a JoinKeyNodes>,
     interner: KeyInterner,
     nodes_expanded: Cell<u64>,
@@ -623,6 +626,7 @@ impl<'a> FlatMatcher<'a> {
             path_restrictor,
             prune,
             max_edges,
+            labels: ProgramLabels::resolve(prog, graph),
             filters: None,
             interner: KeyInterner::new(),
             nodes_expanded: Cell::new(0),
@@ -703,10 +707,13 @@ impl<'a> FlatMatcher<'a> {
             loop {
                 let ins = self.prog.instrs[pc];
                 if ins.op == Op::Consume {
-                    let ep = &self.prog.edge_pats[ins.arg as usize];
-                    let cur = state.current();
-                    for step in self.graph.steps(cur) {
+                    let arg = ins.arg as usize;
+                    let (ep, scan) = (&self.prog.edge_pats[arg], &self.labels.edges[arg]);
+                    for step in scan.steps(self.graph, state.current()) {
                         self.edges_traversed.set(self.edges_traversed.get() + 1);
+                        if !scan.admits(self.graph, step) {
+                            continue;
+                        }
                         if let Some(next) = search::try_step(
                             self.graph,
                             self.params,
@@ -825,10 +832,8 @@ impl<'a> FlatMatcher<'a> {
             Op::NodeTest => {
                 let np = &self.prog.node_pats[arg];
                 let n = work.current();
-                if let Some(l) = &np.label {
-                    if !l.matches(&self.graph.node(n).labels) {
-                        return false;
-                    }
+                if !self.labels.nodes[arg].node(self.graph, n) {
+                    return false;
                 }
                 if let Some(v) = &np.var {
                     // The join key check: a node outside the

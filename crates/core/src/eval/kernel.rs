@@ -52,6 +52,7 @@ use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, PathPatternExpr, S
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
 use crate::eval::flat::{FlatProgram, Op};
+use crate::eval::labels::{EdgeScan, ProgramLabels};
 use crate::eval::search;
 use crate::eval::{filter, EvalOptions, StageCounters};
 use crate::normalize::is_anonymous;
@@ -442,6 +443,8 @@ pub(crate) struct ShortestKernel<'a> {
     opts: &'a EvalOptions,
     params: &'a Params,
     max_edges: usize,
+    /// The program's node and edge patterns resolved against `graph`.
+    labels: ProgramLabels,
     nodes_expanded: Cell<u64>,
     edges_traversed: Cell<u64>,
     instrs_dispatched: Cell<u64>,
@@ -467,6 +470,7 @@ impl<'a> ShortestKernel<'a> {
             opts,
             params,
             max_edges: static_cap.min(opts.max_path_length),
+            labels: ProgramLabels::resolve(prog, graph),
             nodes_expanded: Cell::new(0),
             edges_traversed: Cell::new(0),
             instrs_dispatched: Cell::new(0),
@@ -551,12 +555,13 @@ impl<'a> ShortestKernel<'a> {
             s.cands.clear();
             for (i, e) in s.layer.iter().enumerate() {
                 self.nodes_expanded.set(self.nodes_expanded.get() + 1);
-                let ins = self.prog.instrs[e.pc as usize];
-                let ep = &self.prog.edge_pats[ins.arg as usize];
+                let arg = self.prog.instrs[e.pc as usize].arg as usize;
+                let (ep, scan) = (&self.prog.edge_pats[arg], &self.labels.edges[arg]);
                 let arrivals = self.plane(self.plan.slot[e.pc as usize] + 1, e.count);
-                for step in self.graph.steps(e.node) {
+                for step in scan.steps(self.graph, e.node) {
                     self.edges_traversed.set(self.edges_traversed.get() + 1);
-                    if !s.visited.contains(arrivals, step.to) && self.edge_ok(ep, *step, start) {
+                    if !s.visited.contains(arrivals, step.to) && self.edge_ok(ep, scan, step, start)
+                    {
                         s.cands.push(Cand {
                             nrank: e.nrank,
                             node: step.to,
@@ -678,10 +683,7 @@ impl<'a> ShortestKernel<'a> {
                     }
                     Op::Halt => None,
                     Op::Jump | Op::AltMark | Op::OpenParen | Op::CloseParen => Some(count),
-                    Op::NodeTest => {
-                        let np = &self.prog.node_pats[arg];
-                        self.node_ok(np, a.node, start).then_some(count)
-                    }
+                    Op::NodeTest => self.node_ok(arg, a.node, start).then_some(count),
                     Op::EnterQuant => Some(0),
                     Op::IterStart => self.plan.max.is_none_or(|m| count < m).then_some(count),
                     Op::IterEnd => Some((count + 1).min(self.plan.cap)),
@@ -702,26 +704,22 @@ impl<'a> ShortestKernel<'a> {
         Ok(())
     }
 
-    fn node_ok(&self, np: &NodePattern, n: NodeId, start: NodeId) -> bool {
-        if let Some(l) = &np.label {
-            if !l.matches(&self.graph.node(n).labels) {
-                return false;
-            }
+    /// Node pattern `arg` of the program against node `n`.
+    fn node_ok(&self, arg: usize, n: NodeId, start: NodeId) -> bool {
+        if !self.labels.nodes[arg].node(self.graph, n) {
+            return false;
         }
+        let np = &self.prog.node_pats[arg];
         match &np.predicate {
             Some(pred) => self.holds(pred, np.var.as_deref(), BoundValue::Node(n), start),
             None => true,
         }
     }
 
-    fn edge_ok(&self, ep: &EdgePattern, step: Step, start: NodeId) -> bool {
-        if !ep.direction.permits(step.traversal) {
+    /// Edge pattern `ep` against a step its scan read.
+    fn edge_ok(&self, ep: &EdgePattern, scan: &EdgeScan, step: &Step, start: NodeId) -> bool {
+        if !scan.admits(self.graph, step) {
             return false;
-        }
-        if let Some(l) = &ep.label {
-            if !l.matches(&self.graph.edge(step.edge).labels) {
-                return false;
-            }
         }
         match &ep.predicate {
             Some(pred) => self.holds(pred, ep.var.as_deref(), BoundValue::Edge(step.edge), start),

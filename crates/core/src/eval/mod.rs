@@ -22,6 +22,7 @@
 pub(crate) mod filter;
 pub mod flat;
 pub(crate) mod kernel;
+pub(crate) mod labels;
 pub(crate) mod pool;
 pub(crate) mod search;
 pub(crate) mod selector;

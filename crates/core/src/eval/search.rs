@@ -236,8 +236,9 @@ pub(crate) fn resolve_prune(
 }
 
 /// Attempts one graph step under an edge pattern, returning the successor
-/// state if direction, labels, restrictors, bindings, and prefilters all
-/// admit it.
+/// state if restrictors, bindings, and prefilters all admit it. The step
+/// comes from the pattern's [`super::labels::EdgeScan`], which has
+/// already checked its orientation and labels.
 pub(crate) fn try_step(
     graph: &PropertyGraph,
     params: &Params,
@@ -246,15 +247,6 @@ pub(crate) fn try_step(
     ep: &EdgePattern,
     step: Step,
 ) -> Option<RunState> {
-    if !ep.direction.permits(step.traversal) {
-        return None;
-    }
-    let edata = graph.edge(step.edge);
-    if let Some(l) = &ep.label {
-        if !l.matches(&edata.labels) {
-            return None;
-        }
-    }
     // Restrictor scopes prune during the search (§5.1).
     for scope in &state.scopes {
         if scope.closed {

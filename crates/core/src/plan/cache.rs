@@ -10,7 +10,9 @@
 //! least-recently-used entry on overflow — exact LRU without the
 //! linked-list bookkeeping, fine at the capacities sessions use.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::eval::EvalOptions;
@@ -81,9 +83,7 @@ impl<V> PlanLru<V> {
     /// Looks up a plan, counting a hit or miss and refreshing recency.
     pub fn get(&mut self, query: &str, opts: &EvalOptions) -> Option<&V> {
         self.clock += 1;
-        // Owned key avoidance is not worth a borrowed-key wrapper here:
-        // lookups happen once per query execution, not per row.
-        match self.entries.get_mut(&(query.to_owned(), opts.clone())) {
+        match self.entries.get_mut(&(query, opts) as &dyn Key) {
             Some((v, stamp)) => {
                 self.hits += 1;
                 *stamp = self.clock;
@@ -160,6 +160,46 @@ impl<V> PlanLru<V> {
         }
     }
 }
+
+/// A cache key seen as its parts, so the owned `(String, EvalOptions)`
+/// key of an entry and a borrowed `(&str, &EvalOptions)` lookup hash and
+/// compare alike: a lookup allocates nothing.
+trait Key {
+    fn parts(&self) -> (&str, &EvalOptions);
+}
+
+impl Key for (String, EvalOptions) {
+    fn parts(&self) -> (&str, &EvalOptions) {
+        (&self.0, &self.1)
+    }
+}
+
+impl Key for (&str, &EvalOptions) {
+    fn parts(&self) -> (&str, &EvalOptions) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> Borrow<dyn Key + 'a> for (String, EvalOptions) {
+    fn borrow(&self) -> &(dyn Key + 'a) {
+        self
+    }
+}
+
+/// Hashes like the owned tuple: `String` and `&str` hash alike.
+impl Hash for dyn Key + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn Key + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn Key + '_ {}
 
 /// A thread-safe, clonable sharing layer over a [`PlanLru`].
 ///

@@ -1,4 +1,19 @@
 //! The [`PropertyGraph`] container and its adjacency structure.
+//!
+//! # Layout
+//!
+//! Labels are interned per graph: the symbol table maps each label name
+//! to a [`LabelSym`], and each distinct label set is stored once, as its
+//! names (shared by every element carrying it) and as a [`LabelSet`] over
+//! the symbols, so a matcher resolves a label expression once and then
+//! tests integers. Each node has one adjacency array whose steps are
+//! grouped by (traversal, edge label set), one contiguous run per group,
+//! with a small directory of group ends. A pattern step reads only the
+//! groups its orientation and label admit
+//! ([`PropertyGraph::typed_steps`]); [`PropertyGraph::steps`] still
+//! returns the whole array. Every mutator maintains symbols, sets and
+//! groups in place, and [`PropertyGraph::verify_layout`] rebuilds them
+//! from the element records to check it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -125,14 +140,189 @@ pub struct Step {
     pub traversal: Traversal,
 }
 
+/// An interned label name: an index into the graph's label symbol table.
+/// Symbols are only meaningful for the graph that issued them
+/// ([`PropertyGraph::label_sym`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct LabelSym(u32);
+
+/// An element's label set over the graph's symbols: a bitmask of the
+/// first 64 symbols and a sorted list of any others, so a membership test
+/// is a bit test while the graph has at most 64 labels.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LabelSet {
+    low: u64,
+    high: Box<[u32]>,
+}
+
+impl LabelSet {
+    /// True if the set holds `label`.
+    #[inline]
+    pub fn contains(&self, label: LabelSym) -> bool {
+        match label.0 {
+            s @ 0..64 => self.low >> s & 1 != 0,
+            s => self.high.binary_search(&s).is_ok(),
+        }
+    }
+
+    /// True for the empty label set.
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_empty()
+    }
+}
+
+/// The id of a distinct label set in the graph's [`Labels`] table.
+type SetId = u32;
+
+/// The per-graph label tables: label symbols, and every distinct label
+/// set any element has carried, by [`SetId`]. An element holds the shared
+/// name set of its label set and the set's id, so elements with equal
+/// labels share one allocation. Symbols and sets are never dropped: a
+/// label whose last element is removed keeps its symbol and matches
+/// nothing.
+#[derive(Clone, Debug, Default)]
+struct Labels {
+    syms: HashMap<String, LabelSym>,
+    /// Per set id: the label names and their symbols.
+    sets: Vec<(Arc<BTreeSet<String>>, LabelSet)>,
+    set_ids: HashMap<Arc<BTreeSet<String>>, SetId>,
+}
+
+impl Labels {
+    fn sym(&self, name: &str) -> Option<LabelSym> {
+        self.syms.get(name).copied()
+    }
+
+    /// The id and shared names of `labels`, interning the set and its
+    /// labels on first sight.
+    fn intern(&mut self, labels: BTreeSet<String>) -> (SetId, Arc<BTreeSet<String>>) {
+        if let Some(&id) = self.set_ids.get(&labels) {
+            return (id, Arc::clone(&self.sets[id as usize].0));
+        }
+        for l in &labels {
+            if !self.syms.contains_key(l) {
+                let sym = LabelSym(self.syms.len() as u32);
+                self.syms.insert(l.clone(), sym);
+            }
+        }
+        let syms = self.symbols_of(&labels).unwrap_or_default();
+        let id = self.sets.len() as SetId;
+        let names = Arc::new(labels);
+        self.sets.push((Arc::clone(&names), syms));
+        self.set_ids.insert(Arc::clone(&names), id);
+        (id, names)
+    }
+
+    /// The symbol set of `labels`; `None` when one of them has no symbol.
+    fn symbols_of(&self, labels: &BTreeSet<String>) -> Option<LabelSet> {
+        let mut set = LabelSet::default();
+        let mut high = Vec::new();
+        for l in labels {
+            match self.sym(l)?.0 {
+                s @ 0..64 => set.low |= 1 << s,
+                s => high.push(s),
+            }
+        }
+        high.sort_unstable();
+        set.high = high.into();
+        Some(set)
+    }
+}
+
+/// The steps edge `id` with `endpoints` adds, each with the node it
+/// leaves from: forward at the source and backward at the target of a
+/// directed edge, one step per distinct end of an undirected one.
+fn steps_of(id: EdgeId, endpoints: Endpoints) -> impl Iterator<Item = (NodeId, Step)> {
+    let step = |to, traversal| Step {
+        edge: id,
+        to,
+        traversal,
+    };
+    let (first, second) = match endpoints {
+        Endpoints::Directed { src, dst } => (
+            (src, step(dst, Traversal::Forward)),
+            Some((dst, step(src, Traversal::Backward))),
+        ),
+        Endpoints::Undirected(u, v) => (
+            (u, step(v, Traversal::Undirected)),
+            (u != v).then(|| (v, step(u, Traversal::Undirected))),
+        ),
+    };
+    std::iter::once(first).chain(second)
+}
+
+/// One run of a node's adjacency: the steps of one traversal kind over
+/// edges with one label set.
+#[derive(Clone, Copy, Debug)]
+struct Group {
+    traversal: Traversal,
+    set: SetId,
+    /// One past the run's last step; the run starts where the previous
+    /// group ends.
+    end: u32,
+}
+
+/// One node's adjacency: every step, grouped by (traversal, edge label
+/// set) into contiguous runs, and the directory of those runs. Groups are
+/// never empty, and no two share a key.
+#[derive(Clone, Debug, Default)]
+struct Adjacency {
+    steps: Vec<Step>,
+    groups: Vec<Group>,
+}
+
+impl Adjacency {
+    /// Adds `step`, over an edge with label set `set`, to the group of
+    /// its key, opening a new group at the end when there is none.
+    fn insert(&mut self, step: Step, set: SetId) {
+        let key = |g: &Group| (g.traversal, g.set) == (step.traversal, set);
+        match self.groups.iter().position(key) {
+            Some(i) => {
+                self.steps.insert(self.groups[i].end as usize, step);
+                for later in &mut self.groups[i..] {
+                    later.end += 1;
+                }
+            }
+            None => {
+                self.steps.push(step);
+                self.groups.push(Group {
+                    traversal: step.traversal,
+                    set,
+                    end: self.steps.len() as u32,
+                });
+            }
+        }
+    }
+
+    /// Drops every step over edge `e`, and any group left empty.
+    fn remove_edge(&mut self, e: EdgeId) {
+        let steps = &mut self.steps;
+        let (mut kept, mut start) = (0usize, 0usize);
+        self.groups.retain_mut(|g| {
+            let before = kept;
+            for j in start..g.end as usize {
+                if steps[j].edge != e {
+                    steps[kept] = steps[j];
+                    kept += 1;
+                }
+            }
+            start = g.end as usize;
+            g.end = kept as u32;
+            kept > before
+        });
+        steps.truncate(kept);
+    }
+}
+
 /// Stored record for one node: its external name (e.g. `a1`), `λ` labels,
 /// and `π` properties.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeData {
     /// The unique external name (the paper's node identifier).
     pub name: String,
-    /// The node's label set `λ(n)`.
-    pub labels: BTreeSet<String>,
+    /// The node's label set `λ(n)`, shared by every element with the
+    /// same labels.
+    pub labels: Arc<BTreeSet<String>>,
     /// The node's property map `π(n, ·)`.
     pub properties: BTreeMap<String, Value>,
 }
@@ -144,8 +334,9 @@ pub struct EdgeData {
     pub name: String,
     /// The edge's endpoint pair `ρ(e)`.
     pub endpoints: Endpoints,
-    /// The edge's label set `λ(e)`.
-    pub labels: BTreeSet<String>,
+    /// The edge's label set `λ(e)`, shared by every element with the
+    /// same labels.
+    pub labels: Arc<BTreeSet<String>>,
     /// The edge's property map `π(e, ·)`.
     pub properties: BTreeMap<String, Value>,
 }
@@ -176,17 +367,23 @@ impl EdgeData {
 
 /// An in-memory property graph.
 ///
-/// Elements have dense ids and unique external names; adjacency lists are
-/// kept per node for O(degree) neighbourhood scans in the matcher.
+/// Elements have dense ids and unique external names; adjacency is kept
+/// per node, grouped by traversal and edge label set (see the module
+/// docs), for neighbourhood scans that read only the steps a pattern can
+/// take.
 #[derive(Clone, Debug, Default)]
 pub struct PropertyGraph {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
-    /// Outgoing steps per node: every incident edge appears once per
-    /// traversable direction (directed edges appear Forward at their source
-    /// and Backward at their target; undirected edges appear at both ends —
+    /// Label symbols and sets, and each element's label set id.
+    labels: Labels,
+    node_sets: Vec<SetId>,
+    edge_sets: Vec<SetId>,
+    /// Steps per node: every incident edge appears once per traversable
+    /// direction (directed edges appear Forward at their source and
+    /// Backward at their target; undirected edges appear at both ends —
     /// and only once for undirected self loops).
-    adjacency: Vec<Vec<Step>>,
+    adjacency: Vec<Adjacency>,
     names: HashMap<String, ElementId>,
     /// Lazily computed statistics catalog (see [`GraphStats`]); reset by
     /// every mutation so planners always see numbers for the current graph.
@@ -253,12 +450,14 @@ impl PropertyGraph {
         let _ = self.index.take();
         let id = NodeId(self.nodes.len() as u32);
         self.names.insert(name.to_owned(), id.into());
+        let (set, labels) = self.labels.intern(labels.into_iter().collect());
+        self.node_sets.push(set);
         self.nodes.push(NodeData {
             name: name.to_owned(),
-            labels: labels.into_iter().collect(),
+            labels,
             properties: properties.into_iter().collect(),
         });
-        self.adjacency.push(Vec::new());
+        self.adjacency.push(Adjacency::default());
         if let Some(mut s) = cached {
             s.apply_add_node(self.nodes.last().expect("just pushed"));
             debug_assert_eq!(
@@ -325,39 +524,16 @@ impl PropertyGraph {
         let cached = self.stats.take();
         let id = EdgeId(self.edges.len() as u32);
         self.names.insert(name.to_owned(), id.into());
+        let (set, labels) = self.labels.intern(labels.into_iter().collect());
+        self.edge_sets.push(set);
         self.edges.push(EdgeData {
             name: name.to_owned(),
             endpoints,
-            labels: labels.into_iter().collect(),
+            labels,
             properties: properties.into_iter().collect(),
         });
-        match endpoints {
-            Endpoints::Directed { src, dst } => {
-                self.adjacency[src.index()].push(Step {
-                    edge: id,
-                    to: dst,
-                    traversal: Traversal::Forward,
-                });
-                self.adjacency[dst.index()].push(Step {
-                    edge: id,
-                    to: src,
-                    traversal: Traversal::Backward,
-                });
-            }
-            Endpoints::Undirected(u, v) => {
-                self.adjacency[u.index()].push(Step {
-                    edge: id,
-                    to: v,
-                    traversal: Traversal::Undirected,
-                });
-                if u != v {
-                    self.adjacency[v.index()].push(Step {
-                        edge: id,
-                        to: u,
-                        traversal: Traversal::Undirected,
-                    });
-                }
-            }
+        for (at, step) in steps_of(id, endpoints) {
+            self.adjacency[at.index()].insert(step, set);
         }
         if let Some(mut s) = cached {
             s.apply_add_edge(self, &self.edges[id.index()]);
@@ -407,10 +583,13 @@ impl PropertyGraph {
                 }
                 let _ = self.stats.take();
                 let data = self.edges.remove(e.index());
+                self.edge_sets.remove(e.index());
                 self.names.remove(&data.name);
+                let (a, b) = data.endpoints.pair();
+                self.adjacency[a.index()].remove_edge(e);
+                self.adjacency[b.index()].remove_edge(e);
                 for adj in &mut self.adjacency {
-                    adj.retain(|s| s.edge != e);
-                    for s in adj.iter_mut() {
+                    for s in &mut adj.steps {
                         if s.edge.0 > e.0 {
                             s.edge.0 -= 1;
                         }
@@ -425,12 +604,13 @@ impl PropertyGraph {
                 if n.index() >= self.nodes.len() {
                     return Err(GraphError::UnknownElement(format!("{n:?}")));
                 }
-                if !self.adjacency[n.index()].is_empty() {
+                if !self.adjacency[n.index()].steps.is_empty() {
                     return Err(GraphError::NodeHasEdges(self.nodes[n.index()].name.clone()));
                 }
                 let _ = self.stats.take();
                 let _ = self.index.take();
                 let data = self.nodes.remove(n.index());
+                self.node_sets.remove(n.index());
                 self.adjacency.remove(n.index());
                 self.names.remove(&data.name);
                 // The removed node had degree 0, so no endpoint equals `n`;
@@ -459,7 +639,7 @@ impl PropertyGraph {
                     };
                 }
                 for adj in &mut self.adjacency {
-                    for s in adj.iter_mut() {
+                    for s in &mut adj.steps {
                         if s.to.0 > n.0 {
                             s.to.0 -= 1;
                         }
@@ -591,22 +771,62 @@ impl PropertyGraph {
     }
 
     /// Every traversable step out of `n` (directed out-edges forward,
-    /// directed in-edges backward, undirected edges once per distinct end).
+    /// directed in-edges backward, undirected edges once per distinct
+    /// end), grouped by traversal and edge label set.
     pub fn steps(&self, n: NodeId) -> &[Step] {
-        &self.adjacency[n.index()]
+        &self.adjacency[n.index()].steps
+    }
+
+    /// The steps out of `n` whose traversal `traversal` admits and, when
+    /// `label` is given, whose edge carries it: only the groups of `n`'s
+    /// adjacency that match are read. An edge with several labels is
+    /// found under each of them.
+    #[inline]
+    pub fn typed_steps<F: Fn(Traversal) -> bool>(
+        &self,
+        n: NodeId,
+        traversal: F,
+        label: Option<LabelSym>,
+    ) -> TypedSteps<'_, F> {
+        let adj = &self.adjacency[n.index()];
+        TypedSteps {
+            graph: self,
+            steps: &adj.steps,
+            groups: adj.groups.iter(),
+            start: 0,
+            run: [].iter(),
+            traversal,
+            label,
+        }
+    }
+
+    /// The symbol of label `name`, or `None` when no element of this
+    /// graph has ever carried it (so no element carries it now).
+    pub fn label_sym(&self, name: &str) -> Option<LabelSym> {
+        self.labels.sym(name)
+    }
+
+    /// Node `n`'s labels as symbols.
+    #[inline]
+    pub fn node_label_syms(&self, n: NodeId) -> &LabelSet {
+        &self.labels.sets[self.node_sets[n.index()] as usize].1
+    }
+
+    /// Edge `e`'s labels as symbols.
+    #[inline]
+    pub fn edge_label_syms(&self, e: EdgeId) -> &LabelSet {
+        &self.labels.sets[self.edge_sets[e.index()] as usize].1
     }
 
     /// Number of directed edges whose source is `n`.
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.adjacency[n.index()]
-            .iter()
-            .filter(|s| s.traversal == Traversal::Forward)
+        self.typed_steps(n, |t| t == Traversal::Forward, None)
             .count()
     }
 
     /// Total number of incident traversal directions at `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adjacency[n.index()].len()
+        self.steps(n).len()
     }
 
     /// The statistics catalog for this graph, computed on first use and
@@ -615,34 +835,133 @@ impl PropertyGraph {
         self.stats.get_or_init(|| GraphStats::compute(self))
     }
 
-    /// Checks internal consistency: adjacency mirrors `ρ`, names are unique
-    /// and resolvable. Used by tests and debug assertions.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The layout oracle, next to [`PropertyGraph::verify_index`]:
+    /// rebuilds the label tables' symbol sets and every node's steps from
+    /// the element records and compares them with the maintained ones,
+    /// and checks the group directory — groups non-empty, one per
+    /// (traversal, edge label set), every step in the group of its key.
+    pub fn verify_layout(&self) -> Result<(), String> {
+        let labels = &self.labels;
+        let mut ids: Vec<u32> = labels.syms.values().map(|s| s.0).collect();
+        ids.sort_unstable();
+        let bijective = ids.iter().copied().eq(0..ids.len() as u32)
+            && labels.set_ids.len() == labels.sets.len()
+            && (labels.sets.iter().enumerate()).all(|(i, (names, syms))| {
+                labels.set_ids.get(names) == Some(&(i as SetId))
+                    && labels.symbols_of(names).as_ref() == Some(syms)
+            });
+        if !bijective {
+            return Err("label tables are not bijections".to_owned());
+        }
+        if self.node_sets.len() != self.nodes.len()
+            || self.edge_sets.len() != self.edges.len()
+            || self.adjacency.len() != self.nodes.len()
+        {
+            return Err("layout vectors and element records differ in length".to_owned());
+        }
+        let set_of = |names: &Arc<BTreeSet<String>>, id: SetId| {
+            labels
+                .sets
+                .get(id as usize)
+                .is_some_and(|(n, _)| n == names)
+        };
+        for n in self.nodes() {
+            if !set_of(&self.node(n).labels, self.node_sets[n.index()]) {
+                return Err(format!("label set of {n:?} diverged from its labels"));
+            }
+        }
+        let mut rebuilt: Vec<Vec<Step>> = vec![Vec::new(); self.nodes.len()];
         for e in self.edges() {
-            let ep = self.edge(e).endpoints;
-            let (a, b) = ep.pair();
+            let data = self.edge(e);
+            if !set_of(&data.labels, self.edge_sets[e.index()]) {
+                return Err(format!("label set of {e:?} diverged from its labels"));
+            }
+            let (a, b) = data.endpoints.pair();
             if a.index() >= self.nodes.len() || b.index() >= self.nodes.len() {
                 return Err(format!("edge {e:?} has dangling endpoint"));
             }
-        }
-        for n in self.nodes() {
-            for s in self.steps(n) {
-                let ep = self.edge(s.edge).endpoints;
-                if !ep.touches(n) || ep.other(n) != Some(s.to) {
-                    return Err(format!("adjacency of {n:?} disagrees with ρ"));
-                }
-                match (s.traversal, ep) {
-                    (Traversal::Forward, Endpoints::Directed { src, .. }) if src == n => {}
-                    (Traversal::Backward, Endpoints::Directed { dst, .. }) if dst == n => {}
-                    (Traversal::Undirected, Endpoints::Undirected(..)) => {}
-                    _ => return Err(format!("bad traversal kind at {n:?}")),
-                }
+            for (at, step) in steps_of(e, data.endpoints) {
+                rebuilt[at.index()].push(step);
             }
         }
+        let key = |s: &Step| (s.edge, s.to, s.traversal as u8);
+        for (n, (adj, mut want)) in self.adjacency.iter().zip(rebuilt).enumerate() {
+            let n = NodeId(n as u32);
+            let mut have = adj.steps.clone();
+            have.sort_by_key(key);
+            want.sort_by_key(key);
+            if have != want {
+                return Err(format!("steps of {n:?} disagree with ρ"));
+            }
+            let mut start = 0usize;
+            for (i, g) in adj.groups.iter().enumerate() {
+                let end = g.end as usize;
+                let run = adj.steps.get(start..end).unwrap_or_default();
+                let grouped = !run.is_empty()
+                    && run.iter().all(|s| {
+                        s.traversal == g.traversal && self.edge_sets[s.edge.index()] == g.set
+                    })
+                    && !adj.groups[..i]
+                        .iter()
+                        .any(|h| (h.traversal, h.set) == (g.traversal, g.set));
+                if !grouped {
+                    return Err(format!("bad step grouping at {n:?}"));
+                }
+                start = end;
+            }
+            if start != adj.steps.len() {
+                return Err(format!("ungrouped steps at {n:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks internal consistency: the layout mirrors the element
+    /// records ([`PropertyGraph::verify_layout`]), names are unique and
+    /// resolvable. Used by tests and debug assertions.
+    pub fn validate(&self) -> Result<(), String> {
+        self.verify_layout()?;
         if self.names.len() != self.nodes.len() + self.edges.len() {
             return Err("name index size mismatch".to_owned());
         }
         Ok(())
+    }
+}
+
+/// The iterator of [`PropertyGraph::typed_steps`]: the steps of one
+/// node's matching groups, group by group.
+pub struct TypedSteps<'g, F> {
+    graph: &'g PropertyGraph,
+    steps: &'g [Step],
+    groups: std::slice::Iter<'g, Group>,
+    /// Where the next group's run starts.
+    start: usize,
+    run: std::slice::Iter<'g, Step>,
+    traversal: F,
+    label: Option<LabelSym>,
+}
+
+impl<'g, F: Fn(Traversal) -> bool> Iterator for TypedSteps<'g, F> {
+    type Item = &'g Step;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'g Step> {
+        loop {
+            if let Some(step) = self.run.next() {
+                return Some(step);
+            }
+            let g = self.groups.next()?;
+            let (start, end) = (self.start, g.end as usize);
+            self.start = end;
+            let sets = &self.graph.labels.sets;
+            if (self.traversal)(g.traversal)
+                && self
+                    .label
+                    .is_none_or(|l| sets[g.set as usize].1.contains(l))
+            {
+                self.run = self.steps[start..end].iter();
+            }
+        }
     }
 }
 

@@ -46,7 +46,7 @@ impl NodeIndex {
         let mut index = NodeIndex::default();
         for (i, node) in nodes.iter().enumerate() {
             let id = NodeId(i as u32);
-            for label in &node.labels {
+            for label in node.labels.iter() {
                 let entry = index.labels.entry(label.clone()).or_default();
                 entry.nodes.push(id);
                 for (key, value) in &node.properties {

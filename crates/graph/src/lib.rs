@@ -41,7 +41,10 @@ pub mod path;
 pub mod stats;
 pub mod value;
 
-pub use graph::{EdgeData, Endpoints, GraphError, NodeData, PropertyGraph, Step, Traversal};
+pub use graph::{
+    EdgeData, Endpoints, GraphError, LabelSet, LabelSym, NodeData, PropertyGraph, Step, Traversal,
+    TypedSteps,
+};
 pub use ids::{EdgeId, ElementId, NodeId};
 pub use path::Path;
 pub use stats::{DegreeHistogram, DegreeStats, EdgeLabelStats, GraphStats};

@@ -261,7 +261,7 @@ impl GraphStats {
             if !data.labels.is_empty() {
                 stats.labeled_node_count += 1;
             }
-            for l in &data.labels {
+            for l in data.labels.iter() {
                 *stats.node_labels.entry(l.clone()).or_insert(0) += 1;
             }
             for (k, v) in &data.properties {
@@ -279,7 +279,7 @@ impl GraphStats {
             if !data.labels.is_empty() {
                 stats.labeled_edge_count += 1;
             }
-            for l in &data.labels {
+            for l in data.labels.iter() {
                 let entry = stats.edge_labels.entry(l.clone()).or_default();
                 if directed {
                     entry.directed += 1;
@@ -336,7 +336,7 @@ impl GraphStats {
                 1 => inc += 1,
                 _ => und += 1,
             }
-            for l in &g.edge(step.edge).labels {
+            for l in g.edge(step.edge).labels.iter() {
                 let e = per_label.entry(l).or_default();
                 match slot {
                     0 => e.0 += 1,
@@ -363,7 +363,7 @@ impl GraphStats {
         self.degree_histogram.record(g.steps(n).len());
         let mut per_label: BTreeMap<&str, usize> = BTreeMap::new();
         for step in g.steps(n) {
-            for l in &g.edge(step.edge).labels {
+            for l in g.edge(step.edge).labels.iter() {
                 *per_label.entry(l).or_default() += 1;
             }
         }
@@ -389,7 +389,7 @@ impl GraphStats {
         };
         let total = g.steps(n).len();
         self.degree_histogram.shift(total - contrib, total);
-        for l in &data.labels {
+        for l in data.labels.iter() {
             let labeled = g
                 .steps(n)
                 .iter()
@@ -410,7 +410,7 @@ impl GraphStats {
         if !data.labels.is_empty() {
             self.labeled_node_count += 1;
         }
-        for l in &data.labels {
+        for l in data.labels.iter() {
             *self.node_labels.entry(l.clone()).or_insert(0) += 1;
         }
         for (k, v) in &data.properties {
@@ -433,7 +433,7 @@ impl GraphStats {
         if !data.labels.is_empty() {
             self.labeled_edge_count += 1;
         }
-        for l in &data.labels {
+        for l in data.labels.iter() {
             let entry = self.edge_labels.entry(l.clone()).or_default();
             if directed {
                 entry.directed += 1;

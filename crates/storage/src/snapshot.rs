@@ -38,7 +38,7 @@ pub fn encode_graph(g: &PropertyGraph) -> Vec<u8> {
         let data = g.node(n);
         put_str(&mut buf, &data.name);
         put_u32(&mut buf, data.labels.len() as u32);
-        for l in &data.labels {
+        for l in data.labels.iter() {
             put_str(&mut buf, l);
         }
         put_u32(&mut buf, data.properties.len() as u32);
@@ -56,7 +56,7 @@ pub fn encode_graph(g: &PropertyGraph) -> Vec<u8> {
         put_u32(&mut buf, b.0);
         buf.push(u8::from(data.endpoints.is_directed()));
         put_u32(&mut buf, data.labels.len() as u32);
-        for l in &data.labels {
+        for l in data.labels.iter() {
             put_str(&mut buf, l);
         }
         put_u32(&mut buf, data.properties.len() as u32);
