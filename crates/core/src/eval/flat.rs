@@ -21,7 +21,7 @@
 //! test-suite checks its results against the §6 spec-literal engine in
 //! [`crate::baseline`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -34,7 +34,7 @@ use crate::eval::labels::ProgramLabels;
 use crate::eval::search::{
     self, BindSite, Frame, JoinKeyNodes, Loop, MergeEffect, PruneMode, RunState, Scope,
 };
-use crate::eval::{EvalOptions, StageCounters};
+use crate::eval::{EvalOptions, Tally};
 use crate::normalize::is_anonymous;
 use crate::params::Params;
 
@@ -596,11 +596,8 @@ pub(crate) struct FlatMatcher<'a> {
     labels: ProgramLabels,
     filters: Option<&'a JoinKeyNodes>,
     interner: KeyInterner,
-    nodes_expanded: Cell<u64>,
-    edges_traversed: Cell<u64>,
-    rows_pruned: Cell<u64>,
-    instrs_dispatched: Cell<u64>,
-    backtrack_truncations: Cell<u64>,
+    /// This search's work, flushed by the executor once it returns.
+    pub(crate) counts: Tally,
 }
 
 impl<'a> FlatMatcher<'a> {
@@ -629,11 +626,7 @@ impl<'a> FlatMatcher<'a> {
             labels: ProgramLabels::resolve(prog, graph),
             filters: None,
             interner: KeyInterner::new(),
-            nodes_expanded: Cell::new(0),
-            edges_traversed: Cell::new(0),
-            rows_pruned: Cell::new(0),
-            instrs_dispatched: Cell::new(0),
-            backtrack_truncations: Cell::new(0),
+            counts: Tally::default(),
         }
     }
 
@@ -644,18 +637,6 @@ impl<'a> FlatMatcher<'a> {
     pub(crate) fn with_filters(mut self, filters: &'a JoinKeyNodes) -> FlatMatcher<'a> {
         self.filters = Some(filters);
         self
-    }
-
-    /// Adds this interpreter's search tallies into `counters` and resets
-    /// them.
-    pub(crate) fn flush_counters(&self, counters: &StageCounters) {
-        counters.add(
-            self.nodes_expanded.take(),
-            self.edges_traversed.take(),
-            self.rows_pruned.take(),
-            self.instrs_dispatched.take(),
-            self.backtrack_truncations.take(),
-        );
     }
 
     /// Runs the search seeded only from `starts`.
@@ -697,7 +678,7 @@ impl<'a> FlatMatcher<'a> {
         }
 
         while let Some(state) = queue.pop_front() {
-            self.nodes_expanded.set(self.nodes_expanded.get() + 1);
+            self.counts.bump(|c| c.nodes_expanded += 1);
             if state.path.len() >= self.max_edges {
                 continue;
             }
@@ -710,7 +691,7 @@ impl<'a> FlatMatcher<'a> {
                     let arg = ins.arg as usize;
                     let (ep, scan) = (&self.prog.edge_pats[arg], &self.labels.edges[arg]);
                     for step in scan.steps(self.graph, state.current()) {
-                        self.edges_traversed.set(self.edges_traversed.get() + 1);
+                        self.counts.bump(|c| c.edges_traversed += 1);
                         if !scan.admits(self.graph, step) {
                             continue;
                         }
@@ -760,8 +741,7 @@ impl<'a> FlatMatcher<'a> {
         self.visit(&work, 0, &mut stack, &mut visited, queue, results, seen)?;
         while let Some((pc, mark)) = stack.pop() {
             if trail.len() > mark as usize {
-                self.backtrack_truncations
-                    .set(self.backtrack_truncations.get() + 1);
+                self.counts.bump(|c| c.backtrack_truncations += 1);
                 undo_to(&mut work, &mut trail, mark as usize);
             }
             let ins = self.prog.instrs[pc as usize];
@@ -800,7 +780,7 @@ impl<'a> FlatMatcher<'a> {
         let mut has_consume = false;
         loop {
             let ins = self.prog.instrs[pc];
-            self.instrs_dispatched.set(self.instrs_dispatched.get() + 1);
+            self.counts.bump(|c| c.instrs_dispatched += 1);
             match ins.op {
                 Op::Consume => has_consume = true,
                 Op::Halt => {}
@@ -840,7 +820,7 @@ impl<'a> FlatMatcher<'a> {
                     // accumulated key set can never survive the join.
                     if let Some(allowed) = self.filters.and_then(|f| f.get(v)) {
                         if !allowed.contains(&n) {
-                            self.rows_pruned.set(self.rows_pruned.get() + 1);
+                            self.counts.bump(|c| c.rows_pruned += 1);
                             return false;
                         }
                     }

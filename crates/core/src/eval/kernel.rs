@@ -43,7 +43,6 @@
 //! it. Ranking node and edge sequences separately matters as soon as two
 //! states share a node sequence over different edges.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use property_graph::{EdgeId, NodeId, Path, PropertyGraph, Step};
@@ -54,7 +53,7 @@ use crate::error::{Error, Result};
 use crate::eval::flat::{FlatProgram, Op};
 use crate::eval::labels::{EdgeScan, ProgramLabels};
 use crate::eval::search;
-use crate::eval::{filter, EvalOptions, StageCounters};
+use crate::eval::{filter, EvalOptions, Tally};
 use crate::normalize::is_anonymous;
 use crate::params::Params;
 
@@ -445,9 +444,8 @@ pub(crate) struct ShortestKernel<'a> {
     max_edges: usize,
     /// The program's node and edge patterns resolved against `graph`.
     labels: ProgramLabels,
-    nodes_expanded: Cell<u64>,
-    edges_traversed: Cell<u64>,
-    instrs_dispatched: Cell<u64>,
+    /// This search's work, flushed by the executor once it returns.
+    pub(crate) counts: Tally,
 }
 
 impl<'a> ShortestKernel<'a> {
@@ -471,21 +469,8 @@ impl<'a> ShortestKernel<'a> {
             params,
             max_edges: static_cap.min(opts.max_path_length),
             labels: ProgramLabels::resolve(prog, graph),
-            nodes_expanded: Cell::new(0),
-            edges_traversed: Cell::new(0),
-            instrs_dispatched: Cell::new(0),
+            counts: Tally::default(),
         }
-    }
-
-    /// Adds this search's tallies into `counters` and resets them.
-    pub(crate) fn flush_counters(&self, counters: &StageCounters) {
-        counters.add(
-            self.nodes_expanded.take(),
-            self.edges_traversed.take(),
-            0,
-            self.instrs_dispatched.take(),
-            0,
-        );
     }
 
     /// The canonical walk of every partition starting in `starts`, one
@@ -554,12 +539,12 @@ impl<'a> ShortestKernel<'a> {
             depth += 1;
             s.cands.clear();
             for (i, e) in s.layer.iter().enumerate() {
-                self.nodes_expanded.set(self.nodes_expanded.get() + 1);
+                self.counts.bump(|c| c.nodes_expanded += 1);
                 let arg = self.prog.instrs[e.pc as usize].arg as usize;
                 let (ep, scan) = (&self.prog.edge_pats[arg], &self.labels.edges[arg]);
                 let arrivals = self.plane(self.plan.slot[e.pc as usize] + 1, e.count);
                 for step in scan.steps(self.graph, e.node) {
-                    self.edges_traversed.set(self.edges_traversed.get() + 1);
+                    self.counts.bump(|c| c.edges_traversed += 1);
                     if !s.visited.contains(arrivals, step.to) && self.edge_ok(ep, scan, step, start)
                     {
                         s.cands.push(Cand {
@@ -690,7 +675,7 @@ impl<'a> ShortestKernel<'a> {
                     Op::ExitQuant => (count >= self.plan.min).then_some(0),
                 };
                 if !matches!(ins.op, Op::Consume | Op::Halt) {
-                    self.instrs_dispatched.set(self.instrs_dispatched.get() + 1);
+                    self.counts.bump(|c| c.instrs_dispatched += 1);
                 }
                 if let Some(count) = next {
                     s.stack.push((ins.target, count));

@@ -27,8 +27,9 @@ pub(crate) mod pool;
 pub(crate) mod search;
 pub(crate) mod selector;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use property_graph::{NodeId, PropertyGraph};
@@ -168,58 +169,144 @@ impl Default for EvalOptions {
     }
 }
 
+/// One search's tallies of the executor's named work counters — the one
+/// list every rendering (`--explain`, trace spans, `STATS`, `METRICS`)
+/// walks, in [`WorkCounts::NAMES`] order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Search states dequeued and expanded.
+    pub nodes_expanded: u64,
+    /// Adjacency steps attempted from expanded states.
+    pub edges_traversed: u64,
+    /// Work the accumulated join ruled out before the search did it:
+    /// partial bindings rejected at `NodeTest` by a join key's node set,
+    /// plus, for a seeded stage, the access-path start nodes left out of
+    /// its seed set (`|access set| − |seeds|`).
+    pub rows_pruned: u64,
+    /// Flat-program instructions dispatched by the inner matching loop.
+    pub instrs_dispatched: u64,
+    /// Backtracks that truncated the flat interpreter's undo trail to a
+    /// stack watermark.
+    pub backtrack_truncations: u64,
+}
+
+impl WorkCounts {
+    /// The counters' names, in the order [`WorkCounts::values`] lists
+    /// them.
+    pub const NAMES: [&'static str; 5] = [
+        "nodes_expanded",
+        "edges_traversed",
+        "rows_pruned",
+        "instrs_dispatched",
+        "backtrack_truncations",
+    ];
+
+    /// The counters' values, in [`WorkCounts::NAMES`] order.
+    pub fn values(&self) -> [u64; 5] {
+        [
+            self.nodes_expanded,
+            self.edges_traversed,
+            self.rows_pruned,
+            self.instrs_dispatched,
+            self.backtrack_truncations,
+        ]
+    }
+
+    /// `(name, value)` pairs in [`WorkCounts::NAMES`] order.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        WorkCounts::NAMES.into_iter().zip(self.values())
+    }
+
+    fn from_values([n, e, p, i, b]: [u64; 5]) -> WorkCounts {
+        WorkCounts {
+            nodes_expanded: n,
+            edges_traversed: e,
+            rows_pruned: p,
+            instrs_dispatched: i,
+            backtrack_truncations: b,
+        }
+    }
+}
+
+impl AddAssign for WorkCounts {
+    fn add_assign(&mut self, rhs: WorkCounts) {
+        let mut sum = self.values();
+        for (s, r) in sum.iter_mut().zip(rhs.values()) {
+            *s += r;
+        }
+        *self = WorkCounts::from_values(sum);
+    }
+}
+
+/// A matcher's running [`WorkCounts`]: bumped without atomics in the
+/// inner loop, flushed into a [`StageCounters`] once per search.
+#[derive(Debug, Default)]
+pub(crate) struct Tally(Cell<WorkCounts>);
+
+impl Tally {
+    /// Bumps one counter of the running tally.
+    #[inline]
+    pub(crate) fn bump(&self, bump: impl FnOnce(&mut WorkCounts)) {
+        let mut c = self.0.get();
+        bump(&mut c);
+        self.0.set(c);
+    }
+
+    /// Adds the tally into `counters` and resets it.
+    pub(crate) fn flush(&self, counters: &StageCounters) {
+        counters.add(self.0.take());
+    }
+}
+
 /// Execution counters for one stage's product-automaton search,
 /// accumulated across all of the stage's partitions. Atomics, so parallel
 /// partition searches add concurrently without coordination; the numbers
-/// are exact because every partition is counted exactly once.
+/// are exact because every partition is counted exactly once. The
+/// server's `STATS` totals are one more of these.
 #[derive(Debug, Default)]
 pub struct StageCounters {
-    nodes_expanded: AtomicU64,
-    edges_traversed: AtomicU64,
-    rows_pruned: AtomicU64,
-    instrs_dispatched: AtomicU64,
-    backtrack_truncations: AtomicU64,
+    work: [AtomicU64; 5],
     micros: AtomicU64,
 }
 
 impl StageCounters {
     /// Folds one search's tallies in.
-    pub(crate) fn add(&self, nodes: u64, edges: u64, pruned: u64, instrs: u64, truncations: u64) {
-        self.nodes_expanded.fetch_add(nodes, Ordering::Relaxed);
-        self.edges_traversed.fetch_add(edges, Ordering::Relaxed);
-        self.rows_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.instrs_dispatched.fetch_add(instrs, Ordering::Relaxed);
-        self.backtrack_truncations
-            .fetch_add(truncations, Ordering::Relaxed);
+    pub fn add(&self, counts: WorkCounts) {
+        for (slot, v) in self.work.iter().zip(counts.values()) {
+            slot.fetch_add(v, Ordering::Relaxed);
+        }
     }
 
-    /// Search states dequeued and expanded.
+    /// The counters as one record.
+    pub fn counts(&self) -> WorkCounts {
+        WorkCounts::from_values(std::array::from_fn(|i| {
+            self.work[i].load(Ordering::Relaxed)
+        }))
+    }
+
+    /// [`WorkCounts::nodes_expanded`] so far.
     pub fn nodes_expanded(&self) -> u64 {
-        self.nodes_expanded.load(Ordering::Relaxed)
+        self.counts().nodes_expanded
     }
 
-    /// Adjacency steps attempted from expanded states.
+    /// [`WorkCounts::edges_traversed`] so far.
     pub fn edges_traversed(&self) -> u64 {
-        self.edges_traversed.load(Ordering::Relaxed)
+        self.counts().edges_traversed
     }
 
-    /// Work the accumulated join ruled out before the search did it:
-    /// partial bindings rejected at `NodeTest` by a join key's node set, plus,
-    /// for a seeded stage, the access-path start nodes left out of its
-    /// seed set (`|access set| − |seeds|`).
+    /// [`WorkCounts::rows_pruned`] so far.
     pub fn rows_pruned(&self) -> u64 {
-        self.rows_pruned.load(Ordering::Relaxed)
+        self.counts().rows_pruned
     }
 
-    /// Flat-program instructions dispatched by the inner matching loop.
+    /// [`WorkCounts::instrs_dispatched`] so far.
     pub fn instrs_dispatched(&self) -> u64 {
-        self.instrs_dispatched.load(Ordering::Relaxed)
+        self.counts().instrs_dispatched
     }
 
-    /// Backtracks that truncated the flat interpreter's undo trail to a
-    /// stack watermark.
+    /// [`WorkCounts::backtrack_truncations`] so far.
     pub fn backtrack_truncations(&self) -> u64 {
-        self.backtrack_truncations.load(Ordering::Relaxed)
+        self.counts().backtrack_truncations
     }
 
     /// Folds in wall time spent matching this stage: its (possibly
@@ -259,21 +346,21 @@ impl ExecProfile {
         self.stages.get(i)
     }
 
-    /// Totals across all stages: `(nodes expanded, edges traversed, rows
-    /// pruned by the join (see [`StageCounters::rows_pruned`]), flat
-    /// instructions dispatched, backtrack truncations)`.
+    /// Every stage's counters folded into one record.
+    pub fn total(&self) -> WorkCounts {
+        let mut total = WorkCounts::default();
+        for s in &self.stages {
+            total += s.counts();
+        }
+        total
+    }
+
+    /// [`ExecProfile::total`] as a tuple in [`WorkCounts::NAMES`] order:
+    /// `(nodes expanded, edges traversed, rows pruned by the join,
+    /// instrs dispatched, backtrack truncations)`.
     pub fn totals(&self) -> (u64, u64, u64, u64, u64) {
-        self.stages
-            .iter()
-            .fold((0, 0, 0, 0, 0), |(n, e, p, i, b), s| {
-                (
-                    n + s.nodes_expanded(),
-                    e + s.edges_traversed(),
-                    p + s.rows_pruned(),
-                    i + s.instrs_dispatched(),
-                    b + s.backtrack_truncations(),
-                )
-            })
+        let [n, e, p, i, b] = self.total().values();
+        (n, e, p, i, b)
     }
 }
 

@@ -133,21 +133,17 @@ impl<V> PlanLru<V> {
         self.entries.clear();
     }
 
-    /// A snapshot of every `(query, options, plan)` entry, most recently
-    /// used first. Does not count as a lookup: hit/miss counters and
-    /// recency stamps are untouched, so persistence sweeps do not skew
-    /// the statistics they run alongside.
-    pub fn entries(&self) -> Vec<(String, EvalOptions, V)>
-    where
-        V: Clone,
-    {
-        let mut snapshot: Vec<_> = self
-            .entries
-            .iter()
-            .map(|((q, o), (v, stamp))| (*stamp, q.clone(), o.clone(), v.clone()))
-            .collect();
-        snapshot.sort_by_key(|entry| std::cmp::Reverse(entry.0));
-        snapshot.into_iter().map(|(_, q, o, v)| (q, o, v)).collect()
+    /// Every `(query, options, plan)` entry, borrowed, most recently used
+    /// first. Does not count as a lookup: hit/miss counters and recency
+    /// stamps are untouched, so persistence sweeps do not skew the
+    /// statistics they run alongside.
+    pub fn by_recency(&self) -> Vec<(&str, &EvalOptions, &V)> {
+        let mut entries: Vec<_> = self.entries.iter().collect();
+        entries.sort_by_key(|(_, (_, stamp))| std::cmp::Reverse(*stamp));
+        entries
+            .into_iter()
+            .map(|((q, o), (v, _))| (q.as_str(), o, v))
+            .collect()
     }
 
     /// Hit/miss counters and occupancy.
@@ -287,15 +283,6 @@ impl<V> SharedPlanLru<V> {
     /// a clone of this cache.
     pub fn stats(&self) -> CacheStats {
         self.lock().stats()
-    }
-
-    /// A snapshot of every `(query, options, plan)` entry, most recently
-    /// used first, without counting lookups or refreshing recency.
-    pub fn entries(&self) -> Vec<(String, EvalOptions, V)>
-    where
-        V: Clone,
-    {
-        self.lock().entries()
     }
 }
 

@@ -66,7 +66,9 @@ use crate::error::{Error, Result};
 use crate::eval::flat::{collect_vars, FlatMatcher, FlatProgram};
 use crate::eval::kernel::{KernelPlan, ShortestKernel};
 use crate::eval::search::{self, JoinKeyNodes, PruneMode};
-use crate::eval::{pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters};
+use crate::eval::{
+    pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters, WorkCounts,
+};
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
 use access::StartPattern;
@@ -424,7 +426,10 @@ impl PreparedQuery {
                 Some(seeds) => {
                     if let Some(c) = counters {
                         let skipped = access.len(graph).saturating_sub(seeds.len());
-                        c.add(0, 0, skipped as u64, 0, 0);
+                        c.add(WorkCounts {
+                            rows_pruned: skipped as u64,
+                            ..WorkCounts::default()
+                        });
                     }
                     seeds.into_iter().collect()
                 }
@@ -667,7 +672,7 @@ impl PathStage {
         let k = ShortestKernel::over(graph, &self.prog, plan, &self.expr.pattern, opts, params);
         let out = k.run_from(starts);
         if let Some(c) = counters {
-            k.flush_counters(c);
+            k.counts.flush(c);
         }
         out
     }
@@ -697,7 +702,7 @@ impl PathStage {
         };
         let out = m.run_from(starts);
         if let Some(c) = counters {
-            m.flush_counters(c);
+            m.counts.flush(c);
         }
         out
     }

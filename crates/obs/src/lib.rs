@@ -5,12 +5,12 @@
 //! crate in the workspace can register into it without pulling anything in.
 //! Three pieces:
 //!
-//! * [`metrics`] — a [`metrics::Registry`] of named counters, gauges, and
-//!   fixed-size log₂-bucketed latency [`metrics::Histogram`]s, rendered in
-//!   Prometheus text exposition format. Counters and gauges are *sourced*:
-//!   the registry holds closures that read atomics the owning subsystem
-//!   already maintains, so registering a metric never duplicates state or
-//!   adds a write on the hot path.
+//! * [`metrics`] — fixed-size log₂-bucketed latency
+//!   [`metrics::Histogram`]s and the Prometheus text exposition writers
+//!   for them and for counters and gauges. Counters and gauges are
+//!   written from values the owning subsystem already maintains, so
+//!   exposing a metric never duplicates state or adds a write on the hot
+//!   path.
 //! * [`trace`] — per-request span trees ([`trace::Trace`]) built by a
 //!   single-writer [`trace::TraceBuilder`] and retired into a bounded
 //!   [`trace::TraceRing`]. A ring of capacity 0 disables tracing; the only
@@ -29,6 +29,6 @@ pub mod metrics;
 pub mod slowlog;
 pub mod trace;
 
-pub use metrics::{Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use slowlog::{SlowLog, SlowLogSink};
 pub use trace::{Span, Trace, TraceBuilder, TraceRing};

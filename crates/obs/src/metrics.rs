@@ -1,16 +1,17 @@
-//! Lock-light metrics: sourced counters/gauges and log₂-bucketed latency
-//! histograms, rendered in Prometheus text exposition format.
+//! Lock-free metrics: log₂-bucketed latency histograms, and the
+//! Prometheus text exposition writers for them and for scalar counters
+//! and gauges.
 //!
-//! The registry never owns counter state. A counter or gauge is registered
-//! as a *source closure* that reads an atomic the owning subsystem already
-//! maintains (`ServerStats`, `JournalStats`, cache stats, …), so exposing a
-//! metric adds zero writes to the hot path. Histograms are the exception:
-//! they are owned here ([`Histogram`]) because nothing else keeps a latency
-//! distribution, and their record path is a fixed handful of relaxed atomic
-//! adds — no locks, no allocation, constant size.
+//! This module owns no counter state. A caller writes each counter or
+//! gauge from a value it already keeps (`ServerStats`, `JournalStats`,
+//! cache stats, …) with [`write_scalar`], so exposing a metric adds zero
+//! writes to the hot path. Histograms are the exception: they are kept
+//! here ([`Histogram`]) because nothing else keeps a latency
+//! distribution, and their record path is a fixed handful of relaxed
+//! atomic adds — no locks, no allocation, constant size.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: bucket `i` in `1..BUCKETS-1` holds samples
 /// in `[2^(i-1), 2^i - 1]` (bucket 0 holds exact zeros), and the final
@@ -142,121 +143,44 @@ impl HistogramSnapshot {
     }
 }
 
-/// How a registered metric produces its value at scrape time.
-enum MetricKind {
-    /// Monotone counter read from a source closure.
-    Counter(Box<dyn Fn() -> u64 + Send + Sync>),
-    /// Instantaneous gauge read from a source closure.
-    Gauge(Box<dyn Fn() -> u64 + Send + Sync>),
-    /// Histogram owned by the registry's clients.
-    Histogram(Arc<Histogram>),
+/// The Prometheus type of a scalar series, read off its name by the
+/// Prometheus naming convention: a counter's name ends in `_total`, and
+/// every other scalar is a gauge.
+pub fn scalar_type(name: &str) -> &'static str {
+    if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    }
 }
 
-struct Metric {
-    name: &'static str,
-    help: &'static str,
-    kind: MetricKind,
+/// Appends one scalar series in Prometheus text exposition: its
+/// `# HELP` and `# TYPE` ([`scalar_type`]) lines, then the sample.
+pub fn write_scalar(out: &mut String, name: &str, help: &str, value: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {}", scalar_type(name));
+    let _ = writeln!(out, "{name} {value}");
 }
 
-/// A registry of named metrics rendered as Prometheus text exposition.
-///
-/// Registration takes a short lock; scraping ([`Registry::render`]) takes
-/// the same lock only to walk the metric list and then reads each source.
-/// Nothing on the request path touches the registry at all.
-#[derive(Default)]
-pub struct Registry {
-    metrics: Mutex<Vec<Metric>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Registers a counter sourced from `read` (must be monotone
-    /// non-decreasing for Prometheus semantics to hold).
-    pub fn counter(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        read: impl Fn() -> u64 + Send + Sync + 'static,
-    ) {
-        self.push(name, help, MetricKind::Counter(Box::new(read)));
-    }
-
-    /// Registers a gauge sourced from `read`.
-    pub fn gauge(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        read: impl Fn() -> u64 + Send + Sync + 'static,
-    ) {
-        self.push(name, help, MetricKind::Gauge(Box::new(read)));
-    }
-
-    /// Creates, registers, and returns a histogram under `name`.
-    pub fn histogram(&self, name: &'static str, help: &'static str) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.push(name, help, MetricKind::Histogram(h.clone()));
-        h
-    }
-
-    fn push(&self, name: &'static str, help: &'static str, kind: MetricKind) {
-        let mut metrics = self.metrics.lock().unwrap();
-        debug_assert!(
-            metrics.iter().all(|m| m.name != name),
-            "duplicate metric {name}"
-        );
-        metrics.push(Metric { name, help, kind });
-    }
-
-    /// Renders every registered metric in Prometheus text exposition
-    /// format (`# HELP`/`# TYPE` headers; histograms as cumulative
-    /// `_bucket{le=...}` series plus `_sum`/`_count`), in registration
-    /// order.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for m in self.metrics.lock().unwrap().iter() {
-            match &m.kind {
-                MetricKind::Counter(read) => {
-                    let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-                    let _ = writeln!(out, "# TYPE {} counter", m.name);
-                    let _ = writeln!(out, "{} {}", m.name, read());
-                }
-                MetricKind::Gauge(read) => {
-                    let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-                    let _ = writeln!(out, "# TYPE {} gauge", m.name);
-                    let _ = writeln!(out, "{} {}", m.name, read());
-                }
-                MetricKind::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-                    let _ = writeln!(out, "# TYPE {} histogram", m.name);
-                    let mut cumulative = 0u64;
-                    for (i, c) in snap.buckets.iter().enumerate() {
-                        cumulative += c;
-                        if i == BUCKETS - 1 {
-                            let _ =
-                                writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", m.name, cumulative);
-                        } else {
-                            let _ = writeln!(
-                                out,
-                                "{}_bucket{{le=\"{}\"}} {}",
-                                m.name,
-                                bucket_upper_bound(i),
-                                cumulative
-                            );
-                        }
-                    }
-                    let _ = writeln!(out, "{}_sum {}", m.name, snap.sum);
-                    let _ = writeln!(out, "{}_count {}", m.name, snap.count);
-                }
-            }
+/// Appends one histogram in Prometheus text exposition: `# HELP`/`# TYPE`,
+/// cumulative `_bucket{le=...}` series ending in `+Inf`, then `_sum` and
+/// `_count`, all from one snapshot.
+pub fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
+    let snap = h.snapshot();
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} histogram");
+    let mut cumulative = 0u64;
+    for (i, c) in snap.buckets.iter().enumerate() {
+        cumulative += c;
+        if i == BUCKETS - 1 {
+            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+        } else {
+            let le = bucket_upper_bound(i);
+            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
         }
-        out
     }
+    let _ = writeln!(out, "{name}_sum {}", snap.sum);
+    let _ = writeln!(out, "{name}_count {}", snap.count);
 }
 
 #[cfg(test)]
@@ -292,12 +216,12 @@ mod tests {
 
     #[test]
     fn render_emits_all_three_kinds() {
-        let reg = Registry::new();
-        reg.counter("requests_total", "Requests served.", || 42);
-        reg.gauge("conns_active", "Open connections.", || 3);
-        let h = reg.histogram("query_latency_us", "Query latency.");
+        let mut text = String::new();
+        write_scalar(&mut text, "requests_total", "Requests served.", "42");
+        write_scalar(&mut text, "conns_active", "Open connections.", "3");
+        let h = Histogram::new();
         h.record(5);
-        let text = reg.render();
+        write_histogram(&mut text, "query_latency_us", "Query latency.", &h);
         assert!(text.contains("# TYPE requests_total counter"));
         assert!(text.contains("requests_total 42"));
         assert!(text.contains("# TYPE conns_active gauge"));

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::slowlog::escape_json;
 
@@ -195,12 +195,19 @@ impl TraceRing {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// The locked ring, surviving poisoning: a thread that panicked while
+    /// holding it left whole traces behind, and the ring is served on the
+    /// thread every connection shares.
+    fn locked(&self) -> MutexGuard<'_, VecDeque<Trace>> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Retires a completed trace, evicting the oldest if the ring is full.
     pub fn push(&self, trace: Trace) {
         if self.capacity == 0 {
             return;
         }
-        let mut ring = self.ring.lock().unwrap();
+        let mut ring = self.locked();
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -210,7 +217,7 @@ impl TraceRing {
     /// Removes and returns up to `n` of the most recent traces, oldest
     /// first — the `TRACE LAST n` wire verb's draining semantics.
     pub fn take_last(&self, n: usize) -> Vec<Trace> {
-        let mut ring = self.ring.lock().unwrap();
+        let mut ring = self.locked();
         let keep = ring.len().saturating_sub(n);
         ring.split_off(keep).into()
     }
@@ -229,7 +236,7 @@ impl TraceRing {
         if self.capacity == 0 {
             return;
         }
-        let mut ring = self.ring.lock().unwrap();
+        let mut ring = self.locked();
         if let Some(t) = ring.iter_mut().rev().find(|t| t.id == trace_id) {
             let start_us = t.total_us;
             t.spans.push(Span {
@@ -245,7 +252,7 @@ impl TraceRing {
 
     /// Number of traces currently buffered.
     pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
+        self.locked().len()
     }
 
     /// Whether the ring is currently empty.
@@ -302,6 +309,23 @@ mod tests {
         let span = got.spans.last().unwrap();
         assert_eq!(span.name, "fetch.encode");
         assert_eq!(span.stats, vec![("bytes", 512)]);
+    }
+
+    #[test]
+    fn poisoned_ring_keeps_serving() {
+        let ring = TraceRing::new(4);
+        ring.push(toy_trace(&ring, "QUERY"));
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = ring.ring.lock().unwrap();
+                panic!("poison the ring");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && ring.ring.is_poisoned());
+        ring.push(toy_trace(&ring, "EXECUTE"));
+        let labels: Vec<_> = ring.take_last(10).into_iter().map(|t| t.label).collect();
+        assert_eq!(labels, ["QUERY", "EXECUTE"]);
     }
 
     #[test]

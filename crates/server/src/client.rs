@@ -255,7 +255,7 @@ impl Client {
         }
     }
 
-    /// `METRICS`: the server's metrics registry in Prometheus text
+    /// `METRICS`: the server's counters and gauges in Prometheus text
     /// exposition — counters, gauges, and the log₂-bucket latency
     /// histograms (`…_bucket{le=…}` / `…_sum` / `…_count` lines).
     pub fn metrics(&mut self) -> Result<String, ClientError> {

@@ -28,7 +28,8 @@ use gql::{PreparedGqlQuery, QueryResult, ResultCursor};
 use property_graph::Value;
 
 use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME};
-use crate::server::{Lane, ObsCtx, Shared};
+use crate::server::{ObsCtx, Shared};
+use crate::stats::Lane;
 
 /// Headroom reserved inside [`MAX_FRAME`] for a chunk frame's envelope
 /// (the `OK ROWS …` line and the header line). Chunk row bytes are

@@ -53,6 +53,7 @@ mod persist;
 pub mod protocol;
 mod reactor;
 pub mod server;
+mod stats;
 
 pub use client::{
     Client, ClientError, CommitAck, CursorHandle, MutateAck, PreparedHandle, RowChunk,

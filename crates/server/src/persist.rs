@@ -40,11 +40,13 @@ const OLD_BINARY_MAGIC: &[u8] = b"GPCF";
 pub(crate) fn save(path: &Path, cache: &SharedPlanLru<PreparedGqlQuery>) -> io::Result<()> {
     let mut seen = HashSet::new();
     let mut out = String::new();
-    for (stmt, _, _) in cache.entries().into_iter().rev() {
-        if stmt.contains(['\n', '\r']) || !seen.insert(stmt.clone()) {
+    // The texts are copied out under the cache lock; the file write
+    // happens after it is released.
+    for (stmt, _, _) in cache.lock().by_recency().into_iter().rev() {
+        if stmt.contains(['\n', '\r']) || !seen.insert(stmt) {
             continue;
         }
-        out.push_str(&stmt);
+        out.push_str(stmt);
         out.push('\n');
     }
     let mut tmp = path.as_os_str().to_owned();

@@ -251,7 +251,7 @@ pub enum Request {
     },
     /// Server, cache, and session counters.
     Stats,
-    /// Metrics registry contents as Prometheus text exposition.
+    /// The server's metrics as Prometheus text exposition.
     Metrics,
     /// Drain up to `n` of the most recent request traces.
     TraceLast {
@@ -584,7 +584,7 @@ pub enum Response {
         /// `key=value` pairs (`cache.hits`, `sessions.active`, …).
         stats: Vec<(String, String)>,
     },
-    /// `OK METRICS`: the metrics registry in Prometheus text exposition.
+    /// `OK METRICS`: the server's metrics in Prometheus text exposition.
     Metrics {
         /// The exposition body (`# HELP`/`# TYPE` lines, samples).
         text: String,

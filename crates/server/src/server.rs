@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use gpml_core::eval::{EvalOptions, ExecProfile};
 use gpml_core::plan::{CacheStats, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
 use gpml_core::Params;
-use gpml_obs::{Histogram, Registry, SlowLog, TraceBuilder, TraceRing};
+use gpml_obs::{SlowLog, TraceBuilder, TraceRing};
 use gpml_storage::{CommitError, GraphJournal, DEFAULT_SNAPSHOT_EVERY_BYTES};
 use gql::{GqlError, PreparedGqlQuery, QueryResult, Session};
 use property_graph::PropertyGraph;
@@ -51,6 +51,8 @@ use crate::conn::{WorkItem, WorkOutput};
 use crate::persist;
 use crate::protocol::{ErrorCode, Response, MAX_FRAME};
 use crate::reactor::{self, Waker};
+pub use crate::stats::ServerStats;
+use crate::stats::{self, Lane, Lanes, Scrape};
 
 /// Configuration for [`serve`].
 #[derive(Clone, Debug)]
@@ -140,65 +142,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic server-wide counters (plus two gauges), updated by the
-/// serving threads and reported by `STATS`.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections ever admitted (BUSY rejections not included).
-    pub connections_total: AtomicU64,
-    /// Connections currently open (gauge).
-    pub connections_active: AtomicU64,
-    /// Connections refused with `ERR BUSY` by `--max-conns` admission.
-    pub conns_rejected: AtomicU64,
-    /// `QUERY` requests handled (cursor-mode included).
-    pub queries: AtomicU64,
-    /// `PREPARE` requests handled.
-    pub prepares: AtomicU64,
-    /// `EXECUTE` requests handled (cursor-mode included).
-    pub executes: AtomicU64,
-    /// `CLOSE` / `CLOSE CURSOR` requests handled.
-    pub closes: AtomicU64,
-    /// `FETCH` requests handled.
-    pub fetches: AtomicU64,
-    /// Mutation requests handled (`INSERT`/`SET`/`DELETE` plus each
-    /// `COMMIT` of a transaction; `BEGIN`/`ROLLBACK` not included).
-    pub mutations: AtomicU64,
-    /// Requests answered with an `ERR` response.
-    pub errors: AtomicU64,
-    /// Cursors currently holding a parked result (gauge).
-    pub cursors_open: AtomicU64,
-    /// Response frames sent (every response).
-    pub frames_out: AtomicU64,
-    /// Matcher states expanded across every `QUERY`/`EXECUTE` served.
-    pub exec_nodes_expanded: AtomicU64,
-    /// Edges traversed across every `QUERY`/`EXECUTE` served.
-    pub exec_edges_traversed: AtomicU64,
-    /// Candidate bindings pruned by join key filters, and start nodes
-    /// left out of seeded start sets, across every `QUERY`/`EXECUTE`
-    /// served.
-    pub exec_rows_pruned: AtomicU64,
-    /// Flat-program instructions dispatched across every
-    /// `QUERY`/`EXECUTE` served.
-    pub exec_instrs_dispatched: AtomicU64,
-    /// Backtracking trail truncations across every `QUERY`/`EXECUTE`
-    /// served.
-    pub exec_backtrack_truncations: AtomicU64,
-}
-
-/// Which latency lane a request belongs to; each lane has its own
-/// log₂-bucket histogram in the metrics registry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Lane {
-    /// One-shot `QUERY` / `QUERY CURSOR`.
-    Query,
-    /// `PREPARE`.
-    Prepare,
-    /// `EXECUTE` / `EXECUTE … CURSOR`.
-    Execute,
-    /// A commit (bare mutation or transaction `COMMIT`).
-    Commit,
-}
-
 /// Per-request observability context, created at classify time and
 /// consumed when the response is encoded. Carries the request's lane,
 /// its wall clock, and (when tracing is on) the span builder — the
@@ -234,28 +177,12 @@ impl ObsCtx {
     }
 }
 
-/// The server's observability surface: the metrics registry, the lane
-/// latency histograms, the trace ring, and the slow-query log.
+/// The server's observability surface: the lane latency histograms, the
+/// trace ring, and the slow-query log.
 pub(crate) struct ServerObs {
-    registry: Registry,
-    lane_query: Arc<Histogram>,
-    lane_prepare: Arc<Histogram>,
-    lane_execute: Arc<Histogram>,
-    lane_fetch: Arc<Histogram>,
-    lane_commit: Arc<Histogram>,
+    lanes: Lanes,
     ring: TraceRing,
     slow: Option<SlowLog>,
-}
-
-impl ServerObs {
-    fn lane(&self, lane: Lane) -> &Histogram {
-        match lane {
-            Lane::Query => &self.lane_query,
-            Lane::Prepare => &self.lane_prepare,
-            Lane::Execute => &self.lane_execute,
-            Lane::Commit => &self.lane_commit,
-        }
-    }
 }
 
 /// Everything the serving threads need, shared by `Arc`.
@@ -280,11 +207,11 @@ pub(crate) struct Shared {
     workers: usize,
 }
 
-/// Where the plan cache is persisted, plus the cache length at the last
-/// save so serving threads can skip the write when nothing compiled.
+/// Where the plan cache is persisted, plus the cache's miss count at the
+/// last save so serving threads can skip the write when nothing compiled.
 struct PersistState {
     path: PathBuf,
-    last_saved_len: AtomicU64,
+    saved_at_misses: AtomicU64,
 }
 
 impl Shared {
@@ -305,10 +232,39 @@ impl Shared {
         }
     }
 
-    /// Serves `METRICS`: the registry in Prometheus text exposition.
+    /// Serves `METRICS`: the stats table's series and the lane
+    /// histograms in Prometheus text exposition.
     pub(crate) fn metrics_response(&self) -> Response {
         Response::Metrics {
-            text: self.obs.registry.render(),
+            text: self.metrics_text(),
+        }
+    }
+
+    fn metrics_text(&self) -> String {
+        stats::metrics_page(&self.scrape(None), &self.obs.lanes)
+    }
+
+    /// Reads the server once for a `STATS` (`handles_open` given: the
+    /// asking connection's handle count) or `METRICS` (`None`) reply.
+    fn scrape(&self, handles_open: Option<usize>) -> Scrape<'_> {
+        // In-memory instruction bytes of every cached flat program, read
+        // in place under the cache lock; only STATS reports them.
+        let plan_bytes = handles_open.map_or(0, |_| {
+            self.cache
+                .lock()
+                .by_recency()
+                .iter()
+                .flat_map(|(_, _, plan)| plan.stage_programs())
+                .map(|p| p.instr_bytes() as u64)
+                .sum()
+        });
+        Scrape {
+            stats: &self.stats,
+            cache: self.cache.stats(),
+            plan_bytes,
+            handles_open: handles_open.unwrap_or(0) as u64,
+            journal: self.journal.stats(),
+            durable: self.journal.is_durable(),
         }
     }
 
@@ -351,14 +307,15 @@ impl Shared {
             .max(2)
     }
 
-    /// Saves the plan cache to the configured file if its length changed
-    /// since the last save (i.e. a connection just compiled something
-    /// new). Write-through rather than save-on-shutdown-only, so plans
-    /// survive even a `kill -9` — at worst the last compile is lost.
+    /// Saves the plan cache to the configured file if it missed since the
+    /// last save (i.e. a connection just compiled something new — every
+    /// insert follows a miss, also one that evicts at capacity).
+    /// Write-through rather than save-on-shutdown-only, so plans survive
+    /// even a `kill -9` — at worst the last compile is lost.
     fn maybe_persist(&self) {
         let Some(p) = &self.persist else { return };
-        let len = self.cache.stats().len as u64;
-        if p.last_saved_len.swap(len, Ordering::Relaxed) == len {
+        let misses = self.cache.stats().misses;
+        if p.saved_at_misses.swap(misses, Ordering::Relaxed) == misses {
             return;
         }
         if let Err(e) = persist::save(&p.path, &self.cache) {
@@ -389,73 +346,9 @@ impl Shared {
     /// Serves `STATS`. `handles_open` is the asking connection's own
     /// prepared-handle count (handles are connection-local).
     pub(crate) fn stats_response(&self, handles_open: usize) -> Response {
-        let cache = self.cache.stats();
-        // In-memory instruction bytes of every cached flat program.
-        let plan_bytes: usize = self
-            .cache
-            .entries()
-            .iter()
-            .map(|(_, _, plan)| {
-                plan.stage_programs()
-                    .iter()
-                    .map(|p| p.instr_bytes())
-                    .sum::<usize>()
-            })
-            .sum();
-        let s = &self.stats;
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed).to_string();
-        let stats = vec![
-            ("cache.hits".to_owned(), cache.hits.to_string()),
-            ("cache.misses".to_owned(), cache.misses.to_string()),
-            ("cache.len".to_owned(), cache.len.to_string()),
-            ("cache.capacity".to_owned(), cache.capacity.to_string()),
-            ("plans.bytes".to_owned(), plan_bytes.to_string()),
-            ("sessions.total".to_owned(), load(&s.connections_total)),
-            ("sessions.active".to_owned(), load(&s.connections_active)),
-            ("conns.active".to_owned(), load(&s.connections_active)),
-            ("conns.rejected".to_owned(), load(&s.conns_rejected)),
-            ("cursors.open".to_owned(), load(&s.cursors_open)),
-            ("frames.out".to_owned(), load(&s.frames_out)),
-            ("requests.query".to_owned(), load(&s.queries)),
-            ("requests.prepare".to_owned(), load(&s.prepares)),
-            ("requests.execute".to_owned(), load(&s.executes)),
-            ("requests.close".to_owned(), load(&s.closes)),
-            ("requests.fetch".to_owned(), load(&s.fetches)),
-            ("requests.mutations".to_owned(), load(&s.mutations)),
-            ("requests.errors".to_owned(), load(&s.errors)),
-            (
-                "exec.nodes_expanded".to_owned(),
-                load(&s.exec_nodes_expanded),
-            ),
-            (
-                "exec.edges_traversed".to_owned(),
-                load(&s.exec_edges_traversed),
-            ),
-            ("exec.rows_pruned".to_owned(), load(&s.exec_rows_pruned)),
-            (
-                "exec.instrs_dispatched".to_owned(),
-                load(&s.exec_instrs_dispatched),
-            ),
-            (
-                "exec.backtrack_truncations".to_owned(),
-                load(&s.exec_backtrack_truncations),
-            ),
-            ("handles.open".to_owned(), handles_open.to_string()),
-        ];
-        let j = self.journal.stats();
-        let mut stats = stats;
-        stats.extend([
-            ("storage.epoch".to_owned(), j.epoch.to_string()),
-            (
-                "storage.durable".to_owned(),
-                self.journal.is_durable().to_string(),
-            ),
-            ("wal.bytes".to_owned(), j.wal_bytes.to_string()),
-            ("wal.records".to_owned(), j.wal_records.to_string()),
-            ("writes.applied".to_owned(), j.writes_applied.to_string()),
-            ("snapshots.taken".to_owned(), j.snapshots_taken.to_string()),
-        ]);
-        Response::Stats { stats }
+        Response::Stats {
+            stats: stats::stats_reply(&self.scrape(Some(handles_open))),
+        }
     }
 
     /// Executes one [`WorkItem`] — the request classes that do real
@@ -615,26 +508,16 @@ impl Shared {
                 tb.span_stat(root, "rows", r.len() as u64);
             }
             for (i, stage) in profile.stages().iter().enumerate() {
-                // Stage wall offsets are not tracked (stages may run in
-                // cost order or in parallel); dur_us is the stage's
-                // summed work time from the profile.
+                // Stages run one at a time in cost order, but their wall
+                // offsets are not tracked: every stage span starts with
+                // `execute` and lasts the stage's wall time.
                 let idx = tb.span(format!("stage[{i}]"), Some(root), start, stage.micros());
-                tb.span_stat(idx, "nodes_expanded", stage.nodes_expanded());
-                tb.span_stat(idx, "edges_traversed", stage.edges_traversed());
-                tb.span_stat(idx, "rows_pruned", stage.rows_pruned());
-                tb.span_stat(idx, "instrs_dispatched", stage.instrs_dispatched());
-                tb.span_stat(idx, "backtrack_truncations", stage.backtrack_truncations());
+                for (name, value) in stage.counts().named() {
+                    tb.span_stat(idx, name, value);
+                }
             }
         }
-        let (nodes, edges, pruned, instrs, truncations) = profile.totals();
-        let s = &self.stats;
-        s.exec_nodes_expanded.fetch_add(nodes, Ordering::Relaxed);
-        s.exec_edges_traversed.fetch_add(edges, Ordering::Relaxed);
-        s.exec_rows_pruned.fetch_add(pruned, Ordering::Relaxed);
-        s.exec_instrs_dispatched
-            .fetch_add(instrs, Ordering::Relaxed);
-        s.exec_backtrack_truncations
-            .fetch_add(truncations, Ordering::Relaxed);
+        self.stats.exec.add(profile.total());
         result
     }
 
@@ -684,8 +567,8 @@ impl Shared {
                 trace,
             } => {
                 self.obs
-                    .lane(lane)
-                    .record(started.elapsed().as_micros() as u64);
+                    .lanes
+                    .record(lane, started.elapsed().as_micros() as u64);
                 if let Some(mut tb) = trace {
                     let start = tb.elapsed_us().saturating_sub(encode_us);
                     let idx = tb.span("encode", None, start, encode_us);
@@ -706,7 +589,7 @@ impl Shared {
                 started,
             } => {
                 let total_us = started.elapsed().as_micros() as u64;
-                self.obs.lane_fetch.record(total_us);
+                self.obs.lanes.record(Lane::Fetch, total_us);
                 // Satellite of the cursor-streaming design: a drain's
                 // encode/stream time belongs to the request that parked
                 // the result, not to nobody.
@@ -746,11 +629,10 @@ impl ServerHandle {
         self.shared.cache.stats()
     }
 
-    /// The metrics registry rendered as Prometheus text exposition —
-    /// exactly what the `METRICS` wire verb returns, without a
-    /// connection.
+    /// The metrics page in Prometheus text exposition — exactly what the
+    /// `METRICS` wire verb returns, without a connection.
     pub fn metrics_text(&self) -> String {
-        self.shared.obs.registry.render()
+        self.shared.metrics_text()
     }
 
     /// A handle to the shared plan cache (e.g. to warm it, or to share
@@ -777,9 +659,9 @@ impl ServerHandle {
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
         let _ = thread.join();
-        // Final save: catches replacements write-through skipped (same
-        // length, different plan) and runs after the serving thread is
-        // done admitting connections that could still compile.
+        // Final save: records the final recency order, and runs after the
+        // serving thread is done admitting connections that could still
+        // compile.
         if let Some(p) = &self.shared.persist {
             if let Err(e) = persist::save(&p.path, &self.shared.cache) {
                 eprintln!("gpmld: plan cache save to {} failed: {e}", p.path.display());
@@ -840,7 +722,14 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
     session.register_shared(&config.graph_name, journal.snapshot());
     let waker = Arc::new(Waker::new()?);
     let stats = Arc::new(ServerStats::default());
-    let obs = build_obs(&config, &stats, &journal, &cache)?;
+    let obs = ServerObs {
+        lanes: Lanes::default(),
+        ring: TraceRing::new(config.trace_ring),
+        slow: config
+            .slow_query_ms
+            .map(|ms| SlowLog::new(ms, config.trace_file.as_deref()))
+            .transpose()?,
+    };
     let shared = Arc::new(Shared {
         journal,
         graph_name: config.graph_name,
@@ -852,7 +741,7 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
         stopping: AtomicBool::new(false),
         persist: config.plan_cache_file.map(|path| PersistState {
             path,
-            last_saved_len: AtomicU64::new(0),
+            saved_at_misses: AtomicU64::new(0),
         }),
         waker: Arc::clone(&waker),
         max_conns: config.max_conns,
@@ -868,8 +757,8 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
             ),
             Err(why) => eprintln!("gpmld: ignoring {why} plan file {}", p.path.display()),
         }
-        p.last_saved_len
-            .store(shared.cache.stats().len as u64, Ordering::Relaxed);
+        p.saved_at_misses
+            .store(shared.cache.stats().misses, Ordering::Relaxed);
     }
     let serve_thread = {
         let shared = Arc::clone(&shared);
@@ -881,225 +770,6 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
         addr,
         shared,
         serve_thread: Some(serve_thread),
-    })
-}
-
-/// Reads one per-verb counter out of [`ServerStats`].
-type VerbSource = fn(&ServerStats) -> &AtomicU64;
-
-/// Builds the server's observability surface: the metrics registry with
-/// every counter/gauge *sourced* from the existing atomics (the registry
-/// holds closures, not copies — `STATS` and `METRICS` can never
-/// disagree), the five lane latency histograms, the trace ring, and the
-/// slow-query log. Fails only if `--trace-file` cannot be opened.
-fn build_obs(
-    config: &ServerConfig,
-    stats: &Arc<ServerStats>,
-    journal: &Arc<GraphJournal>,
-    cache: &SharedPlanLru<PreparedGqlQuery>,
-) -> io::Result<ServerObs> {
-    let registry = Registry::new();
-    // Request counters, sourced from the per-verb atomics.
-    let src = |s: &Arc<ServerStats>, f: fn(&ServerStats) -> &AtomicU64| {
-        let s = Arc::clone(s);
-        move || f(&s).load(Ordering::Relaxed)
-    };
-    registry.counter(
-        "gpmld_requests_total",
-        "Requests handled (all verbs that do work, errors included)",
-        {
-            let s = Arc::clone(stats);
-            move || {
-                [
-                    &s.queries,
-                    &s.prepares,
-                    &s.executes,
-                    &s.closes,
-                    &s.fetches,
-                    &s.mutations,
-                ]
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .sum()
-            }
-        },
-    );
-    let verbs: [(&'static str, &'static str, VerbSource); 7] = [
-        (
-            "gpmld_requests_query_total",
-            "QUERY requests handled",
-            |s| &s.queries,
-        ),
-        (
-            "gpmld_requests_prepare_total",
-            "PREPARE requests handled",
-            |s| &s.prepares,
-        ),
-        (
-            "gpmld_requests_execute_total",
-            "EXECUTE requests handled",
-            |s| &s.executes,
-        ),
-        (
-            "gpmld_requests_fetch_total",
-            "FETCH requests handled",
-            |s| &s.fetches,
-        ),
-        (
-            "gpmld_requests_close_total",
-            "CLOSE / CLOSE CURSOR requests handled",
-            |s| &s.closes,
-        ),
-        (
-            "gpmld_requests_mutation_total",
-            "Mutation commits handled (INSERT/SET/DELETE/COMMIT)",
-            |s| &s.mutations,
-        ),
-        (
-            "gpmld_requests_error_total",
-            "Requests answered with a typed ERR frame",
-            |s| &s.errors,
-        ),
-    ];
-    for (name, help, f) in verbs {
-        registry.counter(name, help, src(stats, f));
-    }
-    registry.counter(
-        "gpmld_frames_out_total",
-        "Response frames written (every response)",
-        src(stats, |s| &s.frames_out),
-    );
-    registry.counter(
-        "gpmld_connections_total",
-        "Connections ever admitted",
-        src(stats, |s| &s.connections_total),
-    );
-    registry.gauge(
-        "gpmld_connections_active",
-        "Connections currently open",
-        src(stats, |s| &s.connections_active),
-    );
-    registry.counter(
-        "gpmld_conns_rejected_total",
-        "Connections refused with ERR BUSY by --max-conns admission",
-        src(stats, |s| &s.conns_rejected),
-    );
-    registry.gauge(
-        "gpmld_cursors_open",
-        "Cursors currently holding a parked result",
-        src(stats, |s| &s.cursors_open),
-    );
-    // Plan cache, sourced from the shared LRU's own counters.
-    let cache_src = |cache: &SharedPlanLru<PreparedGqlQuery>, f: fn(&CacheStats) -> u64| {
-        let cache = cache.clone();
-        move || f(&cache.stats())
-    };
-    registry.counter(
-        "gpmld_plan_cache_hits_total",
-        "Shared plan cache hits",
-        cache_src(cache, |c| c.hits),
-    );
-    registry.counter(
-        "gpmld_plan_cache_misses_total",
-        "Shared plan cache misses (each one compiled a plan)",
-        cache_src(cache, |c| c.misses),
-    );
-    registry.gauge(
-        "gpmld_plan_cache_len",
-        "Plans currently cached",
-        cache_src(cache, |c| c.len as u64),
-    );
-    registry.gauge(
-        "gpmld_plan_cache_capacity",
-        "Plan cache capacity",
-        cache_src(cache, |c| c.capacity as u64),
-    );
-    // Executor work counters.
-    registry.counter(
-        "gpmld_exec_nodes_expanded_total",
-        "Matcher states expanded across every QUERY/EXECUTE",
-        src(stats, |s| &s.exec_nodes_expanded),
-    );
-    registry.counter(
-        "gpmld_exec_edges_traversed_total",
-        "Edges traversed across every QUERY/EXECUTE",
-        src(stats, |s| &s.exec_edges_traversed),
-    );
-    registry.counter(
-        "gpmld_exec_rows_pruned_total",
-        "Candidate bindings and start nodes pruned by the accumulated join",
-        src(stats, |s| &s.exec_rows_pruned),
-    );
-    registry.counter(
-        "gpmld_exec_instrs_dispatched_total",
-        "Flat-program instructions dispatched",
-        src(stats, |s| &s.exec_instrs_dispatched),
-    );
-    registry.counter(
-        "gpmld_exec_backtrack_truncations_total",
-        "Backtracking trail truncations",
-        src(stats, |s| &s.exec_backtrack_truncations),
-    );
-    // Storage, sourced from the journal.
-    let j_src = |journal: &Arc<GraphJournal>, f: fn(&gpml_storage::JournalStats) -> u64| {
-        let journal = Arc::clone(journal);
-        move || f(&journal.stats())
-    };
-    registry.gauge(
-        "gpmld_storage_epoch",
-        "Current journal epoch (one per committed batch)",
-        j_src(journal, |j| j.epoch),
-    );
-    registry.gauge(
-        "gpmld_wal_bytes",
-        "Bytes in the write-ahead log since the last compaction",
-        j_src(journal, |j| j.wal_bytes),
-    );
-    registry.gauge(
-        "gpmld_wal_records",
-        "Commit records in the write-ahead log",
-        j_src(journal, |j| j.wal_records),
-    );
-    registry.counter(
-        "gpmld_writes_applied_total",
-        "Individual mutations applied across every commit",
-        j_src(journal, |j| j.writes_applied),
-    );
-    registry.counter(
-        "gpmld_snapshots_taken_total",
-        "Snapshot compactions taken",
-        j_src(journal, |j| j.snapshots_taken),
-    );
-    // Latency lanes: log₂-bucket histograms in microseconds.
-    let lane_query = registry.histogram(
-        "gpmld_query_latency_us",
-        "One-shot QUERY latency (classify to response ready), microseconds",
-    );
-    let lane_prepare =
-        registry.histogram("gpmld_prepare_latency_us", "PREPARE latency, microseconds");
-    let lane_execute =
-        registry.histogram("gpmld_execute_latency_us", "EXECUTE latency, microseconds");
-    let lane_fetch = registry.histogram(
-        "gpmld_fetch_latency_us",
-        "FETCH drain latency, microseconds",
-    );
-    let lane_commit = registry.histogram(
-        "gpmld_commit_latency_us",
-        "Commit latency (mutation verbs and COMMIT), microseconds",
-    );
-    let slow = config
-        .slow_query_ms
-        .map(|ms| SlowLog::new(ms, config.trace_file.as_deref()))
-        .transpose()?;
-    Ok(ServerObs {
-        registry,
-        lane_query,
-        lane_prepare,
-        lane_execute,
-        lane_fetch,
-        lane_commit,
-        ring: TraceRing::new(config.trace_ring),
-        slow,
     })
 }
 

@@ -152,6 +152,9 @@ pub struct GraphJournal {
     current: Mutex<Arc<PropertyGraph>>,
     epoch: AtomicU64,
     writer: Mutex<Writer>,
+    /// Fixed at construction, so asking never waits on the writer lock
+    /// a commit holds through its WAL append, fsync and compaction.
+    durable: bool,
     writes_applied: AtomicU64,
     snapshots_taken: AtomicU64,
     wal_bytes: AtomicU64,
@@ -170,6 +173,7 @@ impl GraphJournal {
                 durable: None,
                 spare: None,
             }),
+            durable: false,
             writes_applied: AtomicU64::new(0),
             snapshots_taken: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -234,6 +238,7 @@ impl GraphJournal {
                 }),
                 spare: None,
             }),
+            durable: true,
             writes_applied: AtomicU64::new(0),
             snapshots_taken: AtomicU64::new(0),
         };
@@ -254,11 +259,7 @@ impl GraphJournal {
 
     /// True when backed by a data directory.
     pub fn is_durable(&self) -> bool {
-        self.writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .durable
-            .is_some()
+        self.durable
     }
 
     /// Commits one batch atomically. Returns `(new_epoch, applied)`;
@@ -530,5 +531,22 @@ mod tests {
         assert_eq!(graph_digest(&j2.snapshot()), digest);
         let in_mem = GraphJournal::in_memory(PropertyGraph::new());
         assert!(!in_mem.force_snapshot().unwrap());
+    }
+
+    #[test]
+    fn is_durable_does_not_wait_for_the_writer_lock() {
+        let dir = tmpdir("durable-unlocked");
+        let j = GraphJournal::open(&dir, PropertyGraph::new(), false, u64::MAX).unwrap();
+        let j = &j;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            // What a commit in flight holds through apply, WAL append,
+            // fsync and compaction.
+            let writer = j.writer.lock().unwrap();
+            s.spawn(move || tx.send(j.is_durable()));
+            let answer = rx.recv_timeout(std::time::Duration::from_secs(1));
+            drop(writer);
+            assert_eq!(answer, Ok(true), "is_durable waited on the writer lock");
+        });
     }
 }

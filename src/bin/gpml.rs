@@ -378,25 +378,23 @@ fn run_one(session: &Session, params: &Params, query: &str, format: Format, expl
 }
 
 /// Prints the per-stage execution counters an `--explain` run collected
-/// (stages indexed by declaration order, matching the plan rendering).
+/// (stages indexed by declaration order, matching the plan rendering),
+/// then their total.
 fn print_profile(profile: &gpml_suite::core::eval::ExecProfile) {
     eprintln!("  execution counters (by declaration stage):");
     for (i, c) in profile.stages().iter().enumerate() {
-        eprintln!(
-            "    stage {i}: {} nodes expanded, {} edges traversed, {} rows pruned by the join, \
-             {} instrs dispatched, {} backtrack truncations",
-            c.nodes_expanded(),
-            c.edges_traversed(),
-            c.rows_pruned(),
-            c.instrs_dispatched(),
-            c.backtrack_truncations()
-        );
+        eprintln!("    stage {i}: {}", counts_prose(c.counts()));
     }
-    let (nodes, edges, pruned, instrs, truncations) = profile.totals();
-    eprintln!(
-        "    total: {nodes} nodes expanded, {edges} edges traversed, {pruned} rows pruned, \
-         {instrs} instrs dispatched, {truncations} backtrack truncations"
-    );
+    eprintln!("    total: {}", counts_prose(profile.total()));
+}
+
+/// `17 nodes expanded, 28 edges traversed, …`, in the counters' order.
+fn counts_prose(counts: gpml_suite::core::eval::WorkCounts) -> String {
+    let parts: Vec<String> = counts
+        .named()
+        .map(|(name, value)| format!("{value} {}", name.replace('_', " ")))
+        .collect();
+    parts.join(", ")
 }
 
 /// The engine flags `gpml` and `gpml serve` share. Both argument loops

@@ -119,6 +119,89 @@ fn metrics_exposes_counters_and_histograms() {
     server.stop();
 }
 
+/// Every value `STATS` and `METRICS` both report reads the same in both
+/// replies, after traffic that moves each of them: QUERY, PREPARE /
+/// EXECUTE, QUERY CURSOR + FETCH, CLOSE, one commit and one ERR. The
+/// pairs are written out here, from ARCHITECTURE.md's STATS/METRICS
+/// table, rather than read from the server's own table.
+#[test]
+fn stats_and_metrics_agree_on_every_shared_counter() {
+    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.query(TWO_STAGE).expect("query");
+    let prepared = client.prepare(TWO_STAGE).expect("prepare");
+    client
+        .execute(prepared.handle, &Params::new())
+        .expect("execute");
+    let cursor = client.query_cursor(TWO_STAGE).expect("cursor");
+    client.fetch_all(&cursor, 1).expect("drain");
+    client.close(prepared.handle).expect("close");
+    client
+        .insert_node("agree1", &["Account"], &[])
+        .expect("commit");
+    assert!(client.query("MATCH (").is_err(), "want one ERR reply");
+
+    let stats = client.stats().expect("stats");
+    let metrics = client.metrics().expect("metrics");
+    let stat = |key: &str| {
+        gpml_server::client::stat(&stats, key).unwrap_or_else(|| panic!("no STATS {key}"))
+    };
+    let sample = |name: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no METRICS sample {name} in {metrics}"))
+    };
+    let pairs = [
+        ("cache.hits", "gpmld_plan_cache_hits_total"),
+        ("cache.misses", "gpmld_plan_cache_misses_total"),
+        ("cache.len", "gpmld_plan_cache_len"),
+        ("cache.capacity", "gpmld_plan_cache_capacity"),
+        ("sessions.total", "gpmld_connections_total"),
+        ("conns.active", "gpmld_connections_active"),
+        ("conns.rejected", "gpmld_conns_rejected_total"),
+        ("cursors.open", "gpmld_cursors_open"),
+        ("requests.query", "gpmld_requests_query_total"),
+        ("requests.prepare", "gpmld_requests_prepare_total"),
+        ("requests.execute", "gpmld_requests_execute_total"),
+        ("requests.close", "gpmld_requests_close_total"),
+        ("requests.fetch", "gpmld_requests_fetch_total"),
+        ("requests.mutations", "gpmld_requests_mutation_total"),
+        ("requests.errors", "gpmld_requests_error_total"),
+        ("exec.nodes_expanded", "gpmld_exec_nodes_expanded_total"),
+        ("exec.edges_traversed", "gpmld_exec_edges_traversed_total"),
+        ("exec.rows_pruned", "gpmld_exec_rows_pruned_total"),
+        (
+            "exec.instrs_dispatched",
+            "gpmld_exec_instrs_dispatched_total",
+        ),
+        (
+            "exec.backtrack_truncations",
+            "gpmld_exec_backtrack_truncations_total",
+        ),
+        ("storage.epoch", "gpmld_storage_epoch"),
+        ("wal.bytes", "gpmld_wal_bytes"),
+        ("wal.records", "gpmld_wal_records"),
+        ("writes.applied", "gpmld_writes_applied_total"),
+        ("snapshots.taken", "gpmld_snapshots_taken_total"),
+    ];
+    for (key, name) in pairs {
+        assert_eq!(stat(key), sample(name), "STATS {key} vs METRICS {name}");
+    }
+    // The STATS reply's own frame is counted by the time METRICS reads.
+    assert_eq!(stat("frames.out") + 1, sample("gpmld_frames_out_total"));
+    let verbs = ["query", "prepare", "execute", "close", "fetch", "mutations"];
+    let handled: u64 = verbs.iter().map(|v| stat(&format!("requests.{v}"))).sum();
+    assert_eq!(handled, sample("gpmld_requests_total"));
+    // The traffic moved every request counter it was meant to.
+    for key in verbs.map(|v| format!("requests.{v}")) {
+        assert!(stat(&key) > 0, "{key} did not move");
+    }
+    assert!(stat("requests.errors") > 0 && stat("exec.nodes_expanded") > 0);
+    assert_eq!(stat("writes.applied"), 1);
+    server.stop();
+}
+
 /// Satellite: the `STATS` key namespace is frozen. Renaming or dropping
 /// a key is a wire-compatibility break; this is the tripwire.
 #[test]

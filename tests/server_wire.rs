@@ -317,6 +317,45 @@ fn plan_cache_file_warm_starts_with_zero_misses() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `--plan-cache-file` write-through keeps saving once the cache is full:
+/// a compile that evicts one plan for another leaves the cache length
+/// unchanged, and the file must still gain the new statement before the
+/// reply — a `kill -9` at that point keeps it.
+#[test]
+fn plan_cache_file_write_through_continues_at_capacity() {
+    let path = std::env::temp_dir().join(format!(
+        "gpml-writethrough-{}-{:?}.txt",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let config = ServerConfig {
+        cache_capacity: 2,
+        plan_cache_file: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let statements = [
+        "MATCH (x:Account)-[t:Transfer]->(y:Account) RETURN x.owner AS a",
+        "MATCH (x:Account)-[t:Transfer]->(y:Account) RETURN y.owner AS b",
+        "MATCH (x:Account)-[t:Transfer]->(y:Account) RETURN t.amount AS c",
+    ];
+    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for stmt in statements {
+        client.prepare(stmt).expect("prepare");
+    }
+    // Read while the server still runs: no shutdown save has happened.
+    let saved = std::fs::read_to_string(&path).expect("plan cache file written");
+    assert_eq!(server.cache_stats().len, 2);
+    assert!(
+        saved.lines().any(|l| l == statements[2]),
+        "the statement compiled at capacity was not saved: {saved:?}"
+    );
+    drop(client);
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Every error path answers with a typed `ERR` and the connection keeps
 /// working afterwards.
 #[test]
