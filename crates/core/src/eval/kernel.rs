@@ -50,9 +50,8 @@ use property_graph::{EdgeId, NodeId, Path, PropertyGraph, Step};
 use crate::ast::{EdgePattern, Expr, NodePattern, PathPattern, PathPatternExpr, Selector};
 use crate::binding::{BoundValue, PathBinding};
 use crate::error::{Error, Result};
-use crate::eval::flat::{FlatProgram, Op};
+use crate::eval::flat::{static_edge_bound, FlatProgram, Op};
 use crate::eval::labels::{EdgeScan, ProgramLabels};
-use crate::eval::search;
 use crate::eval::{filter, EvalOptions, Tally};
 use crate::normalize::is_anonymous;
 use crate::params::Params;
@@ -460,7 +459,7 @@ impl<'a> ShortestKernel<'a> {
         opts: &'a EvalOptions,
         params: &'a Params,
     ) -> ShortestKernel<'a> {
-        let static_cap = search::static_edge_bound(pattern, graph, None);
+        let static_cap = static_edge_bound(pattern, graph, None);
         ShortestKernel {
             graph,
             prog,
@@ -798,7 +797,7 @@ mod tests {
         };
         let normalized = normalize(&gp);
         analyze(&normalized).unwrap();
-        PathStage::lower(&normalized.paths[0]).unwrap()
+        PathStage::lower(&normalized.paths[0])
     }
 
     /// Every kernel-eligible shape the kernel must agree on: stars and

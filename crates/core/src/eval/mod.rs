@@ -24,11 +24,10 @@ pub mod flat;
 pub(crate) mod kernel;
 pub(crate) mod labels;
 pub(crate) mod pool;
-pub(crate) mod search;
 pub(crate) mod selector;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -408,8 +407,9 @@ pub(crate) fn join_and_filter(
 /// early once the accumulation is empty.
 pub(crate) struct JoinState {
     iso: MatchIso,
-    /// Rows carry the edges their constituent walks used so the
-    /// edge-isomorphic mode (§7.1) can reject overlaps across patterns.
+    /// In the edge-isomorphic mode (§7.1), rows carry the edges their
+    /// constituent walks used, so overlaps across patterns are rejected;
+    /// otherwise the list stays empty.
     rows: Vec<(MatchRow, Vec<property_graph::EdgeId>)>,
 }
 
@@ -450,26 +450,22 @@ impl JoinState {
     ///
     /// `keys` are the stage's equi-join variables against the already
     /// merged stages (shared unconditional singletons, from the plan's
-    /// join graph). With non-empty keys bound on both sides the merge
-    /// builds a hash table on the smaller side and probes with the other;
-    /// otherwise (no keys: a cartesian step, or the baseline's
-    /// declaration-order join) it scans all pairs. Both paths run the
-    /// same per-pair admission check ([`JoinState::try_merge`]), so
-    /// results — including the edge-isomorphism overlap rejection and
-    /// path-variable bindings — are identical; the hash table only skips
-    /// pairs that would fail the equi-join anyway. Output row order is the nested loop's
-    /// (accumulated row outer, stage binding inner) in either case.
+    /// join graph). The stage's bindings are bucketed by their key values,
+    /// in declaration order within a bucket, and each accumulated row, in
+    /// order, probes its bucket; every candidate pair runs the same
+    /// admission check ([`JoinState::try_merge`]). No keys (a cartesian
+    /// step, or the baseline's declaration-order join), or a key missing
+    /// on either side, puts every binding in one bucket — the nested loop
+    /// — since strict key equality would then drop pairs the per-pair
+    /// check admits. Either way the output is in nested-loop order
+    /// (accumulated row outer, stage binding inner).
     pub(crate) fn merge_stage(
         &mut self,
         expr: &PathPatternExpr,
         bindings: &[PathBinding],
         keys: &[String],
     ) {
-        // Join keys are unconditional singletons, so they are bound on
-        // both sides of every candidate pair; verify that before trusting
-        // the hash path (a missing key would make strict key equality
-        // drop pairs the nested loop admits).
-        let hashable = !keys.is_empty()
+        let keyed = !keys.is_empty()
             && self
                 .rows
                 .iter()
@@ -477,63 +473,21 @@ impl JoinState {
             && bindings
                 .iter()
                 .all(|pb| keys.iter().all(|k| pb.bindings.contains_key(k)));
-        if !hashable {
-            let mut next = Vec::new();
-            for (row, used) in &self.rows {
-                for pb in bindings {
-                    if let Some(out) = self.try_merge(row, used, pb, expr) {
-                        next.push(out);
-                    }
-                }
+        let key = |values: &BTreeMap<String, BoundValue>| -> Vec<BoundValue> {
+            if keyed {
+                keys.iter().map(|k| values[k].clone()).collect()
+            } else {
+                Vec::new()
             }
-            self.rows = next;
-            return;
+        };
+        let mut buckets: HashMap<Vec<BoundValue>, Vec<&PathBinding>> = HashMap::new();
+        for pb in bindings {
+            buckets.entry(key(&pb.bindings)).or_default().push(pb);
         }
-
-        let row_key = |row: &MatchRow| -> Vec<BoundValue> {
-            keys.iter().map(|k| row.values[k].clone()).collect()
-        };
-        let binding_key = |pb: &PathBinding| -> Vec<BoundValue> {
-            keys.iter().map(|k| pb.bindings[k].clone()).collect()
-        };
-
         let mut next = Vec::new();
-        if self.rows.len() < bindings.len() {
-            // Build on the accumulated rows, probe with the stage
-            // bindings, then restore nested-loop output order by sorting
-            // the surviving (row, binding) index pairs.
-            let mut table: HashMap<Vec<BoundValue>, Vec<usize>> = HashMap::new();
-            for (i, (row, _)) in self.rows.iter().enumerate() {
-                table.entry(row_key(row)).or_default().push(i);
-            }
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for (j, pb) in bindings.iter().enumerate() {
-                if let Some(is) = table.get(&binding_key(pb)) {
-                    pairs.extend(is.iter().map(|&i| (i, j)));
-                }
-            }
-            pairs.sort_unstable();
-            for (i, j) in pairs {
-                let (row, used) = &self.rows[i];
-                if let Some(out) = self.try_merge(row, used, &bindings[j], expr) {
-                    next.push(out);
-                }
-            }
-        } else {
-            // Build on the stage bindings (bucket entries keep declaration
-            // order), probe with the accumulated rows.
-            let mut table: HashMap<Vec<BoundValue>, Vec<usize>> = HashMap::new();
-            for (j, pb) in bindings.iter().enumerate() {
-                table.entry(binding_key(pb)).or_default().push(j);
-            }
-            for (row, used) in &self.rows {
-                if let Some(js) = table.get(&row_key(row)) {
-                    for &j in js {
-                        if let Some(out) = self.try_merge(row, used, &bindings[j], expr) {
-                            next.push(out);
-                        }
-                    }
-                }
+        for (row, used) in &self.rows {
+            for pb in buckets.get(&key(&row.values)).into_iter().flatten() {
+                next.extend(self.try_merge(row, used, pb, expr));
             }
         }
         self.rows = next;
@@ -541,7 +495,9 @@ impl JoinState {
 
     /// Admits one (accumulated row, stage binding) pair: the §7.1
     /// edge-isomorphism overlap check, the per-variable equi-join on all
-    /// shared names, and the path-variable binding.
+    /// shared names, and the path-variable binding. The row is copied only
+    /// once the pair is admitted, and the used-edge list is kept only in
+    /// the edge-isomorphic mode, the one that reads it.
     fn try_merge(
         &self,
         row: &MatchRow,
@@ -549,30 +505,36 @@ impl JoinState {
         pb: &PathBinding,
         expr: &PathPatternExpr,
     ) -> Option<(MatchRow, Vec<property_graph::EdgeId>)> {
-        if self.iso == MatchIso::EdgeIsomorphic {
-            // The walk itself must not repeat an edge, nor reuse one
-            // matched by another path pattern.
-            if !pb.path.is_trail() || pb.path.edges().iter().any(|e| used.contains(e)) {
-                return None;
-            }
+        let isomorphic = self.iso == MatchIso::EdgeIsomorphic;
+        // The walk itself must not repeat an edge, nor reuse one matched
+        // by another path pattern.
+        if isomorphic && (!pb.path.is_trail() || pb.path.edges().iter().any(|e| used.contains(e))) {
+            return None;
+        }
+        let conflicts = pb
+            .bindings
+            .iter()
+            .any(|(var, val)| row.values.get(var).is_some_and(|existing| existing != val));
+        if conflicts {
+            return None;
         }
         let mut merged = row.clone();
         for (var, val) in &pb.bindings {
-            match merged.values.get(var) {
-                Some(existing) if existing != val => return None,
-                Some(_) => {}
-                None => {
-                    merged.values.insert(var.clone(), val.clone());
-                }
-            }
+            merged
+                .values
+                .entry(var.clone())
+                .or_insert_with(|| val.clone());
         }
         if let Some(pv) = &expr.path_var {
             merged
                 .values
                 .insert(pv.clone(), BoundValue::Path(pb.path.clone()));
         }
-        let mut used = used.to_vec();
-        used.extend_from_slice(pb.path.edges());
+        let used = if isomorphic {
+            [used, pb.path.edges()].concat()
+        } else {
+            Vec::new()
+        };
         Some((merged, used))
     }
 
@@ -921,6 +883,120 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rs.len(), 16); // all ordered pairs incl. self via cycle
+    }
+
+    /// A row (or binding map) of node-valued variables.
+    fn vars(pairs: &[(&str, u32)]) -> BTreeMap<String, BoundValue> {
+        pairs
+            .iter()
+            .map(|&(v, n)| (v.to_owned(), BoundValue::Node(NodeId(n))))
+            .collect()
+    }
+
+    /// A stage binding of `pairs` over the walk `nodes` / `edges`.
+    fn binding(pairs: &[(&str, u32)], nodes: &[u32], edges: &[u32]) -> PathBinding {
+        PathBinding {
+            path: property_graph::Path::new(
+                nodes.iter().map(|&n| NodeId(n)).collect(),
+                edges.iter().map(|&e| property_graph::EdgeId(e)).collect(),
+            ),
+            bindings: vars(pairs),
+            alt_marks: Vec::new(),
+        }
+    }
+
+    fn rows(join: &JoinState) -> Vec<BTreeMap<String, BoundValue>> {
+        join.rows.iter().map(|(r, _)| r.values.clone()).collect()
+    }
+
+    #[test]
+    fn merge_stage_emits_nested_loop_order() {
+        let expr = PathPatternExpr::plain(node("x"));
+        let mut join = JoinState::new(MatchIso::Homomorphism);
+        // Cartesian step from the unit row: the bindings, in order.
+        join.merge_stage(
+            &expr,
+            &[
+                binding(&[("x", 0), ("m", 1)], &[0, 1], &[0]),
+                binding(&[("x", 2), ("m", 1)], &[2, 1], &[1]),
+                binding(&[("x", 3), ("m", 4)], &[3, 4], &[2]),
+            ],
+            &[],
+        );
+        // Keyed on m, with m = 1 repeated on both sides: each row meets
+        // its bucket in declaration order.
+        join.merge_stage(
+            &expr,
+            &[
+                binding(&[("m", 1), ("z", 5)], &[1, 5], &[3]),
+                binding(&[("m", 4), ("z", 6)], &[4, 6], &[4]),
+                binding(&[("m", 1), ("z", 7)], &[1, 7], &[5]),
+            ],
+            &["m".to_owned()],
+        );
+        assert_eq!(
+            rows(&join),
+            [
+                vars(&[("x", 0), ("m", 1), ("z", 5)]),
+                vars(&[("x", 0), ("m", 1), ("z", 7)]),
+                vars(&[("x", 2), ("m", 1), ("z", 5)]),
+                vars(&[("x", 2), ("m", 1), ("z", 7)]),
+                vars(&[("x", 3), ("m", 4), ("z", 6)]),
+            ]
+        );
+        // A second cartesian step: every row, each binding in turn.
+        join.merge_stage(
+            &expr,
+            &[
+                binding(&[("c", 8)], &[8], &[]),
+                binding(&[("c", 9)], &[9], &[]),
+            ],
+            &[],
+        );
+        let expected: Vec<_> = [(0, 1, 5), (0, 1, 7), (2, 1, 5), (2, 1, 7), (3, 4, 6)]
+            .into_iter()
+            .flat_map(|(x, m, z)| [8, 9].map(|c| vars(&[("x", x), ("m", m), ("z", z), ("c", c)])))
+            .collect();
+        assert_eq!(rows(&join), expected);
+    }
+
+    #[test]
+    fn merge_stage_rejects_edge_isomorphic_overlaps() {
+        let expr = PathPatternExpr::plain(node("x"));
+        let mut join = JoinState::new(MatchIso::EdgeIsomorphic);
+        join.merge_stage(
+            &expr,
+            &[
+                binding(&[("x", 0), ("m", 1)], &[0, 1], &[0]),
+                binding(&[("x", 2), ("m", 1)], &[2, 1], &[1]),
+            ],
+            &[],
+        );
+        join.merge_stage(
+            &expr,
+            &[
+                // Reuses edge 0: rejected against the first row only.
+                binding(&[("m", 1), ("z", 0)], &[1, 0], &[0]),
+                // Repeats its own edge: never a trail, rejected everywhere.
+                binding(&[("m", 1), ("z", 1)], &[1, 2, 1], &[7, 7]),
+                binding(&[("m", 1), ("z", 3)], &[1, 3], &[2]),
+            ],
+            &["m".to_owned()],
+        );
+        assert_eq!(
+            rows(&join),
+            [
+                vars(&[("x", 0), ("m", 1), ("z", 3)]),
+                vars(&[("x", 2), ("m", 1), ("z", 0)]),
+                vars(&[("x", 2), ("m", 1), ("z", 3)]),
+            ]
+        );
+        let used: Vec<Vec<u32>> = join
+            .rows
+            .iter()
+            .map(|(_, used)| used.iter().map(|e| e.0).collect())
+            .collect();
+        assert_eq!(used, [vec![0, 2], vec![1, 0], vec![1, 2]]);
     }
 
     #[test]

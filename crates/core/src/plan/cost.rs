@@ -448,7 +448,8 @@ fn distinct_hint(key: &str, stats: &GraphStats) -> f64 {
 pub enum JoinAlgo {
     /// The first stage: its bindings seed the accumulation.
     Scan,
-    /// Equi-keys exist: hash the smaller side, probe with the other.
+    /// Equi-keys exist: bucket the stage's bindings by key, probe with
+    /// the accumulated rows.
     Hash,
     /// No shared singleton variables with the stages merged so far.
     Cartesian,

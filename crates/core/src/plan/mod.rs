@@ -56,16 +56,16 @@ pub mod cost;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
-use property_graph::PropertyGraph;
+use property_graph::{NodeId, PropertyGraph};
 
 use crate::analysis::{analyze, collect_exists, Analysis, VarClass};
-use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Selector};
+use crate::ast::{Expr, GraphPattern, PathPattern, PathPatternExpr, Restrictor, Selector};
 use crate::binding::{MatchSet, PathBinding};
 use crate::error::{Error, Result};
-use crate::eval::flat::{collect_vars, FlatMatcher, FlatProgram};
+use crate::eval::flat::{collect_vars, FlatMatcher, FlatProgram, PruneMode};
 use crate::eval::kernel::{KernelPlan, ShortestKernel};
-use crate::eval::search::{self, JoinKeyNodes, PruneMode};
 use crate::eval::{
     pool, selector, EvalOptions, ExecProfile, JoinState, MatchMode, StageCounters, WorkCounts,
 };
@@ -76,6 +76,14 @@ use cost::Placement;
 
 pub use cache::{CacheStats, PlanLru, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use cost::{CostReport, CostStep, JoinAlgo, StartSet};
+
+/// The join's node sets for one stage (sideways information passing):
+/// for each node-typed join key the stage shares with the stages merged
+/// before it, the distinct nodes the accumulated rows bind it to. The
+/// start variable's set is the stage's start set; the search checks the
+/// other entries at `NodeTest`, where a node outside its set can never
+/// join and is cut immediately.
+pub(crate) type JoinKeyNodes = BTreeMap<String, BTreeSet<NodeId>>;
 
 /// Lowers `pattern` into an executable plan under `opts`.
 ///
@@ -118,7 +126,7 @@ pub fn prepare(pattern: &GraphPattern, opts: &EvalOptions) -> Result<PreparedQue
 
     let mut stages = Vec::with_capacity(normalized.paths.len());
     for expr in &normalized.paths {
-        stages.push(PathStage::lower(expr)?);
+        stages.push(PathStage::lower(expr));
     }
 
     // The explicit join graph: shared *unconditional singleton* variables
@@ -175,14 +183,14 @@ pub fn prepare(pattern: &GraphPattern, opts: &EvalOptions) -> Result<PreparedQue
 
     Ok(PreparedQuery {
         opts: opts.clone(),
-        plan: ExecutablePlan {
+        plan: Arc::new(ExecutablePlan {
             normalized,
             analysis,
             stages,
             joins,
             exists,
             params: param_slots,
-        },
+        }),
     })
 }
 
@@ -318,11 +326,12 @@ pub(crate) fn check_params(slots: &ParamSlots, params: &Params) -> Result<()> {
 }
 
 /// A compiled query: an [`ExecutablePlan`] plus the options it was
-/// prepared under. Execute it against any number of graphs.
+/// prepared under. Execute it against any number of graphs. The plan is
+/// shared, so a clone (a plan-cache hit) is a reference-count bump.
 #[derive(Clone)]
 pub struct PreparedQuery {
     opts: EvalOptions,
-    plan: ExecutablePlan,
+    plan: Arc<ExecutablePlan>,
 }
 
 impl PreparedQuery {
@@ -480,9 +489,10 @@ impl PreparedQuery {
     /// `RETURN` item, `ORDER BY` key, or `COLUMNS` projection) as
     /// additional slots of this plan, so bind-time validation covers the
     /// whole statement — not just the pattern — and a binding consumed
-    /// only by a projection is not misreported as unused.
+    /// only by a projection is not misreported as unused. Copies the plan
+    /// first if a clone of this query shares it.
     pub fn declare_params_in(&mut self, expr: &Expr) {
-        collect_expr_params(expr, &mut self.plan.params);
+        collect_expr_params(expr, &mut Arc::make_mut(&mut self.plan).params);
     }
 
     /// The options the query was prepared under.
@@ -619,29 +629,30 @@ pub(crate) struct PathStage {
 }
 
 impl PathStage {
-    /// Compiles one normalized path pattern into a stage.
-    pub(crate) fn lower(expr: &PathPatternExpr) -> Result<PathStage> {
+    /// Compiles one normalized path pattern into a stage. The pattern has
+    /// passed [`analyze`], so every unbounded quantifier is covered.
+    pub(crate) fn lower(expr: &PathPatternExpr) -> PathStage {
         let prog = FlatProgram::compile(&expr.pattern);
         let selector_groups = expr.selector.as_ref().and_then(selector::length_groups);
-        let prune = search::resolve_prune(
+        let prune = resolve_prune(
             has_unbounded(&expr.pattern),
             expr.restrictor,
             selector_groups,
-        )?;
+        );
         let mut var_list = Vec::new();
         collect_vars(&expr.pattern, &mut var_list);
         let mut vars: BTreeSet<String> = var_list.into_iter().map(|(v, _)| v).collect();
         if let Some(pv) = &expr.path_var {
             vars.insert(pv.clone());
         }
-        Ok(PathStage {
+        PathStage {
             expr: expr.clone(),
             kernel: KernelPlan::for_stage(expr, &prog),
             prog,
             prune,
             vars,
             start: StartPattern::of(&expr.pattern),
-        })
+        }
     }
 
     /// The raw product-automaton search seeded from `starts` only — a
@@ -789,6 +800,24 @@ fn apply_gsql_default(pattern: &mut GraphPattern) {
         if p.selector.is_none() && p.restrictor.is_none() && has_unbounded(&p.pattern) {
             p.selector = Some(Selector::AllShortest);
         }
+    }
+}
+
+/// Decides — graph-independently, at prepare time — how a stage's search
+/// must prune. `unrestricted_unbounded` says whether the pattern has an
+/// unbounded quantifier outside every restrictor paren
+/// ([`has_unbounded`]); without a path restrictor, only the selector
+/// bounds that search ([`analyze`] rejected every uncovered quantifier).
+pub(crate) fn resolve_prune(
+    unrestricted_unbounded: bool,
+    path_restrictor: Option<Restrictor>,
+    selector_groups: Option<usize>,
+) -> PruneMode {
+    match selector_groups {
+        Some(k) if unrestricted_unbounded && path_restrictor.is_none() => {
+            PruneMode::ShortestGroups(k)
+        }
+        _ => PruneMode::Exhaustive,
     }
 }
 

@@ -248,11 +248,12 @@ struct Projection {
 
 /// A compiled GQL statement: parsed once, lowered once through the
 /// [`gpml_core::plan`] layer, executable any number of times against any
-/// registered graph (plans are graph-independent).
+/// registered graph (plans are graph-independent). Plan and projection
+/// are shared, so a clone (a plan-cache hit) is a reference-count bump.
 #[derive(Clone)]
 pub struct PreparedGqlQuery {
     query: PreparedQuery,
-    projection: Option<Projection>,
+    projection: Option<Arc<Projection>>,
 }
 
 impl PreparedGqlQuery {
@@ -487,7 +488,10 @@ impl Session {
                 query.declare_params_in(&key.expr);
             }
         }
-        Ok(PreparedGqlQuery { query, projection })
+        Ok(PreparedGqlQuery {
+            query,
+            projection: projection.map(Arc::new),
+        })
     }
 
     /// Runs a prepared `MATCH ... RETURN ...` against the named graph.
@@ -576,15 +580,17 @@ impl Session {
             order,
             skip,
             limit,
-        } = projection;
+        } = &**projection;
 
         let matches = match profile {
             Some(p) => prepared.query.execute_with_profile(g, params, p)?,
             None => prepared.query.execute_with(g, params)?,
         };
 
-        // Project.
-        let mut rows: Vec<(Vec<GqlValue>, &MatchRow)> = matches
+        // Project each row's cells and its ORDER BY keys, once. Keys are
+        // evaluated on the underlying binding so non-projected expressions
+        // work too.
+        let mut rows: Vec<(Vec<GqlValue>, Vec<GqlValue>)> = matches
             .rows
             .iter()
             .map(|row| {
@@ -592,18 +598,19 @@ impl Session {
                     .iter()
                     .map(|it| project(g, row, &it.expr, params))
                     .collect();
-                (cells, row)
+                let keys = order
+                    .iter()
+                    .map(|key| project(g, row, &key.expr, params))
+                    .collect();
+                (cells, keys)
             })
             .collect();
 
-        // ORDER BY (stable; keys evaluated on the underlying binding so
-        // non-projected expressions work too).
+        // ORDER BY (stable).
         if !order.is_empty() {
-            rows.sort_by(|(_, ra), (_, rb)| {
-                for key in order {
-                    let va = order_value(g, ra, &key.expr, params);
-                    let vb = order_value(g, rb, &key.expr, params);
-                    let ord = va.cmp(&vb);
+            rows.sort_by(|(_, ka), (_, kb)| {
+                for ((va, vb), key) in ka.iter().zip(kb).zip(order) {
+                    let ord = va.cmp(vb);
                     let ord = if key.ascending { ord } else { ord.reverse() };
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
@@ -884,10 +891,6 @@ fn project(g: &PropertyGraph, row: &MatchRow, expr: &Expr, params: &Params) -> G
     GqlValue::Scalar(eval::eval_expr(g, &env, expr))
 }
 
-fn order_value(g: &PropertyGraph, row: &MatchRow, expr: &Expr, params: &Params) -> GqlValue {
-    project(g, row, expr, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,6 +900,19 @@ mod tests {
         let mut s = Session::new();
         s.register("bank", fig1());
         s
+    }
+
+    #[test]
+    fn plan_cache_hits_share_the_compiled_plan() {
+        let s = session();
+        let text = "MATCH (a:Account)-[t:Transfer]->(b) RETURN b.owner AS r ORDER BY r";
+        let first = s.prepare(text).unwrap();
+        let second = s.prepare(text).unwrap();
+        assert!(std::ptr::eq(first.plan(), second.plan()));
+        // The one-shot path hits the same cache entry.
+        s.execute("bank", text).unwrap();
+        assert_eq!(s.plan_cache_stats().len, 1);
+        assert!(std::ptr::eq(first.plan(), s.prepare(text).unwrap().plan()));
     }
 
     #[test]

@@ -81,6 +81,14 @@ impl Path {
         self.nodes.push(to);
     }
 
+    /// Undoes the last [`Path::push`], in place, returning the dropped
+    /// step; a zero-length path is left as it is.
+    pub fn pop(&mut self) -> Option<(EdgeId, NodeId)> {
+        let edge = self.edges.pop()?;
+        let to = self.nodes.pop()?;
+        Some((edge, to))
+    }
+
     /// A copy of the walk extended by one step.
     pub fn extended(&self, edge: EdgeId, to: NodeId) -> Path {
         let mut p = self.clone();

@@ -16,7 +16,7 @@
 //! `path(a6,t5,a3,...)` rendering, group references as bracketed key
 //! lists (PGQL's `LISTAGG` style).
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use gpml_core::binding::{BoundValue, MatchRow};
 use gpml_core::eval::{self, EvalOptions};
@@ -72,10 +72,12 @@ pub struct Column {
 
 /// A compiled `GRAPH_TABLE` body: parsed once, lowered once through the
 /// [`gpml_core::plan`] layer, executable against any number of graphs.
+/// Plan and columns are shared, so a clone (a plan-cache hit) is a
+/// reference-count bump.
 #[derive(Clone)]
 pub struct PreparedGraphTable {
     query: PreparedQuery,
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl PreparedGraphTable {
@@ -135,7 +137,10 @@ pub fn prepare_graph_table(body: &str, opts: &EvalOptions) -> Result<PreparedGra
     for c in &columns {
         query.declare_params_in(&c.expr);
     }
-    Ok(PreparedGraphTable { query, columns })
+    Ok(PreparedGraphTable {
+        query,
+        columns: columns.into(),
+    })
 }
 
 /// Parses the `MATCH ... [WHERE ...] COLUMNS (...)` body and evaluates it
@@ -291,6 +296,15 @@ pub(crate) fn project(
 mod tests {
     use super::*;
     use gpml_datagen::fig1;
+
+    #[test]
+    fn plan_cache_hits_share_the_compiled_plan() {
+        let cache = GraphTableCache::default();
+        let body = "MATCH (x:Account)-[t:Transfer]->(y:Account) COLUMNS (y.owner AS r)";
+        let first = cache.prepare(body).unwrap();
+        let second = cache.prepare(body).unwrap();
+        assert!(std::ptr::eq(first.plan(), second.plan()));
+    }
 
     #[test]
     fn projects_scalar_columns() {

@@ -20,7 +20,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use gpml_storage::Mutation;
@@ -46,7 +45,7 @@ pub(crate) enum WorkItem {
     /// `EXECUTE` / `EXECUTE … CURSOR` (the handle is resolved before
     /// dispatch, so an unknown handle never costs a worker trip).
     Execute {
-        prepared: Arc<PreparedGqlQuery>,
+        prepared: PreparedGqlQuery,
         params: Vec<(String, Value)>,
         cursor: bool,
     },
@@ -62,9 +61,8 @@ pub(crate) enum WorkItem {
 pub(crate) enum WorkOutput {
     /// A ready response (results, and every error).
     Response(Response),
-    /// A successful `PREPARE`: needs a handle. (`Arc`ed so the enum
-    /// stays small — the handle table wants an `Arc` anyway.)
-    Prepared(Arc<PreparedGqlQuery>),
+    /// A successful `PREPARE`: needs a handle.
+    Prepared(PreparedGqlQuery),
     /// A successful cursor-mode execution: needs a cursor id.
     Cursor(QueryResult),
 }
@@ -84,7 +82,7 @@ pub(crate) enum Action {
 /// Connection-local request state: prepared handles and open cursors.
 #[derive(Default)]
 pub(crate) struct ConnState {
-    handles: HashMap<u64, Arc<PreparedGqlQuery>>,
+    handles: HashMap<u64, PreparedGqlQuery>,
     next_handle: u64,
     cursors: HashMap<u64, ResultCursor>,
     next_cursor: u64,
@@ -286,7 +284,7 @@ impl ConnState {
                 }
                 Action::Work(
                     WorkItem::Execute {
-                        prepared: Arc::clone(prepared),
+                        prepared: prepared.clone(),
                         params,
                         cursor,
                     },

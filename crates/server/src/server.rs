@@ -372,7 +372,7 @@ impl Shared {
                     message: "PREPARE wants a RETURN statement (bare MATCH has no table shape)"
                         .to_owned(),
                 }),
-                Ok(prepared) => WorkOutput::Prepared(Arc::new(prepared)),
+                Ok(prepared) => WorkOutput::Prepared(prepared),
                 Err(e) => WorkOutput::Response(error_response(e)),
             },
             WorkItem::Execute {
