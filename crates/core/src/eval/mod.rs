@@ -576,7 +576,7 @@ impl JoinState {
 /// bindings. The GQL `RETURN`/`ORDER BY` and SQL/PGQ `COLUMNS`
 /// projections evaluate through one of these, so host expressions see
 /// exactly the values the pattern predicates saw.
-pub struct RowParamEnv<'a> {
+pub(crate) struct RowParamEnv<'a> {
     /// The joined result row providing variable bindings.
     pub row: &'a MatchRow,
     /// The execution's parameter bindings.

@@ -78,4 +78,4 @@ pub use error::{Error, Result};
 pub use eval::flat::FlatProgram;
 pub use eval::{evaluate, EvalOptions, MatchMode};
 pub use params::{ParamType, Params};
-pub use plan::{prepare, ExecutablePlan, PreparedQuery};
+pub use plan::{prepare, ExecutablePlan, PreparedQuery, Projection, Statement};

@@ -2,16 +2,15 @@
 //! EvalOptions)`.
 //!
 //! Hosts that see the same query text repeatedly (the GQL session, the
-//! SQL/PGQ `GRAPH_TABLE` front-end, the CLI REPL) use one of these to skip
-//! parse, analysis, and compilation on replays without holding prepared
-//! handles themselves. The cache is generic over the host's prepared type
-//! (the front-ends wrap [`super::PreparedQuery`] in their own structs) and
-//! deliberately tiny: a `HashMap` with a logical clock, evicting the
-//! least-recently-used entry on overflow — exact LRU without the
-//! linked-list bookkeeping, fine at the capacities sessions use.
+//! SQL/PGQ `GRAPH_TABLE` front-end, the server, the CLI REPL) use one of
+//! these to skip parse, analysis, and compilation on replays without
+//! holding prepared handles themselves. The cache is generic over the
+//! cached value (the hosts all cache a [`super::Statement`]): a `HashMap`
+//! from key to plan and recency stamp, plus a stamp-ordered index of the
+//! keys, so finding the least-recently-used entry is `O(log n)`.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -59,7 +58,10 @@ pub struct PlanLru<V> {
     clock: u64,
     hits: u64,
     misses: u64,
+    /// Each entry's plan and recency stamp.
     entries: HashMap<(String, EvalOptions), (V, u64)>,
+    /// Every entry's key under its stamp, oldest first.
+    recency: BTreeMap<u64, (String, EvalOptions)>,
 }
 
 impl<V> Default for PlanLru<V> {
@@ -77,6 +79,7 @@ impl<V> PlanLru<V> {
             hits: 0,
             misses: 0,
             entries: HashMap::new(),
+            recency: BTreeMap::new(),
         }
     }
 
@@ -86,6 +89,9 @@ impl<V> PlanLru<V> {
         match self.entries.get_mut(&(query, opts) as &dyn Key) {
             Some((v, stamp)) => {
                 self.hits += 1;
+                if let Some(key) = self.recency.remove(stamp) {
+                    self.recency.insert(self.clock, key);
+                }
                 *stamp = self.clock;
                 Some(v)
             }
@@ -101,16 +107,14 @@ impl<V> PlanLru<V> {
     pub fn insert(&mut self, query: String, opts: EvalOptions, plan: V) {
         self.clock += 1;
         let key = (query, opts);
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&oldest);
+        match self.entries.get(&key) {
+            Some((_, stamp)) => {
+                self.recency.remove(stamp);
             }
+            None if self.entries.len() >= self.capacity => self.evict_oldest(),
+            None => {}
         }
+        self.recency.insert(self.clock, key.clone());
         self.entries.insert(key, (plan, self.clock));
     }
 
@@ -118,19 +122,14 @@ impl<V> PlanLru<V> {
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
         while self.entries.len() > self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-                .expect("nonempty while over capacity");
-            self.entries.remove(&oldest);
+            self.evict_oldest();
         }
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    fn evict_oldest(&mut self) {
+        if let Some((_, key)) = self.recency.pop_first() {
+            self.entries.remove(&key);
+        }
     }
 
     /// Every `(query, options, plan)` entry, borrowed, most recently used
@@ -138,11 +137,8 @@ impl<V> PlanLru<V> {
     /// stamps are untouched, so persistence sweeps do not skew the
     /// statistics they run alongside.
     pub fn by_recency(&self) -> Vec<(&str, &EvalOptions, &V)> {
-        let mut entries: Vec<_> = self.entries.iter().collect();
-        entries.sort_by_key(|(_, (_, stamp))| std::cmp::Reverse(*stamp));
-        entries
-            .into_iter()
-            .map(|((q, o), (v, _))| (q.as_str(), o, v))
+        let keys = self.recency.values().rev();
+        keys.filter_map(|key| Some((key.0.as_str(), &key.1, &self.entries.get(key)?.0)))
             .collect()
     }
 
@@ -236,18 +232,12 @@ impl<V> Default for SharedPlanLru<V> {
     }
 }
 
-impl<V> From<PlanLru<V>> for SharedPlanLru<V> {
-    fn from(cache: PlanLru<V>) -> SharedPlanLru<V> {
-        SharedPlanLru {
-            inner: Arc::new(Mutex::new(cache)),
-        }
-    }
-}
-
 impl<V> SharedPlanLru<V> {
     /// A new shared cache retaining at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> SharedPlanLru<V> {
-        PlanLru::new(capacity).into()
+        SharedPlanLru {
+            inner: Arc::new(Mutex::new(PlanLru::new(capacity))),
+        }
     }
 
     /// The locked underlying cache, surviving poisoning. Hold the guard
@@ -269,14 +259,30 @@ impl<V> SharedPlanLru<V> {
         self.lock().insert(query, opts, plan);
     }
 
+    /// The cached plan for `(query, opts)`, or else the one `compile`
+    /// builds, inserted before it is returned: one lookup, at most one
+    /// compile, and the lock is not held while compiling. A failed
+    /// compile is not cached.
+    pub fn get_or_try_insert<E>(
+        &self,
+        query: &str,
+        opts: &EvalOptions,
+        compile: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E>
+    where
+        V: Clone,
+    {
+        if let Some(hit) = self.get_cloned(query, opts) {
+            return Ok(hit);
+        }
+        let plan = compile()?;
+        self.insert(query.to_owned(), opts.clone(), plan.clone());
+        Ok(plan)
+    }
+
     /// Changes the capacity, evicting oldest entries if now over it.
     pub fn set_capacity(&self, capacity: usize) {
         self.lock().set_capacity(capacity);
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.lock().clear();
     }
 
     /// Hit/miss counters and occupancy, aggregated across every holder of
@@ -373,5 +379,106 @@ mod tests {
         lru.insert("a".into(), opts(), 10);
         assert_eq!(lru.get("a", &opts()), Some(&10));
         assert_eq!(lru.get("b", &opts()), Some(&2));
+    }
+
+    /// The obvious LRU: a list kept in recency order, oldest first.
+    struct NaiveLru {
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+        entries: Vec<((String, EvalOptions), u32)>,
+    }
+
+    impl NaiveLru {
+        fn get(&mut self, key: &(String, EvalOptions)) -> Option<u32> {
+            let Some(i) = self.entries.iter().position(|(k, _)| k == key) else {
+                self.misses += 1;
+                return None;
+            };
+            self.hits += 1;
+            let entry = self.entries.remove(i);
+            self.entries.push(entry);
+            self.entries.last().map(|(_, v)| *v)
+        }
+
+        fn insert(&mut self, key: (String, EvalOptions), v: u32) {
+            if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
+                self.entries.remove(i);
+            } else if self.entries.len() >= self.capacity {
+                self.entries.remove(0);
+            }
+            self.entries.push((key, v));
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity.max(1);
+            while self.entries.len() > self.capacity {
+                self.entries.remove(0);
+            }
+        }
+    }
+
+    #[test]
+    fn agrees_with_a_naive_lru_on_random_operations() {
+        let other = EvalOptions {
+            max_matches: 10,
+            ..opts()
+        };
+        for seed in 1..=40u64 {
+            // xorshift64: a fixed sequence per seed.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let capacity = 1 + next(6) as usize;
+            let mut lru: PlanLru<u32> = PlanLru::new(capacity);
+            let mut model = NaiveLru {
+                capacity,
+                hits: 0,
+                misses: 0,
+                entries: Vec::new(),
+            };
+            for step in 0..300u32 {
+                let o = if next(4) == 0 { &other } else { &opts() };
+                let key = (format!("q{}", next(10)), o.clone());
+                match next(10) {
+                    0 => {
+                        let capacity = next(8) as usize;
+                        lru.set_capacity(capacity);
+                        model.set_capacity(capacity);
+                    }
+                    1..=4 => {
+                        lru.insert(key.0.clone(), key.1.clone(), step);
+                        model.insert(key, step);
+                    }
+                    _ => assert_eq!(
+                        lru.get(&key.0, &key.1).copied(),
+                        model.get(&key),
+                        "seed {seed} step {step}"
+                    ),
+                }
+                let s = lru.stats();
+                assert_eq!(
+                    (s.hits, s.misses, s.len, s.capacity),
+                    (
+                        model.hits,
+                        model.misses,
+                        model.entries.len(),
+                        model.capacity
+                    ),
+                    "seed {seed} step {step}"
+                );
+                let want: Vec<(&str, &EvalOptions, &u32)> = model
+                    .entries
+                    .iter()
+                    .rev()
+                    .map(|((q, o), v)| (q.as_str(), o, v))
+                    .collect();
+                assert_eq!(lru.by_recency(), want, "seed {seed} step {step}");
+            }
+        }
     }
 }

@@ -34,10 +34,12 @@
 //! are skipped entirely.
 //!
 //! [`eval::evaluate`](crate::eval::evaluate) is a thin wrapper over
-//! `prepare(..)?.execute(..)`; front-ends that see the same query text
-//! repeatedly (the GQL session, SQL/PGQ `GRAPH_TABLE`, the CLI REPL)
-//! retain the [`PreparedQuery`] — and cache it in a [`cache::PlanLru`]
-//! keyed by `(query text, EvalOptions)` — to skip straight to execution.
+//! `prepare(..)?.execute(..)`. The host languages (the GQL session,
+//! SQL/PGQ `GRAPH_TABLE`, the server, the CLI REPL) compile a statement
+//! into one [`Statement`] — the [`PreparedQuery`] plus the [`Projection`]
+//! of its `RETURN` or `COLUMNS` clause — and cache it in a
+//! [`SharedPlanLru`] keyed by `(query text, EvalOptions)` to skip
+//! straight to execution.
 //!
 //! The plan structure is deliberately flat and inspectable (see the
 //! [`ExecutablePlan`] `Display` impl and [`PreparedQuery::explain_for`],
@@ -53,6 +55,7 @@
 mod access;
 pub mod cache;
 pub mod cost;
+mod statement;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -76,6 +79,7 @@ use cost::Placement;
 
 pub use cache::{CacheStats, PlanLru, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use cost::{CostReport, CostStep, JoinAlgo, StartSet};
+pub use statement::{Projection, Statement};
 
 /// The join's node sets for one stage (sideways information passing):
 /// for each node-typed join key the stage shares with the stages merged
@@ -491,7 +495,7 @@ impl PreparedQuery {
     /// whole statement — not just the pattern — and a binding consumed
     /// only by a projection is not misreported as unused. Copies the plan
     /// first if a clone of this query shares it.
-    pub fn declare_params_in(&mut self, expr: &Expr) {
+    pub(crate) fn declare_params_in(&mut self, expr: &Expr) {
         collect_expr_params(expr, &mut Arc::make_mut(&mut self.plan).params);
     }
 

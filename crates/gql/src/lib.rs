@@ -13,6 +13,13 @@
 //!   new property graph — the output form the paper anticipates for
 //!   future GQL versions.
 //!
+//! GQL shares its runtime with SQL/PGQ: a statement compiles to the core
+//! [`Statement`] ([`PreparedGqlQuery`] is that type), its `RETURN` clause
+//! to the core [`Projection`](gpml_core::plan::Projection), and the
+//! session caches it in a [`SharedPlanLru`]. This crate adds the catalog,
+//! the [`GqlValue`] cell a bare variable's element, group or path binding
+//! renders into, and the result types.
+//!
 //! ```
 //! use gql::Session;
 //! use gpml_datagen::fig1;
@@ -41,9 +48,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gpml_core::binding::{BoundValue, MatchRow};
-use gpml_core::eval::{self, EvalOptions, ExecProfile};
-use gpml_core::plan::{self, CacheStats, ExecutablePlan, PreparedQuery, SharedPlanLru};
-use gpml_core::{Expr, FlatProgram, Params};
+use gpml_core::eval::{EvalOptions, ExecProfile};
+use gpml_core::plan::{CacheStats, SharedPlanLru, Statement};
+use gpml_core::Params;
 use gpml_parser::Parser;
 use property_graph::{ElementId, PropertyGraph, Value};
 
@@ -97,6 +104,29 @@ impl GqlValue {
     /// The float content of a `Scalar` cell; integers widen.
     pub fn as_f64(&self) -> Option<f64> {
         self.as_value().and_then(Value::as_f64)
+    }
+
+    /// A bare variable's binding as a cell: an element by name, a group
+    /// as its members' names, a path in `path(...)` notation.
+    fn of_binding(g: &PropertyGraph, b: &BoundValue) -> GqlValue {
+        match b {
+            BoundValue::Node(_) | BoundValue::Edge(_) => {
+                GqlValue::Element(b.display(g).to_string())
+            }
+            BoundValue::NodeGroup(ns) => {
+                GqlValue::Group(ns.iter().map(|n| g.node(*n).name.clone()).collect())
+            }
+            BoundValue::EdgeGroup(es) => {
+                GqlValue::Group(es.iter().map(|e| g.edge(*e).name.clone()).collect())
+            }
+            BoundValue::Path(p) => GqlValue::Path(p.display(g).to_string()),
+        }
+    }
+}
+
+impl From<Value> for GqlValue {
+    fn from(v: Value) -> GqlValue {
+        GqlValue::Scalar(v)
     }
 }
 
@@ -222,67 +252,21 @@ impl From<gpml_core::Error> for GqlError {
     }
 }
 
-/// One `RETURN` item.
-#[derive(Clone, Debug)]
-struct ReturnItem {
-    expr: Expr,
-    alias: String,
-}
+/// A compiled GQL statement: the core [`Statement`], shared with
+/// SQL/PGQ. Parsed once, lowered once through the [`gpml_core::plan`]
+/// layer, executable any number of times against any registered graph
+/// (plans are graph-independent).
+pub type PreparedGqlQuery = Statement;
 
-/// Ordering key direction.
-#[derive(Clone, Debug)]
-struct OrderKey {
-    expr: Expr,
-    ascending: bool,
-}
-
-/// The parsed `RETURN ... [ORDER BY ...] [SKIP n] [LIMIT n]` tail.
-#[derive(Clone, Debug)]
-struct Projection {
-    distinct: bool,
-    items: Vec<ReturnItem>,
-    order: Vec<OrderKey>,
-    skip: Option<usize>,
-    limit: Option<usize>,
-}
-
-/// A compiled GQL statement: parsed once, lowered once through the
-/// [`gpml_core::plan`] layer, executable any number of times against any
-/// registered graph (plans are graph-independent). Plan and projection
-/// are shared, so a clone (a plan-cache hit) is a reference-count bump.
-#[derive(Clone)]
-pub struct PreparedGqlQuery {
-    query: PreparedQuery,
-    projection: Option<Arc<Projection>>,
-}
-
-impl PreparedGqlQuery {
-    /// The lowered pattern plan (EXPLAIN it via its `Display`).
-    pub fn plan(&self) -> &ExecutablePlan {
-        self.query.plan()
-    }
-
-    /// The EXPLAIN rendering annotated with the cost model's per-stage
-    /// cardinality estimates, stage order, and join algorithms for
-    /// `graph`.
-    pub fn explain_for(&self, graph: &PropertyGraph) -> String {
-        self.query.explain_for(graph)
-    }
-
-    /// [`Self::explain_for`] under parameter bindings: estimates use the
-    /// bound constants, matching what `execute_prepared_with` would run.
-    pub fn explain_with(&self, graph: &PropertyGraph, params: &Params) -> String {
-        self.query.explain_with(graph, params)
-    }
-
-    /// True when the statement has a `RETURN` clause (vs. a bare `MATCH`).
-    pub fn has_return(&self) -> bool {
-        self.projection.is_some()
-    }
-
-    /// The flat program of each path stage, in declaration order.
-    pub fn stage_programs(&self) -> Vec<&FlatProgram> {
-        self.query.plan().stage_programs()
+impl GqlError {
+    /// The parse error a statement without `RETURN` raises where a table
+    /// is wanted: a bare `MATCH` parses to the end of its text, which is
+    /// where the keyword was expected.
+    pub fn missing_return(text: &str) -> GqlError {
+        GqlError::Parse(gpml_parser::ParseError {
+            pos: text.len(),
+            message: "expected keyword RETURN".to_owned(),
+        })
     }
 }
 
@@ -302,7 +286,7 @@ pub struct Session {
     options: EvalOptions,
     /// Thread-safe handle (possibly shared with sibling sessions); lock
     /// scopes are per-lookup, never held across execution.
-    plans: SharedPlanLru<PreparedGqlQuery>,
+    plans: SharedPlanLru<Statement>,
 }
 
 impl Session {
@@ -313,18 +297,14 @@ impl Session {
 
     /// A session with explicit evaluation options (match modes, limits).
     pub fn with_options(options: EvalOptions) -> Session {
-        Session {
-            catalog: BTreeMap::new(),
-            options,
-            plans: SharedPlanLru::default(),
-        }
+        Session::with_cache(options, SharedPlanLru::default())
     }
 
     /// A session over an existing (possibly shared) plan cache. Sessions
     /// built over clones of one [`SharedPlanLru`] share every cached
     /// plan: whichever session prepares a statement first compiles it for
     /// all of them.
-    pub fn with_cache(options: EvalOptions, cache: SharedPlanLru<PreparedGqlQuery>) -> Session {
+    pub fn with_cache(options: EvalOptions, cache: SharedPlanLru<Statement>) -> Session {
         Session {
             catalog: BTreeMap::new(),
             options,
@@ -332,21 +312,16 @@ impl Session {
         }
     }
 
-    /// The locked plan cache.
-    fn plans(&self) -> std::sync::MutexGuard<'_, plan::PlanLru<PreparedGqlQuery>> {
-        self.plans.lock()
-    }
-
     /// A handle to the session's plan cache; clone it into
     /// [`Session::with_cache`] to build sibling sessions that share it.
-    pub fn plan_cache(&self) -> &SharedPlanLru<PreparedGqlQuery> {
+    pub fn plan_cache(&self) -> &SharedPlanLru<Statement> {
         &self.plans
     }
 
     /// Caps the number of distinct prepared plans the session retains
     /// (evicting least-recently-used entries beyond it).
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.plans().set_capacity(capacity);
+        self.plans.set_capacity(capacity);
     }
 
     /// The evaluation options statements are prepared under.
@@ -365,7 +340,7 @@ impl Session {
 
     /// Hit/miss counters and occupancy of the session's plan cache.
     pub fn plan_cache_stats(&self) -> CacheStats {
-        self.plans().stats()
+        self.plans.stats()
     }
 
     /// Registers a graph under `name` (GQL's catalog).
@@ -386,26 +361,22 @@ impl Session {
         self.catalog.get(name).map(Arc::as_ref)
     }
 
-    /// A shared handle to the graph registered under `name`.
-    pub fn graph_shared(&self, name: &str) -> Option<Arc<PropertyGraph>> {
-        self.catalog.get(name).cloned()
+    /// The graph registered under `name`, or the host error naming it.
+    fn graph_of(&self, name: &str) -> Result<&PropertyGraph, GqlError> {
+        self.graph(name)
+            .ok_or_else(|| GqlError::Host(format!("unknown graph {name}")))
     }
 
     /// Parses and lowers a statement — `MATCH ... RETURN ...` or a bare
-    /// `MATCH ...` — into a reusable [`PreparedGqlQuery`]. Preparation is
+    /// `MATCH ...` — into a reusable [`Statement`]. Preparation is
     /// graph-independent: prepare once, then execute against any graph in
     /// the catalog, any number of times. Successful preparations land in
     /// the session's LRU plan cache, so a replayed statement (here, in
     /// [`Session::execute`], or in [`Session::match_bindings`]) skips
     /// parse, analysis, and compilation.
-    pub fn prepare(&self, query: &str) -> Result<PreparedGqlQuery, GqlError> {
-        if let Some(cached) = self.plans().get(query, &self.options) {
-            return Ok(cached.clone());
-        }
-        let prepared = self.parse_statement(query, false)?;
-        self.plans()
-            .insert(query.to_owned(), self.options.clone(), prepared.clone());
-        Ok(prepared)
+    pub fn prepare(&self, query: &str) -> Result<Statement, GqlError> {
+        self.plans
+            .get_or_try_insert(query, &self.options, || self.prepare_uncached(query))
     }
 
     /// [`Session::prepare`] with the plan cache bypassed entirely: no
@@ -413,92 +384,25 @@ impl Session {
     /// warm-start path compiles persisted statements through this, then
     /// seeds the shared cache itself — keeping `cache.misses` an honest
     /// count of compilations forced by client traffic.
-    pub fn prepare_uncached(&self, query: &str) -> Result<PreparedGqlQuery, GqlError> {
-        self.parse_statement(query, false)
-    }
-
-    /// Single-parse statement compiler behind [`Session::prepare`] and
-    /// [`Session::execute`]. With `require_return`, a missing `RETURN`
-    /// clause is the parse error `execute` has always raised.
-    fn parse_statement(
-        &self,
-        query: &str,
-        require_return: bool,
-    ) -> Result<PreparedGqlQuery, GqlError> {
+    pub fn prepare_uncached(&self, query: &str) -> Result<Statement, GqlError> {
         let mut p = Parser::new(query);
         p.expect_kw("MATCH")?;
         let pattern = p.parse_graph_pattern()?;
-        if require_return && !p.eat_kw("RETURN") {
-            p.expect_kw("RETURN")?; // fails here, at the right position
-        }
-        let projection = if require_return || p.eat_kw("RETURN") {
-            let distinct = p.eat_kw("DISTINCT");
-            let mut items = vec![parse_return_item(&mut p)?];
-            while p.eat(",") {
-                items.push(parse_return_item(&mut p)?);
-            }
-            let mut order: Vec<OrderKey> = Vec::new();
-            if p.eat_kw("ORDER") {
-                p.expect_kw("BY")?;
-                loop {
-                    let expr = resolve_alias(p.parse_expr()?, &items);
-                    let ascending = if p.eat_kw("DESC") {
-                        false
-                    } else {
-                        p.eat_kw("ASC");
-                        true
-                    };
-                    order.push(OrderKey { expr, ascending });
-                    if !p.eat(",") {
-                        break;
-                    }
-                }
-            }
-            let skip = if p.eat_kw("SKIP") {
-                Some(parse_count(&mut p)?)
-            } else {
-                None
-            };
-            let limit = if p.eat_kw("LIMIT") {
-                Some(parse_count(&mut p)?)
-            } else {
-                None
-            };
-            Some(Projection {
-                distinct,
-                items,
-                order,
-                skip,
-                limit,
-            })
-        } else {
+        let projection = if p.at_eof() {
             None
+        } else {
+            p.expect_kw("RETURN")?;
+            Some(p.parse_return()?)
         };
         p.expect_eof()?;
-
-        let mut query = plan::prepare(&pattern, &self.options)?;
-        // Projection-side `$name` parameters (RETURN items, ORDER BY
-        // keys) become slots of the plan too, so bind-time validation
-        // covers the whole statement.
-        if let Some(proj) = &projection {
-            for item in &proj.items {
-                query.declare_params_in(&item.expr);
-            }
-            for key in &proj.order {
-                query.declare_params_in(&key.expr);
-            }
-        }
-        Ok(PreparedGqlQuery {
-            query,
-            projection: projection.map(Arc::new),
-        })
+        Ok(Statement::prepare(&pattern, projection, &self.options)?)
     }
 
     /// Runs a prepared `MATCH ... RETURN ...` against the named graph.
     pub fn execute_prepared(
         &self,
         graph: &str,
-        prepared: &PreparedGqlQuery,
+        prepared: &Statement,
     ) -> Result<QueryResult, GqlError> {
         self.execute_prepared_with(graph, prepared, &Params::new())
     }
@@ -511,26 +415,26 @@ impl Session {
     pub fn execute_prepared_with(
         &self,
         graph: &str,
-        prepared: &PreparedGqlQuery,
+        prepared: &Statement,
         params: &Params,
     ) -> Result<QueryResult, GqlError> {
-        self.execute_prepared_inner(graph, prepared, params, None)
+        self.execute_prepared_profiled_on(self.graph_of(graph)?, prepared, params, None)
     }
 
     /// [`Self::execute_prepared_with`], additionally tallying per-stage
     /// execution counters (nodes expanded, edges traversed, rows pruned
     /// by the join's key sets) into `profile` — see
-    /// [`PreparedQuery::execute_with_profile`]. Create the profile with
+    /// [`gpml_core::PreparedQuery::execute_with_profile`]. Create the profile with
     /// [`ExecProfile::new`] sized to the plan's stage count; counters
     /// accumulate across executions sharing a profile.
     pub fn execute_prepared_profiled(
         &self,
         graph: &str,
-        prepared: &PreparedGqlQuery,
+        prepared: &Statement,
         params: &Params,
         profile: &ExecProfile,
     ) -> Result<QueryResult, GqlError> {
-        self.execute_prepared_inner(graph, prepared, params, Some(profile))
+        self.execute_prepared_profiled_on(self.graph_of(graph)?, prepared, params, Some(profile))
     }
 
     /// [`Self::execute_prepared_profiled`] against a graph the caller
@@ -542,125 +446,30 @@ impl Session {
     pub fn execute_prepared_profiled_on(
         &self,
         g: &PropertyGraph,
-        prepared: &PreparedGqlQuery,
+        prepared: &Statement,
         params: &Params,
         profile: Option<&ExecProfile>,
     ) -> Result<QueryResult, GqlError> {
-        self.execute_prepared_on_inner(g, prepared, params, profile)
-    }
-
-    fn execute_prepared_inner(
-        &self,
-        graph: &str,
-        prepared: &PreparedGqlQuery,
-        params: &Params,
-        profile: Option<&ExecProfile>,
-    ) -> Result<QueryResult, GqlError> {
-        let g = self
-            .catalog
-            .get(graph)
-            .map(Arc::as_ref)
-            .ok_or_else(|| GqlError::Host(format!("unknown graph {graph}")))?;
-        self.execute_prepared_on_inner(g, prepared, params, profile)
-    }
-
-    fn execute_prepared_on_inner(
-        &self,
-        g: &PropertyGraph,
-        prepared: &PreparedGqlQuery,
-        params: &Params,
-        profile: Option<&ExecProfile>,
-    ) -> Result<QueryResult, GqlError> {
-        let Some(projection) = &prepared.projection else {
+        if !prepared.has_return() {
             return Err(GqlError::Host("statement has no RETURN clause".to_owned()));
-        };
-        let Projection {
-            distinct,
-            items,
-            order,
-            skip,
-            limit,
-        } = &**projection;
-
-        let matches = match profile {
-            Some(p) => prepared.query.execute_with_profile(g, params, p)?,
-            None => prepared.query.execute_with(g, params)?,
-        };
-
-        // Project each row's cells and its ORDER BY keys, once. Keys are
-        // evaluated on the underlying binding so non-projected expressions
-        // work too.
-        let mut rows: Vec<(Vec<GqlValue>, Vec<GqlValue>)> = matches
-            .rows
-            .iter()
-            .map(|row| {
-                let cells = items
-                    .iter()
-                    .map(|it| project(g, row, &it.expr, params))
-                    .collect();
-                let keys = order
-                    .iter()
-                    .map(|key| project(g, row, &key.expr, params))
-                    .collect();
-                (cells, keys)
-            })
-            .collect();
-
-        // ORDER BY (stable).
-        if !order.is_empty() {
-            rows.sort_by(|(_, ka), (_, kb)| {
-                for ((va, vb), key) in ka.iter().zip(kb).zip(order) {
-                    let ord = va.cmp(vb);
-                    let ord = if key.ascending { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
         }
-
-        let mut cells: Vec<Vec<GqlValue>> = rows.into_iter().map(|(c, _)| c).collect();
-        if *distinct {
-            let mut seen = std::collections::BTreeSet::new();
-            cells.retain(|row| seen.insert(row.clone()));
-        }
-        if let Some(n) = skip {
-            cells.drain(..(*n).min(cells.len()));
-        }
-        if let Some(n) = limit {
-            cells.truncate(*n);
-        }
-
+        let rows = prepared.run(g, params, profile, |b| GqlValue::of_binding(g, b))?;
         Ok(QueryResult {
-            columns: items.iter().map(|it| it.alias.clone()).collect(),
-            rows: cells,
+            columns: prepared.columns(),
+            rows,
         })
     }
 
-    /// Runs a prepared statement and returns the raw binding rows,
-    /// ignoring any `RETURN` projection.
-    pub fn match_prepared(
-        &self,
-        graph: &str,
-        prepared: &PreparedGqlQuery,
-    ) -> Result<Vec<MatchRow>, GqlError> {
-        self.match_prepared_with(graph, prepared, &Params::new())
-    }
-
-    /// [`Session::match_prepared`] with `$name` parameter bindings.
+    /// Runs a prepared statement with `$name` parameter bindings and
+    /// returns the raw binding rows, ignoring any `RETURN` projection.
     pub fn match_prepared_with(
         &self,
         graph: &str,
-        prepared: &PreparedGqlQuery,
+        prepared: &Statement,
         params: &Params,
     ) -> Result<Vec<MatchRow>, GqlError> {
-        let g = self
-            .catalog
-            .get(graph)
-            .map(Arc::as_ref)
-            .ok_or_else(|| GqlError::Host(format!("unknown graph {graph}")))?;
-        Ok(prepared.query.execute_with(g, params)?.rows)
+        let g = self.graph_of(graph)?;
+        Ok(prepared.query().execute_with(g, params)?.rows)
     }
 
     /// Runs `MATCH ... RETURN ...` against the named graph, reusing the
@@ -698,39 +507,11 @@ impl Session {
         query: &str,
         params: &Params,
     ) -> Result<QueryResult, GqlError> {
-        let prepared = self.prepare_returning(query)?;
-        self.execute_prepared_with(graph, &prepared, params)
-    }
-
-    /// The cached plan of a `RETURN` statement, or a fresh parse that
-    /// replaces it. A cached RETURN-less statement falls through to a
-    /// fresh parse so the caller gets the parse error `execute` has
-    /// always raised for bare MATCH.
-    fn prepare_returning(&self, query: &str) -> Result<PreparedGqlQuery, GqlError> {
-        let cached = self.plans().get(query, &self.options).cloned();
-        match cached {
-            Some(p) if p.has_return() => Ok(p),
-            _ => {
-                let p = self.parse_statement(query, true)?;
-                self.plans()
-                    .insert(query.to_owned(), self.options.clone(), p.clone());
-                Ok(p)
-            }
+        let prepared = self.prepare(query)?;
+        if !prepared.has_return() {
+            return Err(GqlError::missing_return(query));
         }
-    }
-
-    /// [`Session::execute_with_params`] against a graph the caller
-    /// already holds (a pinned epoch snapshot), bypassing the catalog.
-    /// Caching behaves identically: the statement is keyed by
-    /// `(text, options)`.
-    pub fn execute_with_params_on(
-        &self,
-        g: &PropertyGraph,
-        query: &str,
-        params: &Params,
-    ) -> Result<QueryResult, GqlError> {
-        let prepared = self.prepare_returning(query)?;
-        self.execute_prepared_on_inner(g, &prepared, params, None)
+        self.execute_prepared_with(graph, &prepared, params)
     }
 
     /// §6.6 graph projection: the subgraph of `graph` induced by all
@@ -738,11 +519,7 @@ impl Session {
     /// new property graph. Edge endpoints are included even when only the
     /// edge was bound.
     pub fn project_graph(&self, graph: &str, row: &MatchRow) -> Result<PropertyGraph, GqlError> {
-        let g = self
-            .catalog
-            .get(graph)
-            .map(Arc::as_ref)
-            .ok_or_else(|| GqlError::Host(format!("unknown graph {graph}")))?;
+        let g = self.graph_of(graph)?;
         let mut nodes: Vec<property_graph::NodeId> = Vec::new();
         let mut edges: Vec<property_graph::EdgeId> = Vec::new();
         let add_el = |el: ElementId, nodes: &mut Vec<_>, edges: &mut Vec<_>| match el {
@@ -838,57 +615,8 @@ impl Session {
                 "match_bindings takes a bare MATCH; use execute for RETURN statements".to_owned(),
             ));
         }
-        self.match_prepared(graph, &prepared)
+        self.match_prepared_with(graph, &prepared, &Params::new())
     }
-}
-
-fn parse_return_item(p: &mut Parser<'_>) -> Result<ReturnItem, GqlError> {
-    let expr = p.parse_expr()?;
-    let alias = if p.eat_kw("AS") {
-        p.ident()?
-    } else {
-        expr.to_string()
-    };
-    Ok(ReturnItem { expr, alias })
-}
-
-fn parse_count(p: &mut Parser<'_>) -> Result<usize, GqlError> {
-    // Counts are plain integer literals.
-    match p.parse_expr()? {
-        Expr::Literal(Value::Int(n)) if n >= 0 => Ok(n as usize),
-        other => Err(GqlError::Host(format!("expected a count, got {other}"))),
-    }
-}
-
-/// `ORDER BY alias` refers to the projected item; resolve aliases to their
-/// expressions.
-fn resolve_alias(e: Expr, items: &[ReturnItem]) -> Expr {
-    if let Expr::Var(name) = &e {
-        if let Some(item) = items.iter().find(|it| &it.alias == name) {
-            return item.expr.clone();
-        }
-    }
-    e
-}
-
-fn project(g: &PropertyGraph, row: &MatchRow, expr: &Expr, params: &Params) -> GqlValue {
-    if let Expr::Var(v) = expr {
-        return match row.get(v) {
-            Some(b @ (BoundValue::Node(_) | BoundValue::Edge(_))) => {
-                GqlValue::Element(b.display(g).to_string())
-            }
-            Some(BoundValue::NodeGroup(ns)) => {
-                GqlValue::Group(ns.iter().map(|n| g.node(*n).name.clone()).collect())
-            }
-            Some(BoundValue::EdgeGroup(es)) => {
-                GqlValue::Group(es.iter().map(|e| g.edge(*e).name.clone()).collect())
-            }
-            Some(BoundValue::Path(p)) => GqlValue::Path(p.display(g).to_string()),
-            None => GqlValue::Scalar(Value::Null),
-        };
-    }
-    let env = eval::RowParamEnv { row, params };
-    GqlValue::Scalar(eval::eval_expr(g, &env, expr))
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ use gpml_core::ast::{
     AggArg, AggFunc, ArithOp, CmpOp, Direction, EdgePattern, Expr, GraphPattern, LabelExpr,
     NodePattern, PathPattern, PathPatternExpr, Quantifier, Restrictor, Selector,
 };
+use gpml_core::plan::Projection;
 use property_graph::Value;
 
 /// A parse failure, with the byte offset where it happened.
@@ -696,6 +697,77 @@ impl<'a> Parser<'a> {
             return Ok(e);
         }
         Ok(LabelExpr::Label(self.ident()?))
+    }
+
+    // -- Host projection clauses -----------------------------------------------
+
+    /// A projection's item list, `expr [AS alias] (, expr [AS alias])*`:
+    /// the body of GQL's `RETURN` and of SQL/PGQ's `COLUMNS ( … )`. An
+    /// item without an alias is named by its expression's text.
+    pub fn parse_items(&mut self) -> Result<Vec<(Expr, String)>> {
+        let mut items = Vec::new();
+        loop {
+            let expr = self.parse_expr()?;
+            let alias = if self.eat_kw("AS") {
+                self.ident()?
+            } else {
+                expr.to_string()
+            };
+            items.push((expr, alias));
+            if !self.eat(",") {
+                return Ok(items);
+            }
+        }
+    }
+
+    /// What follows GQL's `RETURN`: `[DISTINCT] items [ORDER BY expr
+    /// [ASC|DESC], …] [SKIP n] [LIMIT n]`. An `ORDER BY` key naming an
+    /// item's alias sorts by that item's expression.
+    pub fn parse_return(&mut self) -> Result<Projection> {
+        let distinct = self.eat_kw("DISTINCT");
+        let items = self.parse_items()?;
+        let mut order = Vec::new();
+        if self.eat_kw("ORDER") {
+            self.expect_kw("BY")?;
+            loop {
+                let mut key = self.parse_expr()?;
+                if let Expr::Var(name) = &key {
+                    if let Some((expr, _)) = items.iter().find(|(_, alias)| alias == name) {
+                        key = expr.clone();
+                    }
+                }
+                let ascending = !self.eat_kw("DESC");
+                if ascending {
+                    self.eat_kw("ASC");
+                }
+                order.push((key, ascending));
+                if !self.eat(",") {
+                    break;
+                }
+            }
+        }
+        let skip = self.eat_kw("SKIP").then(|| self.count()).transpose()?;
+        let limit = self.eat_kw("LIMIT").then(|| self.count()).transpose()?;
+        Ok(Projection {
+            items,
+            order,
+            distinct,
+            skip,
+            limit,
+        })
+    }
+
+    /// A `SKIP` or `LIMIT` count: a non-negative integer literal.
+    fn count(&mut self) -> Result<usize> {
+        self.skip_ws();
+        let at = self.pos;
+        match self.parse_expr()? {
+            Expr::Literal(Value::Int(n)) if n >= 0 => Ok(n as usize),
+            other => Err(ParseError {
+                pos: at,
+                message: format!("expected a count, got {other}"),
+            }),
+        }
     }
 
     // -- Expressions ----------------------------------------------------------

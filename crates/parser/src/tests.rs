@@ -598,6 +598,50 @@ fn edge_strategy() -> impl Strategy<Value = EdgePattern> {
         })
 }
 
+// ---------------------------------------------------------------------------
+// Host projection clauses
+// ---------------------------------------------------------------------------
+
+#[test]
+fn return_clause_fills_one_projection() {
+    let mut p = Parser::new(
+        "DISTINCT x.owner AS o, COUNT(e), y ORDER BY o DESC, y ASC, t.k SKIP 1 LIMIT 2",
+    );
+    let proj = p.parse_return().unwrap();
+    assert!(p.at_eof());
+    let aliases: Vec<&str> = proj.items.iter().map(|(_, a)| a.as_str()).collect();
+    assert_eq!(aliases, ["o", "COUNT(e)", "y"]);
+    // An alias key sorts by its item's expression; other keys stay as written.
+    let keys: Vec<(String, bool)> = proj
+        .order
+        .iter()
+        .map(|(e, asc)| (e.to_string(), *asc))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            ("x.owner".into(), false),
+            ("y".into(), true),
+            ("t.k".into(), true)
+        ]
+    );
+    assert!(proj.distinct);
+    assert_eq!((proj.skip, proj.limit), (Some(1), Some(2)));
+}
+
+#[test]
+fn counts_are_non_negative_integer_literals() {
+    for (clause, at, got) in [("x LIMIT y", 8, "y"), ("x SKIP  1.5", 8, "1.5")] {
+        let err = Parser::new(clause).parse_return().unwrap_err();
+        assert_eq!(err.pos, at, "{clause}");
+        assert_eq!(
+            err.message,
+            format!("expected a count, got {got}"),
+            "{clause}"
+        );
+    }
+}
+
 fn quantifier_strategy() -> impl Strategy<Value = Quantifier> {
     prop_oneof![
         Just(Quantifier::star()),

@@ -15,13 +15,18 @@
 //! as their external keys, path references as the paper's
 //! `path(a6,t5,a3,...)` rendering, group references as bracketed key
 //! lists (PGQL's `LISTAGG` style).
+//!
+//! The body compiles to the same core [`Statement`] a GQL `RETURN`
+//! statement does: `COLUMNS` fills the items of its
+//! [`Projection`], and [`Statement::run`] evaluates them. Only the cell
+//! type is this crate's: a [`Value`], with element, group and path
+//! references as their text.
 
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
 
-use gpml_core::binding::{BoundValue, MatchRow};
-use gpml_core::eval::{self, EvalOptions};
-use gpml_core::plan::{self, CacheStats, ExecutablePlan, PlanLru, PreparedQuery};
-use gpml_core::{Expr, Params};
+use gpml_core::eval::EvalOptions;
+use gpml_core::plan::{CacheStats, Projection, SharedPlanLru, Statement};
+use gpml_core::Params;
 use gpml_parser::Parser;
 use property_graph::{PropertyGraph, Value};
 
@@ -63,42 +68,23 @@ impl From<gpml_core::Error> for PgqError {
     }
 }
 
-/// One projected column.
-#[derive(Clone, Debug)]
-pub struct Column {
-    pub expr: Expr,
-    pub alias: String,
-}
-
-/// A compiled `GRAPH_TABLE` body: parsed once, lowered once through the
-/// [`gpml_core::plan`] layer, executable against any number of graphs.
-/// Plan and columns are shared, so a clone (a plan-cache hit) is a
-/// reference-count bump.
+/// A compiled `GRAPH_TABLE` body: the core [`Statement`] its `MATCH ...
+/// COLUMNS (...)` compiles to, shared with GQL. It runs against any
+/// number of graphs, and a clone (a plan-cache hit) is a
+/// reference-count bump. `Deref` exposes the statement's plan and
+/// EXPLAIN renderings.
 #[derive(Clone)]
-pub struct PreparedGraphTable {
-    query: PreparedQuery,
-    columns: Arc<[Column]>,
+pub struct PreparedGraphTable(Statement);
+
+impl Deref for PreparedGraphTable {
+    type Target = Statement;
+
+    fn deref(&self) -> &Statement {
+        &self.0
+    }
 }
 
 impl PreparedGraphTable {
-    /// The lowered pattern plan (EXPLAIN it via its `Display`).
-    pub fn plan(&self) -> &ExecutablePlan {
-        self.query.plan()
-    }
-
-    /// The EXPLAIN rendering annotated with the cost model's per-stage
-    /// cardinality estimates, stage order, and join algorithms for
-    /// `graph`.
-    pub fn explain_for(&self, graph: &PropertyGraph) -> String {
-        self.query.explain_for(graph)
-    }
-
-    /// [`Self::explain_for`] under parameter bindings: estimates use the
-    /// bound constants, matching what `execute_with` would run.
-    pub fn explain_with(&self, graph: &PropertyGraph, params: &Params) -> String {
-        self.query.explain_with(graph, params)
-    }
-
     /// Runs the prepared body over `graph`, producing the projected table.
     pub fn execute(&self, graph: &PropertyGraph) -> Result<Table, PgqError> {
         self.execute_with(graph, &Params::new())
@@ -108,17 +94,16 @@ impl PreparedGraphTable {
     /// `$name` placeholders — the *bind* step of prepare → bind →
     /// execute. Unbound, superfluous, and type-mismatched bindings
     /// surface as [`PgqError::Eval`] before any matching happens.
+    /// Element, group and path references project as their text.
     pub fn execute_with(&self, graph: &PropertyGraph, params: &Params) -> Result<Table, PgqError> {
-        let rows = self.query.execute_with(graph, params)?;
-        let mut table = Table::new("GRAPH_TABLE", self.columns.iter().map(|c| c.alias.clone()));
-        for row in rows.iter() {
-            table.push(
-                self.columns
-                    .iter()
-                    .map(|c| project(graph, row, &c.expr, params)),
-            );
-        }
-        Ok(table)
+        let rows = self.0.run(graph, params, None, |b| {
+            Value::str(b.display(graph).to_string())
+        })?;
+        Ok(Table {
+            name: "GRAPH_TABLE".to_owned(),
+            columns: self.0.columns(),
+            rows,
+        })
     }
 }
 
@@ -129,51 +114,36 @@ pub fn prepare_graph_table(body: &str, opts: &EvalOptions) -> Result<PreparedGra
     p.expect_kw("MATCH")?;
     let pattern = p.parse_graph_pattern()?;
     p.expect_kw("COLUMNS")?;
-    let columns = parse_columns(&mut p)?;
-    p.expect_eof()?;
-    let mut query = plan::prepare(&pattern, opts)?;
-    // `$name` parameters consumed only by COLUMNS projections become
-    // plan slots too, so bind-time validation covers the whole body.
-    for c in &columns {
-        query.declare_params_in(&c.expr);
+    if !p.eat("(") {
+        return Err(PgqError::Syntax("expected ( after COLUMNS".into()));
     }
-    Ok(PreparedGraphTable {
-        query,
-        columns: columns.into(),
-    })
+    let items = p.parse_items()?;
+    if !p.eat(")") {
+        return Err(PgqError::Syntax("expected ) after column list".into()));
+    }
+    p.expect_eof()?;
+    let projection = Projection {
+        items,
+        ..Projection::default()
+    };
+    let statement = Statement::prepare(&pattern, Some(projection), opts)?;
+    Ok(PreparedGraphTable(statement))
 }
 
 /// Parses the `MATCH ... [WHERE ...] COLUMNS (...)` body and evaluates it
 /// over `graph`.
 pub fn graph_table(graph: &PropertyGraph, body: &str) -> Result<Table, PgqError> {
-    graph_table_with(graph, body, &EvalOptions::default())
-}
-
-/// [`graph_table`] with explicit evaluation options (one-shot:
-/// [`prepare_graph_table`] + [`PreparedGraphTable::execute`]).
-pub fn graph_table_with(
-    graph: &PropertyGraph,
-    body: &str,
-    opts: &EvalOptions,
-) -> Result<Table, PgqError> {
-    prepare_graph_table(body, opts)?.execute(graph)
+    prepare_graph_table(body, &EvalOptions::default())?.execute(graph)
 }
 
 /// An LRU cache over [`prepare_graph_table`], keyed by `(body text,
 /// EvalOptions)`: SQL hosts that replay `GRAPH_TABLE` bodies get plan
-/// reuse without holding [`PreparedGraphTable`] handles themselves
-/// (mirrors the GQL session's plan cache).
+/// reuse without holding [`PreparedGraphTable`] handles themselves. It
+/// is the same [`SharedPlanLru`] of [`Statement`]s a GQL session holds.
+#[derive(Default)]
 pub struct GraphTableCache {
     opts: EvalOptions,
-    /// A `Mutex` (not `RefCell`) so the cache is shareable across
-    /// threads like the rest of the read-only query surface.
-    plans: Mutex<PlanLru<PreparedGraphTable>>,
-}
-
-impl Default for GraphTableCache {
-    fn default() -> GraphTableCache {
-        GraphTableCache::new(EvalOptions::default())
-    }
+    plans: SharedPlanLru<Statement>,
 }
 
 impl GraphTableCache {
@@ -181,19 +151,13 @@ impl GraphTableCache {
     pub fn new(opts: EvalOptions) -> GraphTableCache {
         GraphTableCache {
             opts,
-            plans: Mutex::new(PlanLru::default()),
+            plans: SharedPlanLru::default(),
         }
-    }
-
-    /// The cache, surviving a poisoned lock (cache operations do not
-    /// panic, but a panicking sibling thread must not disable caching).
-    fn plans(&self) -> std::sync::MutexGuard<'_, PlanLru<PreparedGraphTable>> {
-        self.plans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Caps the number of distinct prepared bodies retained.
     pub fn set_capacity(&mut self, capacity: usize) {
-        self.plans().set_capacity(capacity);
+        self.plans.set_capacity(capacity);
     }
 
     /// The evaluation options bodies are prepared under.
@@ -210,18 +174,15 @@ impl GraphTableCache {
 
     /// Hit/miss counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        self.plans().stats()
+        self.plans.stats()
     }
 
     /// The prepared plan for `body`, from the cache or freshly compiled.
     pub fn prepare(&self, body: &str) -> Result<PreparedGraphTable, PgqError> {
-        if let Some(cached) = self.plans().get(body, &self.opts) {
-            return Ok(cached.clone());
-        }
-        let prepared = prepare_graph_table(body, &self.opts)?;
-        self.plans()
-            .insert(body.to_owned(), self.opts.clone(), prepared.clone());
-        Ok(prepared)
+        let compile = || prepare_graph_table(body, &self.opts).map(|p| p.0);
+        Ok(PreparedGraphTable(
+            self.plans.get_or_try_insert(body, &self.opts, compile)?,
+        ))
     }
 
     /// Runs `body` over `graph`, reusing its cached plan when present.
@@ -241,55 +202,6 @@ impl GraphTableCache {
     ) -> Result<Table, PgqError> {
         self.prepare(body)?.execute_with(graph, params)
     }
-}
-
-/// `( expr (AS alias)? (, expr (AS alias)?)* )`
-fn parse_columns(p: &mut Parser<'_>) -> Result<Vec<Column>, PgqError> {
-    if !p.eat("(") {
-        return Err(PgqError::Syntax("expected ( after COLUMNS".into()));
-    }
-    let mut out = Vec::new();
-    loop {
-        let expr = p.parse_expr()?;
-        let alias = if p.eat_kw("AS") {
-            p.ident()?
-        } else {
-            expr.to_string()
-        };
-        out.push(Column { expr, alias });
-        if !p.eat(",") {
-            break;
-        }
-    }
-    if !p.eat(")") {
-        return Err(PgqError::Syntax("expected ) after column list".into()));
-    }
-    Ok(out)
-}
-
-/// Evaluates one projection item against a result row. Bare variables
-/// project element keys (or key lists / path renderings); anything else
-/// evaluates as a scalar.
-pub(crate) fn project(
-    graph: &PropertyGraph,
-    row: &MatchRow,
-    expr: &Expr,
-    params: &Params,
-) -> Value {
-    if let Expr::Var(v) = expr {
-        return match row.get(v) {
-            Some(b @ (BoundValue::Node(_) | BoundValue::Edge(_))) => {
-                Value::str(b.display(graph).to_string())
-            }
-            Some(b @ (BoundValue::NodeGroup(_) | BoundValue::EdgeGroup(_))) => {
-                Value::str(b.display(graph).to_string())
-            }
-            Some(BoundValue::Path(p)) => Value::str(p.display(graph).to_string()),
-            None => Value::Null,
-        };
-    }
-    let env = eval::RowParamEnv { row, params };
-    eval::eval_expr(graph, &env, expr)
 }
 
 #[cfg(test)]

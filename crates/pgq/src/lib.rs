@@ -11,7 +11,11 @@
 //!   database, plus [`tabulate`]/[`materialize_tabulation`] for the
 //!   Figure 1 ↔ Figure 2 round trip;
 //! * [`graph_table()`](graph_table::graph_table) — the `GRAPH_TABLE( ... MATCH ... COLUMNS ... )`
-//!   operator producing a table from path bindings.
+//!   operator producing a table from path bindings. It runs on the
+//!   runtime GQL uses too: the body compiles to a core
+//!   [`Statement`](gpml_core::plan::Statement) whose projection holds the
+//!   `COLUMNS` items, cached in the same `SharedPlanLru` a GQL session
+//!   holds.
 //!
 //! [`Catalog`] ties them together the way a SQL/PGQ session would: named
 //! views over one database, queried by view name.
@@ -25,8 +29,7 @@ pub mod view;
 pub use csv::CsvError;
 pub use ddl::parse_ddl;
 pub use graph_table::{
-    graph_table, graph_table_with, prepare_graph_table, GraphTableCache, PgqError,
-    PreparedGraphTable,
+    graph_table, prepare_graph_table, GraphTableCache, PgqError, PreparedGraphTable,
 };
 pub use table::{Database, Table};
 pub use view::{materialize_tabulation, tabulate, EdgeTable, GraphView, VertexTable, ViewError};

@@ -61,35 +61,6 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Keeps only rows satisfying `pred` (a tiny σ).
-    pub fn select(&self, mut pred: impl FnMut(&[Value]) -> bool) -> Table {
-        Table {
-            name: self.name.clone(),
-            columns: self.columns.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
-    }
-
-    /// Sorts rows by the given column, ascending (a tiny ORDER BY).
-    pub fn order_by(&mut self, column: &str, ascending: bool) {
-        let Some(c) = self.column_index(column) else {
-            return;
-        };
-        self.rows.sort_by(|a, b| {
-            let ord = a[c].cmp(&b[c]);
-            if ascending {
-                ord
-            } else {
-                ord.reverse()
-            }
-        });
-    }
-
-    /// Truncates to the first `n` rows (a tiny LIMIT).
-    pub fn limit(&mut self, n: usize) {
-        self.rows.truncate(n);
-    }
 }
 
 impl fmt::Display for Table {
@@ -202,20 +173,6 @@ mod tests {
     fn arity_checked() {
         let mut t = accounts();
         t.push([Value::str("a5")]);
-    }
-
-    #[test]
-    fn select_order_limit() {
-        let mut t = accounts();
-        t.push([Value::str("a2"), Value::str("Aretha"), Value::str("no")]);
-        let blocked = t.select(|r| r[2] == Value::str("yes"));
-        assert_eq!(blocked.len(), 1);
-        t.order_by("owner", true);
-        assert_eq!(t.get(0, "owner"), Some(&Value::str("Aretha")));
-        t.order_by("owner", false);
-        assert_eq!(t.get(0, "owner"), Some(&Value::str("Scott")));
-        t.limit(1);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

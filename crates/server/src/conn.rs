@@ -22,8 +22,9 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
+use gpml_core::plan::Statement;
 use gpml_storage::Mutation;
-use gql::{PreparedGqlQuery, QueryResult, ResultCursor};
+use gql::{QueryResult, ResultCursor};
 use property_graph::Value;
 
 use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME};
@@ -45,7 +46,7 @@ pub(crate) enum WorkItem {
     /// `EXECUTE` / `EXECUTE … CURSOR` (the handle is resolved before
     /// dispatch, so an unknown handle never costs a worker trip).
     Execute {
-        prepared: PreparedGqlQuery,
+        prepared: Statement,
         params: Vec<(String, Value)>,
         cursor: bool,
     },
@@ -62,7 +63,7 @@ pub(crate) enum WorkOutput {
     /// A ready response (results, and every error).
     Response(Response),
     /// A successful `PREPARE`: needs a handle.
-    Prepared(PreparedGqlQuery),
+    Prepared(Statement),
     /// A successful cursor-mode execution: needs a cursor id.
     Cursor(QueryResult),
 }
@@ -82,7 +83,7 @@ pub(crate) enum Action {
 /// Connection-local request state: prepared handles and open cursors.
 #[derive(Default)]
 pub(crate) struct ConnState {
-    handles: HashMap<u64, PreparedGqlQuery>,
+    handles: HashMap<u64, Statement>,
     next_handle: u64,
     cursors: HashMap<u64, ResultCursor>,
     next_cursor: u64,

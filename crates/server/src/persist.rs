@@ -29,15 +29,15 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use gpml_core::plan::SharedPlanLru;
-use gql::{PreparedGqlQuery, Session};
+use gpml_core::plan::{SharedPlanLru, Statement};
+use gql::Session;
 
 /// Magic of the retired binary plan-cache format; such files are ignored.
 const OLD_BINARY_MAGIC: &[u8] = b"GPCF";
 
 /// Saves the distinct statement texts of every cached plan to `path`,
 /// atomically (temp file + rename), least recently used first.
-pub(crate) fn save(path: &Path, cache: &SharedPlanLru<PreparedGqlQuery>) -> io::Result<()> {
+pub(crate) fn save(path: &Path, cache: &SharedPlanLru<Statement>) -> io::Result<()> {
     let mut seen = HashSet::new();
     let mut out = String::new();
     // The texts are copied out under the cache lock; the file write
@@ -103,7 +103,7 @@ mod tests {
         Session::with_cache(EvalOptions::default(), SharedPlanLru::new(8))
     }
 
-    fn seeded_cache(stmts: &[&str]) -> SharedPlanLru<PreparedGqlQuery> {
+    fn seeded_cache(stmts: &[&str]) -> SharedPlanLru<Statement> {
         let session = session();
         for stmt in stmts {
             session.prepare(stmt).expect("statement compiles");

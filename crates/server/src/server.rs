@@ -40,11 +40,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpml_core::eval::{EvalOptions, ExecProfile};
-use gpml_core::plan::{CacheStats, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
+use gpml_core::plan::{CacheStats, SharedPlanLru, Statement, DEFAULT_PLAN_CACHE_CAPACITY};
 use gpml_core::Params;
 use gpml_obs::{SlowLog, TraceBuilder, TraceRing};
 use gpml_storage::{CommitError, GraphJournal, DEFAULT_SNAPSHOT_EVERY_BYTES};
-use gql::{GqlError, PreparedGqlQuery, QueryResult, Session};
+use gql::{GqlError, QueryResult, Session};
 use property_graph::PropertyGraph;
 
 use crate::conn::{WorkItem, WorkOutput};
@@ -196,7 +196,7 @@ pub(crate) struct Shared {
     /// pointer, the options, and the shared cache, and its query
     /// methods take `&self`.
     session: Session,
-    cache: SharedPlanLru<PreparedGqlQuery>,
+    cache: SharedPlanLru<Statement>,
     stats: Arc<ServerStats>,
     obs: ServerObs,
     stopping: AtomicBool,
@@ -444,7 +444,7 @@ impl Shared {
         &self,
         text: &str,
         trace: Option<&mut TraceBuilder>,
-    ) -> Result<PreparedGqlQuery, GqlError> {
+    ) -> Result<Statement, GqlError> {
         let Some(tb) = trace else {
             return self.session.prepare(text);
         };
@@ -458,27 +458,20 @@ impl Shared {
         prepared
     }
 
-    /// Serves a one-shot `QUERY`. Statements with a `RETURN` go through
-    /// the profiled path so their execution counters land in `STATS`;
-    /// `RETURN`-less text falls through to
-    /// [`Session::execute_with_params_on`], which raises the parse
-    /// error that path has always raised. Both paths run against the
-    /// epoch pinned when the request started executing.
+    /// Serves a one-shot `QUERY`: one cache lookup, at most one compile,
+    /// then the profiled path, so its execution counters land in
+    /// `STATS`. `RETURN`-less text is the parse error
+    /// [`GqlError::missing_return`].
     fn query(
         &self,
         text: &str,
         mut trace: Option<&mut TraceBuilder>,
     ) -> Result<QueryResult, GqlError> {
-        match self.prepare_traced(text, trace.as_deref_mut()) {
-            Ok(prepared) if prepared.has_return() => {
-                self.run_profiled(&prepared, &Params::new(), trace)
-            }
-            _ => {
-                let g = self.journal.snapshot();
-                self.session
-                    .execute_with_params_on(&g, text, &Params::new())
-            }
+        let prepared = self.prepare_traced(text, trace.as_deref_mut())?;
+        if !prepared.has_return() {
+            return Err(GqlError::missing_return(text));
         }
+        self.run_profiled(&prepared, &Params::new(), trace)
     }
 
     /// Executes `prepared` under a per-request [`ExecProfile`] and folds
@@ -490,7 +483,7 @@ impl Shared {
     /// LAST n` shows exactly what `--explain` would for the same query.
     fn run_profiled(
         &self,
-        prepared: &PreparedGqlQuery,
+        prepared: &Statement,
         params: &Params,
         trace: Option<&mut TraceBuilder>,
     ) -> Result<QueryResult, GqlError> {
@@ -637,7 +630,7 @@ impl ServerHandle {
 
     /// A handle to the shared plan cache (e.g. to warm it, or to share
     /// it with an in-process session).
-    pub fn cache(&self) -> &SharedPlanLru<PreparedGqlQuery> {
+    pub fn cache(&self) -> &SharedPlanLru<Statement> {
         &self.shared.cache
     }
 

@@ -323,56 +323,49 @@ fn run_one(session: &Session, params: &Params, query: &str, format: Format, expl
         .map(|(name, value)| (name.to_owned(), value.clone()))
         .collect();
     let params = &params;
+    let g = session.graph("g").expect("registered");
     if explain {
-        let g = session.graph("g").expect("registered");
         eprintln!("{}", prepared.explain_with(g, params));
     }
     if prepared.has_return() {
-        if explain {
-            // Profile the run so the post-run counters line up with the
-            // start sets and join key filters printed above.
-            let profile = gpml_suite::core::eval::ExecProfile::new(prepared.plan().stage_count());
-            match session.execute_prepared_profiled("g", &prepared, params, &profile) {
-                Ok(result) => {
-                    format.print(&result);
+        // Under --explain, profile the run so the post-run counters line
+        // up with the start sets and join key filters printed above.
+        let profile = gpml_suite::core::eval::ExecProfile::new(prepared.plan().stage_count());
+        let profiled = explain.then_some(&profile);
+        match session.execute_prepared_profiled_on(g, &prepared, params, profiled) {
+            Ok(result) => {
+                format.print(&result);
+                if explain {
                     print_profile(&profile);
                 }
-                Err(e) => eprintln!("error: {e}"),
             }
-            return;
-        }
-        match session.execute_prepared_with("g", &prepared, params) {
-            Ok(result) => format.print(&result),
             Err(e) => eprintln!("error: {e}"),
         }
         return;
     }
     match session.match_prepared_with("g", &prepared, params) {
-        Ok(rows) => {
-            let g = session.graph("g").expect("registered");
-            match format {
-                Format::Json => {
-                    let items: Vec<String> = rows
-                        .iter()
-                        .map(|r| gpml_suite::gql::json::binding_to_json(g, r))
-                        .collect();
-                    println!("[{}]", items.join(","));
-                }
-                // Binding rows are not table-shaped; CSV falls back to
-                // the table rendering rather than inventing columns.
-                Format::Table | Format::Csv => {
-                    for row in &rows {
-                        let cells: Vec<String> = row
-                            .values
-                            .iter()
-                            .map(|(k, v)| format!("{k}={}", v.display(g)))
-                            .collect();
-                        println!("{}", cells.join(", "));
-                    }
-                    println!("({} bindings)", rows.len());
-                }
+        Ok(rows) => match format {
+            Format::Json => {
+                let items: Vec<String> = rows
+                    .iter()
+                    .map(|r| gpml_suite::gql::json::binding_to_json(g, r))
+                    .collect();
+                println!("[{}]", items.join(","));
             }
-        }
+            // Binding rows are not table-shaped; CSV falls back to
+            // the table rendering rather than inventing columns.
+            Format::Table | Format::Csv => {
+                for row in &rows {
+                    let cells: Vec<String> = row
+                        .values
+                        .iter()
+                        .map(|(k, v)| format!("{k}={}", v.display(g)))
+                        .collect();
+                    println!("{}", cells.join(", "));
+                }
+                println!("({} bindings)", rows.len());
+            }
+        },
         Err(e) => eprintln!("error: {e}"),
     }
 }

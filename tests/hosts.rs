@@ -3,9 +3,10 @@
 //! export, and graph projection.
 
 use gpml_suite::core::eval::{EvalOptions, MatchMode};
+use gpml_suite::core::Params;
 use gpml_suite::datagen::{fig1, transfer_network, TransferNetworkConfig};
 use gpml_suite::gql::{GqlValue, Session};
-use gpml_suite::pgq::{graph_table, materialize_tabulation, tabulate};
+use gpml_suite::pgq::{graph_table, materialize_tabulation, prepare_graph_table, tabulate};
 use property_graph::Value;
 
 fn session() -> Session {
@@ -242,4 +243,64 @@ fn tabulation_then_graph_table_pipeline() {
     )
     .unwrap();
     assert_eq!(t.len(), 3);
+}
+
+#[test]
+fn both_hosts_project_every_value_kind_alike() {
+    // One pattern through GQL `RETURN` and SQL/PGQ `COLUMNS`: a scalar,
+    // an element, a node group, an edge group, a path, an aggregate, a
+    // parameter, and an unbound conditional variable (NULL). A GQL
+    // scalar is the same cell in SQL/PGQ; anything else is its text.
+    let pattern = "MATCH p = (a:Account WHERE a.owner = $owner) \
+                   [(x:Account)-[e:Transfer]->(y:Account)]{1,2} (b:Account) \
+                   [-[s:signInWithIP]->(ip:IP)]?";
+    let items = "a.owner AS owner, b AS b, x AS xs, e AS es, p AS p, \
+                 COUNT(e) AS hops, $tag AS tag, ip AS ip";
+    let network = transfer_network(TransferNetworkConfig {
+        accounts: 200,
+        transfers: 600,
+        blocked_share: 0.1,
+        seed: 1,
+    });
+    for (graph, owner) in [(fig1(), "Dave"), (network, "owner7")] {
+        let params = Params::new().with("owner", owner).with("tag", 7);
+        let mut s = Session::new();
+        s.register("g", graph);
+        let gql = s
+            .execute_with_params("g", &format!("{pattern} RETURN {items}"), &params)
+            .unwrap();
+        let pgq = prepare_graph_table(&format!("{pattern} COLUMNS ({items})"), s.options())
+            .unwrap()
+            .execute_with(s.graph("g").unwrap(), &params)
+            .unwrap();
+        let as_pgq: Vec<Vec<Value>> = gql
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|cell| match cell {
+                        GqlValue::Scalar(v) => v.clone(),
+                        other => Value::str(other.to_string()),
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(pgq.columns, gql.columns);
+        assert_eq!(pgq.rows, as_pgq, "{owner}");
+        // Every kind of cell is exercised.
+        let column = |name: &str| {
+            let i = pgq.column_index(name).unwrap();
+            gql.rows.iter().map(move |r| &r[i])
+        };
+        assert!(column("xs").all(|c| matches!(c, GqlValue::Group(_))));
+        assert!(column("es").all(|c| matches!(c, GqlValue::Group(_))));
+        assert!(column("p").all(|c| matches!(c, GqlValue::Path(_))));
+        assert!(column("b").all(|c| matches!(c, GqlValue::Element(_))));
+        assert!(
+            column("ip").any(|c| c == &GqlValue::Scalar(Value::Null)),
+            "{owner}"
+        );
+        assert!(column("tag").all(|c| c.as_int() == Some(7)));
+        assert!(gql.len() > 1, "{owner}");
+    }
 }

@@ -442,6 +442,49 @@ fn error_paths_are_typed_and_survivable() {
     server.stop();
 }
 
+/// A one-shot `QUERY` looks its text up once and compiles it at most
+/// once, whether or not it has a `RETURN`: a bare `MATCH` is cached like
+/// any statement, replays as a hit, and still answers the parse error
+/// at the byte where `RETURN` was expected.
+#[test]
+fn query_without_return_looks_up_and_compiles_once() {
+    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let parse_error = |client: &mut Client, text: &str| match client.query(text).unwrap_err() {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::Parse, "{text}");
+            message
+        }
+        other => panic!("{text}: expected a server error, got {other}"),
+    };
+    for _ in 0..2 {
+        assert_eq!(
+            parse_error(&mut client, "MATCH (x:Account)"),
+            "parse error at byte 17: expected keyword RETURN"
+        );
+    }
+    assert_eq!(
+        parse_error(&mut client, "MATCH (x:Account) RETURN"),
+        "parse error at byte 24: expected expression"
+    );
+    let r = client
+        .query("MATCH (x:Account WHERE x.owner='Dave') RETURN x.owner AS o")
+        .expect("query");
+    assert_eq!(r.get(0, "o").and_then(|v| v.as_str()), Some("Dave"));
+    let stats = client.stats().expect("stats");
+    let stat = |key: &str| gpml_server::client::stat(&stats, key);
+    assert_eq!(
+        (stat("cache.hits"), stat("cache.misses"), stat("cache.len")),
+        (Some(1), Some(3), Some(2)),
+        "{stats:?}"
+    );
+    assert_eq!(
+        parse_error(&mut client, "MATCH (x:Account) FOO"),
+        "parse error at byte 18: expected keyword RETURN"
+    );
+    server.stop();
+}
+
 /// A frame that is not UTF-8 gets a typed PROTO error, and the same raw
 /// connection can then speak the protocol normally.
 #[test]
