@@ -42,6 +42,15 @@
 //! at each product state carries the smallest shortest walk that reaches
 //! it. Ranking node and edge sequences separately matters as soon as two
 //! states share a node sequence over different edges.
+//!
+//! # Closures as arc tables
+//!
+//! A closure's outcome depends only on the program, its entry PC and the
+//! arriving loop count, never on the graph. So [`KernelPlan::for_stage`]
+//! walks the ε-instructions once per entry, at prepare, and stores one
+//! [`ClosureArc`] per `Consume` or accept reached, in the order the walk
+//! reaches them; at run time a closure is a loop over its entry's arcs,
+//! and admissions into the next layer keep the walk's order.
 
 use std::collections::BTreeMap;
 
@@ -91,11 +100,143 @@ pub(crate) struct KernelPlan {
     slot: Vec<u32>,
     /// Number of visited slots per loop count.
     slots: usize,
-    /// Quantifier bounds and the loop-count cap (as in the interpreter's
-    /// dominance key: `max` when bounded, `min` otherwise).
-    min: u32,
-    max: Option<u32>,
+    /// The loop-count cap (as in the interpreter's dominance key: the
+    /// quantifier's `max` when bounded, its `min` otherwise).
     cap: u32,
+    /// Per PC: the range of [`Self::arcs`] holding the closure that
+    /// starts there (the program's start and each `Consume` target);
+    /// empty elsewhere.
+    closures: Vec<(u32, u32)>,
+    /// Every closure's arcs, grouped by entry, each group in the order
+    /// the closure reaches them.
+    arcs: Vec<ClosureArc>,
+}
+
+/// One ε-path of a closure: from the closure's entry, through
+/// ε-instructions only, to a `Consume` or the accept state. It is taken
+/// when the arriving loop count lies in `lo..=hi` and the arrival node
+/// passes every guard, and it leaves the count set by `update`.
+#[derive(Clone, Debug)]
+struct ClosureArc {
+    /// The `Consume` PC or the accept PC the path ends at; while the
+    /// table is built, the PC the walk has reached.
+    to: u32,
+    /// The node patterns the path tests, in path order; a pattern with
+    /// no label and no predicate holds on every node and is left out.
+    guards: Vec<u32>,
+    lo: u32,
+    hi: u32,
+    update: CountUpdate,
+}
+
+/// How an arc sets the loop count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CountUpdate {
+    /// The arriving count plus `k`, capped at [`KernelPlan::cap`].
+    Add(u32),
+    /// `k` (already capped), whatever the count was.
+    Reset(u32),
+}
+
+impl CountUpdate {
+    fn apply(self, count: u32, cap: u32) -> u32 {
+        match self {
+            CountUpdate::Add(k) => count.saturating_add(k).min(cap),
+            CountUpdate::Reset(k) => k,
+        }
+    }
+}
+
+impl ClosureArc {
+    /// Keeps the arriving counts whose updated count `v` satisfies
+    /// `v < bound` (`below`) or `v >= bound` (otherwise); `None` when
+    /// none is left. The updated count `min(c + k, cap)` grows with `c`,
+    /// so the counts kept are again an interval.
+    fn constrain(mut self, below: bool, bound: u32, cap: u32) -> Option<ClosureArc> {
+        match self.update {
+            CountUpdate::Reset(v) => return (below == (v < bound)).then_some(self),
+            // A capped count never reaches `bound`.
+            CountUpdate::Add(_) if below && cap < bound => {}
+            CountUpdate::Add(k) if below => self.hi = self.hi.min(bound.checked_sub(k + 1)?),
+            CountUpdate::Add(_) if cap < bound => return None,
+            CountUpdate::Add(k) => self.lo = self.lo.max(bound.saturating_sub(k)),
+        }
+        (self.lo <= self.hi).then_some(self)
+    }
+}
+
+/// Appends to `arcs` the closure from `entry`: it walks the ε-instructions
+/// with the same stack discipline as a run-time walk would, so the arcs
+/// come out in the order such a walk reaches their ends, and for any one
+/// arriving count the arcs it admits are exactly the paths that walk
+/// takes. Eligible programs have no ε-cycle (every loop through the
+/// quantifier body consumes an edge), so the walk ends.
+fn closure_arcs(
+    prog: &FlatProgram,
+    entry: u32,
+    (min, max, cap): (u32, Option<u32>, u32),
+    arcs: &mut Vec<ClosureArc>,
+) {
+    let mut stack = vec![ClosureArc {
+        to: entry,
+        guards: Vec::new(),
+        lo: 0,
+        hi: u32::MAX,
+        update: CountUpdate::Add(0),
+    }];
+    while let Some(w) = stack.pop() {
+        if w.to == prog.accept {
+            arcs.push(w.clone());
+        }
+        let mut p = w.to as usize;
+        loop {
+            let ins = prog.instrs[p];
+            let mut next = ClosureArc {
+                to: ins.target,
+                ..w.clone()
+            };
+            let next = match ins.op {
+                Op::Consume => {
+                    next.to = p as u32;
+                    arcs.push(next);
+                    None
+                }
+                Op::Halt => None,
+                Op::Jump | Op::AltMark | Op::OpenParen | Op::CloseParen => Some(next),
+                Op::NodeTest => {
+                    let np = &prog.node_pats[ins.arg as usize];
+                    if np.label.is_some() || np.predicate.is_some() {
+                        next.guards.push(ins.arg);
+                    }
+                    Some(next)
+                }
+                Op::EnterQuant => {
+                    next.update = CountUpdate::Reset(0);
+                    Some(next)
+                }
+                Op::IterStart => match max {
+                    Some(m) => next.constrain(true, m, cap),
+                    None => Some(next),
+                },
+                Op::IterEnd => {
+                    next.update = match w.update {
+                        CountUpdate::Add(k) => CountUpdate::Add(k + 1),
+                        CountUpdate::Reset(v) => CountUpdate::Reset((v + 1).min(cap)),
+                    };
+                    Some(next)
+                }
+                Op::ExitQuant => next.constrain(false, min, cap).map(|mut n| {
+                    n.update = CountUpdate::Reset(0);
+                    n
+                }),
+            };
+            stack.extend(next);
+            if ins.last {
+                break;
+            }
+            p += 1;
+        }
+    }
 }
 
 /// A flattened top-level part of an eligible pattern.
@@ -240,7 +381,18 @@ impl KernelPlan {
         slot[prog.accept as usize] = slots as u32;
         slots += 1;
 
+        // One closure per entry: the start and each `Consume` target.
         let (min, max) = quantifier.map_or((0, Some(0)), |q| (q.min, q.max));
+        let cap = max.unwrap_or(min);
+        let mut closures = vec![(0, 0); prog.instrs.len()];
+        let mut arcs = Vec::new();
+        let entries = prog.instrs.iter().filter(|i| i.op == Op::Consume);
+        for entry in std::iter::once(prog.start).chain(entries.map(|i| i.target)) {
+            let from = arcs.len() as u32;
+            closure_arcs(prog, entry, (min, max, cap), &mut arcs);
+            closures[entry as usize] = (from, arcs.len() as u32);
+        }
+
         Some(KernelPlan {
             fixed_edges: count_edges(&prefix) + count_edges(&suffix),
             body_edges,
@@ -250,10 +402,16 @@ impl KernelPlan {
             start_var,
             slot,
             slots,
-            min,
-            max,
-            cap: max.unwrap_or(min),
+            cap,
+            closures,
+            arcs,
         })
+    }
+
+    /// The arcs of the closure that starts at `pc`.
+    fn arcs_from(&self, pc: u32) -> &[ClosureArc] {
+        let (from, to) = self.closures[pc as usize];
+        &self.arcs[from as usize..to as usize]
     }
 
     /// The variable map the interpreter would build for `path`: prefix and
@@ -405,7 +563,8 @@ struct Scratch {
     /// `(erank(parent), edge)`, then its index.
     arrivals: Vec<(u32, EdgeId, u32)>,
     ranks: Vec<u32>,
-    stack: Vec<(u32, u32)>,
+    /// The guards one closure has tested so far, with their outcomes.
+    tested: Vec<(u32, bool)>,
 }
 
 /// The predicate environment of one element: its own binding, the start
@@ -489,7 +648,7 @@ impl<'a> ShortestKernel<'a> {
             cands: Vec::new(),
             arrivals: Vec::new(),
             ranks: Vec::new(),
-            stack: Vec::new(),
+            tested: Vec::new(),
         };
         let mut results = Vec::new();
         for &start in starts {
@@ -620,11 +779,12 @@ impl<'a> ShortestKernel<'a> {
     }
 
     /// The ε-closure of one arrival (its `erank` still the arrival
-    /// index): walks the program's ε-instructions with the loop count as
-    /// the only state, testing node patterns against the arrival node.
-    /// Every `Consume` reached admits a product state to the next layer
-    /// unless an earlier arrival already did, and reaching the accept
-    /// state for the first time records the walk.
+    /// index): takes each arc of the closure that starts at the arrival's
+    /// PC whose count interval and guards admit it, in table order,
+    /// testing each guard against the arrival node at most once. Every
+    /// `Consume` reached admits a product state to the next layer unless
+    /// an earlier arrival already did, and reaching the accept state for
+    /// the first time records the walk.
     fn closure(
         &self,
         a: Entry,
@@ -632,60 +792,51 @@ impl<'a> ShortestKernel<'a> {
         s: &mut Scratch,
         results: &mut Vec<PathBinding>,
     ) -> Result<()> {
-        // Eligible programs have no ε-cycle: every loop through the
-        // quantifier body consumes an edge.
-        s.stack.clear();
-        s.stack.push((a.pc, a.count));
-        while let Some((pc, count)) = s.stack.pop() {
-            if pc == self.prog.accept {
-                let plane = self.plane(self.plan.slot[pc as usize], count);
-                if s.visited.insert(plane, a.node) {
-                    results.push(self.binding(&s.arena, a.link));
-                }
+        let arcs = self.plan.arcs_from(a.pc);
+        self.counts
+            .bump(|c| c.instrs_dispatched += arcs.len() as u64);
+        s.tested.clear();
+        for arc in arcs {
+            if a.count < arc.lo || a.count > arc.hi {
+                continue;
             }
-            let mut p = pc as usize;
-            loop {
-                let ins = self.prog.instrs[p];
-                let arg = ins.arg as usize;
-                let next = match ins.op {
-                    Op::Consume => {
-                        let plane = self.plane(self.plan.slot[p], count);
-                        if s.visited.insert(plane, a.node) {
-                            if s.next.len() >= self.opts.max_frontier {
-                                return Err(Error::LimitExceeded {
-                                    what: "frontier states",
-                                    limit: self.opts.max_frontier,
-                                });
-                            }
-                            s.next.push(Entry {
-                                pc: p as u32,
-                                count,
-                                ..a
-                            });
-                        }
-                        None
-                    }
-                    Op::Halt => None,
-                    Op::Jump | Op::AltMark | Op::OpenParen | Op::CloseParen => Some(count),
-                    Op::NodeTest => self.node_ok(arg, a.node, start).then_some(count),
-                    Op::EnterQuant => Some(0),
-                    Op::IterStart => self.plan.max.is_none_or(|m| count < m).then_some(count),
-                    Op::IterEnd => Some((count + 1).min(self.plan.cap)),
-                    Op::ExitQuant => (count >= self.plan.min).then_some(0),
-                };
-                if !matches!(ins.op, Op::Consume | Op::Halt) {
-                    self.counts.bump(|c| c.instrs_dispatched += 1);
-                }
-                if let Some(count) = next {
-                    s.stack.push((ins.target, count));
-                }
-                if ins.last {
-                    break;
-                }
-                p += 1;
+            let mut guards = arc.guards.iter();
+            if !guards.all(|&g| self.guard(g, a.node, start, &mut s.tested)) {
+                continue;
             }
+            let count = arc.update.apply(a.count, self.plan.cap);
+            let plane = self.plane(self.plan.slot[arc.to as usize], count);
+            if !s.visited.insert(plane, a.node) {
+                continue;
+            }
+            if arc.to == self.prog.accept {
+                results.push(self.binding(&s.arena, a.link));
+                continue;
+            }
+            if s.next.len() >= self.opts.max_frontier {
+                return Err(Error::LimitExceeded {
+                    what: "frontier states",
+                    limit: self.opts.max_frontier,
+                });
+            }
+            s.next.push(Entry {
+                pc: arc.to,
+                count,
+                ..a
+            });
         }
         Ok(())
+    }
+
+    /// Node pattern `g` against `n`, answered from `tested` when this
+    /// closure has already tested it.
+    fn guard(&self, g: u32, n: NodeId, start: NodeId, tested: &mut Vec<(u32, bool)>) -> bool {
+        if let Some(&(_, ok)) = tested.iter().find(|t| t.0 == g) {
+            return ok;
+        }
+        let ok = self.node_ok(g as usize, n, start);
+        tested.push((g, ok));
+        ok
     }
 
     /// Node pattern `arg` of the program against node `n`.
@@ -1037,6 +1188,126 @@ mod tests {
             let finished = stage.finish_bindings(&g, &opts, raw.clone()).unwrap();
             assert_eq!(raw.len(), finished.len(), "seed {seed}");
         }
+    }
+
+    /// The benchmark's `path_search` statement, with its parameter.
+    fn path_search(q: Quantifier) -> PathStage {
+        let account = || LabelExpr::label("Account");
+        stage(
+            Selector::AnyShortest,
+            None,
+            seq(vec![
+                n(node(Some("x"))
+                    .with_label(account())
+                    .with_predicate(Expr::prop("x", "owner").eq(Expr::Parameter("owner".into())))),
+                e(edge(None, Direction::Right).with_label(LabelExpr::label("Transfer")))
+                    .quantified(q),
+                n(node(Some("y"))
+                    .with_label(account())
+                    .with_predicate(Expr::prop("y", "isBlocked").eq(Expr::lit("yes")))),
+            ]),
+        )
+    }
+
+    /// One line per arc, closures in PC order and arcs in table order.
+    fn arc_listing(stage: &PathStage) -> Vec<String> {
+        let plan = stage.kernel.as_ref().expect("kernel-eligible");
+        let mut out = Vec::new();
+        for (pc, &(from, to)) in plan.closures.iter().enumerate() {
+            for arc in &plan.arcs[from as usize..to as usize] {
+                let dest = match arc.to == stage.prog.accept {
+                    true => "accept".to_owned(),
+                    false => format!("step {}", arc.to),
+                };
+                let guards: Vec<String> = arc.guards.iter().map(|g| format!("n{g}")).collect();
+                let guards = match guards.is_empty() {
+                    true => String::new(),
+                    false => format!(" if {}", guards.join(" and ")),
+                };
+                let counts = match arc.hi {
+                    u32::MAX => format!("{}..", arc.lo),
+                    hi => format!("{}..={hi}", arc.lo),
+                };
+                let update = match arc.update {
+                    CountUpdate::Add(k) => format!("count := min(count + {k}, {})", plan.cap),
+                    CountUpdate::Reset(k) => format!("count := {k}"),
+                };
+                out.push(format!("{pc}: {dest}{guards}, counts {counts}, {update}"));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn path_search_arc_table_is_pinned() {
+        // Program: 1 ntest n0 (x), 8 ntest n1 (□1), 10 step e0,
+        // 12 ntest n2 (□2), 16 ntest n3 (y), 17 accept. The anonymous
+        // node patterns hold everywhere and test nothing.
+        let stage = path_search(Quantifier::plus());
+        assert_eq!(stage.prog.instrs[10].op, Op::Consume);
+        assert_eq!((stage.prog.start, stage.prog.accept), (0, 17));
+        assert_eq!(
+            arc_listing(&stage),
+            [
+                "0: step 10 if n0, counts 0.., count := 0",
+                "11: accept if n3, counts 0.., count := 0",
+                "11: step 10, counts 0.., count := min(count + 1, 1)",
+            ]
+        );
+    }
+
+    #[test]
+    fn arc_tables_do_not_grow_with_the_bounds() {
+        let small = arc_listing(&path_search(Quantifier::range(1, Some(3))));
+        let large = arc_listing(&path_search(Quantifier::range(1, Some(100_000))));
+        assert_eq!(small.len(), large.len(), "{small:?} vs {large:?}");
+        assert_eq!(
+            small[2],
+            "11: step 10, counts 0..=1, count := min(count + 1, 3)"
+        );
+        assert_eq!(
+            large[2],
+            "11: step 10, counts 0..=99998, count := min(count + 1, 100000)"
+        );
+    }
+
+    #[test]
+    fn loop_counts_stay_within_the_cap() {
+        // A directed 5-cycle under `{2,}`: loop counts cap at 2, so each
+        // start has at most 1 `Consume` × 3 counts × 5 nodes product
+        // states to expand, however long the walks grow.
+        let mut g = PropertyGraph::new();
+        let ids: Vec<NodeId> = (0..5)
+            .map(|i| g.add_node(&format!("n{i}"), ["A"], []))
+            .collect();
+        for i in 0..5 {
+            let ends = Endpoints::directed(ids[i], ids[(i + 1) % 5]);
+            g.add_edge(&format!("e{i}"), ends, ["T"], []);
+        }
+        let pattern = seq(vec![
+            n(node(Some("a"))),
+            body(
+                vec![
+                    n(node(None)),
+                    e(edge(None, Direction::Right)),
+                    n(node(None)),
+                ],
+                Quantifier::range(2, None),
+            ),
+            n(node(Some("b"))),
+        ]);
+        let stage = stage(Selector::AnyShortest, None, pattern);
+        let counters = crate::eval::StageCounters::default();
+        let opts = EvalOptions::default();
+        let raw = stage
+            .matches_from(&g, &opts, &Params::new(), &ids, None, Some(&counters))
+            .unwrap();
+        assert_eq!(raw.len(), 25);
+        assert!(
+            counters.nodes_expanded() <= 5 * 15,
+            "{:?}",
+            counters.counts()
+        );
     }
 
     #[test]

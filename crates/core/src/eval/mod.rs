@@ -182,7 +182,8 @@ pub struct WorkCounts {
     /// plus, for a seeded stage, the access-path start nodes left out of
     /// its seed set (`|access set| − |seeds|`).
     pub rows_pruned: u64,
-    /// Flat-program instructions dispatched by the inner matching loop.
+    /// Flat-program instructions dispatched by the interpreter's inner
+    /// loop, or closure arcs examined by the shortest-path kernel.
     pub instrs_dispatched: u64,
     /// Backtracks that truncated the flat interpreter's undo trail to a
     /// stack watermark.

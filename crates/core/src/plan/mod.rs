@@ -725,7 +725,12 @@ impl PathStage {
     /// The order-insensitive second half of stage execution: §6.5
     /// reduction/deduplication (a sorted set, which is what makes the
     /// partition splice order irrelevant), §5.1 selector application, and
-    /// the endpoint-only collapse. Re-checks the stage-wide
+    /// the endpoint-only collapse. When a selector stage's raw bindings
+    /// hold one walk per `(start, end)` partition, as the shortest-path
+    /// kernel's always do, there is nothing to deduplicate and every
+    /// selector that keeps a walk per partition keeps them all, so the
+    /// bindings are only reduced and sorted into the selector's partition
+    /// order. Re-checks the stage-wide
     /// [`EvalOptions::max_matches`] limit so partitioned runs enforce the
     /// same total budget as a sequential search.
     pub(crate) fn finish_bindings(
@@ -741,12 +746,17 @@ impl PathStage {
             });
         }
 
-        // Reduction and deduplication (§6.5).
-        let deduped: BTreeSet<PathBinding> = raw.into_iter().map(PathBinding::reduce).collect();
-        let mut bindings: Vec<PathBinding> = deduped.into_iter().collect();
-
-        if let Some(sel) = &self.expr.selector {
-            bindings = selector::apply(graph, sel, bindings);
+        let mut bindings: Vec<PathBinding> = raw.into_iter().map(PathBinding::reduce).collect();
+        match &self.expr.selector {
+            Some(sel) if keeps_a_walk(sel) && one_per_partition(&mut bindings) => {}
+            selector => {
+                // Deduplication (§6.5) and selection.
+                let deduped: BTreeSet<PathBinding> = bindings.into_iter().collect();
+                bindings = deduped.into_iter().collect();
+                if let Some(sel) = selector {
+                    bindings = selector::apply(graph, sel, bindings);
+                }
+            }
         }
 
         if opts.mode == MatchMode::EndpointOnly {
@@ -765,6 +775,25 @@ impl PathStage {
         }
         Ok(bindings)
     }
+}
+
+/// True when `selector` keeps at least one walk of every partition.
+fn keeps_a_walk(selector: &Selector) -> bool {
+    !matches!(
+        selector,
+        Selector::AnyK(0)
+            | Selector::ShortestK(0)
+            | Selector::ShortestKGroup(0)
+            | Selector::CheapestK { k: 0, .. }
+    )
+}
+
+/// Sorts `bindings` by their `(start, end)` partition; true when no two
+/// share one.
+fn one_per_partition(bindings: &mut [PathBinding]) -> bool {
+    let key = |b: &PathBinding| (b.path.start(), b.path.end());
+    bindings.sort_unstable_by_key(key);
+    bindings.windows(2).all(|w| key(&w[0]) != key(&w[1]))
 }
 
 /// One edge of the explicit join graph: stages `left` and `right` must

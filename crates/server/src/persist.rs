@@ -35,15 +35,18 @@ use gql::Session;
 /// Magic of the retired binary plan-cache format; such files are ignored.
 const OLD_BINARY_MAGIC: &[u8] = b"GPCF";
 
-/// Saves the distinct statement texts of every cached plan to `path`,
-/// atomically (temp file + rename), least recently used first.
+/// Saves the distinct statement texts of every cached plan that a wire
+/// request can serve to `path`, atomically (temp file + rename), least
+/// recently used first. A bare `MATCH` stays cached, since a one-shot
+/// QUERY of it is looked up, but no QUERY or PREPARE can run it, so it is
+/// left out.
 pub(crate) fn save(path: &Path, cache: &SharedPlanLru<Statement>) -> io::Result<()> {
     let mut seen = HashSet::new();
     let mut out = String::new();
     // The texts are copied out under the cache lock; the file write
     // happens after it is released.
-    for (stmt, _, _) in cache.lock().by_recency().into_iter().rev() {
-        if stmt.contains(['\n', '\r']) || !seen.insert(stmt) {
+    for (stmt, _, plan) in cache.lock().by_recency().into_iter().rev() {
+        if !plan.has_return() || stmt.contains(['\n', '\r']) || !seen.insert(stmt) {
             continue;
         }
         out.push_str(stmt);

@@ -101,7 +101,7 @@ const WORK_HELP: [&str; WorkCounts::NAMES.len()] = [
     "Matcher states expanded across every QUERY/EXECUTE",
     "Edges traversed across every QUERY/EXECUTE",
     "Candidate bindings and start nodes pruned by the accumulated join",
-    "Flat-program instructions dispatched",
+    "Flat-program instructions and shortest-path kernel closure arcs dispatched",
     "Backtracking trail truncations",
 ];
 

@@ -70,12 +70,12 @@ const CASES: &[(&str, &str, usize, [u64; 5])] = &[
     ("net200", DEFERRED, 4, [1, 5, 0, 19, 0]),
     ("net200", ALL_SHORTEST, 43, [328, 1001, 0, 13105, 1002]),
     ("net200", SHORTEST_GROUPS, 145, [1140, 3494, 0, 45749, 3495]),
-    ("net2000", PATH, 198, [1891, 5680, 0, 22738, 0]),
+    ("net2000", PATH, 198, [1891, 5680, 0, 3789, 0]),
     ("net2000", JOIN, 12, [17, 28, 5990, 152, 0]),
     ("net2000", LOOKUP_INLINE, 4, [1, 4, 0, 16, 0]),
     ("fig1", LOOKUP, 2, [1, 2, 0, 10, 0]),
     ("fig1", ADHOC, 2, [11, 13, 9, 140, 9]),
-    ("fig1", PATH, 1, [7, 10, 0, 106, 0]),
+    ("fig1", PATH, 1, [7, 10, 0, 17, 0]),
     ("fig1", JOIN, 1, [6, 8, 23, 46, 0]),
     ("fig1", LOOKUP_INLINE, 2, [1, 2, 0, 10, 0]),
     ("fig1", OPTIONAL, 3, [1, 2, 0, 26, 3]),

@@ -356,6 +356,37 @@ fn plan_cache_file_write_through_continues_at_capacity() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A refused `PREPARE` of a bare `MATCH` is never written to the
+/// `--plan-cache-file`, so the next boot does not warm-start a plan no
+/// request can run; the accepted `PREPARE` beside it is saved.
+#[test]
+fn plan_cache_file_leaves_out_refused_prepares() {
+    let path = std::env::temp_dir().join(format!(
+        "gpml-refused-{}-{:?}.txt",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let config = ServerConfig {
+        plan_cache_file: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let bare = "MATCH (x:Account)";
+    let table = "MATCH (x:Account) RETURN x.owner AS o";
+    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    match client.prepare(bare) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Host),
+        other => panic!("PREPARE of a bare MATCH was not refused: {other:?}"),
+    }
+    client.prepare(table).expect("prepare");
+    drop(client);
+    server.stop();
+    let saved = std::fs::read_to_string(&path).expect("plan cache file written");
+    assert_eq!(saved, format!("{table}\n"));
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Every error path answers with a typed `ERR` and the connection keeps
 /// working afterwards.
 #[test]
