@@ -616,20 +616,22 @@ impl filter::Env for RowEnv<'_> {
 
     fn exists(&self, pattern: &GraphPattern) -> Option<bool> {
         let mut cache = self.cache.borrow_mut();
-        let sub = cache.entry(pattern.clone()).or_insert_with(|| {
+        // Looked up by reference: only a miss clones the pattern.
+        if !cache.contains_key(pattern) {
             // Prefer the subplan prepared at prepare time; fall back to a
             // one-shot prepare for callers (the baseline) without one.
             // Either way the *outer* execution's bindings flow in — the
             // enclosing plan's bind-time validation covered the
             // subpattern's parameters too.
-            match self.exists.get(pattern) {
+            let sub = match self.exists.get(pattern) {
                 Some(subplan) => subplan.execute_bound(self.graph, self.params).ok(),
                 None => prepare(pattern, self.opts)
                     .ok()
                     .and_then(|q| q.execute_bound(self.graph, self.params).ok()),
-            }
-        });
-        let sub = sub.as_ref()?;
+            };
+            cache.insert(pattern.clone(), sub);
+        }
+        let sub = cache.get(pattern)?.as_ref()?;
         // Correlation: a subquery match must agree with the enclosing row
         // on every variable the two share.
         Some(sub.rows.iter().any(|subrow| {

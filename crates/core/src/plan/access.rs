@@ -15,7 +15,8 @@
 //!
 //! Seeding from the accumulated join (the preferred option, when
 //! admissible) is decided by the cost model, which knows the placed
-//! stages; see `cost::plan_order`.
+//! stages; see `cost::schedule`, the one caller of
+//! [`StartPattern::resolve`].
 
 use std::borrow::Cow;
 
@@ -40,7 +41,7 @@ pub(crate) struct StartPattern {
 
 /// The access path chosen for one stage against one graph, with the
 /// nodes it names (ascending ids).
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum AccessPath<'a> {
     /// The nodes labeled `label` whose `key` equals `value`.
     Index {

@@ -372,6 +372,19 @@ mod tests {
     }
 
     #[test]
+    fn failed_compiles_are_not_cached() {
+        let shared: SharedPlanLru<u32> = SharedPlanLru::new(4);
+        let failed = shared.get_or_try_insert("bad", &opts(), || Err("parse error"));
+        assert_eq!(failed, Err("parse error"));
+        assert_eq!(shared.stats().len, 0);
+        let ok = shared.get_or_try_insert("good", &opts(), || Ok::<_, &str>(7));
+        assert_eq!(ok, Ok(7));
+        let hit = shared.get_or_try_insert("good", &opts(), || Err("not compiled"));
+        assert_eq!(hit, Ok(7));
+        assert_eq!(shared.stats().len, 1);
+    }
+
+    #[test]
     fn replacing_does_not_evict() {
         let mut lru: PlanLru<u32> = PlanLru::new(2);
         lru.insert("a".into(), opts(), 1);

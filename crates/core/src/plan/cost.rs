@@ -3,12 +3,15 @@
 //! Given a graph's [`GraphStats`] catalog, `estimates` predicts how many
 //! bindings each compiled `PathStage` produces by
 //! walking its label constraints, degree statistics, and predicate
-//! selectivity hints; `plan_order` then picks a cheapest-first stage
+//! selectivity hints; `schedule` then picks a cheapest-first stage
 //! order that stays connected over the plan's explicit join graph, so the
 //! cross-stage join always shrinks the accumulation as early as possible
 //! and only falls back to a cartesian step when the pattern itself is
 //! disconnected. A stage is priced as the start nodes its search runs
-//! from (its [`StartSet`]) plus the rows it is estimated to produce.
+//! from (its [`StartSet`]) plus the rows it is estimated to produce. Each
+//! step of the schedule carries every decision its stage's execution
+//! needs — seed, join keys, filter keys and access path — so the executor
+//! runs exactly what [`CostReport`] prints.
 //!
 //! The model is deliberately classical (textbook System-R-style
 //! independence assumptions):
@@ -23,8 +26,9 @@
 //!   iteration range; unions sum branches; `?` adds the skip case.
 //!
 //! Estimates only need to be *relatively* right for ordering, and the
-//! whole walk is linear in pattern size, so it runs on every execution —
-//! there is nothing to invalidate when the graph changes.
+//! whole walk is linear in pattern size, so it runs on every execution of
+//! a multi-stage plan — there is nothing to invalidate when the graph
+//! changes. A one-stage plan has nothing to order and skips it.
 
 use std::fmt;
 
@@ -86,20 +90,41 @@ pub(crate) fn estimates(
         .collect()
 }
 
-/// One position of the chosen stage order.
+/// One step of a [`Schedule`]: a stage and every decision its execution
+/// needs, each taken once.
 #[derive(Debug)]
-pub(crate) struct Placement<'p> {
-    /// Declaration index of the stage run at this position.
+pub(crate) struct Step<'a> {
+    /// Declaration index of the stage run at this step.
     pub(crate) stage: usize,
     /// The start variable to seed the stage from: the search starts at
     /// the distinct nodes the accumulated rows bind it to (see
-    /// [`seed_var`]). `None` runs the stage from its access path.
-    pub(crate) seed: Option<&'p str>,
+    /// [`seed_var`]). `None` runs the stage from `access`.
+    pub(crate) seed: Option<&'a str>,
+    /// Equi-join keys against the stages placed before it.
+    pub(crate) keys: Vec<String>,
+    /// The node-typed join keys other than `seed` whose accumulated node
+    /// sets the search checks at `NodeTest`. Empty when pruning is
+    /// inadmissible for the stage ([`pushdown_admissible`]).
+    pub(crate) filters: Vec<&'a str>,
+    /// The stage's access path over the graph: it priced the stage and,
+    /// unseeded, is its start set.
+    pub(crate) access: AccessPath<'a>,
 }
 
-/// The one stage-order function, shared by the executor and
-/// [`CostReport::compute`], so both see the same stages in the same
-/// order.
+/// How one execution of a plan runs: its steps in the chosen order.
+#[derive(Debug)]
+pub(crate) struct Schedule<'a> {
+    /// The steps, in execution order.
+    pub(crate) steps: Vec<Step<'a>>,
+    /// The skew-aware estimates that priced the order, by declaration
+    /// index; `None` for a one-stage plan, which has nothing to order.
+    pub(crate) estimates: Option<Vec<f64>>,
+}
+
+/// The one schedule function: the executor runs its steps and
+/// [`CostReport::compute`] annotates them, so both see the same stages
+/// in the same order with the same keys and start sets. Each stage's
+/// access path is resolved once, here.
 ///
 /// Greedy, cheapest connected stage first (see [`greedy`]). A stage is
 /// priced `|start set| + estimated rows`. A stage that can be seeded
@@ -108,43 +133,73 @@ pub(crate) struct Placement<'p> {
 /// access path, and its rows shrink by the same ratio. When every stage
 /// scans all nodes (no probe, label or seed) the price is
 /// `|N| + estimate`, which orders exactly like the estimates alone. An
-/// empty graph keeps declaration order.
-pub(crate) fn plan_order<'p>(
-    plan: &'p ExecutablePlan,
-    graph: &PropertyGraph,
-    est: &[f64],
+/// empty graph keeps declaration order, and a one-stage plan is not
+/// priced at all.
+pub(crate) fn schedule<'a>(
+    plan: &'a ExecutablePlan,
+    graph: &'a PropertyGraph,
     params: &Params,
     opts: &EvalOptions,
-) -> Vec<Placement<'p>> {
+) -> Schedule<'a> {
     let stats = graph.stats();
     let n = plan.stages.len();
-    let order: Vec<usize> = if stats.node_count == 0 {
-        (0..n).collect()
-    } else {
-        let access: Vec<f64> = plan
-            .stages
-            .iter()
-            .map(|s| s.start.resolve(graph, params).len(graph) as f64)
-            .collect();
-        greedy(n, &plan.joins, |s, placed| {
+    let access: Vec<AccessPath<'a>> = plan
+        .stages
+        .iter()
+        .map(|s| s.start.resolve(graph, params))
+        .collect();
+    let estimates = (n > 1).then(|| estimates(plan, stats, true, params));
+    let order: Vec<usize> = match &estimates {
+        Some(est) if stats.node_count > 0 => greedy(n, &plan.joins, |s, placed| {
+            let starts = access[s].len(graph) as f64;
             match seed_var(plan, s, placed, opts) {
                 Some(var) => {
                     let keys = key_count_estimate(plan, stats, est, s, placed, var);
-                    keys + est[s] * keys / access[s].max(1.0)
+                    keys + est[s] * keys / starts.max(1.0)
                 }
-                None => access[s] + est[s],
+                None => starts + est[s],
             }
-        })
+        }),
+        _ => (0..n).collect(),
     };
     let mut placed = Vec::with_capacity(n);
-    order
+    let steps = order
         .into_iter()
         .map(|stage| {
             let seed = seed_var(plan, stage, &placed, opts);
+            let keys = join_keys(plan, stage, &placed);
+            let admissible = pushdown_admissible(plan, stage, opts);
+            let filters = keys
+                .iter()
+                .copied()
+                .filter(|&k| admissible && Some(k) != seed && is_node_var(plan, k))
+                .collect();
             placed.push(stage);
-            Placement { stage, seed }
+            Step {
+                stage,
+                seed,
+                keys: keys.into_iter().map(str::to_owned).collect(),
+                filters,
+                access: access[stage],
+            }
         })
-        .collect()
+        .collect();
+    Schedule { steps, estimates }
+}
+
+/// The equi-join variables between `stage` and the already-executed
+/// `placed` stages: the union of the join-graph edges connecting them,
+/// sorted.
+fn join_keys<'p>(plan: &'p ExecutablePlan, stage: usize, placed: &[usize]) -> Vec<&'p str> {
+    let mut keys: Vec<&str> = plan
+        .joins
+        .iter()
+        .filter(|j| j.links(stage, placed))
+        .flat_map(|j| j.on.iter().map(String::as_str))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
 /// Greedy cheapest-connected-first ordering over the join graph: start at
@@ -158,11 +213,7 @@ fn greedy(
     joins: &[JoinEdge],
     mut cost: impl FnMut(usize, &[usize]) -> f64,
 ) -> Vec<usize> {
-    let connected = |s: usize, placed: &[usize]| {
-        joins.iter().any(|j| {
-            (j.left == s && placed.contains(&j.right)) || (j.right == s && placed.contains(&j.left))
-        })
-    };
+    let connected = |s: usize, placed: &[usize]| joins.iter().any(|j| j.links(s, placed));
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     while !remaining.is_empty() {
@@ -619,9 +670,9 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Computes the report exactly the way `PreparedQuery::execute`
-    /// decides: same estimates, same stage order and start sets, same
-    /// join algorithm and join key filters under `opts`.
+    /// Computes the report from the [`schedule`] `PreparedQuery::execute`
+    /// runs under `opts`, adding both estimate models and the estimated
+    /// key counts of its seeds and filters.
     pub(crate) fn compute(
         plan: &ExecutablePlan,
         graph: &PropertyGraph,
@@ -629,39 +680,40 @@ impl CostReport {
         params: &Params,
     ) -> CostReport {
         let stats = graph.stats();
-        let est = estimates(plan, stats, true, params);
+        let schedule = schedule(plan, graph, params, opts);
+        let est = schedule
+            .estimates
+            .unwrap_or_else(|| estimates(plan, stats, true, params));
         let avg = estimates(plan, stats, false, params);
-        let order = plan_order(plan, graph, &est, params, opts);
-        let mut steps = Vec::with_capacity(order.len());
+        let mut steps = Vec::with_capacity(schedule.steps.len());
         let mut placed: Vec<usize> = Vec::new();
-        for Placement { stage, seed } in order {
-            let keys = plan.join_keys(stage, &placed);
+        for step in schedule.steps {
+            let stage = step.stage;
+            let keys_estimate = |k| key_count_estimate(plan, stats, &est, stage, &placed, k);
             let algo = if placed.is_empty() {
                 JoinAlgo::Scan
-            } else if keys.is_empty() {
+            } else if step.keys.is_empty() {
                 JoinAlgo::Cartesian
             } else {
                 JoinAlgo::Hash
             };
-            let filters = pruning_keys(plan, stage, &keys, opts)
-                .filter(|&k| Some(k) != seed)
-                .map(|k| {
-                    let keys_estimate = key_count_estimate(plan, stats, &est, stage, &placed, k);
-                    (k.to_owned(), keys_estimate)
-                })
+            let filters = step
+                .filters
+                .iter()
+                .map(|&k| (k.to_owned(), keys_estimate(k)))
                 .collect();
-            let start = match seed {
+            let start = match step.seed {
                 Some(var) => StartSet::Seeded {
                     var: var.to_owned(),
-                    keys_estimate: key_count_estimate(plan, stats, &est, stage, &placed, var),
+                    keys_estimate: keys_estimate(var),
                 },
-                None => StartSet::of(plan.stages[stage].start.resolve(graph, params), graph),
+                None => StartSet::of(step.access, graph),
             };
             steps.push(CostStep {
                 stage,
                 estimate: est[stage],
                 avg_estimate: avg[stage],
-                keys,
+                keys: step.keys,
                 algo,
                 filters,
                 start,
@@ -685,24 +737,6 @@ impl CostReport {
 // Pruning a stage by the join (sideways information passing)
 // ---------------------------------------------------------------------------
 
-/// The join keys whose accumulated node sets prune `stage`'s search: every
-/// node-typed key of `keys` (the stage's equi-join variables against the
-/// placed stages) when pruning is admissible ([`pushdown_admissible`]),
-/// none otherwise. The executor builds one node set per key; the seed
-/// variable's ([`seed_var`]) is the start set, the others are checked at
-/// `NodeTest`.
-pub(crate) fn pruning_keys<'k>(
-    plan: &'k ExecutablePlan,
-    stage: usize,
-    keys: &'k [String],
-    opts: &EvalOptions,
-) -> impl Iterator<Item = &'k str> {
-    let admissible = pushdown_admissible(plan, stage, opts);
-    keys.iter()
-        .map(String::as_str)
-        .filter(move |k| admissible && is_node_var(plan, k))
-}
-
 fn is_node_var(plan: &ExecutablePlan, var: &str) -> bool {
     plan.analysis
         .var(var)
@@ -724,22 +758,18 @@ fn pushdown_admissible(plan: &ExecutablePlan, stage: usize, opts: &EvalOptions) 
 /// stage and pruning is admissible ([`pushdown_admissible`]). A seeded
 /// search starts only at the distinct nodes the accumulated rows bind
 /// the key to; every binding it skips would fail the join.
-pub(crate) fn seed_var<'p>(
+fn seed_var<'p>(
     plan: &'p ExecutablePlan,
     stage: usize,
     placed: &[usize],
     opts: &EvalOptions,
 ) -> Option<&'p str> {
-    if placed.is_empty() || !pushdown_admissible(plan, stage, opts) {
-        return None;
-    }
     let var = plan.stages[stage].start.var.as_deref()?;
-    let joined = plan.joins.iter().any(|j| {
-        ((j.left == stage && placed.contains(&j.right))
-            || (j.right == stage && placed.contains(&j.left)))
-            && j.on.iter().any(|v| v == var)
-    });
-    (joined && is_node_var(plan, var)).then_some(var)
+    let joined = plan
+        .joins
+        .iter()
+        .any(|j| j.links(stage, placed) && j.on.iter().any(|v| v == var));
+    (joined && pushdown_admissible(plan, stage, opts) && is_node_var(plan, var)).then_some(var)
 }
 
 /// Estimated distinct nodes bound to join key `k` across the accumulated
@@ -762,18 +792,19 @@ pub(crate) fn key_count_estimate(
     let mut via_edges = false;
     let mut label: Option<&str> = None;
     for &j in placed {
-        let shares = plan.joins.iter().any(|je| {
-            ((je.left == stage && je.right == j) || (je.right == stage && je.left == j))
-                && je.on.iter().any(|v| v == k)
-        });
+        let shares = plan
+            .joins
+            .iter()
+            .any(|je| je.links(stage, &[j]) && je.on.iter().any(|v| v == k));
         if !shares {
             continue;
         }
         keys_est = keys_est.min(est[j]);
-        let pattern = &plan.stages[j].expr.pattern;
-        via_edges |= has_edge_pattern(pattern);
+        let other = &plan.stages[j];
+        // Every edge pattern compiles to one edge test.
+        via_edges |= other.prog.table_sizes().1 > 0;
         if label.is_none() {
-            label = plain_node_label(pattern, k);
+            label = plain_node_label(&other.expr.pattern, k);
         }
     }
     if via_edges {
@@ -786,19 +817,6 @@ pub(crate) fn key_count_estimate(
         keys_est = keys_est.min(stats.nodes_with_label(l) as f64);
     }
     keys_est
-}
-
-/// Whether the pattern contains any edge traversal.
-fn has_edge_pattern(p: &PathPattern) -> bool {
-    match p {
-        PathPattern::Node(_) => false,
-        PathPattern::Edge(_) => true,
-        PathPattern::Concat(parts) => parts.iter().any(has_edge_pattern),
-        PathPattern::Paren { inner, .. }
-        | PathPattern::Quantified { inner, .. }
-        | PathPattern::Questioned(inner) => has_edge_pattern(inner),
-        PathPattern::Union(bs) | PathPattern::Alternation(bs) => bs.iter().any(has_edge_pattern),
-    }
 }
 
 /// The plain label constraint on the node pattern binding `var`, if it
@@ -928,8 +946,8 @@ mod tests {
             est[1] < est[0],
             "rare stage must be cheaper: {est:?} (order should start there)"
         );
-        let order = plan_order(q.plan(), &g, &est, &Params::new(), &EvalOptions::default());
-        assert_eq!(order[0].stage, 1, "cheapest stage first: {order:?}");
+        let order = schedule(q.plan(), &g, &Params::new(), &EvalOptions::default());
+        assert_eq!(order.steps[0].stage, 1, "cheapest stage first: {order:?}");
     }
 
     #[test]
@@ -1039,11 +1057,41 @@ mod tests {
         };
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
         let g = PropertyGraph::new();
-        let est = estimates(q.plan(), g.stats(), true, &Params::new());
-        let order = plan_order(q.plan(), &g, &est, &Params::new(), &EvalOptions::default());
+        let order = schedule(q.plan(), &g, &Params::new(), &EvalOptions::default());
         assert_eq!(
-            order.iter().map(|p| p.stage).collect::<Vec<_>>(),
+            order.steps.iter().map(|p| p.stage).collect::<Vec<_>>(),
             vec![0, 1]
+        );
+    }
+
+    #[test]
+    fn one_stage_schedule_prices_nothing() {
+        let g = hub();
+        let one = GraphPattern::single(PathPattern::concat(vec![
+            labeled("x", "Big"),
+            edge_r("e"),
+            node("h"),
+        ]));
+        let q = prepare(&one, &EvalOptions::default()).unwrap();
+        let s = schedule(q.plan(), &g, &Params::new(), &EvalOptions::default());
+        assert!(s.estimates.is_none(), "{s:?}");
+        assert_eq!(s.steps.len(), 1);
+        assert!(matches!(
+            s.steps[0].access,
+            AccessPath::Label { label: "Big", .. }
+        ));
+        // The report still carries both models for it.
+        let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
+        let est = estimates(q.plan(), g.stats(), true, &Params::new());
+        let avg = estimates(q.plan(), g.stats(), false, &Params::new());
+        assert_eq!(report.steps[0].estimate, est[0]);
+        assert_eq!(report.steps[0].avg_estimate, avg[0]);
+
+        let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
+        let s = schedule(q.plan(), &g, &Params::new(), &EvalOptions::default());
+        assert_eq!(
+            s.estimates,
+            Some(estimates(q.plan(), g.stats(), true, &Params::new()))
         );
     }
 

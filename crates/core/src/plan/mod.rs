@@ -75,7 +75,6 @@ use crate::eval::{
 use crate::normalize::normalize;
 use crate::params::{value_type_name, ParamType, Params};
 use access::StartPattern;
-use cost::Placement;
 
 pub use cache::{CacheStats, PlanLru, SharedPlanLru, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use cost::{CostReport, CostStep, JoinAlgo, StartSet};
@@ -165,13 +164,13 @@ pub fn prepare(pattern: &GraphPattern, opts: &EvalOptions) -> Result<PreparedQue
     // for subplans it never runs, but execute latency stays flat — no
     // first-row compilation jitter. (Analysis already guaranteed the
     // subpatterns are well-formed.)
-    let mut exists = ExistsPlans::default();
+    let mut exists = ExistsPlans::new();
     if let Some(post) = &normalized.where_clause {
         let mut subs = Vec::new();
         collect_exists(post, &mut subs);
         for sub in subs {
-            if !exists.plans.contains_key(sub) {
-                exists.plans.insert(sub.clone(), prepare(sub, opts)?);
+            if !exists.contains_key(sub) {
+                exists.insert(sub.clone(), prepare(sub, opts)?);
             }
         }
     }
@@ -406,13 +405,10 @@ impl PreparedQuery {
         params: &Params,
         profile: Option<&ExecProfile>,
     ) -> Result<MatchSet> {
-        // One estimate pass feeds the stage order and the start sets.
-        let est = cost::estimates(&self.plan, graph.stats(), true, params);
-        let order = cost::plan_order(&self.plan, graph, &est, params, &self.opts);
+        let schedule = cost::schedule(&self.plan, graph, params, &self.opts);
         let threads = self.opts.effective_threads(graph.node_count());
         let mut join = JoinState::new(self.opts.isomorphism);
-        let mut placed: Vec<usize> = Vec::with_capacity(order.len());
-        for Placement { stage: i, seed } in order {
+        for step in &schedule.steps {
             if join.is_empty() {
                 // A cheaper stage already matched nothing: every later
                 // merge is empty, so the remaining searches are pure
@@ -420,25 +416,26 @@ impl PreparedQuery {
                 // resource-limit error).
                 break;
             }
-            let stage = &self.plan.stages[i];
-            let keys = self.plan.join_keys(i, &placed);
+            let stage = &self.plan.stages[step.stage];
             // Sideways information passing: the distinct nodes the
             // accumulated rows bind each node-typed join key to. The seed
             // variable's set is the stage's start set; the search checks
             // the others at `NodeTest`, so bindings that cannot join are
             // never generated.
-            let mut key_nodes: JoinKeyNodes = cost::pruning_keys(&self.plan, i, &keys, &self.opts)
-                .filter_map(|k| Some((k.to_owned(), join.distinct_key_nodes(k)?)))
+            let seeds = step.seed.and_then(|v| join.distinct_key_nodes(v));
+            let key_nodes: JoinKeyNodes = step
+                .filters
+                .iter()
+                .filter_map(|&k| Some((k.to_owned(), join.distinct_key_nodes(k)?)))
                 .collect();
-            let counters = profile.and_then(|p| p.stage(i));
+            let counters = profile.and_then(|p| p.stage(step.stage));
             let started = counters.map(|_| std::time::Instant::now());
-            let access = stage.start.resolve(graph, params);
             // A seeded stage starts only where its join key can land; the
             // access-path starts it skips are counted as pruned.
-            let starts = match seed.and_then(|v| key_nodes.remove(v)) {
+            let starts = match seeds {
                 Some(seeds) => {
                     if let Some(c) = counters {
-                        let skipped = access.len(graph).saturating_sub(seeds.len());
+                        let skipped = step.access.len(graph).saturating_sub(seeds.len());
                         c.add(WorkCounts {
                             rows_pruned: skipped as u64,
                             ..WorkCounts::default()
@@ -446,7 +443,7 @@ impl PreparedQuery {
                     }
                     seeds.into_iter().collect()
                 }
-                None => access.nodes(graph),
+                None => step.access.nodes(graph),
             };
             let filters = (!key_nodes.is_empty()).then_some(&key_nodes);
             let search = |starts: &[property_graph::NodeId]| {
@@ -472,8 +469,7 @@ impl PreparedQuery {
             if let (Some(c), Some(t)) = (counters, started) {
                 c.add_micros(t.elapsed().as_micros() as u64);
             }
-            join.merge_stage(&stage.expr, &bindings, &keys);
-            placed.push(i);
+            join.merge_stage(&stage.expr, &bindings, &step.keys);
         }
         Ok(join.finish(
             graph,
@@ -592,27 +588,10 @@ impl ExecutablePlan {
     pub fn stage_programs(&self) -> Vec<&FlatProgram> {
         self.stages.iter().map(|s| &s.prog).collect()
     }
-
-    /// The equi-join variables between `stage` and the already-executed
-    /// `placed` stages: the union of the join-graph edges connecting them.
-    pub(crate) fn join_keys(&self, stage: usize, placed: &[usize]) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .joins
-            .iter()
-            .filter(|j| {
-                (j.left == stage && placed.contains(&j.right))
-                    || (j.right == stage && placed.contains(&j.left))
-            })
-            .flat_map(|j| j.on.iter().cloned())
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
-    }
 }
 
 /// One compiled path pattern: its flat program, resolved search mode,
-/// and the per-stage reduce/dedup/select pipeline inputs.
+/// and the post-pass its bindings take before they join.
 #[derive(Clone)]
 pub(crate) struct PathStage {
     /// The normalized pattern (kept for the graph-dependent edge bound
@@ -630,6 +609,22 @@ pub(crate) struct PathStage {
     pub(crate) vars: BTreeSet<String>,
     /// The start node pattern, read once for the access-path choice.
     pub(crate) start: StartPattern,
+    /// What [`PathStage::finish_bindings`] does after reduction, fixed
+    /// by the search the stage runs.
+    pub(crate) post: PostPass,
+}
+
+/// A stage's post-pass: how its reduced raw bindings become its result
+/// (§6.5 deduplication and §5.1 selection, where they can change it).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PostPass {
+    /// Deduplicate, then apply the stage's selector if it has one.
+    Dedup,
+    /// The shortest-path kernel's output: one canonical walk per
+    /// `(start, end)` partition, so nothing is duplicated and every
+    /// selector the kernel runs (`ANY`, `ANY SHORTEST`) keeps them all.
+    /// Sorting by endpoint pair gives the selector's partition order.
+    SortByEndpoints,
 }
 
 impl PathStage {
@@ -649,13 +644,19 @@ impl PathStage {
         if let Some(pv) = &expr.path_var {
             vars.insert(pv.clone());
         }
+        let kernel = KernelPlan::for_stage(expr, &prog);
+        let post = match kernel {
+            Some(_) => PostPass::SortByEndpoints,
+            None => PostPass::Dedup,
+        };
         PathStage {
             expr: expr.clone(),
-            kernel: KernelPlan::for_stage(expr, &prog),
+            kernel,
             prog,
             prune,
             vars,
             start: StartPattern::of(&expr.pattern),
+            post,
         }
     }
 
@@ -693,6 +694,9 @@ impl PathStage {
     }
 
     /// [`Self::matches_from`] on the flat interpreter, whatever the stage.
+    /// For a kernel stage the interpreter's walks are deduplicated and
+    /// selected here, so the result meets the kernel's one walk per
+    /// partition that the stage's post-pass expects.
     pub(crate) fn interpret(
         &self,
         graph: &PropertyGraph,
@@ -719,20 +723,19 @@ impl PathStage {
         if let Some(c) = counters {
             m.counts.flush(c);
         }
-        out
+        match self.post {
+            PostPass::Dedup => out,
+            PostPass::SortByEndpoints => Ok(self.reduce_select(graph, out?)),
+        }
     }
 
     /// The order-insensitive second half of stage execution: §6.5
-    /// reduction/deduplication (a sorted set, which is what makes the
-    /// partition splice order irrelevant), §5.1 selector application, and
-    /// the endpoint-only collapse. When a selector stage's raw bindings
-    /// hold one walk per `(start, end)` partition, as the shortest-path
-    /// kernel's always do, there is nothing to deduplicate and every
-    /// selector that keeps a walk per partition keeps them all, so the
-    /// bindings are only reduced and sorted into the selector's partition
-    /// order. Re-checks the stage-wide
-    /// [`EvalOptions::max_matches`] limit so partitioned runs enforce the
-    /// same total budget as a sequential search.
+    /// reduction, the stage's [`PostPass`], and the endpoint-only
+    /// collapse. Both post-passes make the partition splice order
+    /// irrelevant: deduplication goes through a sorted set, and the
+    /// kernel's bindings are sorted by endpoint pair. Re-checks the
+    /// stage-wide [`EvalOptions::max_matches`] limit so partitioned runs
+    /// enforce the same total budget as a sequential search.
     pub(crate) fn finish_bindings(
         &self,
         graph: &PropertyGraph,
@@ -746,18 +749,15 @@ impl PathStage {
             });
         }
 
-        let mut bindings: Vec<PathBinding> = raw.into_iter().map(PathBinding::reduce).collect();
-        match &self.expr.selector {
-            Some(sel) if keeps_a_walk(sel) && one_per_partition(&mut bindings) => {}
-            selector => {
-                // Deduplication (§6.5) and selection.
-                let deduped: BTreeSet<PathBinding> = bindings.into_iter().collect();
-                bindings = deduped.into_iter().collect();
-                if let Some(sel) = selector {
-                    bindings = selector::apply(graph, sel, bindings);
-                }
+        let mut bindings = match self.post {
+            PostPass::Dedup => self.reduce_select(graph, raw),
+            PostPass::SortByEndpoints => {
+                let mut reduced: Vec<PathBinding> =
+                    raw.into_iter().map(PathBinding::reduce).collect();
+                reduced.sort_unstable_by_key(|b| (b.path.start(), b.path.end()));
+                reduced
             }
-        }
+        };
 
         if opts.mode == MatchMode::EndpointOnly {
             // SPARQL property paths: only check path existence between
@@ -775,25 +775,17 @@ impl PathStage {
         }
         Ok(bindings)
     }
-}
 
-/// True when `selector` keeps at least one walk of every partition.
-fn keeps_a_walk(selector: &Selector) -> bool {
-    !matches!(
-        selector,
-        Selector::AnyK(0)
-            | Selector::ShortestK(0)
-            | Selector::ShortestKGroup(0)
-            | Selector::CheapestK { k: 0, .. }
-    )
-}
-
-/// Sorts `bindings` by their `(start, end)` partition; true when no two
-/// share one.
-fn one_per_partition(bindings: &mut [PathBinding]) -> bool {
-    let key = |b: &PathBinding| (b.path.start(), b.path.end());
-    bindings.sort_unstable_by_key(key);
-    bindings.windows(2).all(|w| key(&w[0]) != key(&w[1]))
+    /// Reduction and deduplication (§6.5), then the stage's selector
+    /// (§5.1).
+    fn reduce_select(&self, graph: &PropertyGraph, raw: Vec<PathBinding>) -> Vec<PathBinding> {
+        let deduped: BTreeSet<PathBinding> = raw.into_iter().map(PathBinding::reduce).collect();
+        let bindings = deduped.into_iter().collect();
+        match &self.expr.selector {
+            Some(sel) => selector::apply(graph, sel, bindings),
+            None => bindings,
+        }
+    }
 }
 
 /// One edge of the explicit join graph: stages `left` and `right` must
@@ -805,22 +797,16 @@ pub(crate) struct JoinEdge {
     pub(crate) on: Vec<String>,
 }
 
+impl JoinEdge {
+    /// Whether the edge joins `stage` to one of the `placed` stages.
+    pub(crate) fn links(&self, stage: usize, placed: &[usize]) -> bool {
+        (self.left == stage && placed.contains(&self.right))
+            || (self.right == stage && placed.contains(&self.left))
+    }
+}
+
 /// Prepared subplans for `EXISTS` subqueries, keyed by their subpattern.
-#[derive(Clone, Default)]
-pub(crate) struct ExistsPlans {
-    plans: HashMap<GraphPattern, PreparedQuery>,
-}
-
-impl ExistsPlans {
-    /// The prepared subplan for `pattern`, if one was prepared.
-    pub(crate) fn get(&self, pattern: &GraphPattern) -> Option<&PreparedQuery> {
-        self.plans.get(pattern)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.plans.len()
-    }
-}
+pub(crate) type ExistsPlans = HashMap<GraphPattern, PreparedQuery>;
 
 // ---------------------------------------------------------------------------
 // GSQL mode rewrite (hoisted from the evaluator)
@@ -906,6 +892,13 @@ impl fmt::Display for ExecutablePlan {
                 }
             };
             writeln!(f, "    search: {search}")?;
+            // The stage's own pipeline, ending in its post-pass.
+            let post = match (stage.post, &stage.expr.selector) {
+                (PostPass::SortByEndpoints, _) => "sort by endpoint pair",
+                (PostPass::Dedup, Some(_)) => "dedup \u{2192} select",
+                (PostPass::Dedup, None) => "dedup",
+            };
+            writeln!(f, "    pipeline: match \u{2192} reduce \u{2192} {post}")?;
             if !stage.vars.is_empty() {
                 let vars: Vec<&str> = stage.vars.iter().map(String::as_str).collect();
                 writeln!(f, "    binds: {}", vars.join(", "))?;
@@ -935,7 +928,7 @@ impl fmt::Display for ExecutablePlan {
         }
         if let Some(post) = &self.normalized.where_clause {
             write!(f, "  postfilter: WHERE {post}")?;
-            if self.exists.len() > 0 {
+            if !self.exists.is_empty() {
                 write!(
                     f,
                     " [{} prepared EXISTS subplan{}]",
@@ -945,7 +938,7 @@ impl fmt::Display for ExecutablePlan {
             }
             writeln!(f)?;
         }
-        write!(f, "  pipeline: match \u{2192} reduce \u{2192} dedup \u{2192} select \u{2192} join \u{2192} filter")
+        write!(f, "  pipeline: stages \u{2192} join \u{2192} filter")
     }
 }
 
@@ -1479,6 +1472,64 @@ mod tests {
             assert_eq!(profile.stages()[0].rows_pruned(), 20);
             assert_eq!(profile.stages()[1].rows_pruned(), 0);
         }
+    }
+
+    #[test]
+    fn post_pass_is_fixed_at_lowering() {
+        // MATCH ANY SHORTEST (a)-[s]->+(b), ANY SHORTEST TRAIL
+        //       (a)-[t]->+(b), (a)-[u]->(c)
+        let path = |restrictor, e| PathPatternExpr {
+            selector: Some(Selector::AnyShortest),
+            restrictor,
+            path_var: None,
+            pattern: PathPattern::concat(vec![
+                node("a"),
+                edge_r(e).quantified(Quantifier::plus()),
+                node("b"),
+            ]),
+        };
+        let plain =
+            PathPatternExpr::plain(PathPattern::concat(vec![node("a"), edge_r("u"), node("c")]));
+        let gp = GraphPattern {
+            paths: vec![path(None, "s"), path(Some(Restrictor::Trail), "t"), plain],
+            where_clause: None,
+        };
+        let q = prepare(&gp, &EvalOptions::default()).unwrap();
+        let stages = &q.plan().stages;
+        assert!(stages[0].kernel.is_some());
+        assert_eq!(stages[0].post, PostPass::SortByEndpoints);
+        assert!(stages[1].kernel.is_none());
+        assert_eq!(stages[1].post, PostPass::Dedup);
+        assert_eq!(stages[2].post, PostPass::Dedup);
+        let text = q.explain();
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("    pipeline: "))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "    pipeline: match \u{2192} reduce \u{2192} sort by endpoint pair",
+                "    pipeline: match \u{2192} reduce \u{2192} dedup \u{2192} select",
+                "    pipeline: match \u{2192} reduce \u{2192} dedup",
+            ],
+            "{text}"
+        );
+        assert!(
+            text.ends_with("  pipeline: stages \u{2192} join \u{2192} filter"),
+            "{text}"
+        );
+        // Whichever post-pass runs, the answer is the declaration-order
+        // baseline's.
+        let g = chain(6);
+        let mut got = q.execute(&g).unwrap().rows;
+        let mut want = crate::baseline::evaluate(&g, &gp, &EvalOptions::default())
+            .unwrap()
+            .rows;
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        assert!(!got.is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::ops::Deref;
 
 use gpml_core::eval::EvalOptions;
-use gpml_core::plan::{CacheStats, Projection, SharedPlanLru, Statement};
+use gpml_core::plan::{Projection, Statement};
 use gpml_core::Params;
 use gpml_parser::Parser;
 use property_graph::{PropertyGraph, Value};
@@ -70,8 +70,7 @@ impl From<gpml_core::Error> for PgqError {
 
 /// A compiled `GRAPH_TABLE` body: the core [`Statement`] its `MATCH ...
 /// COLUMNS (...)` compiles to, shared with GQL. It runs against any
-/// number of graphs, and a clone (a plan-cache hit) is a
-/// reference-count bump. `Deref` exposes the statement's plan and
+/// number of graphs, and a clone is a reference-count bump. `Deref` exposes the statement's plan and
 /// EXPLAIN renderings.
 #[derive(Clone)]
 pub struct PreparedGraphTable(Statement);
@@ -136,87 +135,10 @@ pub fn graph_table(graph: &PropertyGraph, body: &str) -> Result<Table, PgqError>
     prepare_graph_table(body, &EvalOptions::default())?.execute(graph)
 }
 
-/// An LRU cache over [`prepare_graph_table`], keyed by `(body text,
-/// EvalOptions)`: SQL hosts that replay `GRAPH_TABLE` bodies get plan
-/// reuse without holding [`PreparedGraphTable`] handles themselves. It
-/// is the same [`SharedPlanLru`] of [`Statement`]s a GQL session holds.
-#[derive(Default)]
-pub struct GraphTableCache {
-    opts: EvalOptions,
-    plans: SharedPlanLru<Statement>,
-}
-
-impl GraphTableCache {
-    /// An empty cache preparing bodies under `opts`.
-    pub fn new(opts: EvalOptions) -> GraphTableCache {
-        GraphTableCache {
-            opts,
-            plans: SharedPlanLru::default(),
-        }
-    }
-
-    /// Caps the number of distinct prepared bodies retained.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.plans.set_capacity(capacity);
-    }
-
-    /// The evaluation options bodies are prepared under.
-    pub fn options(&self) -> &EvalOptions {
-        &self.opts
-    }
-
-    /// Sets the worker-thread count for parallel stage matching (`0` =
-    /// auto, `1` = sequential). Options are part of the cache key, so
-    /// bodies prepared under the old setting are not reused.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.opts.threads = threads;
-    }
-
-    /// Hit/miss counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
-        self.plans.stats()
-    }
-
-    /// The prepared plan for `body`, from the cache or freshly compiled.
-    pub fn prepare(&self, body: &str) -> Result<PreparedGraphTable, PgqError> {
-        let compile = || prepare_graph_table(body, &self.opts).map(|p| p.0);
-        Ok(PreparedGraphTable(
-            self.plans.get_or_try_insert(body, &self.opts, compile)?,
-        ))
-    }
-
-    /// Runs `body` over `graph`, reusing its cached plan when present.
-    pub fn execute(&self, graph: &PropertyGraph, body: &str) -> Result<Table, PgqError> {
-        self.prepare(body)?.execute(graph)
-    }
-
-    /// Runs a parameterized `body` with `params` bound to its `$name`
-    /// placeholders. The body text is the cache key, so one skeleton
-    /// replayed under many bindings compiles once and hits the cache on
-    /// every re-bind.
-    pub fn execute_with(
-        &self,
-        graph: &PropertyGraph,
-        body: &str,
-        params: &Params,
-    ) -> Result<Table, PgqError> {
-        self.prepare(body)?.execute_with(graph, params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpml_datagen::fig1;
-
-    #[test]
-    fn plan_cache_hits_share_the_compiled_plan() {
-        let cache = GraphTableCache::default();
-        let body = "MATCH (x:Account)-[t:Transfer]->(y:Account) COLUMNS (y.owner AS r)";
-        let first = cache.prepare(body).unwrap();
-        let second = cache.prepare(body).unwrap();
-        assert!(std::ptr::eq(first.plan(), second.plan()));
-    }
 
     #[test]
     fn projects_scalar_columns() {
@@ -310,34 +232,11 @@ mod tests {
     }
 
     #[test]
-    fn graph_table_cache_is_shareable_across_threads() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<GraphTableCache>();
-    }
-
-    #[test]
-    fn graph_table_cache_reuses_plans() {
+    fn parameterized_body_rebinds_against_one_prepared_plan() {
         let g = fig1();
-        let cache = GraphTableCache::default();
-        let body = "MATCH (x:Account)-[t:Transfer]->(y:Account) \
-                    COLUMNS (x.owner AS sender, y.owner AS receiver)";
-        let first = cache.execute(&g, body).unwrap();
-        let second = cache.execute(&g, body).unwrap();
-        assert_eq!(first, second);
-        let stats = cache.stats();
-        assert!(stats.hits >= 1, "{stats:?}");
-        assert_eq!(stats.len, 1, "{stats:?}");
-        // Parse errors are not cached.
-        assert!(cache.execute(&g, "MATCH (x COLUMNS (x)").is_err());
-        assert_eq!(cache.stats().len, 1);
-    }
-
-    #[test]
-    fn parameterized_body_rebinds_against_one_cached_plan() {
-        let g = fig1();
-        let cache = GraphTableCache::default();
         let body = "MATCH (x:Account)-[t:Transfer WHERE t.amount >= $min]->(y:Account) \
                     COLUMNS (x.owner AS sender, t.amount AS amount)";
+        let prepared = prepare_graph_table(body, &EvalOptions::default()).unwrap();
         // Inlined-literal oracle.
         let inlined = graph_table(
             &g,
@@ -345,18 +244,15 @@ mod tests {
              COLUMNS (x.owner AS sender, t.amount AS amount)",
         )
         .unwrap();
-        let bound = cache
-            .execute_with(&g, body, &Params::new().with("min", 10_000_000))
+        let bound = prepared
+            .execute_with(&g, &Params::new().with("min", 10_000_000))
             .unwrap();
         assert_eq!(bound.rows, inlined.rows);
-        // Re-binding hits the cache instead of recompiling.
-        let low = cache
-            .execute_with(&g, body, &Params::new().with("min", 0))
+        // Re-binding the same prepared body.
+        let low = prepared
+            .execute_with(&g, &Params::new().with("min", 0))
             .unwrap();
         assert_eq!(low.len(), 8); // every transfer in Figure 1
-        let stats = cache.stats();
-        assert_eq!(stats.len, 1, "{stats:?}");
-        assert!(stats.hits >= 1, "{stats:?}");
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   operator producing a table from path bindings. It runs on the
 //!   runtime GQL uses too: the body compiles to a core
 //!   [`Statement`](gpml_core::plan::Statement) whose projection holds the
-//!   `COLUMNS` items, cached in the same `SharedPlanLru` a GQL session
-//!   holds.
+//!   `COLUMNS` items, the same statement type a GQL session caches.
 //!
 //! [`Catalog`] ties them together the way a SQL/PGQ session would: named
 //! views over one database, queried by view name.
@@ -28,9 +27,7 @@ pub mod view;
 
 pub use csv::CsvError;
 pub use ddl::parse_ddl;
-pub use graph_table::{
-    graph_table, prepare_graph_table, GraphTableCache, PgqError, PreparedGraphTable,
-};
+pub use graph_table::{graph_table, prepare_graph_table, PgqError, PreparedGraphTable};
 pub use table::{Database, Table};
 pub use view::{materialize_tabulation, tabulate, EdgeTable, GraphView, VertexTable, ViewError};
 

@@ -220,41 +220,46 @@ fn load_csv_dir(dir: &str) -> Result<PropertyGraph, String> {
     Ok(catalog.graph(&name).expect("just created").clone())
 }
 
+/// Handles the parameter commands both REPLs share (`:let`, `:unlet`,
+/// `:params`); returns true when the line was one.
+fn param_command(params: &mut Params, line: &str) -> bool {
+    if line == ":params" || line == ":let" {
+        if params.is_empty() {
+            eprintln!("no parameters bound (use :let name = value)");
+        } else {
+            eprintln!("{params}");
+        }
+    } else if let Some(rest) = line.strip_prefix(":let ") {
+        match rest.split_once('=') {
+            Some((name, value)) => {
+                let name = name.trim().trim_start_matches('$').to_owned();
+                match parse_param_value(value) {
+                    Ok(v) => {
+                        eprintln!("${name} = {v}");
+                        params.set(name, v);
+                    }
+                    Err(e) => eprintln!("error: {e}"),
+                }
+            }
+            None => eprintln!("error: :let wants `name = value`"),
+        }
+    } else if let Some(rest) = line.strip_prefix(":unlet ") {
+        let name = rest.trim().trim_start_matches('$');
+        if params.unset(name).is_none() {
+            eprintln!("${name} was not bound");
+        }
+    } else {
+        return false;
+    }
+    true
+}
+
 /// Handles a `:command` REPL line; returns true when the line was one.
 fn run_command(session: &mut Session, params: &mut Params, line: &str) -> bool {
+    if param_command(params, line) {
+        return true;
+    }
     match line {
-        ":params" | ":let" => {
-            if params.is_empty() {
-                eprintln!("no parameters bound (use :let name = value)");
-            } else {
-                eprintln!("{params}");
-            }
-            true
-        }
-        _ if line.starts_with(":let ") => {
-            let rest = &line[":let ".len()..];
-            match rest.split_once('=') {
-                Some((name, value)) => {
-                    let name = name.trim().trim_start_matches('$').to_owned();
-                    match parse_param_value(value) {
-                        Ok(v) => {
-                            eprintln!("${name} = {v}");
-                            params.set(name, v);
-                        }
-                        Err(e) => eprintln!("error: {e}"),
-                    }
-                }
-                None => eprintln!("error: :let wants `name = value`"),
-            }
-            true
-        }
-        _ if line.starts_with(":unlet ") => {
-            let name = line[":unlet ".len()..].trim().trim_start_matches('$');
-            if params.unset(name).is_none() {
-                eprintln!("${name} was not bound");
-            }
-            true
-        }
         ":stats" => {
             let g = session.graph("g").expect("registered");
             eprint!("{}", g.stats());
@@ -736,6 +741,9 @@ fn connect_main(args: Vec<String>) {
         if line.is_empty() {
             continue;
         }
+        if param_command(&mut params, &line) {
+            continue;
+        }
         match line.as_str() {
             ":quit" | ":q" => break,
             ":stats" | ":cache" => {
@@ -826,22 +834,6 @@ fn connect_main(args: Vec<String>) {
             }
             continue;
         }
-        if let Some(rest) = line.strip_prefix(":let ") {
-            match rest.split_once('=') {
-                Some((name, value)) => {
-                    let name = name.trim().trim_start_matches('$').to_owned();
-                    match parse_param_value(value) {
-                        Ok(v) => {
-                            eprintln!("${name} = {v}");
-                            params.set(name, v);
-                        }
-                        Err(e) => eprintln!("error: {e}"),
-                    }
-                }
-                None => eprintln!("error: :let wants `name = value`"),
-            }
-            continue;
-        }
         if let Some(rest) = line.strip_prefix(":cursor ") {
             match client.query_cursor(rest.trim()) {
                 Ok(h) => {
@@ -895,13 +887,6 @@ fn connect_main(args: Vec<String>) {
                     Err(e) => report_client_error(&e),
                 },
                 Err(_) => eprintln!("error: :close-cursor wants a cursor id"),
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(":unlet ") {
-            let name = rest.trim().trim_start_matches('$');
-            if params.unset(name).is_none() {
-                eprintln!("${name} was not bound");
             }
             continue;
         }

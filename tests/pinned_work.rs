@@ -9,11 +9,64 @@
 //! and the dominance-pruned BFS (`ALL SHORTEST`, `SHORTEST 2 GROUP`). A
 //! refactor of the interpreter that keeps the answers but changes how
 //! much it searches shows up here as a changed number.
+//!
+//! A counting global allocator also pins upper bounds on the heap
+//! allocations of one warm prepared execution and of encoding its
+//! result, for the three prepared benchmark statements.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use gpml_suite::core::eval::{EvalOptions, ExecProfile};
 use gpml_suite::core::Params;
 use gpml_suite::datagen::{fig1, transfer_network, TransferNetworkConfig};
+use gpml_suite::gql::codec::encode_result;
 use gpml_suite::gql::Session;
+
+/// `System`, counting every allocation and reallocation on the calling
+/// thread, so tests running in parallel keep separate counts.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: an allocation during thread teardown goes uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations `f` makes on this thread, with its result.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
 
 /// `network:ACCOUNTS,TRANSFERS,1` as the CLI builds it.
 fn network(accounts: usize, transfers: usize) -> property_graph::PropertyGraph {
@@ -134,4 +187,46 @@ fn interpreter_work_is_pinned() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// (graph, statement, execution bound, encoding bound): upper bounds on
+/// the allocations of one warm, profiled prepared execution at one
+/// thread, and of `encode_result` over its result. The counts follow
+/// std's collection growth, so they are bounds, not exact figures; a
+/// change that lowers a count tightens its bound.
+#[rustfmt::skip]
+const ALLOCATION_BOUNDS: &[(&str, &str, u64, u64)] = &[
+    ("net200", LOOKUP, 158, 44),
+    ("net2000", JOIN, 925, 106),
+    ("net2000", PATH, 3304, 1003),
+];
+
+#[test]
+fn allocations_are_pinned() {
+    let s = session(1);
+    let mut over = Vec::new();
+    for &(graph, statement, exec_bound, encode_bound) in ALLOCATION_BOUNDS {
+        let prepared = s.prepare(statement).unwrap();
+        let params = Params::new().with("owner", owner(graph));
+        let profile = ExecProfile::new(prepared.plan().stage_count());
+        let run = || {
+            s.execute_prepared_profiled(graph, &prepared, &params, &profile)
+                .unwrap()
+        };
+        // Warm-up: the graph's statistics catalog and every other
+        // lazily built structure exist before the counted run.
+        for _ in 0..3 {
+            run();
+        }
+        let (exec, result) = allocations(run);
+        let (encode, _) = allocations(|| encode_result(&result));
+        eprintln!("{graph} `{statement}`: {exec} execution, {encode} encoding allocations");
+        if exec > exec_bound || encode > encode_bound {
+            over.push(format!(
+                "{graph} `{statement}`: {exec} execution allocations (bound {exec_bound}), \
+                 {encode} encoding allocations (bound {encode_bound})"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "{}", over.join("\n"));
 }
