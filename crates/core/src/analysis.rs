@@ -489,30 +489,20 @@ pub fn analyze(pattern: &GraphPattern) -> Result<Analysis> {
 
 /// Collects all `EXISTS` subqueries in `e`.
 pub(crate) fn collect_exists<'a>(e: &'a Expr, out: &mut Vec<&'a GraphPattern>) {
-    match e {
-        Expr::Exists(gp) => out.push(gp),
-        Expr::Not(i) | Expr::IsNull(i, _) => collect_exists(i, out),
-        Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-            collect_exists(a, out);
-            collect_exists(b, out);
+    e.walk(&mut |e| {
+        if let Expr::Exists(gp) = e {
+            out.push(gp);
         }
-        _ => {}
-    }
+    });
 }
 
 /// Collects the arguments of all `SAME`/`ALL_DIFFERENT` calls in `e`.
 fn collect_element_tests<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
-    match e {
-        Expr::Same(vs) | Expr::AllDifferent(vs) => {
+    e.walk(&mut |e| {
+        if let Expr::Same(vs) | Expr::AllDifferent(vs) = e {
             out.extend(vs.iter().map(String::as_str));
         }
-        Expr::Not(inner) | Expr::IsNull(inner, _) => collect_element_tests(inner, out),
-        Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-            collect_element_tests(a, out);
-            collect_element_tests(b, out);
-        }
-        _ => {}
-    }
+    });
 }
 
 #[cfg(test)]

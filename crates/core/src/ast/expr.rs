@@ -214,56 +214,57 @@ impl Expr {
         Expr::cmp(CmpOp::Eq, self, rhs)
     }
 
+    /// Visits `self` and then every sub-expression, pre-order and left to
+    /// right. An `EXISTS` subquery is a leaf: its pattern is a
+    /// [`GraphPattern`](crate::ast::GraphPattern), with its own scope.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match self {
+            Expr::Not(e) | Expr::IsNull(e, _) => e.walk(f),
+            Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
+                a.walk(f);
+                b.walk(f);
+            }
+            Expr::Literal(_)
+            | Expr::Parameter(_)
+            | Expr::Var(_)
+            | Expr::Property(..)
+            | Expr::IsDirected(_)
+            | Expr::IsSourceOf { .. }
+            | Expr::IsDestinationOf { .. }
+            | Expr::Same(_)
+            | Expr::AllDifferent(_)
+            | Expr::Aggregate { .. }
+            | Expr::Exists(_) => {}
+        }
+    }
+
     /// Walks all variable references in the expression, passing whether
     /// each occurs inside an aggregate.
     pub fn visit_vars<'a>(&'a self, f: &mut impl FnMut(&'a str, bool)) {
-        match self {
-            Expr::Literal(_) | Expr::Parameter(_) => {}
-            Expr::Var(v) => f(v, false),
-            Expr::Property(v, _) => f(v, false),
-            Expr::Not(e) | Expr::IsNull(e, _) => e.visit_vars(f),
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.visit_vars(f);
-                b.visit_vars(f);
-            }
-            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-                a.visit_vars(f);
-                b.visit_vars(f);
-            }
-            Expr::IsDirected(e) => f(e, false),
+        self.walk(&mut |e| match e {
+            Expr::Var(v) | Expr::Property(v, _) | Expr::IsDirected(v) => f(v, false),
             Expr::IsSourceOf { node, edge } | Expr::IsDestinationOf { node, edge } => {
                 f(node, false);
                 f(edge, false);
             }
-            Expr::Same(vs) | Expr::AllDifferent(vs) => {
-                for v in vs {
-                    f(v, false);
-                }
-            }
+            Expr::Same(vs) | Expr::AllDifferent(vs) => vs.iter().for_each(|v| f(v, false)),
             Expr::Aggregate { arg, .. } => f(arg.var(), true),
             // EXISTS correlates implicitly by name; its variables live in
             // the subquery's own scope.
-            Expr::Exists(_) => {}
-        }
+            _ => {}
+        });
     }
 
     /// All aggregates contained in the expression.
     pub fn aggregates(&self) -> Vec<(&AggFunc, &AggArg)> {
         let mut out = Vec::new();
-        self.collect_aggregates(&mut out);
-        out
-    }
-
-    fn collect_aggregates<'a>(&'a self, out: &mut Vec<(&'a AggFunc, &'a AggArg)>) {
-        match self {
-            Expr::Aggregate { func, arg, .. } => out.push((func, arg)),
-            Expr::Not(e) | Expr::IsNull(e, _) => e.collect_aggregates(out),
-            Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-                a.collect_aggregates(out);
-                b.collect_aggregates(out);
+        self.walk(&mut |e| {
+            if let Expr::Aggregate { func, arg, .. } = e {
+                out.push((func, arg));
             }
-            _ => {}
-        }
+        });
+        out
     }
 }
 
@@ -415,6 +416,49 @@ mod tests {
         let mut seen = Vec::new();
         e.visit_vars(&mut |v, agg| seen.push((v.to_owned(), agg)));
         assert_eq!(seen, vec![("x".to_owned(), false), ("t".to_owned(), true)]);
+    }
+
+    #[test]
+    fn walk_is_pre_order_and_stops_at_exists() {
+        // NOT (x.a IS NULL) AND ((1 + $p) = y OR EXISTS { (z) WHERE z.b = 2 })
+        let exists = crate::ast::GraphPattern {
+            paths: vec![crate::ast::PathPatternExpr::plain(
+                crate::ast::PathPattern::Node(crate::ast::NodePattern::var("z")),
+            )],
+            where_clause: Some(Expr::prop("z", "b").eq(Expr::lit(2))),
+        };
+        let sum = Expr::Arith(
+            ArithOp::Add,
+            Box::new(Expr::lit(1)),
+            Box::new(Expr::Parameter("p".into())),
+        );
+        let e = Expr::IsNull(Box::new(Expr::prop("x", "a")), true)
+            .not()
+            .and(
+                sum.eq(Expr::Var("y".into()))
+                    .or(Expr::Exists(Box::new(exists))),
+            );
+        let mut seen = Vec::new();
+        e.walk(&mut |e| {
+            seen.push(match e {
+                Expr::And(..) => "and",
+                Expr::Not(_) => "not",
+                Expr::IsNull(..) => "is null",
+                Expr::Property(..) => "x.a",
+                Expr::Or(..) => "or",
+                Expr::Cmp(..) => "cmp",
+                Expr::Arith(..) => "arith",
+                Expr::Literal(_) => "1",
+                Expr::Parameter(_) => "$p",
+                Expr::Var(_) => "y",
+                Expr::Exists(_) => "exists",
+                _ => "other",
+            })
+        });
+        assert_eq!(
+            seen,
+            ["and", "not", "is null", "x.a", "or", "cmp", "arith", "1", "$p", "y", "exists"]
+        );
     }
 
     #[test]

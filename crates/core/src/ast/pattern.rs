@@ -330,6 +330,24 @@ impl PathPattern {
             predicate: None,
         }
     }
+
+    /// Visits `self` and then its sub-patterns, pre-order and left to
+    /// right. When `f` returns `false` for a pattern, its sub-patterns are
+    /// skipped. Predicates are not visited; [`Expr::walk`] walks those.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a PathPattern) -> bool) {
+        if !f(self) {
+            return;
+        }
+        match self {
+            PathPattern::Node(_) | PathPattern::Edge(_) => {}
+            PathPattern::Concat(parts)
+            | PathPattern::Union(parts)
+            | PathPattern::Alternation(parts) => parts.iter().for_each(|p| p.walk(f)),
+            PathPattern::Paren { inner, .. }
+            | PathPattern::Quantified { inner, .. }
+            | PathPattern::Questioned(inner) => inner.walk(f),
+        }
+    }
 }
 
 /// One comma-separated operand of `MATCH`: an optional selector, optional
@@ -486,6 +504,50 @@ mod tests {
         }
         // A single part collapses to itself.
         assert_eq!(PathPattern::concat(vec![n()]), n());
+    }
+
+    #[test]
+    fn walk_is_pre_order_and_skips_refused_subtrees() {
+        let n = |v: &str| PathPattern::Node(NodePattern::var(v));
+        let e = |v: &str| PathPattern::Edge(EdgePattern::any(Direction::Right).with_var(v));
+        // (a) [(b)-[e]->(c)]{1,2} ((d) | (f)?) ((g) |+| [-[h]->]+)
+        let p = PathPattern::Concat(vec![
+            n("a"),
+            PathPattern::concat(vec![n("b"), e("e"), n("c")])
+                .paren()
+                .quantified(Quantifier::range(1, Some(2))),
+            PathPattern::Union(vec![n("d"), PathPattern::Questioned(Box::new(n("f")))]),
+            PathPattern::Alternation(vec![n("g"), e("h").paren().quantified(Quantifier::plus())]),
+        ]);
+        let visit = |skip_bounded: bool| {
+            let mut seen = Vec::new();
+            p.walk(&mut |p| {
+                seen.push(match p {
+                    PathPattern::Node(x) => x.var.clone().unwrap(),
+                    PathPattern::Edge(x) => format!("-{}-", x.var.as_deref().unwrap()),
+                    PathPattern::Concat(_) => "concat".to_owned(),
+                    PathPattern::Paren { .. } => "paren".to_owned(),
+                    PathPattern::Quantified { quantifier, .. } => quantifier.to_string(),
+                    PathPattern::Questioned(_) => "?".to_owned(),
+                    PathPattern::Union(_) => "|".to_owned(),
+                    PathPattern::Alternation(_) => "|+|".to_owned(),
+                });
+                !(skip_bounded
+                    && matches!(p, PathPattern::Quantified { quantifier, .. } if !quantifier.is_unbounded()))
+            });
+            seen
+        };
+        assert_eq!(
+            visit(false),
+            [
+                "concat", "a", "{1,2}", "paren", "concat", "b", "-e-", "c", "|", "d", "?", "f",
+                "|+|", "g", "+", "paren", "-h-"
+            ]
+        );
+        assert_eq!(
+            visit(true),
+            ["concat", "a", "{1,2}", "|", "d", "?", "f", "|+|", "g", "+", "paren", "-h-"]
+        );
     }
 
     #[test]

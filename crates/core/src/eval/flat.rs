@@ -375,29 +375,19 @@ impl Lowering {
 
 /// Collects all named (non-anonymous) variables in a pattern subtree.
 pub(crate) fn collect_vars(p: &PathPattern, out: &mut Vec<(String, bool)>) {
-    match p {
-        PathPattern::Node(n) => {
-            if let Some(v) = &n.var {
-                if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
-                    out.push((v.clone(), false));
-                }
+    p.walk(&mut |p| {
+        let (var, is_edge) = match p {
+            PathPattern::Node(n) => (&n.var, false),
+            PathPattern::Edge(e) => (&e.var, true),
+            _ => return true,
+        };
+        if let Some(v) = var {
+            if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
+                out.push((v.clone(), is_edge));
             }
         }
-        PathPattern::Edge(e) => {
-            if let Some(v) = &e.var {
-                if !is_anonymous(v) && !out.iter().any(|(n2, _)| n2 == v) {
-                    out.push((v.clone(), true));
-                }
-            }
-        }
-        PathPattern::Concat(parts) => parts.iter().for_each(|x| collect_vars(x, out)),
-        PathPattern::Paren { inner, .. } => collect_vars(inner, out),
-        PathPattern::Quantified { inner, .. } => collect_vars(inner, out),
-        PathPattern::Questioned(inner) => collect_vars(inner, out),
-        PathPattern::Union(bs) | PathPattern::Alternation(bs) => {
-            bs.iter().for_each(|x| collect_vars(x, out))
-        }
-    }
+        true
+    });
 }
 
 impl fmt::Display for FlatProgram {

@@ -250,26 +250,29 @@ enum Part<'p> {
 /// construct the kernel does not take (restrictor or `WHERE` parens,
 /// unions, alternations, `?`).
 fn flatten<'p>(p: &'p PathPattern, out: &mut Vec<Part<'p>>) -> Option<()> {
-    match p {
-        PathPattern::Node(n) => out.push(Part::Node(n)),
-        PathPattern::Edge(e) => out.push(Part::Edge(e)),
-        PathPattern::Concat(parts) => {
-            for part in parts {
-                flatten(part, out)?;
+    let mut eligible = true;
+    p.walk(&mut |p| {
+        match p {
+            PathPattern::Node(n) => out.push(Part::Node(n)),
+            PathPattern::Edge(e) => out.push(Part::Edge(e)),
+            PathPattern::Concat(_)
+            | PathPattern::Paren {
+                restrictor: None,
+                predicate: None,
+                ..
+            } => {}
+            PathPattern::Quantified { inner, quantifier } => {
+                out.push(Part::Quant(inner, *quantifier));
+                return false;
             }
+            PathPattern::Paren { .. }
+            | PathPattern::Questioned(_)
+            | PathPattern::Union(_)
+            | PathPattern::Alternation(_) => eligible = false,
         }
-        PathPattern::Paren {
-            restrictor: None,
-            inner,
-            predicate: None,
-        } => flatten(inner, out)?,
-        PathPattern::Quantified { inner, quantifier } => out.push(Part::Quant(inner, *quantifier)),
-        PathPattern::Paren { .. }
-        | PathPattern::Questioned(_)
-        | PathPattern::Union(_)
-        | PathPattern::Alternation(_) => return None,
-    }
-    Some(())
+        eligible
+    });
+    eligible.then_some(())
 }
 
 /// The element list of flattened parts with no quantifier among them,

@@ -464,19 +464,19 @@ impl JoinState {
         &mut self,
         expr: &PathPatternExpr,
         bindings: &[PathBinding],
-        keys: &[String],
+        keys: &[&str],
     ) {
         let keyed = !keys.is_empty()
             && self
                 .rows
                 .iter()
-                .all(|(row, _)| keys.iter().all(|k| row.values.contains_key(k)))
+                .all(|(row, _)| keys.iter().all(|k| row.values.contains_key(*k)))
             && bindings
                 .iter()
-                .all(|pb| keys.iter().all(|k| pb.bindings.contains_key(k)));
+                .all(|pb| keys.iter().all(|k| pb.bindings.contains_key(*k)));
         let key = |values: &BTreeMap<String, BoundValue>| -> Vec<BoundValue> {
             if keyed {
-                keys.iter().map(|k| values[k].clone()).collect()
+                keys.iter().map(|k| values[*k].clone()).collect()
             } else {
                 Vec::new()
             }
@@ -935,7 +935,7 @@ mod tests {
                 binding(&[("m", 4), ("z", 6)], &[4, 6], &[4]),
                 binding(&[("m", 1), ("z", 7)], &[1, 7], &[5]),
             ],
-            &["m".to_owned()],
+            &["m"],
         );
         assert_eq!(
             rows(&join),
@@ -984,7 +984,7 @@ mod tests {
                 binding(&[("m", 1), ("z", 1)], &[1, 2, 1], &[7, 7]),
                 binding(&[("m", 1), ("z", 3)], &[1, 3], &[2]),
             ],
-            &["m".to_owned()],
+            &["m"],
         );
         assert_eq!(
             rows(&join),

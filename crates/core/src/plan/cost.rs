@@ -59,33 +59,19 @@ const DEFAULT_PREDICATE_SELECTIVITY: f64 = 0.5;
 
 /// Estimated result rows for every stage of `plan`, in declaration order.
 ///
-/// `skew_aware` selects between the plain average-degree model and the
-/// max-degree-capped model (see [`edge_fanout`]); the executor uses the
-/// skew-aware numbers, EXPLAIN shows both when they differ. `params`
-/// carries the execute-time parameter bindings: an equality prefilter
-/// against a *bound* `$name` is priced like a literal (the
+/// `params` carries the execute-time parameter bindings: an equality
+/// prefilter against a *bound* `$name` is priced like a literal (the
 /// distinct-value hint), while an unbound one falls back to the default
 /// selectivity — which is how parameterized plans keep benefiting from
 /// stage reordering even though their constants are unknown at prepare
 /// time.
-pub(crate) fn estimates(
-    plan: &ExecutablePlan,
-    stats: &GraphStats,
-    skew_aware: bool,
-    params: &Params,
-) -> Vec<f64> {
+pub(crate) fn estimates(plan: &ExecutablePlan, stats: &GraphStats, params: &Params) -> Vec<f64> {
     plan.stages
         .iter()
         .map(|s| {
             let mut last_node_frac = 1.0;
             stats.node_count as f64
-                * pattern_factor(
-                    &s.expr.pattern,
-                    stats,
-                    skew_aware,
-                    params,
-                    &mut last_node_frac,
-                )
+                * pattern_factor(&s.expr.pattern, stats, params, &mut last_node_frac)
         })
         .collect()
 }
@@ -101,7 +87,7 @@ pub(crate) struct Step<'a> {
     /// [`seed_var`]). `None` runs the stage from `access`.
     pub(crate) seed: Option<&'a str>,
     /// Equi-join keys against the stages placed before it.
-    pub(crate) keys: Vec<String>,
+    pub(crate) keys: Vec<&'a str>,
     /// The node-typed join keys other than `seed` whose accumulated node
     /// sets the search checks at `NodeTest`. Empty when pruning is
     /// inadmissible for the stage ([`pushdown_admissible`]).
@@ -116,8 +102,8 @@ pub(crate) struct Step<'a> {
 pub(crate) struct Schedule<'a> {
     /// The steps, in execution order.
     pub(crate) steps: Vec<Step<'a>>,
-    /// The skew-aware estimates that priced the order, by declaration
-    /// index; `None` for a one-stage plan, which has nothing to order.
+    /// The estimates that priced the order, by declaration index;
+    /// `None` for a one-stage plan, which has nothing to order.
     pub(crate) estimates: Option<Vec<f64>>,
 }
 
@@ -148,7 +134,7 @@ pub(crate) fn schedule<'a>(
         .iter()
         .map(|s| s.start.resolve(graph, params))
         .collect();
-    let estimates = (n > 1).then(|| estimates(plan, stats, true, params));
+    let estimates = (n > 1).then(|| estimates(plan, stats, params));
     let order: Vec<usize> = match &estimates {
         Some(est) if stats.node_count > 0 => greedy(n, &plan.joins, |s, placed| {
             let starts = access[s].len(graph) as f64;
@@ -178,7 +164,7 @@ pub(crate) fn schedule<'a>(
             Step {
                 stage,
                 seed,
-                keys: keys.into_iter().map(str::to_owned).collect(),
+                keys,
                 filters,
                 access: access[stage],
             }
@@ -249,14 +235,13 @@ fn greedy(
 /// patterns are fan-outs in `[0, degree]`.
 ///
 /// `last_node_frac` threads the selectivity of the most recent node test
-/// through the walk — the skew-aware edge model needs to know how small
-/// the candidate source set is (see [`edge_fanout`]). Constructs that
+/// through the walk — the edge model needs to know how small the
+/// candidate source set is (see [`edge_fanout`]). Constructs that
 /// lose track of the current node (quantifier bodies, branch merges)
 /// reset it to the uninformative `1.0`.
 fn pattern_factor(
     p: &PathPattern,
     stats: &GraphStats,
-    skew_aware: bool,
     params: &Params,
     last_node_frac: &mut f64,
 ) -> f64 {
@@ -267,29 +252,29 @@ fn pattern_factor(
             s
         }
         PathPattern::Edge(ep) => {
-            let source_frac = if skew_aware { *last_node_frac } else { 1.0 };
+            let source_frac = *last_node_frac;
             *last_node_frac = 1.0;
             edge_fanout(ep, stats, source_frac, params)
         }
         PathPattern::Concat(parts) => parts
             .iter()
-            .map(|x| pattern_factor(x, stats, skew_aware, params, last_node_frac))
+            .map(|x| pattern_factor(x, stats, params, last_node_frac))
             .product(),
         PathPattern::Paren {
             inner, predicate, ..
         } => {
-            pattern_factor(inner, stats, skew_aware, params, last_node_frac)
+            pattern_factor(inner, stats, params, last_node_frac)
                 * opt_predicate_selectivity(predicate, stats, params)
         }
         PathPattern::Quantified { inner, quantifier } => {
             let mut body_frac = 1.0;
-            let body = pattern_factor(inner, stats, skew_aware, params, &mut body_frac);
+            let body = pattern_factor(inner, stats, params, &mut body_frac);
             *last_node_frac = 1.0;
             quantified_factor(body, *quantifier)
         }
         PathPattern::Questioned(inner) => {
             let mut branch_frac = *last_node_frac;
-            let f = pattern_factor(inner, stats, skew_aware, params, &mut branch_frac);
+            let f = pattern_factor(inner, stats, params, &mut branch_frac);
             *last_node_frac = 1.0;
             1.0 + f
         }
@@ -299,7 +284,7 @@ fn pattern_factor(
                 .iter()
                 .map(|x| {
                     let mut branch_frac = entry;
-                    pattern_factor(x, stats, skew_aware, params, &mut branch_frac)
+                    pattern_factor(x, stats, params, &mut branch_frac)
                 })
                 .sum();
             *last_node_frac = 1.0;
@@ -521,14 +506,10 @@ impl fmt::Display for JoinAlgo {
 pub struct CostStep {
     /// Declaration index of the stage executed at this step.
     pub stage: usize,
-    /// Estimated bindings the stage produces (the skew-aware model the
-    /// executor orders by: per-label max degree caps the expansion
-    /// factor when edges may concentrate on a small candidate set).
+    /// Estimated bindings the stage produces, the number the executor
+    /// orders by: per-label max degree caps the expansion factor when
+    /// edges may concentrate on a small candidate set.
     pub estimate: f64,
-    /// The same estimate under the plain average-degree model — shown by
-    /// EXPLAIN next to [`CostStep::estimate`] when the skew correction
-    /// changed the number.
-    pub avg_estimate: f64,
     /// Equi-join keys against the stages merged before it.
     pub keys: Vec<String>,
     /// How the merge runs.
@@ -671,8 +652,8 @@ pub struct CostReport {
 
 impl CostReport {
     /// Computes the report from the [`schedule`] `PreparedQuery::execute`
-    /// runs under `opts`, adding both estimate models and the estimated
-    /// key counts of its seeds and filters.
+    /// runs under `opts`, adding the estimates and the estimated key counts
+    /// of its seeds and filters.
     pub(crate) fn compute(
         plan: &ExecutablePlan,
         graph: &PropertyGraph,
@@ -683,8 +664,7 @@ impl CostReport {
         let schedule = schedule(plan, graph, params, opts);
         let est = schedule
             .estimates
-            .unwrap_or_else(|| estimates(plan, stats, true, params));
-        let avg = estimates(plan, stats, false, params);
+            .unwrap_or_else(|| estimates(plan, stats, params));
         let mut steps = Vec::with_capacity(schedule.steps.len());
         let mut placed: Vec<usize> = Vec::new();
         for step in schedule.steps {
@@ -712,8 +692,7 @@ impl CostReport {
             steps.push(CostStep {
                 stage,
                 estimate: est[stage],
-                avg_estimate: avg[stage],
-                keys: step.keys,
+                keys: step.keys.iter().map(|&k| k.to_owned()).collect(),
                 algo,
                 filters,
                 start,
@@ -823,20 +802,21 @@ pub(crate) fn key_count_estimate(
 /// has exactly one (compound constraints fall back to the unlabeled
 /// population bound).
 fn plain_node_label<'a>(p: &'a PathPattern, var: &str) -> Option<&'a str> {
-    match p {
-        PathPattern::Node(np) => match (&np.var, &np.label) {
-            (Some(v), Some(LabelExpr::Label(name))) if v == var => Some(name),
-            _ => None,
-        },
-        PathPattern::Edge(_) => None,
-        PathPattern::Concat(parts) => parts.iter().find_map(|x| plain_node_label(x, var)),
-        PathPattern::Paren { inner, .. }
-        | PathPattern::Quantified { inner, .. }
-        | PathPattern::Questioned(inner) => plain_node_label(inner, var),
-        PathPattern::Union(bs) | PathPattern::Alternation(bs) => {
-            bs.iter().find_map(|x| plain_node_label(x, var))
+    let mut found = None;
+    p.walk(&mut |p| {
+        if let PathPattern::Node(NodePattern {
+            var: Some(v),
+            label: Some(LabelExpr::Label(name)),
+            ..
+        }) = p
+        {
+            if v == var {
+                found = Some(name.as_str());
+            }
         }
-    }
+        found.is_none()
+    });
+    found
 }
 
 /// Renders an estimate compactly: two decimals below ten, integral above.
@@ -863,11 +843,6 @@ impl fmt::Display for CostReport {
                 step.stage,
                 fmt_estimate(step.estimate)
             )?;
-            // Surface the skew correction: the plain average-degree
-            // number next to the max-degree-capped one it replaced.
-            if (step.estimate - step.avg_estimate).abs() > 0.005 {
-                write!(f, ", avg-degree model ~{}", fmt_estimate(step.avg_estimate))?;
-            }
             if step.keys.is_empty() {
                 writeln!(f, ")")?;
             } else {
@@ -941,7 +916,7 @@ mod tests {
         };
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
         let g = hub();
-        let est = estimates(q.plan(), g.stats(), true, &Params::new());
+        let est = estimates(q.plan(), g.stats(), &Params::new());
         assert!(
             est[1] < est[0],
             "rare stage must be cheaper: {est:?} (order should start there)"
@@ -952,10 +927,10 @@ mod tests {
 
     #[test]
     fn max_degree_cap_prices_skewed_hubs() {
-        // (h:Hub)<-[:In]-(x:Big): 20 spokes all enter the single hub. The
-        // average-degree model spreads the 20 In-edges over all 23 nodes
-        // and predicts ~1 row from the rare Hub start; the max-degree
-        // model knows a single node can absorb all 20.
+        // (h:Hub)<-[:In]-(x:Big): 20 spokes all enter the single hub.
+        // Spreading the 20 In-edges evenly over all 23 nodes would predict
+        // under one row from the rare Hub start; the max-degree cap knows
+        // a single node can absorb all 20.
         let gp = GraphPattern::single(PathPattern::concat(vec![
             labeled("h", "Hub"),
             PathPattern::Edge(
@@ -967,25 +942,32 @@ mod tests {
         ]));
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
         let g = hub();
-        let skewed = estimates(q.plan(), g.stats(), true, &Params::new())[0];
-        let naive = estimates(q.plan(), g.stats(), false, &Params::new())[0];
-        // True cardinality is 20; the naive model is an order of
-        // magnitude short, the capped model lands on it.
-        assert!(naive < 2.0, "naive should underestimate: {naive}");
+        let skewed = estimates(q.plan(), g.stats(), &Params::new())[0];
+        // True cardinality is 20, an order of magnitude above the even
+        // spread (|N| · P(Hub) · |In|/|N| · P(Big)); the capped model
+        // lands on it.
+        assert_eq!(q.execute(&g).unwrap().len(), 20);
+        let even_spread = 23.0 * (1.0 / 23.0) * (20.0 / 23.0) * (20.0 / 23.0);
+        assert!(skewed > 10.0 * even_spread, "{skewed} vs {even_spread}");
         assert!(
             (skewed - 20.0).abs() < 4.0,
             "capped estimate should approach 20: {skewed}"
         );
 
-        // And EXPLAIN surfaces the before/after pair.
+        // And EXPLAIN prints the capped estimate.
         let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
+        assert_eq!(report.steps[0].estimate, skewed);
         let text = report.to_string();
-        assert!(text.contains("avg-degree model"), "{text}");
+        assert!(
+            text.contains(&format!("est ~{} rows", fmt_estimate(skewed))),
+            "{text}"
+        );
     }
 
     #[test]
     fn uniform_graphs_are_unaffected_by_the_cap() {
-        // A 1:1 layered chain: no skew, so both models agree.
+        // A 1:1 layered chain: no skew, so the estimate stays near the
+        // even spread of its edges.
         let mut g = PropertyGraph::new();
         let mut prev = None;
         for i in 0..10 {
@@ -1001,12 +983,14 @@ mod tests {
             labeled("b", "B"),
         ]));
         let q = prepare(&gp, &EvalOptions::default()).unwrap();
-        let skewed = estimates(q.plan(), g.stats(), true, &Params::new())[0];
-        let naive = estimates(q.plan(), g.stats(), false, &Params::new())[0];
+        let skewed = estimates(q.plan(), g.stats(), &Params::new())[0];
+        // |N| · P(A) · |S|/|N| · P(B): 10 nodes, half A and half B, 9 S
+        // edges.
+        let even_spread = 10.0 * 0.5 * (9.0 / 10.0) * 0.5;
         // max degree 1 caps the concentration assumption right back down.
         assert!(
-            (skewed - naive).abs() <= naive + 1.0,
-            "cap must stay near the average on uniform graphs: {skewed} vs {naive}"
+            (skewed - even_spread).abs() <= even_spread + 1.0,
+            "cap must stay near the average on uniform graphs: {skewed} vs {even_spread}"
         );
     }
 
@@ -1080,18 +1064,16 @@ mod tests {
             s.steps[0].access,
             AccessPath::Label { label: "Big", .. }
         ));
-        // The report still carries both models for it.
+        // The report still carries the estimate for it.
         let report = CostReport::compute(q.plan(), &g, &EvalOptions::default(), &Params::new());
-        let est = estimates(q.plan(), g.stats(), true, &Params::new());
-        let avg = estimates(q.plan(), g.stats(), false, &Params::new());
+        let est = estimates(q.plan(), g.stats(), &Params::new());
         assert_eq!(report.steps[0].estimate, est[0]);
-        assert_eq!(report.steps[0].avg_estimate, avg[0]);
 
         let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
         let s = schedule(q.plan(), &g, &Params::new(), &EvalOptions::default());
         assert_eq!(
             s.estimates,
-            Some(estimates(q.plan(), g.stats(), true, &Params::new()))
+            Some(estimates(q.plan(), g.stats(), &Params::new()))
         );
     }
 
@@ -1274,7 +1256,7 @@ mod tests {
         let q = prepare(&semi_join_pattern(), &EvalOptions::default()).unwrap();
         let g = hub();
         let stats = g.stats();
-        let est = estimates(q.plan(), stats, true, &Params::new());
+        let est = estimates(q.plan(), stats, &Params::new());
         let keys = key_count_estimate(q.plan(), stats, &est, 0, &[1], "h");
         assert!(keys <= stats.histogram(None).nodes() as f64, "{keys}");
     }

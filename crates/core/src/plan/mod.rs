@@ -206,88 +206,55 @@ pub(crate) type ParamSlots = BTreeMap<String, BTreeSet<ParamType>>;
 
 pub(crate) fn collect_graph_params(gp: &GraphPattern, out: &mut ParamSlots) {
     for p in &gp.paths {
-        collect_path_params(&p.pattern, out);
+        p.pattern.walk(&mut |p| {
+            let predicate = match p {
+                PathPattern::Node(n) => &n.predicate,
+                PathPattern::Edge(e) => &e.predicate,
+                PathPattern::Paren { predicate, .. } => predicate,
+                _ => &None,
+            };
+            if let Some(pred) = predicate {
+                collect_expr_params(pred, out);
+            }
+            true
+        });
     }
     if let Some(post) = &gp.where_clause {
         collect_expr_params(post, out);
     }
 }
 
-fn collect_path_params(p: &PathPattern, out: &mut ParamSlots) {
-    match p {
-        PathPattern::Node(n) => {
-            if let Some(pred) = &n.predicate {
-                collect_expr_params(pred, out);
-            }
-        }
-        PathPattern::Edge(e) => {
-            if let Some(pred) = &e.predicate {
-                collect_expr_params(pred, out);
-            }
-        }
-        PathPattern::Concat(parts) => parts.iter().for_each(|x| collect_path_params(x, out)),
-        PathPattern::Paren {
-            inner, predicate, ..
-        } => {
-            collect_path_params(inner, out);
-            if let Some(pred) = predicate {
-                collect_expr_params(pred, out);
-            }
-        }
-        PathPattern::Quantified { inner, .. } | PathPattern::Questioned(inner) => {
-            collect_path_params(inner, out)
-        }
-        PathPattern::Union(bs) | PathPattern::Alternation(bs) => {
-            bs.iter().for_each(|x| collect_path_params(x, out))
-        }
-    }
-}
-
 /// Records every `$name` in `e` into `out`, inferring type expectations
 /// from usage: arithmetic operands must be numbers, and a comparison
-/// against a literal expects the literal's type.
+/// against a literal expects the literal's type. `EXISTS` subqueries
+/// share the enclosing statement's parameters.
 pub(crate) fn collect_expr_params(e: &Expr, out: &mut ParamSlots) {
-    let mut note = |name: &str, t: Option<ParamType>| {
+    fn note(out: &mut ParamSlots, name: &str, t: Option<ParamType>) {
         let entry = out.entry(name.to_owned()).or_default();
         if let Some(t) = t {
             entry.insert(t);
         }
-    };
-    match e {
-        Expr::Parameter(name) => note(name, None),
-        Expr::Literal(_) | Expr::Var(_) | Expr::Property(..) => {}
-        Expr::Not(i) | Expr::IsNull(i, _) => collect_expr_params(i, out),
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            collect_expr_params(a, out);
-            collect_expr_params(b, out);
-        }
+    }
+    e.walk(&mut |e| match e {
+        Expr::Parameter(name) => note(out, name, None),
         Expr::Cmp(_, a, b) => {
             // A comparison against a literal pins the parameter's type.
             if let (Expr::Parameter(name), Expr::Literal(v))
             | (Expr::Literal(v), Expr::Parameter(name)) = (a.as_ref(), b.as_ref())
             {
-                note(name, literal_expectation(v));
+                note(out, name, literal_expectation(v));
             }
-            collect_expr_params(a, out);
-            collect_expr_params(b, out);
         }
         Expr::Arith(_, a, b) => {
             for side in [a.as_ref(), b.as_ref()] {
                 if let Expr::Parameter(name) = side {
-                    note(name, Some(ParamType::Number));
+                    note(out, name, Some(ParamType::Number));
                 }
             }
-            collect_expr_params(a, out);
-            collect_expr_params(b, out);
         }
-        Expr::IsDirected(_)
-        | Expr::IsSourceOf { .. }
-        | Expr::IsDestinationOf { .. }
-        | Expr::Same(_)
-        | Expr::AllDifferent(_)
-        | Expr::Aggregate { .. } => {}
         Expr::Exists(gp) => collect_graph_params(gp, out),
-    }
+        _ => {}
+    });
 }
 
 fn literal_expectation(v: &property_graph::Value) -> Option<ParamType> {
@@ -843,21 +810,20 @@ pub(crate) fn resolve_prune(
 /// True when `p` has an unbounded quantifier outside every restrictor
 /// paren: the case that needs a selector or a path restrictor (§5).
 pub(crate) fn has_unbounded(p: &PathPattern) -> bool {
-    match p {
-        PathPattern::Node(_) | PathPattern::Edge(_) => false,
-        PathPattern::Concat(parts) => parts.iter().any(has_unbounded),
-        PathPattern::Paren {
-            restrictor, inner, ..
-        } => {
+    let mut found = false;
+    p.walk(&mut |p| {
+        match p {
             // A restrictor inside the paren already bounds its subtree.
-            restrictor.is_none() && has_unbounded(inner)
+            PathPattern::Paren {
+                restrictor: Some(_),
+                ..
+            } => return false,
+            PathPattern::Quantified { quantifier, .. } => found |= quantifier.is_unbounded(),
+            _ => {}
         }
-        PathPattern::Quantified { inner, quantifier } => {
-            quantifier.is_unbounded() || has_unbounded(inner)
-        }
-        PathPattern::Questioned(inner) => has_unbounded(inner),
-        PathPattern::Union(bs) | PathPattern::Alternation(bs) => bs.iter().any(has_unbounded),
-    }
+        !found
+    });
+    found
 }
 
 // ---------------------------------------------------------------------------
@@ -1364,13 +1330,8 @@ mod tests {
             )));
         let q = prepare(&eq_param, &EvalOptions::default()).unwrap();
         let g = chain(10); // 10 distinct x values
-        let unbound = cost::estimates(q.plan(), g.stats(), true, &crate::Params::new());
-        let bound = cost::estimates(
-            q.plan(),
-            g.stats(),
-            true,
-            &crate::Params::new().with("v", 3),
-        );
+        let unbound = cost::estimates(q.plan(), g.stats(), &crate::Params::new());
+        let bound = cost::estimates(q.plan(), g.stats(), &crate::Params::new().with("v", 3));
         assert!(
             bound[0] < unbound[0],
             "bound {bound:?} must beat unbound {unbound:?}"

@@ -31,7 +31,7 @@
 //! one line of tab-separated escaped column names followed by one line
 //! per row of tab-separated encoded cells.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use property_graph::Value;
 
@@ -53,25 +53,33 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(msg.into()))
 }
 
-/// Escapes the structural characters of the wire codec. With
-/// `escape_comma`, commas are escaped too (group items are
+/// A string payload with the structural characters of the wire codec
+/// escaped. With the flag set, commas are escaped too (group items are
 /// comma-separated).
-fn esc(s: &str, escape_comma: bool) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            ',' if escape_comma => out.push_str("\\,"),
-            c => out.push(c),
+struct Escaped<'a>(&'a str, bool);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Escaped(s, escape_comma) = *self;
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'\\' => "\\\\",
+                b'\t' => "\\t",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b',' if escape_comma => "\\,",
+                _ => continue,
+            };
+            f.write_str(&s[start..i])?;
+            f.write_str(escape)?;
+            start = i + 1;
         }
+        f.write_str(&s[start..])
     }
-    out
 }
 
-/// Reverses [`esc`]; accepts every escape the encoder can produce.
+/// Reverses [`Escaped`]; accepts every escape the encoder can produce.
 fn unesc(s: &str) -> Result<String, CodecError> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -116,12 +124,21 @@ fn split_group(s: &str) -> Vec<&str> {
 /// Encodes a scalar [`Value`] — the subset of the codec `EXECUTE`
 /// parameter bindings use.
 pub fn encode_scalar(v: &Value) -> String {
-    match v {
-        Value::Null => "N".to_owned(),
-        Value::Bool(b) => format!("B:{b}"),
-        Value::Int(i) => format!("I:{i}"),
-        Value::Float(f) => format!("F:{:016x}", f.to_bits()),
-        Value::Str(s) => format!("S:{}", esc(s, false)),
+    Scalar(v).to_string()
+}
+
+/// The encoding of a scalar [`Value`].
+struct Scalar<'a>(&'a Value);
+
+impl fmt::Display for Scalar<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Null => f.write_str("N"),
+            Value::Bool(b) => write!(f, "B:{b}"),
+            Value::Int(i) => write!(f, "I:{i}"),
+            Value::Float(x) => write!(f, "F:{:016x}", x.to_bits()),
+            Value::Str(s) => write!(f, "S:{}", Escaped(s, false)),
+        }
     }
 }
 
@@ -135,14 +152,41 @@ pub fn decode_scalar(s: &str) -> Result<Value, CodecError> {
 
 /// Encodes one result cell.
 pub fn encode_value(v: &GqlValue) -> String {
-    match v {
-        GqlValue::Scalar(v) => encode_scalar(v),
-        GqlValue::Element(n) => format!("E:{}", esc(n, false)),
-        GqlValue::Group(ns) => {
-            let items: Vec<String> = ns.iter().map(|n| esc(n, true)).collect();
-            format!("G:{}", items.join(","))
+    Cell(v).to_string()
+}
+
+/// The encoding of one result cell: the one cell writer behind
+/// [`encode_value`], [`encode_result`] and the cursor's row sizes.
+struct Cell<'a>(&'a GqlValue);
+
+impl fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            GqlValue::Scalar(v) => Scalar(v).fmt(f),
+            GqlValue::Element(n) => write!(f, "E:{}", Escaped(n, false)),
+            GqlValue::Group(ns) => {
+                f.write_str("G:")?;
+                for (i, n) in ns.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    Escaped(n, true).fmt(f)?;
+                }
+                Ok(())
+            }
+            GqlValue::Path(p) => write!(f, "P:{}", Escaped(p, false)),
         }
-        GqlValue::Path(p) => format!("P:{}", esc(p, false)),
+    }
+}
+
+/// Appends one encoded row of a result table to `out`: its leading
+/// newline, then its cells separated by tabs.
+pub(crate) fn write_row(out: &mut String, row: &[GqlValue]) {
+    out.push('\n');
+    for (i, v) in row.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "\t" };
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{sep}{}", Cell(v));
     }
 }
 
@@ -193,12 +237,12 @@ pub fn decode_value(s: &str) -> Result<GqlValue, CodecError> {
 /// line per row.
 pub fn encode_result(r: &QueryResult) -> String {
     let mut out = String::new();
-    let cols: Vec<String> = r.columns.iter().map(|c| esc(c, false)).collect();
-    out.push_str(&cols.join("\t"));
+    for (i, c) in r.columns.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "\t" };
+        let _ = write!(out, "{sep}{}", Escaped(c, false));
+    }
     for row in &r.rows {
-        out.push('\n');
-        let cells: Vec<String> = row.iter().map(encode_value).collect();
-        out.push_str(&cells.join("\t"));
+        write_row(&mut out, row);
     }
     out
 }

@@ -28,16 +28,6 @@ pub struct ResultCursor {
     origin: u64,
 }
 
-/// The exact number of bytes `row` occupies inside an encoded result
-/// table: each cell's [`codec::encode_value`] rendering (escaping is
-/// already part of it), tab separators, and the leading newline.
-fn encoded_row_len(row: &[GqlValue]) -> usize {
-    let cells: usize = row.iter().map(|v| codec::encode_value(v).len()).sum();
-    // (len-1) tabs + 1 newline == len separator bytes; an empty row is
-    // just its newline.
-    cells + row.len().max(1)
-}
-
 impl ResultCursor {
     /// Wraps a materialized result for chunked consumption.
     pub fn new(result: QueryResult) -> ResultCursor {
@@ -91,11 +81,15 @@ impl ResultCursor {
     pub fn fetch_bounded(&mut self, n: usize, byte_budget: usize) -> QueryResult {
         let mut rows = Vec::new();
         let mut spent = 0usize;
+        let mut buf = String::new();
         while rows.len() < n {
             let Some(front) = self.rows.front() else {
                 break;
             };
-            let cost = encoded_row_len(front);
+            // The row's exact size inside an encoded result table.
+            buf.clear();
+            codec::write_row(&mut buf, front);
+            let cost = buf.len();
             if spent.saturating_add(cost) > byte_budget {
                 break;
             }

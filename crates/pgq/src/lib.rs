@@ -8,8 +8,10 @@
 //!   [`Database`]);
 //! * [`view`] — `CREATE PROPERTY GRAPH`: [`GraphView`] definitions built
 //!   from [`VertexTable`]/[`EdgeTable`] clauses and materialized over a
-//!   database, plus [`tabulate`]/[`materialize_tabulation`] for the
-//!   Figure 1 ↔ Figure 2 round trip;
+//!   database. The Figure 1 ↔ Figure 2 round trip is one such view:
+//!   [`tabulate`] exports a graph as Figure 2's tables, and
+//!   [`view::view_of_tabulation`] is the view over them that
+//!   [`materialize_tabulation`] materializes;
 //! * [`graph_table()`](graph_table::graph_table) — the `GRAPH_TABLE( ... MATCH ... COLUMNS ... )`
 //!   operator producing a table from path bindings. It runs on the
 //!   runtime GQL uses too: the body compiles to a core

@@ -5,8 +5,9 @@
 //! key columns identifying elements and foreign-key columns referencing
 //! the endpoint vertex tables. [`GraphView::materialize`] instantiates the
 //! view over a [`Database`]; [`tabulate`] goes the other way, producing
-//! the Figure 2 representation (one table per label combination) so the
-//! round trip `graph → tables → view → graph` is lossless.
+//! the Figure 2 representation (one table per label combination), and
+//! [`view_of_tabulation`] is the view that reads such an export back, so
+//! the round trip `graph → tables → view → graph` is lossless.
 
 use std::collections::BTreeMap;
 
@@ -88,6 +89,11 @@ pub struct EdgeTable {
     pub properties: Vec<String>,
     /// SQL/PGQ edges may be undirected (the paper's `hasPhone`).
     pub directed: bool,
+    /// A column holding each row's direction, in place of `directed`: a
+    /// row whose value is `TRUE` is a directed edge, and any other value,
+    /// or a table without the column, makes an undirected one. The
+    /// [`tabulate`] export records direction this way.
+    pub direction_column: Option<String>,
 }
 
 impl EdgeTable {
@@ -108,6 +114,7 @@ impl EdgeTable {
             destination_column: destination.into(),
             properties: Vec::new(),
             directed: true,
+            direction_column: None,
         }
     }
 
@@ -126,6 +133,13 @@ impl EdgeTable {
     /// Marks the edges as undirected.
     pub fn undirected(mut self) -> Self {
         self.directed = false;
+        self
+    }
+
+    /// Reads each row's direction from `column` (see
+    /// [`EdgeTable::direction_column`]).
+    pub fn direction_from(mut self, column: impl Into<String>) -> Self {
+        self.direction_column = Some(column.into());
         self
     }
 }
@@ -164,74 +178,82 @@ impl GraphView {
     /// element names are the key values.
     pub fn materialize(&self, db: &Database) -> Result<PropertyGraph, ViewError> {
         let mut g = PropertyGraph::new();
-        let mut keys: BTreeMap<String, property_graph::NodeId> = BTreeMap::new();
 
         for v in &self.vertices {
-            let table = db
-                .table(&v.table)
-                .ok_or_else(|| ViewError::MissingTable(v.table.clone()))?;
+            let table = table(db, &v.table)?;
             let key_col = column(table, &v.key)?;
-            let prop_cols: Vec<(String, usize)> = v
-                .properties
-                .iter()
-                .map(|p| column(table, p).map(|i| (p.clone(), i)))
-                .collect::<Result<_, _>>()?;
+            let prop_cols = columns(table, &v.properties)?;
             for row in &table.rows {
                 let key = row[key_col].to_string();
-                let props = prop_cols
-                    .iter()
-                    .filter(|(_, i)| !row[*i].is_null())
-                    .map(|(p, i)| (p.clone(), row[*i].clone()));
-                let id = g
-                    .try_add_node(&key, v.labels.iter().cloned(), props)
+                g.try_add_node(&key, v.labels.iter().cloned(), properties(&prop_cols, row))
                     .map_err(|_| duplicate(&v.table, &key))?;
-                keys.insert(key, id);
             }
         }
 
         for e in &self.edges {
-            let table = db
-                .table(&e.table)
-                .ok_or_else(|| ViewError::MissingTable(e.table.clone()))?;
+            let table = table(db, &e.table)?;
             let key_col = column(table, &e.key)?;
             let src_col = column(table, &e.source_column)?;
             let dst_col = column(table, &e.destination_column)?;
-            let prop_cols: Vec<(String, usize)> = e
-                .properties
-                .iter()
-                .map(|p| column(table, p).map(|i| (p.clone(), i)))
-                .collect::<Result<_, _>>()?;
+            // `Some(None)`: the direction column is named but absent, so
+            // no row reads `TRUE`.
+            let direction_col = e.direction_column.as_deref().map(|c| table.column_index(c));
+            let prop_cols = columns(table, &e.properties)?;
             for row in &table.rows {
                 let key = row[key_col].to_string();
-                let src = keys
-                    .get(&row[src_col].to_string())
-                    .copied()
-                    .ok_or_else(|| ViewError::DanglingReference {
-                        table: e.table.clone(),
-                        key: row[src_col].to_string(),
-                    })?;
-                let dst = keys
-                    .get(&row[dst_col].to_string())
-                    .copied()
-                    .ok_or_else(|| ViewError::DanglingReference {
-                        table: e.table.clone(),
-                        key: row[dst_col].to_string(),
-                    })?;
-                let endpoints = if e.directed {
+                let endpoint = |col: usize| {
+                    let name = row[col].to_string();
+                    g.node_by_name(&name)
+                        .ok_or_else(|| ViewError::DanglingReference {
+                            table: e.table.clone(),
+                            key: name,
+                        })
+                };
+                let (src, dst) = (endpoint(src_col)?, endpoint(dst_col)?);
+                let directed = match direction_col {
+                    Some(col) => col.is_some_and(|c| row[c] == Value::Bool(true)),
+                    None => e.directed,
+                };
+                let endpoints = if directed {
                     Endpoints::directed(src, dst)
                 } else {
                     Endpoints::undirected(src, dst)
                 };
-                let props = prop_cols
-                    .iter()
-                    .filter(|(_, i)| !row[*i].is_null())
-                    .map(|(p, i)| (p.clone(), row[*i].clone()));
-                g.try_add_edge(&key, endpoints, e.labels.iter().cloned(), props)
-                    .map_err(|_| duplicate(&e.table, &key))?;
+                g.try_add_edge(
+                    &key,
+                    endpoints,
+                    e.labels.iter().cloned(),
+                    properties(&prop_cols, row),
+                )
+                .map_err(|_| duplicate(&e.table, &key))?;
             }
         }
         Ok(g)
     }
+}
+
+/// The table `name` of `db`, or the view error naming it.
+fn table<'a>(db: &'a Database, name: &str) -> Result<&'a Table, ViewError> {
+    db.table(name)
+        .ok_or_else(|| ViewError::MissingTable(name.to_owned()))
+}
+
+/// The indices of the property columns `names` in `t`.
+fn columns(t: &Table, names: &[String]) -> Result<Vec<(String, usize)>, ViewError> {
+    names
+        .iter()
+        .map(|p| column(t, p).map(|i| (p.clone(), i)))
+        .collect()
+}
+
+/// The non-null properties of `row` under the property columns `cols`.
+fn properties<'a>(
+    cols: &'a [(String, usize)],
+    row: &'a [Value],
+) -> impl Iterator<Item = (String, Value)> + 'a {
+    cols.iter()
+        .filter(|(_, i)| !row[*i].is_null())
+        .map(|(p, i)| (p.clone(), row[*i].clone()))
 }
 
 /// The error for an element key already taken by a node or edge: the
@@ -333,26 +355,35 @@ pub fn tabulate(g: &PropertyGraph) -> Database {
     db
 }
 
-/// Rebuilds a property graph from a [`tabulate`] export — the inverse
-/// direction, used to show the Figure 1 ↔ Figure 2 correspondence. Label
-/// combinations are recovered from table names by matching against the
-/// provided per-table label sets.
+/// The view that reads a [`tabulate`] export back — the inverse
+/// direction, used to show the Figure 1 ↔ Figure 2 correspondence. A
+/// table with a `SRC` column is an edge table keyed by `ID` between `SRC`
+/// and `DST`, its direction read per row from `DIRECTED`; every other
+/// table is a vertex table keyed by `ID`. Every other column is a
+/// property, and label combinations are recovered from table names.
 pub fn view_of_tabulation(db: &Database) -> GraphView {
     let mut view = GraphView::new("tabulated");
     for t in db.tables() {
-        let is_edge = t.column_index("SRC").is_some() && t.column_index("DST").is_some();
-        if is_edge {
-            // Direction is data-dependent; materialization below splits on
-            // the DIRECTED column via two sub-views is overkill — instead
-            // the caller uses `materialize_tabulation`.
-            continue;
+        let labels = split_labels(&t.name);
+        if t.column_index("SRC").is_some() {
+            let props = t
+                .columns
+                .iter()
+                .filter(|c| !matches!(c.as_str(), "ID" | "SRC" | "DST" | "DIRECTED"));
+            view = view.edge(
+                EdgeTable::new(&t.name, "ID", "SRC", "DST")
+                    .labels(labels)
+                    .properties(props)
+                    .direction_from("DIRECTED"),
+            );
+        } else {
+            let props = t.columns.iter().filter(|c| *c != "ID");
+            view = view.vertex(
+                VertexTable::new(&t.name, "ID")
+                    .labels(labels)
+                    .properties(props),
+            );
         }
-        let props: Vec<String> = t.columns.iter().filter(|c| *c != "ID").cloned().collect();
-        view = view.vertex(
-            VertexTable::new(&t.name, "ID")
-                .labels(split_labels(&t.name))
-                .properties(props),
-        );
     }
     view
 }
@@ -367,74 +398,10 @@ fn split_labels(name: &str) -> Vec<String> {
     vec![name.to_owned()]
 }
 
-/// Materializes a [`tabulate`] export back into a property graph directly
-/// (bypassing the view builder, because edge direction is per-row data in
-/// the export).
+/// Materializes a [`tabulate`] export back into a property graph through
+/// [`view_of_tabulation`].
 pub fn materialize_tabulation(db: &Database) -> Result<PropertyGraph, ViewError> {
-    let mut g = PropertyGraph::new();
-    let mut keys: BTreeMap<String, property_graph::NodeId> = BTreeMap::new();
-
-    for t in db.tables() {
-        if t.column_index("SRC").is_some() {
-            continue; // edge table, second pass
-        }
-        let labels = split_labels(&t.name);
-        let id_col = column(t, "ID")?;
-        for row in &t.rows {
-            let key = row[id_col].to_string();
-            let props = t
-                .columns
-                .iter()
-                .zip(row)
-                .filter(|(c, v)| *c != "ID" && !v.is_null())
-                .map(|(c, v)| (c.clone(), v.clone()));
-            let id = g
-                .try_add_node(&key, labels.iter().cloned(), props)
-                .map_err(|_| duplicate(&t.name, &key))?;
-            keys.insert(key, id);
-        }
-    }
-    for t in db.tables() {
-        if t.column_index("SRC").is_none() {
-            continue;
-        }
-        let labels = split_labels(&t.name);
-        let (id_col, src_col, dst_col) = (column(t, "ID")?, column(t, "SRC")?, column(t, "DST")?);
-        for (r, row) in t.rows.iter().enumerate() {
-            let key = row[id_col].to_string();
-            let src_key = row[src_col].to_string();
-            let dst_key = row[dst_col].to_string();
-            let directed = t.get(r, "DIRECTED") == Some(&Value::Bool(true));
-            let src = *keys
-                .get(&src_key)
-                .ok_or_else(|| ViewError::DanglingReference {
-                    table: t.name.clone(),
-                    key: src_key,
-                })?;
-            let dst = *keys
-                .get(&dst_key)
-                .ok_or_else(|| ViewError::DanglingReference {
-                    table: t.name.clone(),
-                    key: dst_key,
-                })?;
-            let endpoints = if directed {
-                Endpoints::directed(src, dst)
-            } else {
-                Endpoints::undirected(src, dst)
-            };
-            let props = t
-                .columns
-                .iter()
-                .zip(row)
-                .filter(|(c, v)| {
-                    !matches!(c.as_str(), "ID" | "SRC" | "DST" | "DIRECTED") && !v.is_null()
-                })
-                .map(|(c, v)| (c.clone(), v.clone()));
-            g.try_add_edge(&key, endpoints, labels.iter().cloned(), props)
-                .map_err(|_| duplicate(&t.name, &key))?;
-        }
-    }
-    Ok(g)
+    view_of_tabulation(db).materialize(db)
 }
 
 /// The index of `name` in `t`, or the view error naming the column.
@@ -550,6 +517,47 @@ mod tests {
     }
 
     #[test]
+    fn direction_column_is_read_per_row() {
+        let mut db = mini_db();
+        let mut t = Table::new("Transfer", ["ID", "A_ID1", "A_ID2", "DIRECTED"]);
+        t.push([
+            Value::str("t1"),
+            Value::str("a1"),
+            Value::str("a3"),
+            Value::Bool(true),
+        ]);
+        t.push([
+            Value::str("t2"),
+            Value::str("a3"),
+            Value::str("a1"),
+            Value::Bool(false),
+        ]);
+        t.push([
+            Value::str("t3"),
+            Value::str("a3"),
+            Value::str("a1"),
+            Value::Null,
+        ]);
+        db.insert(t);
+        let view = GraphView::new("bank")
+            .vertex(VertexTable::new("Account", "ID"))
+            .edge(EdgeTable::new("Transfer", "ID", "A_ID1", "A_ID2").direction_from("DIRECTED"));
+        let g = view.materialize(&db).unwrap();
+        let directed =
+            |g: &PropertyGraph, e| g.edge(g.edge_by_name(e).unwrap()).endpoints.is_directed();
+        assert!(directed(&g, "t1"));
+        assert!(!directed(&g, "t2"));
+        assert!(!directed(&g, "t3"));
+        // A table without the column holds no `TRUE`: every edge is
+        // undirected, whatever `directed` says.
+        let view = GraphView::new("bank")
+            .vertex(VertexTable::new("Account", "ID"))
+            .edge(EdgeTable::new("Transfer", "ID", "A_ID1", "A_ID2").direction_from("ghost"));
+        let g = view.materialize(&mini_db()).unwrap();
+        assert!(!directed(&g, "t1"));
+    }
+
+    #[test]
     fn view_of_tabulation_recovers_vertex_tables() {
         let mut g = PropertyGraph::new();
         let a = g.add_node(
@@ -561,9 +569,8 @@ mod tests {
         g.add_edge("li1", Endpoints::directed(b, a), ["isLocatedIn"], []);
         let db = tabulate(&g);
         let view = view_of_tabulation(&db);
-        // Edge tables are intentionally skipped (direction is per-row
-        // data); vertex tables round-trip with their label combinations.
-        assert!(view.edges.is_empty());
+        // Vertex tables round-trip with their label combinations; edge
+        // tables read their direction per row.
         let city = view
             .vertices
             .iter()
@@ -571,9 +578,25 @@ mod tests {
             .expect("CityCountry vertex table");
         assert_eq!(city.labels, vec!["City", "Country"]);
         assert!(city.properties.contains(&"name".to_owned()));
+        let [located] = &view.edges[..] else {
+            panic!("one edge table: {:?}", view.edges);
+        };
+        assert_eq!(located.table, "isLocatedIn");
+        assert_eq!(located.labels, vec!["isLocatedIn"]);
+        assert_eq!(
+            (
+                located.source_column.as_str(),
+                located.destination_column.as_str()
+            ),
+            ("SRC", "DST")
+        );
+        assert_eq!(located.direction_column.as_deref(), Some("DIRECTED"));
+        assert!(located.properties.is_empty());
         let materialized = view.materialize(&db).unwrap();
         assert_eq!(materialized.node_count(), 2);
-        assert_eq!(materialized.edge_count(), 0);
+        assert_eq!(materialized.edge_count(), 1);
+        let li1 = materialized.edge_by_name("li1").unwrap();
+        assert!(materialized.edge(li1).endpoints.is_directed());
     }
 
     #[test]

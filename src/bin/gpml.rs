@@ -767,14 +767,6 @@ fn connect_main(args: Vec<String>) {
                 }
                 continue;
             }
-            ":params" | ":let" => {
-                if params.is_empty() {
-                    eprintln!("no parameters bound (use :let name = value)");
-                } else {
-                    eprintln!("{params}");
-                }
-                continue;
-            }
             ":close" => {
                 for (_, h) in handles.drain() {
                     if let Err(e) = client.close(h.handle) {
