@@ -127,20 +127,21 @@ pub(crate) fn schedule<'a>(
     params: &Params,
     opts: &EvalOptions,
 ) -> Schedule<'a> {
-    let stats = graph.stats();
     let n = plan.stages.len();
     let access: Vec<AccessPath<'a>> = plan
         .stages
         .iter()
         .map(|s| s.start.resolve(graph, params))
         .collect();
-    let estimates = (n > 1).then(|| estimates(plan, stats, params));
+    // Only a plan with stages to order reads the catalog, so a one-stage
+    // plan never builds one.
+    let estimates = (n > 1).then(|| estimates(plan, graph.stats(), params));
     let order: Vec<usize> = match &estimates {
-        Some(est) if stats.node_count > 0 => greedy(n, &plan.joins, |s, placed| {
+        Some(est) if graph.node_count() > 0 => greedy(n, &plan.joins, |s, placed| {
             let starts = access[s].len(graph) as f64;
             match seed_var(plan, s, placed, opts) {
                 Some(var) => {
-                    let keys = key_count_estimate(plan, stats, est, s, placed, var);
+                    let keys = key_count_estimate(plan, graph.stats(), est, s, placed, var);
                     keys + est[s] * keys / starts.max(1.0)
                 }
                 None => starts + est[s],

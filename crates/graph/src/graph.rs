@@ -385,9 +385,10 @@ pub struct PropertyGraph {
     /// and only once for undirected self loops).
     adjacency: Vec<Adjacency>,
     names: HashMap<String, ElementId>,
-    /// Lazily computed statistics catalog (see [`GraphStats`]); reset by
-    /// every mutation so planners always see numbers for the current graph.
-    stats: OnceLock<GraphStats>,
+    /// Lazily computed statistics catalog (see [`GraphStats`]). Shared
+    /// by clones (an `Arc`) and dropped, never patched, by every
+    /// mutation: no mutation may leave a catalog stale.
+    stats: OnceLock<Arc<GraphStats>>,
     /// Lazily built label and equality index over the nodes. Shared by
     /// clones (an `Arc`), so it is dropped by node mutations rather than
     /// maintained: edge mutations leave every node id, label and
@@ -443,10 +444,7 @@ impl PropertyGraph {
         if self.names.contains_key(name) {
             return Err(GraphError::DuplicateName(name.to_owned()));
         }
-        // An already-computed catalog is maintained in place (tallies for
-        // one node are O(labels + properties)); a never-computed one
-        // stays lazy.
-        let cached = self.stats.take();
+        let _ = self.stats.take();
         let _ = self.index.take();
         let id = NodeId(self.nodes.len() as u32);
         self.names.insert(name.to_owned(), id.into());
@@ -458,15 +456,6 @@ impl PropertyGraph {
             properties: properties.into_iter().collect(),
         });
         self.adjacency.push(Adjacency::default());
-        if let Some(mut s) = cached {
-            s.apply_add_node(self.nodes.last().expect("just pushed"));
-            debug_assert_eq!(
-                s,
-                GraphStats::compute(self),
-                "incremental node stats diverged from full recompute"
-            );
-            let _ = self.stats.set(s);
-        }
         Ok(id)
     }
 
@@ -519,9 +508,7 @@ impl PropertyGraph {
         if self.names.contains_key(name) {
             return Err(GraphError::DuplicateName(name.to_owned()));
         }
-        // Maintained in place like in `try_add_node`; the degree refresh
-        // only touches the two endpoints.
-        let cached = self.stats.take();
+        let _ = self.stats.take();
         let id = EdgeId(self.edges.len() as u32);
         self.names.insert(name.to_owned(), id.into());
         let (set, labels) = self.labels.intern(labels.into_iter().collect());
@@ -535,15 +522,6 @@ impl PropertyGraph {
         for (at, step) in steps_of(id, endpoints) {
             self.adjacency[at.index()].insert(step, set);
         }
-        if let Some(mut s) = cached {
-            s.apply_add_edge(self, &self.edges[id.index()]);
-            debug_assert_eq!(
-                s,
-                GraphStats::compute(self),
-                "incremental edge stats diverged from full recompute"
-            );
-            let _ = self.stats.set(s);
-        }
         Ok(id)
     }
 
@@ -552,8 +530,6 @@ impl PropertyGraph {
     /// catalog is invalidated and recomputed lazily on next use, and so
     /// is the node index when `el` is a node.
     pub fn set_property(&mut self, el: ElementId, key: &str, value: Value) {
-        // Property edits can retarget planner-visible selectivities in
-        // ways the incremental add path never models, so drop the cache.
         let _ = self.stats.take();
         let props = match el {
             ElementId::Node(n) => {
@@ -653,17 +629,16 @@ impl PropertyGraph {
         }
     }
 
-    /// The full-recompute statistics oracle, promoted from the
-    /// `debug_assert` inside the add paths: compares the cached
-    /// incrementally-maintained catalog (if any) against
-    /// [`GraphStats::compute`]. `Ok` when no catalog is cached — there is
-    /// nothing stale to diverge.
+    /// The statistics oracle: compares the cached catalog (if any) against
+    /// [`GraphStats::compute`]. Every mutation drops the catalog, so a
+    /// difference means a mutation left a stale one behind. `Ok` when no
+    /// catalog is cached — there is nothing stale to diverge.
     pub fn verify_stats(&self) -> Result<(), String> {
         let Some(cached) = self.stats.get() else {
             return Ok(());
         };
         let full = GraphStats::compute(self);
-        if *cached == full {
+        if **cached == full {
             Ok(())
         } else {
             Err(format!(
@@ -829,10 +804,12 @@ impl PropertyGraph {
         self.steps(n).len()
     }
 
-    /// The statistics catalog for this graph, computed on first use and
-    /// cached until the next mutation. See [`GraphStats`].
+    /// The statistics catalog for this graph, computed on first use,
+    /// shared by clones and dropped by the next mutation. See
+    /// [`GraphStats`].
     pub fn stats(&self) -> &GraphStats {
-        self.stats.get_or_init(|| GraphStats::compute(self))
+        self.stats
+            .get_or_init(|| Arc::new(GraphStats::compute(self)))
     }
 
     /// The layout oracle, next to [`PropertyGraph::verify_index`]:

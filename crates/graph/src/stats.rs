@@ -3,29 +3,26 @@
 //! [`GraphStats`] summarizes a [`PropertyGraph`] for cost-based query
 //! planning: element counts per label, the directed/undirected split of
 //! every edge label, average degrees, and distinct-value hints per
-//! property key. The catalog is computed once per graph on first use
-//! ([`PropertyGraph::stats`]), cached inside the graph, and invalidated by
-//! any mutation, so planners can consult it on every execution for the
-//! price of a pointer read.
+//! property key. The catalog is computed on first use
+//! ([`PropertyGraph::stats`]), cached inside the graph, shared by its
+//! clones, and dropped by every mutation, so a planner pays one pointer
+//! read per execution once it exists.
 //!
 //! The numbers are *estimator inputs*, not exact query answers: a planner
 //! combines them under independence assumptions (e.g. label distribution
 //! independent of edge orientation), which is the classic trade-off of
 //! one-pass statistics catalogs.
 //!
-//! Mutations maintain the catalog *incrementally*: `add_node`/`add_edge`
-//! fold the new element's tallies into an already-computed catalog in
-//! O(labels + properties + endpoint degree) instead of dropping it and
-//! re-scanning the whole graph — the difference between O(1)-ish and
-//! O(|N| + |E|) per mutation on a growing graph. Debug builds
-//! cross-check every incremental update against a full recompute.
+//! A mutation never patches the catalog: it drops it, in O(1), and the
+//! next reader rebuilds it in O(|N| + |E|). Only a plan with two or more
+//! stages to order, and EXPLAIN, reads it, so a write never pays for the
+//! catalog and a one-stage plan never builds one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-use crate::graph::{EdgeData, NodeData, PropertyGraph, Traversal};
-use crate::ids::NodeId;
-use crate::value::Value;
+use crate::graph::{PropertyGraph, Traversal};
 
 /// Per-edge-label tallies: how many matching edges are directed vs
 /// undirected.
@@ -78,7 +75,8 @@ impl DegreeStats {
         b
     }
 
-    fn absorb(&mut self, out: usize, inc: usize, und: usize) {
+    /// Raises the maxima to one node's `[out, in, undirected]` tallies.
+    fn absorb(&mut self, [out, inc, und]: [usize; 3]) {
         self.max_out = self.max_out.max(out);
         self.max_in = self.max_in.max(inc);
         self.max_undirected = self.max_undirected.max(und);
@@ -108,9 +106,8 @@ impl DegreeStats {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DegreeHistogram {
-    /// `buckets[i]` counts nodes with `2^i ≤ degree < 2^(i+1)`. Trailing
-    /// zero buckets are trimmed so structural equality matches a
-    /// from-scratch recompute.
+    /// `buckets[i]` counts nodes with `2^i ≤ degree < 2^(i+1)`; there are
+    /// no trailing zero buckets.
     buckets: Vec<usize>,
 }
 
@@ -130,32 +127,6 @@ impl DegreeHistogram {
             self.buckets.resize(b + 1, 0);
         }
         self.buckets[b] += 1;
-    }
-
-    /// Removes one previously recorded observation at `degree` (no-op for
-    /// degree zero), so a node whose degree grew can be moved between
-    /// buckets.
-    pub fn unrecord(&mut self, degree: usize) {
-        if degree == 0 {
-            return;
-        }
-        let b = DegreeHistogram::bucket_of(degree);
-        debug_assert!(
-            self.buckets.get(b).is_some_and(|c| *c > 0),
-            "unrecord({degree}) without a matching record"
-        );
-        if let Some(c) = self.buckets.get_mut(b) {
-            *c = c.saturating_sub(1);
-        }
-        while self.buckets.last() == Some(&0) {
-            self.buckets.pop();
-        }
-    }
-
-    /// Moves one observation from `old` to `new` in a single call.
-    pub fn shift(&mut self, old: usize, new: usize) {
-        self.record(new);
-        self.unrecord(old);
     }
 
     /// Total nodes recorded (i.e. nodes with degree ≥ 1).
@@ -237,19 +208,11 @@ pub struct GraphStats {
     /// label — the distinct-endpoint signal behind the join key
     /// estimates.
     pub degree_histogram_per_label: BTreeMap<String, DegreeHistogram>,
-    /// Hashes of the observed values per property key, backing
-    /// `distinct_property_values`. Kept private: it lets incremental
-    /// maintenance decide whether a newly added value is distinct
-    /// without a full recompute, at 8 bytes per distinct value instead
-    /// of retaining a clone of every property value. Distinctness is
-    /// exact up to hash collisions — the estimator consumes the count as
-    /// a selectivity *hint*, so an astronomically rare collision only
-    /// nudges an estimate.
-    value_hashes: BTreeMap<String, BTreeSet<u64>>,
 }
 
 impl GraphStats {
-    /// Computes the catalog with one pass over nodes and one over edges.
+    /// Computes the catalog in linear passes over the nodes, the edges,
+    /// their properties and the adjacency lists.
     pub fn compute(g: &PropertyGraph) -> GraphStats {
         let mut stats = GraphStats {
             node_count: g.node_count(),
@@ -263,9 +226,6 @@ impl GraphStats {
             }
             for l in data.labels.iter() {
                 *stats.node_labels.entry(l.clone()).or_insert(0) += 1;
-            }
-            for (k, v) in &data.properties {
-                stats.record_value(k, v);
             }
         }
         for e in g.edges() {
@@ -287,170 +247,59 @@ impl GraphStats {
                     entry.undirected += 1;
                 }
             }
-            for (k, v) in &data.properties {
-                stats.record_value(k, v);
-            }
         }
-        // Degree maxima and histograms: one pass over the adjacency
-        // lists, tallying each node's traversable steps overall and per
-        // edge label.
+        // Distinct values are counted by hash, at 8 bytes per distinct
+        // value instead of a clone of each. Distinctness is exact up to
+        // hash collisions; the estimator reads the count as a selectivity
+        // hint, so a collision only nudges an estimate.
+        let mut seen_hashes: BTreeMap<&str, HashSet<u64>> = BTreeMap::new();
+        let properties = (g.nodes().map(|n| &g.node(n).properties))
+            .chain(g.edges().map(|e| &g.edge(e).properties));
+        for (k, v) in properties.flatten() {
+            // `DefaultHasher::new()` uses fixed keys, so counts repeat
+            // exactly from run to run.
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            v.hash(&mut h);
+            seen_hashes.entry(k).or_default().insert(h.finish());
+        }
+        stats.distinct_property_values = seen_hashes
+            .into_iter()
+            .map(|(k, hashes)| (k.to_owned(), hashes.len()))
+            .collect();
+        // Degree maxima and histograms: one walk over each node's steps
+        // tallies its `[out, in, undirected]` counts overall and per edge
+        // label, and both summaries read the same tallies.
+        let mut per_label: BTreeMap<&str, (DegreeStats, DegreeHistogram)> = BTreeMap::new();
+        let mut node_tally: BTreeMap<&str, [usize; 3]> = BTreeMap::new();
         for n in g.nodes() {
-            stats.absorb_node_degrees(g, n);
-            stats.record_node_histograms(g, n);
-        }
-        stats
-    }
-
-    /// Records one property value observation, keeping the distinct-count
-    /// hint in sync with the hash set.
-    fn record_value(&mut self, key: &str, v: &Value) {
-        use std::hash::{Hash, Hasher};
-        // `DefaultHasher::new()` uses fixed keys, so hashes are stable
-        // across the incremental path and the full-recompute oracle.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        v.hash(&mut h);
-        let set = self.value_hashes.entry(key.to_owned()).or_default();
-        if set.insert(h.finish()) {
-            *self
-                .distinct_property_values
-                .entry(key.to_owned())
-                .or_insert(0) += 1;
-        }
-    }
-
-    /// Folds node `n`'s current traversable-step tallies (overall and per
-    /// edge label) into the degree maxima. Maxima only grow, so absorbing
-    /// a node's *complete* current tallies is sound both during the full
-    /// pass and after an incremental edge insertion at `n`.
-    fn absorb_node_degrees(&mut self, g: &PropertyGraph, n: NodeId) {
-        let (mut out, mut inc, mut und) = (0usize, 0usize, 0usize);
-        let mut per_label: BTreeMap<&str, (usize, usize, usize)> = BTreeMap::new();
-        for step in g.steps(n) {
-            let slot = match step.traversal {
-                Traversal::Forward => 0,
-                Traversal::Backward => 1,
-                Traversal::Undirected => 2,
-            };
-            match slot {
-                0 => out += 1,
-                1 => inc += 1,
-                _ => und += 1,
-            }
-            for l in g.edge(step.edge).labels.iter() {
-                let e = per_label.entry(l).or_default();
-                match slot {
-                    0 => e.0 += 1,
-                    1 => e.1 += 1,
-                    _ => e.2 += 1,
+            let mut all = [0usize; 3];
+            for step in g.steps(n) {
+                let slot = match step.traversal {
+                    Traversal::Forward => 0,
+                    Traversal::Backward => 1,
+                    Traversal::Undirected => 2,
+                };
+                all[slot] += 1;
+                for l in g.edge(step.edge).labels.iter() {
+                    node_tally.entry(l).or_default()[slot] += 1;
                 }
             }
-        }
-        self.max_degree.absorb(out, inc, und);
-        for (l, (o, i, u)) in per_label {
-            self.max_degree_per_label
-                .entry(l.to_owned())
-                .or_default()
-                .absorb(o, i, u);
-        }
-    }
-
-    /// Records node `n`'s current step tallies into the degree
-    /// histograms. Unlike the maxima (which may safely re-absorb a node),
-    /// a histogram records each node exactly once, so this runs only in
-    /// the full [`GraphStats::compute`] pass; the incremental path moves
-    /// nodes between buckets instead.
-    fn record_node_histograms(&mut self, g: &PropertyGraph, n: NodeId) {
-        self.degree_histogram.record(g.steps(n).len());
-        let mut per_label: BTreeMap<&str, usize> = BTreeMap::new();
-        for step in g.steps(n) {
-            for l in g.edge(step.edge).labels.iter() {
-                *per_label.entry(l).or_default() += 1;
+            stats.max_degree.absorb(all);
+            stats.degree_histogram.record(all.iter().sum());
+            for (&l, &tally) in &node_tally {
+                let (max, histogram) = per_label.entry(l).or_default();
+                max.absorb(tally);
+                histogram.record(tally.iter().sum());
             }
+            node_tally.clear();
         }
-        for (l, d) in per_label {
-            self.degree_histogram_per_label
-                .entry(l.to_owned())
-                .or_default()
-                .record(d);
+        for (l, (max, histogram)) in per_label {
+            stats.max_degree_per_label.insert(l.to_owned(), max);
+            stats
+                .degree_histogram_per_label
+                .insert(l.to_owned(), histogram);
         }
-    }
-
-    /// Moves endpoint `n` between histogram buckets after one edge
-    /// insertion that added `contrib` steps at `n` (the graph already
-    /// contains the edge, so the node's *current* tallies are the new
-    /// ones and the old ones are `current - contrib`).
-    fn shift_node_histograms(&mut self, g: &PropertyGraph, n: NodeId, data: &EdgeData) {
-        let contrib = match data.endpoints.pair() {
-            // A directed self loop contributes a forward and a backward
-            // step at its single endpoint; every other case adds exactly
-            // one step at `n` (undirected self loops are listed once).
-            (a, b) if a == b && data.endpoints.is_directed() => 2,
-            _ => 1,
-        };
-        let total = g.steps(n).len();
-        self.degree_histogram.shift(total - contrib, total);
-        for l in data.labels.iter() {
-            let labeled = g
-                .steps(n)
-                .iter()
-                .filter(|s| g.edge(s.edge).has_label(l))
-                .count();
-            self.degree_histogram_per_label
-                .entry(l.clone())
-                .or_default()
-                .shift(labeled - contrib, labeled);
-        }
-    }
-
-    /// Incremental maintenance for one appended node: bumps the counts
-    /// and label/property tallies in place. The node has no incident
-    /// edges yet, so degrees are untouched.
-    pub(crate) fn apply_add_node(&mut self, data: &NodeData) {
-        self.node_count += 1;
-        if !data.labels.is_empty() {
-            self.labeled_node_count += 1;
-        }
-        for l in data.labels.iter() {
-            *self.node_labels.entry(l.clone()).or_insert(0) += 1;
-        }
-        for (k, v) in &data.properties {
-            self.record_value(k, v);
-        }
-    }
-
-    /// Incremental maintenance for one appended edge (`data` already in
-    /// the graph, adjacency updated): bumps counts and tallies, then
-    /// re-absorbs the two endpoints' degrees — the only nodes whose
-    /// fan-out can have grown.
-    pub(crate) fn apply_add_edge(&mut self, g: &PropertyGraph, data: &EdgeData) {
-        self.edge_count += 1;
-        let directed = data.endpoints.is_directed();
-        if directed {
-            self.directed_edge_count += 1;
-        } else {
-            self.undirected_edge_count += 1;
-        }
-        if !data.labels.is_empty() {
-            self.labeled_edge_count += 1;
-        }
-        for l in data.labels.iter() {
-            let entry = self.edge_labels.entry(l.clone()).or_default();
-            if directed {
-                entry.directed += 1;
-            } else {
-                entry.undirected += 1;
-            }
-        }
-        for (k, v) in &data.properties {
-            self.record_value(k, v);
-        }
-        let (a, b) = data.endpoints.pair();
-        self.absorb_node_degrees(g, a);
-        self.shift_node_histograms(g, a, data);
-        if b != a {
-            self.absorb_node_degrees(g, b);
-            self.shift_node_histograms(g, b, data);
-        }
+        stats
     }
 
     /// Degree maxima for edges carrying `label` (or all edges for
@@ -702,26 +551,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_shift_moves_between_buckets() {
-        let mut h = DegreeHistogram::default();
-        h.record(3);
-        h.shift(3, 4);
-        assert_eq!(h.ranges().collect::<Vec<_>>(), vec![(4, 7, 1)]);
-        h.shift(4, 5);
-        assert_eq!(h.nodes(), 1, "shift within a bucket is a no-op");
-        h.unrecord(5);
-        assert_eq!(h.nodes(), 0);
-        assert_eq!(h, DegreeHistogram::default(), "trailing zeros trimmed");
-    }
-
-    #[test]
     fn incremental_maintenance_matches_full_recompute() {
-        // Force the catalog into existence, then mutate in every way the
-        // incremental path handles: labeled/unlabeled nodes, directed/
-        // undirected edges, self loops, repeated and fresh property
-        // values. After each mutation the in-place catalog must equal a
-        // from-scratch recompute (debug builds also assert this inside
-        // add_node/add_edge).
+        // Force the catalog into existence, then add labeled/unlabeled
+        // nodes, directed/undirected edges, self loops, repeated and
+        // fresh property values. After each mutation the catalog read
+        // back (rebuilt, since the mutation dropped it) must equal a
+        // from-scratch recompute.
         let mut g = sample();
         let _ = g.stats();
         let d = g.add_node("d", ["Account"], [("owner", Value::str("x"))]);
@@ -749,8 +584,8 @@ mod tests {
 
     #[test]
     fn incremental_maintenance_interleaves_with_reads() {
-        // Reads between mutations re-cache; further mutations keep
-        // updating in place.
+        // Reads between mutations re-cache; further mutations drop the
+        // cached catalog again.
         let mut g = PropertyGraph::new();
         let mut prev = None;
         for i in 0..20 {
@@ -778,6 +613,16 @@ mod tests {
         assert_eq!(g.stats().nodes_with_label("Account"), 3);
         g.add_edge("t3", Endpoints::directed(a, d), ["Transfer"], []);
         assert_eq!(g.stats().edges_with_label("Transfer").directed, 3);
+        g.set_property(a.into(), "owner", Value::str("y"));
+        assert_eq!(g.stats().distinct_values("owner"), Some(1));
+        assert_eq!(*g.stats(), GraphStats::compute(&g));
+        let t3 = g.edge_by_name("t3").unwrap();
+        g.remove_element(t3.into()).unwrap();
+        assert_eq!(g.stats().edges_with_label("Transfer").directed, 2);
+        assert_eq!(*g.stats(), GraphStats::compute(&g));
+        g.remove_element(d.into()).unwrap();
+        assert_eq!(g.stats().nodes_with_label("Account"), 2);
+        assert_eq!(*g.stats(), GraphStats::compute(&g));
     }
 
     #[test]
@@ -785,7 +630,10 @@ mod tests {
         let g = sample();
         let _ = g.stats();
         let mut h = g.clone();
-        assert_eq!(h.stats(), g.stats());
+        assert!(
+            std::ptr::eq(h.stats(), g.stats()),
+            "clones share the catalog"
+        );
         h.add_node("z", ["Z"], []);
         assert_eq!(h.stats().nodes_with_label("Z"), 1);
         assert_eq!(g.stats().nodes_with_label("Z"), 0);

@@ -68,6 +68,27 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Appends a count-prefixed list of strings (a label set).
+pub fn put_strs<S: AsRef<str>>(buf: &mut Vec<u8>, items: impl ExactSizeIterator<Item = S>) {
+    put_u32(buf, items.len() as u32);
+    for s in items {
+        put_str(buf, s.as_ref());
+    }
+}
+
+/// Appends a count-prefixed list of `(key, value)` pairs (a property
+/// map).
+pub fn put_props<'v, K: AsRef<str>>(
+    buf: &mut Vec<u8>,
+    props: impl ExactSizeIterator<Item = (K, &'v Value)>,
+) {
+    put_u32(buf, props.len() as u32);
+    for (k, v) in props {
+        put_str(buf, k.as_ref());
+        put_value(buf, v);
+    }
+}
+
 /// Appends one property value (tag byte + payload).
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
@@ -152,6 +173,19 @@ impl<'a> Reader<'a> {
             4 => Ok(Value::Str(self.str()?)),
             t => Err(DecodeError::Tag(t)),
         }
+    }
+
+    /// Reads a count-prefixed list of strings ([`put_strs`]).
+    pub fn strs(&mut self) -> Result<Vec<String>, DecodeError> {
+        let n = self.u32()? as usize;
+        (0..n).map(|_| self.str()).collect()
+    }
+
+    /// Reads a count-prefixed list of `(key, value)` pairs
+    /// ([`put_props`]).
+    pub fn props(&mut self) -> Result<Vec<(String, Value)>, DecodeError> {
+        let n = self.u32()? as usize;
+        (0..n).map(|_| Ok((self.str()?, self.value()?))).collect()
     }
 }
 

@@ -6,7 +6,7 @@
 
 use property_graph::{Endpoints, GraphError, PropertyGraph, Value};
 
-use crate::codec::{put_str, put_u32, put_value, DecodeError, Reader};
+use crate::codec::{put_props, put_str, put_strs, put_value, DecodeError, Reader};
 
 /// One atomic change to the graph. Batches of these form a commit.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,8 +115,8 @@ impl Mutation {
             } => {
                 buf.push(1);
                 put_str(buf, name);
-                put_strs(buf, labels);
-                put_props(buf, properties);
+                put_strs(buf, labels.iter());
+                put_props(buf, properties.iter().map(|(k, v)| (k, v)));
             }
             Mutation::AddEdge {
                 name,
@@ -131,8 +131,8 @@ impl Mutation {
                 put_str(buf, src);
                 put_str(buf, dst);
                 buf.push(u8::from(*directed));
-                put_strs(buf, labels);
-                put_props(buf, properties);
+                put_strs(buf, labels.iter());
+                put_props(buf, properties.iter().map(|(k, v)| (k, v)));
             }
             Mutation::SetProperty {
                 element,
@@ -156,16 +156,16 @@ impl Mutation {
         match r.u8()? {
             1 => Ok(Mutation::AddNode {
                 name: r.str()?,
-                labels: read_strs(r)?,
-                properties: read_props(r)?,
+                labels: r.strs()?,
+                properties: r.props()?,
             }),
             2 => Ok(Mutation::AddEdge {
                 name: r.str()?,
                 src: r.str()?,
                 dst: r.str()?,
                 directed: r.u8()? != 0,
-                labels: read_strs(r)?,
-                properties: read_props(r)?,
+                labels: r.strs()?,
+                properties: r.props()?,
             }),
             3 => Ok(Mutation::SetProperty {
                 element: r.str()?,
@@ -176,31 +176,6 @@ impl Mutation {
             t => Err(DecodeError::Tag(t)),
         }
     }
-}
-
-fn put_strs(buf: &mut Vec<u8>, items: &[String]) {
-    put_u32(buf, items.len() as u32);
-    for s in items {
-        put_str(buf, s);
-    }
-}
-
-fn read_strs(r: &mut Reader<'_>) -> Result<Vec<String>, DecodeError> {
-    let n = r.u32()? as usize;
-    (0..n).map(|_| r.str()).collect()
-}
-
-fn put_props(buf: &mut Vec<u8>, props: &[(String, Value)]) {
-    put_u32(buf, props.len() as u32);
-    for (k, v) in props {
-        put_str(buf, k);
-        put_value(buf, v);
-    }
-}
-
-fn read_props(r: &mut Reader<'_>) -> Result<Vec<(String, Value)>, DecodeError> {
-    let n = r.u32()? as usize;
-    (0..n).map(|_| Ok((r.str()?, r.value()?))).collect()
 }
 
 #[cfg(test)]

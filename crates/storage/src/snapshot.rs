@@ -23,7 +23,7 @@ use std::path::Path;
 
 use property_graph::{Endpoints, PropertyGraph};
 
-use crate::codec::{fnv1a64, put_str, put_u32, put_u64, put_value, DecodeError, Reader};
+use crate::codec::{fnv1a64, put_props, put_str, put_strs, put_u32, put_u64, DecodeError, Reader};
 
 /// Magic bytes at the head of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GSNP";
@@ -37,15 +37,8 @@ pub fn encode_graph(g: &PropertyGraph) -> Vec<u8> {
     for n in g.nodes() {
         let data = g.node(n);
         put_str(&mut buf, &data.name);
-        put_u32(&mut buf, data.labels.len() as u32);
-        for l in data.labels.iter() {
-            put_str(&mut buf, l);
-        }
-        put_u32(&mut buf, data.properties.len() as u32);
-        for (k, v) in &data.properties {
-            put_str(&mut buf, k);
-            put_value(&mut buf, v);
-        }
+        put_strs(&mut buf, data.labels.iter());
+        put_props(&mut buf, data.properties.iter());
     }
     put_u32(&mut buf, g.edge_count() as u32);
     for e in g.edges() {
@@ -55,15 +48,8 @@ pub fn encode_graph(g: &PropertyGraph) -> Vec<u8> {
         put_u32(&mut buf, a.0);
         put_u32(&mut buf, b.0);
         buf.push(u8::from(data.endpoints.is_directed()));
-        put_u32(&mut buf, data.labels.len() as u32);
-        for l in data.labels.iter() {
-            put_str(&mut buf, l);
-        }
-        put_u32(&mut buf, data.properties.len() as u32);
-        for (k, v) in &data.properties {
-            put_str(&mut buf, k);
-            put_value(&mut buf, v);
-        }
+        put_strs(&mut buf, data.labels.iter());
+        put_props(&mut buf, data.properties.iter());
     }
     buf
 }
@@ -73,14 +59,13 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PropertyGraph, DecodeError> {
     let mut r = Reader::new(bytes);
     let mut g = PropertyGraph::new();
     let nodes = r.u32()? as usize;
-    let mut node_names = Vec::with_capacity(nodes.min(1 << 20));
+    let mut ids = Vec::with_capacity(nodes.min(1 << 20));
     for _ in 0..nodes {
         let name = r.str()?;
-        let labels = read_strs(&mut r)?;
-        let props = read_props(&mut r)?;
-        g.try_add_node(&name, labels, props)
+        let id = g
+            .try_add_node(&name, r.strs()?, r.props()?)
             .map_err(|e| DecodeError::Invalid(e.to_string()))?;
-        node_names.push(name);
+        ids.push(id);
     }
     let edges = r.u32()? as usize;
     for _ in 0..edges {
@@ -88,15 +73,13 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PropertyGraph, DecodeError> {
         let a = r.u32()? as usize;
         let b = r.u32()? as usize;
         let directed = r.u8()? != 0;
-        let labels = read_strs(&mut r)?;
-        let props = read_props(&mut r)?;
-        if a >= node_names.len() || b >= node_names.len() {
+        let labels = r.strs()?;
+        let props = r.props()?;
+        let (Some(&sa), Some(&sb)) = (ids.get(a), ids.get(b)) else {
             return Err(DecodeError::Invalid(format!(
                 "edge {name:?} endpoint out of range"
             )));
-        }
-        let sa = g.node_by_name(&node_names[a]).expect("just added");
-        let sb = g.node_by_name(&node_names[b]).expect("just added");
+        };
         let ep = if directed {
             Endpoints::directed(sa, sb)
         } else {
@@ -169,16 +152,6 @@ pub fn load_snapshot(path: &Path) -> io::Result<Option<(u64, PropertyGraph)>> {
             format!("snapshot {}: {why}", path.display()),
         )
     })
-}
-
-fn read_strs(r: &mut Reader<'_>) -> Result<Vec<String>, DecodeError> {
-    let n = r.u32()? as usize;
-    (0..n).map(|_| r.str()).collect()
-}
-
-fn read_props(r: &mut Reader<'_>) -> Result<Vec<(String, property_graph::Value)>, DecodeError> {
-    let n = r.u32()? as usize;
-    (0..n).map(|_| Ok((r.str()?, r.value()?))).collect()
 }
 
 #[cfg(test)]

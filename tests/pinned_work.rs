@@ -12,7 +12,8 @@
 //!
 //! A counting global allocator also pins upper bounds on the heap
 //! allocations of one warm prepared execution and of encoding its
-//! result, for the three prepared benchmark statements.
+//! result, for the three prepared benchmark statements, and of the
+//! first lookup after a write.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +23,7 @@ use gpml_suite::core::Params;
 use gpml_suite::datagen::{fig1, transfer_network, TransferNetworkConfig};
 use gpml_suite::gql::codec::encode_result;
 use gpml_suite::gql::Session;
+use property_graph::Endpoints;
 
 /// `System`, counting every allocation and reallocation on the calling
 /// thread, so tests running in parallel keep separate counts.
@@ -229,4 +231,38 @@ fn allocations_are_pinned() {
         }
     }
     assert!(over.is_empty(), "{}", over.join("\n"));
+}
+
+/// The first one-stage lookup after a write, as a durable server's
+/// reader meets it after each commit: a warm execution, then one
+/// `add_edge` and one `remove_element` of that edge, then the counted
+/// execution. The write dropped the statistics catalog, and a one-stage
+/// plan has nothing to price, so the execution must not rebuild it (a
+/// rebuild of the catalog of this graph makes about 54 000 allocations).
+const AFTER_WRITE_BOUND: u64 = 131;
+
+#[test]
+fn first_lookup_after_a_write_builds_no_catalog() {
+    let s = session(1);
+    let mut g = network(2000, 6000);
+    let prepared = s
+        .prepare(&LOOKUP_INLINE.replace("{owner}", "owner7"))
+        .unwrap();
+    let run = |g: &property_graph::PropertyGraph| {
+        s.execute_prepared_profiled_on(g, &prepared, &Params::new(), None)
+            .unwrap()
+    };
+    for _ in 0..3 {
+        run(&g);
+    }
+    let (a, b) = (g.nodes().next().unwrap(), g.nodes().last().unwrap());
+    let e = g.add_edge("w1", Endpoints::directed(a, b), ["Transfer"], []);
+    g.remove_element(e.into()).unwrap();
+    let (exec, result) = allocations(|| run(&g));
+    eprintln!("after a write: {exec} execution allocations");
+    assert_eq!(result.len(), 4);
+    assert!(
+        exec <= AFTER_WRITE_BOUND,
+        "{exec} execution allocations after a write (bound {AFTER_WRITE_BOUND})"
+    );
 }

@@ -12,9 +12,9 @@
 //!   exactly the previous epoch's graph; only the full record recovers
 //!   the final epoch. Nothing panics, nothing half-applies.
 //! * **The statistics oracle holds under mutation.** After randomized
-//!   add/set/delete sequences, the incrementally maintained
-//!   `GraphStats` equal a from-scratch recomputation
-//!   ([`PropertyGraph::verify_stats`]).
+//!   add/set/delete sequences, no cached `GraphStats` is stale: every
+//!   write drops the catalog, and whatever is cached equals a
+//!   from-scratch recomputation ([`PropertyGraph::verify_stats`]).
 //! * **Readers never see a half-applied batch.** A pinned snapshot is
 //!   immutable while concurrent commits advance the journal.
 //! * **The node index oracle holds under mutation.** The lazily built
@@ -241,8 +241,8 @@ proptest! {
     }
 
     /// After every randomized commit — inserts, property writes, and
-    /// deletes — the incrementally maintained statistics catalog equals
-    /// a from-scratch recomputation, on both the journal's current
+    /// deletes — the cached statistics catalog, if any, equals a
+    /// from-scratch recomputation, on both the journal's current
     /// snapshot and the generator's model graph.
     #[test]
     fn stats_oracle_holds_after_randomized_mutations(
@@ -251,11 +251,11 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut tracker = Tracker::new();
-        // Populate the model's stats cache up front so every subsequent
-        // apply() exercises the incremental-maintenance path.
-        let _ = tracker.graph.stats();
         let journal = GraphJournal::in_memory(PropertyGraph::new());
         for _ in 0..batches {
+            // Force the model's catalog before every batch, so the oracle
+            // below catches a write that leaves it stale.
+            let _ = tracker.graph.stats();
             // A clone taken before the batch shares the model's index;
             // the batch must leave the clone's answers untouched.
             let _ = tracker.graph.nodes_with_label("Account");
