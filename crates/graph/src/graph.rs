@@ -144,7 +144,7 @@ pub struct Step {
 /// Symbols are only meaningful for the graph that issued them
 /// ([`PropertyGraph::label_sym`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct LabelSym(u32);
+pub struct LabelSym(pub(crate) u32);
 
 /// An element's label set over the graph's symbols: a bitmask of the
 /// first 64 symbols and a sorted list of any others, so a membership test
@@ -169,10 +169,16 @@ impl LabelSet {
     pub fn is_empty(&self) -> bool {
         self.low == 0 && self.high.is_empty()
     }
+
+    /// The set's symbols, in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = LabelSym> + '_ {
+        let low = (0..64).filter(|s| self.low >> s & 1 != 0);
+        low.chain(self.high.iter().copied()).map(LabelSym)
+    }
 }
 
 /// The id of a distinct label set in the graph's [`Labels`] table.
-type SetId = u32;
+pub(crate) type SetId = u32;
 
 /// The per-graph label tables: label symbols, and every distinct label
 /// set any element has carried, by [`SetId`]. An element holds the shared
@@ -592,34 +598,18 @@ impl PropertyGraph {
                 // The removed node had degree 0, so no endpoint equals `n`;
                 // only higher ids shift (which preserves the normalized
                 // order of undirected pairs).
+                let shift = |m: NodeId| NodeId(m.0 - u32::from(m.0 > n.0));
                 for ed in &mut self.edges {
                     ed.endpoints = match ed.endpoints {
-                        Endpoints::Directed { mut src, mut dst } => {
-                            if src.0 > n.0 {
-                                src.0 -= 1;
-                            }
-                            if dst.0 > n.0 {
-                                dst.0 -= 1;
-                            }
-                            Endpoints::Directed { src, dst }
-                        }
-                        Endpoints::Undirected(mut u, mut v) => {
-                            if u.0 > n.0 {
-                                u.0 -= 1;
-                            }
-                            if v.0 > n.0 {
-                                v.0 -= 1;
-                            }
-                            Endpoints::Undirected(u, v)
-                        }
+                        Endpoints::Directed { src, dst } => Endpoints::Directed {
+                            src: shift(src),
+                            dst: shift(dst),
+                        },
+                        Endpoints::Undirected(u, v) => Endpoints::Undirected(shift(u), shift(v)),
                     };
                 }
-                for adj in &mut self.adjacency {
-                    for s in &mut adj.steps {
-                        if s.to.0 > n.0 {
-                            s.to.0 -= 1;
-                        }
-                    }
+                for s in self.adjacency.iter_mut().flat_map(|adj| &mut adj.steps) {
+                    s.to = shift(s.to);
                 }
                 for (i, nd) in self.nodes.iter().enumerate().skip(n.index()) {
                     self.names.insert(nd.name.clone(), NodeId(i as u32).into());
@@ -654,7 +644,7 @@ impl PropertyGraph {
         let Some(cached) = self.index.get() else {
             return Ok(());
         };
-        let full = NodeIndex::build(&self.nodes);
+        let full = NodeIndex::build(self);
         if **cached == full {
             Ok(())
         } else {
@@ -665,14 +655,13 @@ impl PropertyGraph {
     }
 
     fn index(&self) -> &NodeIndex {
-        self.index
-            .get_or_init(|| Arc::new(NodeIndex::build(&self.nodes)))
+        self.index.get_or_init(|| Arc::new(NodeIndex::build(self)))
     }
 
     /// The nodes carrying `label`, in ascending id order. The index
     /// behind it is built on first use and dropped by node mutations.
     pub fn nodes_with_label(&self, label: &str) -> &[NodeId] {
-        self.index().label(label)
+        self.index().label(self.label_sym(label))
     }
 
     /// The nodes carrying `label` whose property `key` equals `value`, in
@@ -683,7 +672,7 @@ impl PropertyGraph {
     /// equality structural equality (`Int(2) = Float(2.0)`, and `NULL`
     /// equals nothing).
     pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<&[NodeId]> {
-        self.index().prop(label, key, value)
+        self.index().prop(self.label_sym(label), key, value)
     }
 
     /// The record of node `n`.
@@ -791,6 +780,28 @@ impl PropertyGraph {
     #[inline]
     pub fn edge_label_syms(&self, e: EdgeId) -> &LabelSet {
         &self.labels.sets[self.edge_sets[e.index()] as usize].1
+    }
+
+    /// The names of every label set by [`SetId`], including sets no
+    /// element carries any more.
+    pub(crate) fn label_sets(&self) -> impl Iterator<Item = &BTreeSet<String>> {
+        self.labels.sets.iter().map(|(names, _)| &**names)
+    }
+
+    /// The label set ids of the nodes and of the edges, by element id.
+    pub(crate) fn set_ids(&self) -> (&[SetId], &[SetId]) {
+        (&self.node_sets, &self.edge_sets)
+    }
+
+    /// Node `n`'s adjacency groups: each (traversal, edge label set) and
+    /// its number of steps.
+    pub(crate) fn groups(&self, n: NodeId) -> impl Iterator<Item = (Traversal, SetId, usize)> + '_ {
+        let mut start = 0;
+        self.adjacency[n.index()].groups.iter().map(move |g| {
+            let len = g.end as usize - start;
+            start = g.end as usize;
+            (g.traversal, g.set, len)
+        })
     }
 
     /// Number of directed edges whose source is `n`.

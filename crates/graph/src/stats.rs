@@ -18,7 +18,7 @@
 //! stages to order, and EXPLAIN, reads it, so a write never pays for the
 //! catalog and a one-stage plan never builds one.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -211,43 +211,51 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes the catalog in linear passes over the nodes, the edges,
-    /// their properties and the adjacency lists.
+    /// Computes the catalog in linear passes over the elements' label
+    /// set ids, their properties and the nodes' adjacency groups. Counts
+    /// are taken per label set and per group, then expanded to the
+    /// set's labels, so a label name is copied once per map that keys
+    /// it, not once per occurrence.
     pub fn compute(g: &PropertyGraph) -> GraphStats {
         let mut stats = GraphStats {
             node_count: g.node_count(),
             edge_count: g.edge_count(),
             ..GraphStats::default()
         };
-        for n in g.nodes() {
-            let data = g.node(n);
-            if !data.labels.is_empty() {
-                stats.labeled_node_count += 1;
-            }
-            for l in data.labels.iter() {
-                *stats.node_labels.entry(l.clone()).or_insert(0) += 1;
-            }
+        let sets: Vec<&BTreeSet<String>> = g.label_sets().collect();
+        // Elements per label set: `[nodes, undirected edges, directed
+        // edges]`. A set no element carries any more counts zero and
+        // names no label.
+        let (node_sets, edge_sets) = g.set_ids();
+        let mut counts = vec![[0usize; 3]; sets.len()];
+        for &set in node_sets {
+            counts[set as usize][0] += 1;
         }
-        for e in g.edges() {
-            let data = g.edge(e);
-            let directed = data.endpoints.is_directed();
-            if directed {
-                stats.directed_edge_count += 1;
-            } else {
-                stats.undirected_edge_count += 1;
+        for (e, &set) in g.edges().zip(edge_sets) {
+            counts[set as usize][1 + usize::from(g.edge(e).endpoints.is_directed())] += 1;
+        }
+        let mut node_labels: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut edge_labels: BTreeMap<&str, EdgeLabelStats> = BTreeMap::new();
+        for (names, &[n, undirected, directed]) in sets.iter().zip(&counts) {
+            stats.directed_edge_count += directed;
+            stats.undirected_edge_count += undirected;
+            if !names.is_empty() {
+                stats.labeled_node_count += n;
+                stats.labeled_edge_count += directed + undirected;
             }
-            if !data.labels.is_empty() {
-                stats.labeled_edge_count += 1;
-            }
-            for l in data.labels.iter() {
-                let entry = stats.edge_labels.entry(l.clone()).or_default();
-                if directed {
-                    entry.directed += 1;
-                } else {
-                    entry.undirected += 1;
+            for l in names.iter() {
+                if n > 0 {
+                    *node_labels.entry(l).or_default() += n;
+                }
+                if directed + undirected > 0 {
+                    let entry = edge_labels.entry(l).or_default();
+                    entry.directed += directed;
+                    entry.undirected += undirected;
                 }
             }
         }
+        stats.node_labels = owned(node_labels);
+        stats.edge_labels = owned(edge_labels);
         // Distinct values are counted by hash, at 8 bytes per distinct
         // value instead of a clone of each. Distinctness is exact up to
         // hash collisions; the estimator reads the count as a selectivity
@@ -266,38 +274,41 @@ impl GraphStats {
             .into_iter()
             .map(|(k, hashes)| (k.to_owned(), hashes.len()))
             .collect();
-        // Degree maxima and histograms: one walk over each node's steps
-        // tallies its `[out, in, undirected]` counts overall and per edge
-        // label, and both summaries read the same tallies.
+        // Degree maxima and histograms: each node's adjacency groups give
+        // its `[out, in, undirected]` step counts overall and, expanded
+        // to each group's labels, per edge label; both summaries read
+        // the same tallies.
         let mut per_label: BTreeMap<&str, (DegreeStats, DegreeHistogram)> = BTreeMap::new();
-        let mut node_tally: BTreeMap<&str, [usize; 3]> = BTreeMap::new();
+        let mut node_tally: Vec<(&str, [usize; 3])> = Vec::new();
         for n in g.nodes() {
             let mut all = [0usize; 3];
-            for step in g.steps(n) {
-                let slot = match step.traversal {
+            for (traversal, set, len) in g.groups(n) {
+                let slot = match traversal {
                     Traversal::Forward => 0,
                     Traversal::Backward => 1,
                     Traversal::Undirected => 2,
                 };
-                all[slot] += 1;
-                for l in g.edge(step.edge).labels.iter() {
-                    node_tally.entry(l).or_default()[slot] += 1;
+                all[slot] += len;
+                for l in sets[set as usize].iter() {
+                    if !node_tally.iter().any(|(k, _)| k == l) {
+                        node_tally.push((l, [0; 3]));
+                    }
+                    for (_, tally) in node_tally.iter_mut().filter(|(k, _)| k == l) {
+                        tally[slot] += len;
+                    }
                 }
             }
             stats.max_degree.absorb(all);
             stats.degree_histogram.record(all.iter().sum());
-            for (&l, &tally) in &node_tally {
+            for (l, tally) in node_tally.drain(..) {
                 let (max, histogram) = per_label.entry(l).or_default();
                 max.absorb(tally);
                 histogram.record(tally.iter().sum());
             }
-            node_tally.clear();
         }
-        for (l, (max, histogram)) in per_label {
-            stats.max_degree_per_label.insert(l.to_owned(), max);
-            stats
-                .degree_histogram_per_label
-                .insert(l.to_owned(), histogram);
+        for (l, (max, histogram)) in owned(per_label) {
+            stats.max_degree_per_label.insert(l.clone(), max);
+            stats.degree_histogram_per_label.insert(l, histogram);
         }
         stats
     }
@@ -369,6 +380,11 @@ impl GraphStats {
     pub fn distinct_values(&self, key: &str) -> Option<usize> {
         self.distinct_property_values.get(key).copied()
     }
+}
+
+/// `map` with its borrowed label or key names copied, once each.
+fn owned<V>(map: BTreeMap<&str, V>) -> BTreeMap<String, V> {
+    map.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
 }
 
 impl fmt::Display for GraphStats {

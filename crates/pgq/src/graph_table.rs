@@ -99,9 +99,8 @@ impl PreparedGraphTable {
             Value::str(b.display(graph).to_string())
         })?;
         Ok(Table {
-            name: "GRAPH_TABLE".to_owned(),
-            columns: self.0.columns(),
             rows,
+            ..Table::new("GRAPH_TABLE", self.0.columns())
         })
     }
 }

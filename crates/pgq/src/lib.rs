@@ -9,9 +9,11 @@
 //! * [`view`] — `CREATE PROPERTY GRAPH`: [`GraphView`] definitions built
 //!   from [`VertexTable`]/[`EdgeTable`] clauses and materialized over a
 //!   database. The Figure 1 ↔ Figure 2 round trip is one such view:
-//!   [`tabulate`] exports a graph as Figure 2's tables, and
+//!   [`tabulate`] exports a graph as Figure 2's tables, one per label
+//!   set, each recording its set in [`Table::labels`], and
 //!   [`view::view_of_tabulation`] is the view over them that
-//!   [`materialize_tabulation`] materializes;
+//!   [`materialize_tabulation`] materializes, its label sets read from
+//!   the recorded sets;
 //! * [`graph_table()`](graph_table::graph_table) — the `GRAPH_TABLE( ... MATCH ... COLUMNS ... )`
 //!   operator producing a table from path bindings. It runs on the
 //!   runtime GQL uses too: the body compiles to a core

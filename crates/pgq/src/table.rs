@@ -11,6 +11,10 @@ pub struct Table {
     pub name: String,
     pub columns: Vec<String>,
     pub rows: Vec<Vec<Value>>,
+    /// The label set of the graph elements the table holds, recorded by
+    /// [`tabulate`](crate::tabulate); `None` for any other table, which
+    /// a tabulation's view reads as labelled by its name alone.
+    pub labels: Option<Vec<String>>,
 }
 
 impl Table {
@@ -23,6 +27,7 @@ impl Table {
             name: name.into(),
             columns: columns.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
+            labels: None,
         }
     }
 

@@ -5,13 +5,14 @@
 //! key columns identifying elements and foreign-key columns referencing
 //! the endpoint vertex tables. [`GraphView::materialize`] instantiates the
 //! view over a [`Database`]; [`tabulate`] goes the other way, producing
-//! the Figure 2 representation (one table per label combination), and
-//! [`view_of_tabulation`] is the view that reads such an export back, so
-//! the round trip `graph → tables → view → graph` is lossless.
+//! the Figure 2 representation (one table per label set, the set
+//! recorded beside the table), and [`view_of_tabulation`] is the view
+//! that reads such an export back, so the round trip `graph → tables →
+//! view → graph` is lossless.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use property_graph::{Endpoints, PropertyGraph, Value};
+use property_graph::{ElementId, Endpoints, PropertyGraph, Value};
 
 use crate::table::{Database, Table};
 
@@ -266,90 +267,68 @@ fn duplicate(table: &str, key: &str) -> ViewError {
 }
 
 /// Exports a property graph in the Figure 2 tabular representation: one
-/// relation per *label combination* occurring on nodes or edges (e.g. the
-/// `CityCountry` table for node `c2`). Node tables have an `ID` column
-/// plus one column per property; edge tables additionally have `SRC` and
-/// `DST` columns (and a `DIRECTED` flag column when the combination
-/// contains undirected edges).
+/// relation per *label set* occurring on nodes or edges, grouped by the
+/// graph's own sets, with the set recorded in [`Table::labels`]. Node
+/// tables have an `ID` column plus one column per property; edge tables
+/// additionally have `SRC`, `DST` and `DIRECTED` columns. A table is
+/// named by concatenating its labels (the `CityCountry` table for node
+/// `c2`), or `Unlabeled` / `UnlabeledEdge` for unlabelled elements. When
+/// two sets spell the same name — {AB} and {A, B}, or a node and an edge
+/// label — each of them takes the first `NAME_k` (k = 1, 2, …) that no
+/// set spells and no earlier table took.
 pub fn tabulate(g: &PropertyGraph) -> Database {
+    let mut groups: BTreeMap<(bool, &BTreeSet<String>), Vec<ElementId>> = BTreeMap::new();
+    let nodes = g.nodes().map(|n| (false, ElementId::from(n)));
+    for (is_edge, el) in nodes.chain(g.edges().map(|e| (true, e.into()))) {
+        groups.entry((is_edge, g.labels(el))).or_default().push(el);
+    }
+    let spell = |is_edge: bool, labels: &BTreeSet<String>| match (labels.is_empty(), is_edge) {
+        (false, _) => labels.iter().map(String::as_str).collect(),
+        (true, false) => "Unlabeled".to_owned(),
+        (true, true) => "UnlabeledEdge".to_owned(),
+    };
+    let mut uses: BTreeMap<String, usize> = BTreeMap::new();
+    for &(is_edge, labels) in groups.keys() {
+        *uses.entry(spell(is_edge, labels)).or_default() += 1;
+    }
     let mut db = Database::new();
-
-    // Group nodes by label combination.
-    let mut node_groups: BTreeMap<String, Vec<property_graph::NodeId>> = BTreeMap::new();
-    for n in g.nodes() {
-        let combo: Vec<&str> = g.node(n).labels.iter().map(String::as_str).collect();
-        node_groups.entry(combo.join("")).or_default().push(n);
-    }
-    for (combo, nodes) in node_groups {
-        let name = if combo.is_empty() {
-            "Unlabeled".to_owned()
+    for ((is_edge, labels), elements) in groups {
+        let name = spell(is_edge, labels);
+        let name = if uses[&name] == 1 {
+            name
         } else {
-            combo
+            let mut k = 1;
+            while uses.contains_key(&format!("{name}_{k}")) {
+                k += 1;
+            }
+            let free = format!("{name}_{k}");
+            uses.insert(free.clone(), 1);
+            free
         };
-        let mut props: Vec<String> = Vec::new();
-        for &n in &nodes {
-            for key in g.node(n).properties.keys() {
-                if !props.contains(key) {
-                    props.push(key.clone());
-                }
-            }
+        let keys = |el| match el {
+            ElementId::Node(n) => g.node(n).properties.keys(),
+            ElementId::Edge(e) => g.edge(e).properties.keys(),
+        };
+        let props: BTreeSet<&String> = elements.iter().flat_map(|&el| keys(el)).collect();
+        let mut columns = vec!["ID"];
+        if is_edge {
+            columns.extend(["SRC", "DST", "DIRECTED"]);
         }
-        props.sort();
-        let mut columns = vec!["ID".to_owned()];
-        columns.extend(props.iter().cloned());
+        columns.extend(props.iter().map(|p| p.as_str()));
         let mut table = Table::new(name, columns);
-        for &n in &nodes {
-            let mut row = vec![Value::str(g.node(n).name.clone())];
-            for p in &props {
-                row.push(g.node(n).property(p).clone());
+        for el in elements {
+            let mut row = vec![Value::str(g.name(el))];
+            if let ElementId::Edge(e) = el {
+                let endpoints = g.edge(e).endpoints;
+                let (s, d) = endpoints.pair();
+                row.push(Value::str(g.name(s.into())));
+                row.push(Value::str(g.name(d.into())));
+                row.push(Value::Bool(endpoints.is_directed()));
             }
+            row.extend(props.iter().map(|p| g.property(el, p).clone()));
             table.push(row);
         }
-        db.insert(table);
-    }
-
-    // Group edges by label combination.
-    let mut edge_groups: BTreeMap<String, Vec<property_graph::EdgeId>> = BTreeMap::new();
-    for e in g.edges() {
-        let combo: Vec<&str> = g.edge(e).labels.iter().map(String::as_str).collect();
-        edge_groups.entry(combo.join("")).or_default().push(e);
-    }
-    for (combo, edges) in edge_groups {
-        let name = if combo.is_empty() {
-            "UnlabeledEdge".to_owned()
-        } else {
-            combo
-        };
-        let mut props: Vec<String> = Vec::new();
-        for &e in &edges {
-            for key in g.edge(e).properties.keys() {
-                if !props.contains(key) {
-                    props.push(key.clone());
-                }
-            }
-        }
-        props.sort();
-        let mut columns = vec![
-            "ID".to_owned(),
-            "SRC".to_owned(),
-            "DST".to_owned(),
-            "DIRECTED".to_owned(),
-        ];
-        columns.extend(props.iter().cloned());
-        let mut table = Table::new(name, columns);
-        for &e in &edges {
-            let (s, d) = g.edge(e).endpoints.pair();
-            let mut row = vec![
-                Value::str(g.edge(e).name.clone()),
-                Value::str(g.node(s).name.clone()),
-                Value::str(g.node(d).name.clone()),
-                Value::Bool(g.edge(e).endpoints.is_directed()),
-            ];
-            for p in &props {
-                row.push(g.edge(e).property(p).clone());
-            }
-            table.push(row);
-        }
+        table.labels = Some(labels.iter().cloned().collect());
         db.insert(table);
     }
     db
@@ -360,11 +339,12 @@ pub fn tabulate(g: &PropertyGraph) -> Database {
 /// table with a `SRC` column is an edge table keyed by `ID` between `SRC`
 /// and `DST`, its direction read per row from `DIRECTED`; every other
 /// table is a vertex table keyed by `ID`. Every other column is a
-/// property, and label combinations are recovered from table names.
+/// property, and each table's label set is read from the recorded set
+/// ([`Table::labels`]); a table without one is labelled by its name.
 pub fn view_of_tabulation(db: &Database) -> GraphView {
     let mut view = GraphView::new("tabulated");
     for t in db.tables() {
-        let labels = split_labels(&t.name);
+        let labels = (t.labels.clone()).unwrap_or_else(|| vec![t.name.clone()]);
         if t.column_index("SRC").is_some() {
             let props = t
                 .columns
@@ -386,16 +366,6 @@ pub fn view_of_tabulation(db: &Database) -> GraphView {
         }
     }
     view
-}
-
-/// Recovers the label set from a concatenated table name using the known
-/// label vocabulary of Figure 1/2 plus simple CamelCase splitting.
-fn split_labels(name: &str) -> Vec<String> {
-    // Known multi-label combination of the paper.
-    if name == "CityCountry" {
-        return vec!["City".to_owned(), "Country".to_owned()];
-    }
-    vec![name.to_owned()]
 }
 
 /// Materializes a [`tabulate`] export back into a property graph through
@@ -597,6 +567,58 @@ mod tests {
         assert_eq!(materialized.edge_count(), 1);
         let li1 = materialized.edge_by_name("li1").unwrap();
         assert!(materialized.edge(li1).endpoints.is_directed());
+    }
+
+    /// The labels of element `name` of `g`, in order.
+    fn labels_of<'g>(g: &'g PropertyGraph, name: &str) -> Vec<&'g str> {
+        let el = g.by_name(name).expect("element exists");
+        g.labels(el).iter().map(String::as_str).collect()
+    }
+
+    #[test]
+    fn multi_label_sets_round_trip() {
+        let mut g = PropertyGraph::new();
+        let u = g.add_node("u1", ["Admin", "Person"], [("name", Value::str("Ada"))]);
+        let d = g.add_node("d1", ["Doc"], []);
+        g.add_edge("w1", Endpoints::directed(u, d), ["Owns", "Wrote"], []);
+        let back = materialize_tabulation(&tabulate(&g)).unwrap();
+        assert_eq!(labels_of(&back, "u1"), ["Admin", "Person"]);
+        assert_eq!(labels_of(&back, "d1"), ["Doc"]);
+        assert_eq!(labels_of(&back, "w1"), ["Owns", "Wrote"]);
+    }
+
+    #[test]
+    fn colliding_spellings_land_in_separate_tables() {
+        let mut g = PropertyGraph::new();
+        g.add_node("n1", ["A", "B"], []);
+        g.add_node("n2", ["AB"], []);
+        g.add_node("n3", ["C"], []);
+        let db = tabulate(&g);
+        assert_eq!(db.len(), 3);
+        let back = materialize_tabulation(&db).unwrap();
+        assert_eq!(labels_of(&back, "n1"), ["A", "B"]);
+        assert_eq!(labels_of(&back, "n2"), ["AB"]);
+        assert_eq!(labels_of(&back, "n3"), ["C"]);
+        // Sets are ordered {A, B} < {AB} < {C}: the colliding pair takes
+        // the first free suffixes in that order, the unique name stays.
+        let tables: Vec<String> = db
+            .tables()
+            .map(|t| format!("{} {:?}", t.name, t.labels.as_deref().unwrap_or_default()))
+            .collect();
+        assert_eq!(
+            tables,
+            [r#"AB_1 ["A", "B"]"#, r#"AB_2 ["AB"]"#, r#"C ["C"]"#]
+        );
+    }
+
+    #[test]
+    fn a_table_without_a_recorded_set_is_labelled_by_its_name() {
+        let mut db = Database::new();
+        let mut t = Table::new("CityCountry", ["ID"]);
+        t.push([Value::str("c1")]);
+        db.insert(t);
+        let g = materialize_tabulation(&db).unwrap();
+        assert_eq!(labels_of(&g, "c1"), ["CityCountry"]);
     }
 
     #[test]

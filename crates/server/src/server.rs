@@ -35,7 +35,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -207,11 +207,24 @@ pub(crate) struct Shared {
     workers: usize,
 }
 
-/// Where the plan cache is persisted, plus the cache's miss count at the
-/// last save so serving threads can skip the write when nothing compiled.
+/// Where the plan cache is persisted, and the lock every save holds, so
+/// the sibling `.tmp` file has one writer at a time and a save reads the
+/// cache after every insert that finished before it began.
 struct PersistState {
     path: PathBuf,
-    saved_at_misses: AtomicU64,
+    saving: Mutex<()>,
+}
+
+impl PersistState {
+    fn save(&self, cache: &SharedPlanLru<Statement>) {
+        let _one_writer = self.saving.lock().unwrap_or_else(|e| e.into_inner());
+        if let Err(e) = persist::save(&self.path, cache) {
+            eprintln!(
+                "gpmld: plan cache save to {} failed: {e}",
+                self.path.display()
+            );
+        }
+    }
 }
 
 impl Shared {
@@ -307,22 +320,6 @@ impl Shared {
             .max(2)
     }
 
-    /// Saves the plan cache to the configured file if it missed since the
-    /// last save (i.e. a connection just compiled something new — every
-    /// insert follows a miss, also one that evicts at capacity).
-    /// Write-through rather than save-on-shutdown-only, so plans survive
-    /// even a `kill -9` — at worst the last compile is lost.
-    fn maybe_persist(&self) {
-        let Some(p) = &self.persist else { return };
-        let misses = self.cache.stats().misses;
-        if p.saved_at_misses.swap(misses, Ordering::Relaxed) == misses {
-            return;
-        }
-        if let Err(e) = persist::save(&p.path, &self.cache) {
-            eprintln!("gpmld: plan cache save to {} failed: {e}", p.path.display());
-        }
-    }
-
     /// Serves `HELLO`: server identity plus the graph census (of the
     /// current epoch).
     pub(crate) fn hello(&self) -> Response {
@@ -360,7 +357,7 @@ impl Shared {
         item: WorkItem,
         mut trace: Option<&mut TraceBuilder>,
     ) -> WorkOutput {
-        let output = match item {
+        match item {
             WorkItem::Query { text, cursor } => match self.query(&text, trace.as_deref_mut()) {
                 Ok(result) if cursor => WorkOutput::Cursor(result),
                 Ok(result) => WorkOutput::Response(Response::Result(result)),
@@ -427,34 +424,38 @@ impl Shared {
                     }),
                 }
             }
-        };
-        // Any request may have compiled a new plan (QUERY and EXECUTE
-        // compile too, not just PREPARE); cheap no-op when the cache
-        // didn't grow.
-        self.maybe_persist();
-        output
+        }
     }
 
-    /// `Session::prepare` with a `prepare` span (cache lookup included)
-    /// and a best-effort cache hit/miss tag. The tag diffs the shared
-    /// cache's miss counter around the lookup, so under concurrent
-    /// traffic it can misattribute — it is a label on a trace, not a
-    /// counted metric (those come from the cache's own counters).
+    /// `Session::prepare` through the shared cache, with a `prepare`
+    /// span (cache lookup included) tagged with this lookup's hit or
+    /// miss. A request whose compile inserted a plan saves the cache to
+    /// the `--plan-cache-file` right after its own insert, before its
+    /// reply: write-through, so plans survive even a `kill -9`. A hit
+    /// or a failed compile saves nothing.
     fn prepare_traced(
         &self,
         text: &str,
         trace: Option<&mut TraceBuilder>,
     ) -> Result<Statement, GqlError> {
-        let Some(tb) = trace else {
-            return self.session.prepare(text);
-        };
-        let misses_before = self.cache.stats().misses;
-        let start = tb.elapsed_us();
-        let prepared = self.session.prepare(text);
-        let idx = tb.span("prepare", None, start, tb.elapsed_us() - start);
-        let hit = self.cache.stats().misses == misses_before;
-        tb.span_stat(idx, "cache_hit", hit as u64);
-        tb.tag("cache", if hit { "hit" } else { "miss" });
+        let start = trace.as_ref().map(|tb| tb.elapsed_us());
+        let mut compiled = false;
+        let prepared = self
+            .cache
+            .get_or_try_insert(text, self.session.options(), || {
+                compiled = true;
+                self.session.prepare_uncached(text)
+            });
+        if let (Some(tb), Some(start)) = (trace, start) {
+            let idx = tb.span("prepare", None, start, tb.elapsed_us() - start);
+            tb.span_stat(idx, "cache_hit", u64::from(!compiled));
+            tb.tag("cache", if compiled { "miss" } else { "hit" });
+        }
+        if compiled && prepared.is_ok() {
+            if let Some(p) = &self.persist {
+                p.save(&self.cache);
+            }
+        }
         prepared
     }
 
@@ -656,9 +657,7 @@ impl ServerHandle {
         // serving thread is done admitting connections that could still
         // compile.
         if let Some(p) = &self.shared.persist {
-            if let Err(e) = persist::save(&p.path, &self.shared.cache) {
-                eprintln!("gpmld: plan cache save to {} failed: {e}", p.path.display());
-            }
+            p.save(&self.shared.cache);
         }
         // Compact on the way out: the next boot replays a snapshot
         // instead of the whole WAL. Failure is not fatal — the WAL
@@ -734,7 +733,7 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
         stopping: AtomicBool::new(false),
         persist: config.plan_cache_file.map(|path| PersistState {
             path,
-            saved_at_misses: AtomicU64::new(0),
+            saving: Mutex::new(()),
         }),
         waker: Arc::clone(&waker),
         max_conns: config.max_conns,
@@ -750,8 +749,6 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
             ),
             Err(why) => eprintln!("gpmld: ignoring {why} plan file {}", p.path.display()),
         }
-        p.saved_at_misses
-            .store(shared.cache.stats().misses, Ordering::Relaxed);
     }
     let serve_thread = {
         let shared = Arc::clone(&shared);

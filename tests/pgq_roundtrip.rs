@@ -7,7 +7,22 @@ use gpml_suite::pgq::{
     graph_table, materialize_tabulation, tabulate, Catalog, Database, EdgeTable, GraphView,
     PgqError, Table, VertexTable, ViewError,
 };
-use property_graph::{PropertyGraph, Value};
+use property_graph::{EdgeId, Endpoints, NodeId, PropertyGraph, Value};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The endpoint names of edge `e`: source and target of a directed
+/// edge, and the two ends of an undirected one in name order (its pair
+/// is stored in id order, and ids are not part of the graph).
+fn endpoint_names(g: &PropertyGraph, e: EdgeId) -> [&str; 2] {
+    let (s, d) = g.edge(e).endpoints.pair();
+    let mut ends = [g.node(s).name.as_str(), g.node(d).name.as_str()];
+    if !g.edge(e).endpoints.is_directed() {
+        ends.sort_unstable();
+    }
+    ends
+}
 
 /// Structural graph equality up to element ids: same names, labels,
 /// properties, and endpoint names.
@@ -29,15 +44,16 @@ fn assert_graphs_equal(a: &PropertyGraph, b: &PropertyGraph) {
             .unwrap_or_else(|| panic!("missing edge {name}"));
         assert_eq!(a.edge(e).labels, b.edge(f).labels, "{name}");
         assert_eq!(a.edge(e).properties, b.edge(f).properties, "{name}");
-        let (s1, d1) = a.edge(e).endpoints.pair();
-        let (s2, d2) = b.edge(f).endpoints.pair();
         assert_eq!(
             a.edge(e).endpoints.is_directed(),
             b.edge(f).endpoints.is_directed(),
             "{name}"
         );
-        assert_eq!(a.node(s1).name, b.node(s2).name, "{name} source");
-        assert_eq!(a.node(d1).name, b.node(d2).name, "{name} target");
+        assert_eq!(
+            endpoint_names(a, e),
+            endpoint_names(b, f),
+            "{name} endpoints"
+        );
     }
 }
 
@@ -74,6 +90,77 @@ fn random_graphs_roundtrip() {
             blocked_share: 0.2,
             seed,
         });
+        let back = materialize_tabulation(&tabulate(&g)).unwrap();
+        assert_graphs_equal(&g, &back);
+    }
+}
+
+/// The label sets drawn graphs use: the empty set, sets whose
+/// concatenations collide ({A, B} and {AB}, {Admin, Person} and
+/// {AdminPerson}), and the names the tabulation gives unlabelled
+/// tables. Nodes and edges draw from the same list, so a node table and
+/// an edge table can collide too.
+const LABEL_SETS: &[&[&str]] = &[
+    &[],
+    &["A"],
+    &["A", "B"],
+    &["AB"],
+    &["Admin", "Person"],
+    &["AdminPerson"],
+    &["Unlabeled"],
+    &["UnlabeledEdge"],
+    &["A", "Unlabeled"],
+];
+
+/// A graph drawn from `seed`: 1–6 nodes and 0–10 edges, each with a
+/// label set from [`LABEL_SETS`] and zero to two properties (keys other
+/// than the tabulation's own `ID`, `SRC`, `DST` and `DIRECTED` columns);
+/// edges are directed or undirected between random endpoints, so
+/// self-loops and parallel edges are common.
+fn drawn_graph(seed: u64) -> PropertyGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let labels = |rng: &mut StdRng| LABEL_SETS[rng.gen_range(0..LABEL_SETS.len())].iter();
+    let properties = |rng: &mut StdRng| {
+        let mut props = Vec::new();
+        if rng.gen_bool(0.5) {
+            props.push(("k", Value::Int(rng.gen_range(0..3i64))));
+        }
+        if rng.gen_bool(0.3) {
+            props.push(("name", Value::str(["x", "y"][rng.gen_range(0..2usize)])));
+        }
+        props
+    };
+    let mut g = PropertyGraph::new();
+    let nodes = rng.gen_range(1..=6u32);
+    for i in 0..nodes {
+        let (l, p) = (labels(&mut rng), properties(&mut rng));
+        g.add_node(&format!("n{i}"), l.copied(), p);
+    }
+    for i in 0..rng.gen_range(0..=10usize) {
+        let (s, d) = (
+            NodeId(rng.gen_range(0..nodes)),
+            NodeId(rng.gen_range(0..nodes)),
+        );
+        let endpoints = if rng.gen_bool(0.5) {
+            Endpoints::directed(s, d)
+        } else {
+            Endpoints::undirected(s, d)
+        };
+        let (l, p) = (labels(&mut rng), properties(&mut rng));
+        g.add_edge(&format!("e{i}"), endpoints, l.copied(), p);
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The round trip is a law: every drawn graph comes back from its
+    /// tabulation with the same elements, label sets, properties,
+    /// endpoints and directions.
+    #[test]
+    fn drawn_graphs_roundtrip(seed in 0u64..1_000_000) {
+        let g = drawn_graph(seed);
         let back = materialize_tabulation(&tabulate(&g)).unwrap();
         assert_graphs_equal(&g, &back);
     }
@@ -258,4 +345,33 @@ fn graph_table_equals_native_evaluation() {
         b.sort();
         assert_eq!(a, b, "{query}");
     }
+}
+
+/// Every table of a tabulation, by name, as CSV.
+fn tabulation_text(db: &Database) -> String {
+    db.tables()
+        .map(|t| format!("== {}\n{}", t.name, t.to_csv()))
+        .collect()
+}
+
+/// Where no two label sets spell the same name, `tabulate` names and
+/// fills its tables exactly as Figure 2 does: the pinned texts are
+/// Figure 1's and a 25-account transfer network's tabulations, captured
+/// when tables were named by concatenated labels alone.
+#[test]
+fn tabulation_without_collisions_is_pinned() {
+    let network = transfer_network(TransferNetworkConfig {
+        accounts: 25,
+        transfers: 60,
+        blocked_share: 0.2,
+        seed: 1,
+    });
+    assert_eq!(
+        tabulation_text(&tabulate(&fig1())),
+        include_str!("golden/tabulate_fig1.txt")
+    );
+    assert_eq!(
+        tabulation_text(&tabulate(&network)),
+        include_str!("golden/tabulate_net25.txt")
+    );
 }

@@ -356,6 +356,78 @@ fn plan_cache_file_write_through_continues_at_capacity() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `--plan-cache-file` write-through under concurrency: two clients
+/// PREPARE 150 distinct statements each against two workers, and read
+/// the file after every reply. Each reply's statement must already be
+/// in the file (a miss otherwise), and every read must be a whole file:
+/// newline-terminated, each line a statement some client sent, none
+/// twice (a torn read otherwise).
+#[test]
+fn plan_cache_file_write_through_holds_under_concurrent_prepares() {
+    let path = std::env::temp_dir().join(format!(
+        "gpml-concurrent-{}-{:?}.txt",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let config = ServerConfig {
+        workers: 2,
+        cache_capacity: 512,
+        plan_cache_file: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let (clients, per_client) = (2usize, 150usize);
+    let statement = |c: usize, k: usize| {
+        format!("MATCH (x:Account WHERE x.owner = 'c{c}k{k}') RETURN x.owner AS o")
+    };
+    let sent: std::collections::HashSet<String> = (0..clients)
+        .flat_map(|c| (0..per_client).map(move |k| statement(c, k)))
+        .collect();
+    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let addr = server.addr();
+    let (misses, torn) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..clients)
+            .map(|c| {
+                let (path, statement, sent) = (&path, &statement, &sent);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let (mut misses, mut torn) = (0usize, 0usize);
+                    for k in 0..per_client {
+                        let stmt = statement(c, k);
+                        client.prepare(&stmt).expect("prepare");
+                        let saved = std::fs::read_to_string(path).unwrap_or_default();
+                        let lines: Vec<&str> = saved.lines().collect();
+                        let distinct: std::collections::HashSet<&str> =
+                            lines.iter().copied().collect();
+                        if !saved.ends_with('\n')
+                            || distinct.len() != lines.len()
+                            || !lines.iter().all(|l| sent.contains(*l))
+                        {
+                            torn += 1;
+                        }
+                        if !distinct.contains(stmt.as_str()) {
+                            misses += 1;
+                        }
+                    }
+                    (misses, torn)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("client"))
+            .fold((0, 0), |(m, t), (dm, dt)| (m + dm, t + dt))
+    });
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        (misses, torn),
+        (0, 0),
+        "replies before their statement was saved, and torn reads, of {}",
+        clients * per_client
+    );
+}
+
 /// A refused `PREPARE` of a bare `MATCH` is never written to the
 /// `--plan-cache-file`, so the next boot does not warm-start a plan no
 /// request can run; the accepted `PREPARE` beside it is saved.

@@ -26,6 +26,7 @@
 //!   every epoch's digest equal to a reference built by cloning and
 //!   applying, and never move a pinned graph.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use gpml_suite::storage::{graph_digest, GraphJournal, Mutation, WAL_FILE};
-use property_graph::{PropertyGraph, Value};
+use property_graph::{DegreeStats, GraphStats, PropertyGraph, Traversal, Value};
 
 /// A fresh scratch directory under the system tempdir; unique per call
 /// so proptest cases never collide.
@@ -54,6 +55,18 @@ struct Tracker {
     edges: Vec<(String, String, String)>, // (edge, src, dst)
     next_node: usize,
     next_edge: usize,
+}
+
+/// A drawn label set: mostly `{common}`; one time in eight `{common,
+/// extra}` (a multi-label set), and one time in eight `{rare}` alone, a
+/// label that often loses its last element to a later delete.
+fn random_labels(rng: &mut StdRng, common: &str, [extra, rare]: [&str; 2]) -> Vec<String> {
+    let labels: &[&str] = match rng.gen_range(0..8u32) {
+        0 => &[common, extra],
+        1 => &[rare],
+        _ => &[common],
+    };
+    labels.iter().map(|l| l.to_string()).collect()
 }
 
 impl Tracker {
@@ -118,7 +131,7 @@ impl Tracker {
                 src,
                 dst,
                 directed: rng.gen_bool(0.8),
-                labels: vec!["Transfer".to_owned()],
+                labels: random_labels(rng, "Transfer", ["Flagged", "Once"]),
                 properties: vec![("amount".to_owned(), Value::Int(rng.gen_range(1..1000i64)))],
             };
         }
@@ -127,7 +140,7 @@ impl Tracker {
         self.nodes.push(name.clone());
         Mutation::AddNode {
             name,
-            labels: vec!["Account".to_owned()],
+            labels: random_labels(rng, "Account", ["Admin", "Temp"]),
             properties: vec![(
                 "owner".to_owned(),
                 Value::str(owners[rng.gen_range(0..owners.len())]),
@@ -150,8 +163,166 @@ impl Tracker {
     }
 }
 
+/// The statistics catalog recounted element by element, over label
+/// names and adjacency steps, keyed by name: the way the catalog was
+/// first computed, sharing no counting code with
+/// [`GraphStats::compute`]. Distinct values are counted by their
+/// `Debug` text rather than by hash.
+fn recount(g: &PropertyGraph) -> GraphStats {
+    let mut s = GraphStats {
+        node_count: g.node_count(),
+        edge_count: g.edge_count(),
+        ..GraphStats::default()
+    };
+    let mut values: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for n in g.nodes() {
+        let data = g.node(n);
+        s.labeled_node_count += usize::from(!data.labels.is_empty());
+        for l in data.labels.iter() {
+            *s.node_labels.entry(l.clone()).or_default() += 1;
+        }
+        for (k, v) in &data.properties {
+            values
+                .entry(k.clone())
+                .or_default()
+                .insert(format!("{v:?}"));
+        }
+    }
+    for e in g.edges() {
+        let data = g.edge(e);
+        let directed = data.endpoints.is_directed();
+        if directed {
+            s.directed_edge_count += 1;
+        } else {
+            s.undirected_edge_count += 1;
+        }
+        s.labeled_edge_count += usize::from(!data.labels.is_empty());
+        for l in data.labels.iter() {
+            let entry = s.edge_labels.entry(l.clone()).or_default();
+            if directed {
+                entry.directed += 1;
+            } else {
+                entry.undirected += 1;
+            }
+        }
+        for (k, v) in &data.properties {
+            values
+                .entry(k.clone())
+                .or_default()
+                .insert(format!("{v:?}"));
+        }
+    }
+    s.distinct_property_values = values.into_iter().map(|(k, v)| (k, v.len())).collect();
+    let raise = |d: &mut DegreeStats, [out, inc, und]: [usize; 3]| {
+        d.max_out = d.max_out.max(out);
+        d.max_in = d.max_in.max(inc);
+        d.max_undirected = d.max_undirected.max(und);
+    };
+    for n in g.nodes() {
+        let mut all = [0usize; 3];
+        let mut per_label: BTreeMap<String, [usize; 3]> = BTreeMap::new();
+        for step in g.steps(n) {
+            let slot = match step.traversal {
+                Traversal::Forward => 0,
+                Traversal::Backward => 1,
+                Traversal::Undirected => 2,
+            };
+            all[slot] += 1;
+            for l in g.edge(step.edge).labels.iter() {
+                per_label.entry(l.clone()).or_default()[slot] += 1;
+            }
+        }
+        raise(&mut s.max_degree, all);
+        s.degree_histogram.record(all.iter().sum());
+        for (l, tally) in per_label {
+            raise(s.max_degree_per_label.entry(l.clone()).or_default(), tally);
+            let histogram = s.degree_histogram_per_label.entry(l).or_default();
+            histogram.record(tally.iter().sum());
+        }
+    }
+    s
+}
+
+/// Every label name the catalog mentions, in any of its maps.
+fn catalog_labels(s: &GraphStats) -> BTreeSet<&str> {
+    (s.node_labels.keys())
+        .chain(s.edge_labels.keys())
+        .chain(s.max_degree_per_label.keys())
+        .chain(s.degree_histogram_per_label.keys())
+        .map(String::as_str)
+        .collect()
+}
+
+/// Every label some live element of `g` carries.
+fn live_labels(g: &PropertyGraph) -> BTreeSet<&str> {
+    (g.nodes().map(|n| &g.node(n).labels))
+        .chain(g.edges().map(|e| &g.edge(e).labels))
+        .flat_map(|labels| labels.iter().map(String::as_str))
+        .collect()
+}
+
+/// A label whose last element is deleted leaves the catalog, while the
+/// graph keeps its symbol and label set: the sets it never drops count
+/// zero and name nothing.
+#[test]
+fn a_label_whose_last_element_is_deleted_leaves_the_catalog() {
+    let mut g = PropertyGraph::new();
+    let add_node = |name: &str, labels: &[&str]| Mutation::AddNode {
+        name: name.to_owned(),
+        labels: labels.iter().map(|l| l.to_string()).collect(),
+        properties: vec![("owner".to_owned(), Value::str(name))],
+    };
+    for m in [
+        add_node("a0", &["Account"]),
+        add_node("a1", &["Account", "Admin"]),
+        add_node("t0", &["Temp"]),
+        Mutation::AddEdge {
+            name: "e0".to_owned(),
+            src: "a0".to_owned(),
+            dst: "t0".to_owned(),
+            directed: false,
+            labels: vec!["Transfer".to_owned(), "Once".to_owned()],
+            properties: vec![],
+        },
+    ] {
+        m.apply(&mut g).expect("applies");
+    }
+    assert_eq!(GraphStats::compute(&g), recount(&g));
+    assert!(catalog_labels(g.stats()).contains("Once"));
+    for element in ["e0", "t0"] {
+        Mutation::Delete {
+            element: element.to_owned(),
+        }
+        .apply(&mut g)
+        .expect("applies");
+    }
+    let stats = GraphStats::compute(&g);
+    assert_eq!(stats, recount(&g));
+    assert_eq!(catalog_labels(&stats), BTreeSet::from(["Account", "Admin"]));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// After every randomized commit — multi-label inserts, property
+    /// writes and deletes, including deletes of a label's last element —
+    /// the catalog equals the independent recount, and names only labels
+    /// some live element carries.
+    #[test]
+    fn catalog_equals_an_independent_recount_after_randomized_mutations(
+        seed in 0u64..1_000_000,
+        batches in 1usize..16,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tracker = Tracker::new();
+        for _ in 0..batches {
+            tracker.random_batch(&mut rng);
+            let g = &tracker.graph;
+            let stats = GraphStats::compute(g);
+            prop_assert_eq!(&stats, &recount(g));
+            prop_assert!(catalog_labels(&stats).is_subset(&live_labels(g)));
+        }
+    }
 
     /// `kill -9` after the ack loses nothing: commit randomized batches,
     /// drop the journal with **no** graceful shutdown (the WAL is the
