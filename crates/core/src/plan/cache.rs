@@ -102,6 +102,22 @@ impl<V> PlanLru<V> {
         }
     }
 
+    /// Counts a hit and refreshes recency when the plan is cached, as a
+    /// hitting [`Self::get`] does; when it is not, counts nothing and
+    /// returns `false`.
+    pub fn touch(&mut self, query: &str, opts: &EvalOptions) -> bool {
+        self.clock += 1;
+        let Some((_, stamp)) = self.entries.get_mut(&(query, opts) as &dyn Key) else {
+            return false;
+        };
+        self.hits += 1;
+        if let Some(key) = self.recency.remove(stamp) {
+            self.recency.insert(self.clock, key);
+        }
+        *stamp = self.clock;
+        true
+    }
+
     /// Inserts (or replaces) a plan, evicting the least recently used
     /// entry when the cache is full.
     pub fn insert(&mut self, query: String, opts: EvalOptions, plan: V) {
@@ -254,6 +270,23 @@ impl<V> SharedPlanLru<V> {
         self.lock().get(query, opts).cloned()
     }
 
+    /// A cached plan by value, without counting a lookup or refreshing
+    /// recency. With [`Self::touch`] it splits [`Self::get_cloned`] for a
+    /// caller that decides from the plan itself whether its lookup counts.
+    pub fn peek_cloned(&self, query: &str, opts: &EvalOptions) -> Option<V>
+    where
+        V: Clone,
+    {
+        let lru = self.lock();
+        let (v, _) = lru.entries.get(&(query, opts) as &dyn Key)?;
+        Some(v.clone())
+    }
+
+    /// [`PlanLru::touch`]: counts a hit if the plan is (still) cached.
+    pub fn touch(&self, query: &str, opts: &EvalOptions) -> bool {
+        self.lock().touch(query, opts)
+    }
+
     /// Inserts (or replaces) a plan, evicting the LRU entry when full.
     pub fn insert(&self, query: String, opts: EvalOptions, plan: V) {
         self.lock().insert(query, opts, plan);
@@ -308,6 +341,23 @@ mod tests {
         assert_eq!(lru.get("q1", &opts()), Some(&1));
         let s = lru.stats();
         assert_eq!((s.hits, s.misses, s.len, s.capacity), (1, 1, 1, 4));
+    }
+
+    #[test]
+    fn peek_counts_nothing_and_touch_counts_a_hit() {
+        let shared: SharedPlanLru<u32> = SharedPlanLru::new(2);
+        assert!(shared.peek_cloned("a", &opts()).is_none());
+        assert!(!shared.touch("a", &opts()));
+        shared.insert("a".into(), opts(), 1);
+        shared.insert("b".into(), opts(), 2);
+        assert_eq!(shared.peek_cloned("a", &opts()), Some(1));
+        let s = shared.stats();
+        assert_eq!((s.hits, s.misses), (0, 0));
+        // A touch refreshes recency: "b" is now the oldest and goes first.
+        assert!(shared.touch("a", &opts()));
+        shared.insert("c".into(), opts(), 3);
+        assert!(shared.peek_cloned("b", &opts()).is_none());
+        assert_eq!(shared.stats().hits, 1);
     }
 
     #[test]

@@ -555,6 +555,74 @@ impl ExecutablePlan {
     pub fn stage_programs(&self) -> Vec<&FlatProgram> {
         self.stages.iter().map(|s| &s.prog).collect()
     }
+
+    /// Whether one execution over `graph` under `params` is a point
+    /// lookup: work under a fixed bound, whatever the size of the graph,
+    /// and a decision that costs no more than that bound. That holds
+    /// when
+    ///
+    /// - the plan has one stage and no `EXISTS` subplan;
+    /// - the stage's pattern has no quantifier and no `?`, so it consumes
+    ///   at most `k` edges, `k` its number of edge patterns;
+    /// - `graph`'s node index is already built (this check never builds
+    ///   it) and the stage's start resolves, exactly as the execution
+    ///   will resolve it, to an index probe naming at most one node;
+    /// - the walks of 1 to `k` steps out of that node, in any direction
+    ///   and over any label, number at most [`POINT_LOOKUP_WALKS`].
+    ///
+    /// Every partial match the search extends is one of those walks, and
+    /// every result row ends one, so both the work and the rows are
+    /// bounded by the constant, not by the start node's degree.
+    pub fn is_point_lookup(&self, graph: &PropertyGraph, params: &Params) -> bool {
+        let [stage] = self.stages.as_slice() else {
+            return false;
+        };
+        let (mut fixed, mut hops) = (true, 0);
+        stage.expr.pattern.walk(&mut |p| {
+            fixed &= !matches!(
+                p,
+                PathPattern::Quantified { .. } | PathPattern::Questioned(_)
+            );
+            hops += usize::from(matches!(p, PathPattern::Edge(_)));
+            fixed
+        });
+        if !fixed || !self.exists.is_empty() || !graph.has_index() {
+            return false;
+        }
+        match stage.start.resolve(graph, params) {
+            access::AccessPath::Index { nodes: [], .. } => true,
+            access::AccessPath::Index { nodes: [n], .. } => {
+                let mut budget = POINT_LOOKUP_WALKS;
+                walks_within(graph, *n, hops, &mut budget)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The most walks a [point lookup](ExecutablePlan::is_point_lookup) may
+/// take. Matching and projecting one walk costs 1.4–2 µs in process
+/// (release build, 2-core x86_64, stars of degree 10 to 10 000), so 64
+/// walks cost the same order as handing the request to a worker and
+/// back costs the server (≈60 µs).
+pub const POINT_LOOKUP_WALKS: usize = 64;
+
+/// Whether the walks of 1 to `hops` steps out of `n` number at most
+/// `budget`, spending it as they are counted: each node visited costs
+/// one degree read, and the count stops once the budget is spent, so the
+/// check itself reads at most `budget + 1` degrees.
+fn walks_within(graph: &PropertyGraph, n: NodeId, hops: usize, budget: &mut usize) -> bool {
+    if hops == 0 {
+        return true;
+    }
+    let steps = graph.steps(n);
+    let Some(left) = budget.checked_sub(steps.len()) else {
+        return false;
+    };
+    *budget = left;
+    steps
+        .iter()
+        .all(|s| walks_within(graph, s.to, hops - 1, budget))
 }
 
 /// One compiled path pattern: its flat program, resolved search mode,
@@ -1491,6 +1559,176 @@ mod tests {
         want.sort();
         assert_eq!(got, want);
         assert!(!got.is_empty());
+    }
+
+    /// Six accounts in a ring of transfers; `a4` and `a5` share the
+    /// owner `Twin`, so probing it names two nodes.
+    fn accounts() -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let owners = ["Scott", "Aretha", "Mike", "Jay", "Twin", "Twin"];
+        let ids: Vec<NodeId> = (owners.iter().enumerate())
+            .map(|(i, o)| g.add_node(&format!("a{i}"), ["Account"], [("owner", Value::str(*o))]))
+            .collect();
+        for i in 0..ids.len() {
+            let next = ids[(i + 1) % ids.len()];
+            g.add_edge(
+                &format!("t{i}"),
+                Endpoints::directed(ids[i], next),
+                ["Transfer"],
+                [],
+            );
+        }
+        g
+    }
+
+    /// `(x:Account WHERE x.owner = $owner)` followed by `rest`.
+    fn lookup(rest: Vec<PathPattern>) -> GraphPattern {
+        let start = NodePattern::var("x")
+            .with_label(LabelExpr::Label("Account".into()))
+            .with_predicate(Expr::cmp(
+                CmpOp::Eq,
+                Expr::prop("x", "owner"),
+                Expr::Parameter("owner".into()),
+            ));
+        let mut parts = vec![PathPattern::Node(start)];
+        parts.extend(rest);
+        GraphPattern::single(PathPattern::concat(parts))
+    }
+
+    fn transfer(v: &str) -> PathPattern {
+        PathPattern::Edge(
+            EdgePattern::any(Direction::Right)
+                .with_var(v)
+                .with_label(LabelExpr::Label("Transfer".into())),
+        )
+    }
+
+    fn account(v: &str) -> PathPattern {
+        PathPattern::Node(NodePattern::var(v).with_label(LabelExpr::Label("Account".into())))
+    }
+
+    fn point_lookup_on(g: &PropertyGraph, gp: &GraphPattern, owner: impl Into<Value>) -> bool {
+        let q = prepare(gp, &EvalOptions::default()).unwrap();
+        let params = crate::Params::new().with("owner", owner);
+        q.plan().is_point_lookup(g, &params)
+    }
+
+    /// [`ExecutablePlan::is_point_lookup`] over [`accounts`], its node
+    /// index built.
+    fn point_lookup(gp: &GraphPattern, owner: impl Into<Value>) -> bool {
+        let g = accounts();
+        g.nodes_with_label("Account");
+        point_lookup_on(&g, gp, owner)
+    }
+
+    #[test]
+    fn an_unbuilt_index_is_never_built_by_the_check() {
+        let gp = lookup(vec![transfer("t"), account("y")]);
+        let g = accounts();
+        assert!(!point_lookup_on(&g, &gp, "Scott"));
+        assert!(!g.has_index());
+        g.nodes_with_label("Account");
+        assert!(point_lookup_on(&g, &gp, "Scott"));
+    }
+
+    #[test]
+    fn walks_past_the_budget_are_not_a_point_lookup() {
+        // A hub with one transfer to each of `POINT_LOOKUP_WALKS` leaves.
+        let mut g = accounts();
+        let hub = g.add_node("hub", ["Account"], [("owner", Value::str("Hub"))]);
+        for i in 0..POINT_LOOKUP_WALKS {
+            let owner = Value::str(format!("Leaf{i}"));
+            let leaf = g.add_node(&format!("l{i}"), ["Account"], [("owner", owner)]);
+            g.add_edge(
+                &format!("h{i}"),
+                Endpoints::directed(hub, leaf),
+                ["Transfer"],
+                [],
+            );
+        }
+        g.nodes_with_label("Account");
+        let one_hop = lookup(vec![transfer("t"), account("y")]);
+        let two_hops = lookup(vec![
+            transfer("t"),
+            account("m"),
+            transfer("u"),
+            account("y"),
+        ]);
+        // The hub's 64 walks fit; one more hop walks back from each leaf.
+        assert!(point_lookup_on(&g, &one_hop, "Hub"));
+        assert!(!point_lookup_on(&g, &two_hops, "Hub"));
+        // A leaf's one walk fits, but its second hop reaches the hub.
+        assert!(point_lookup_on(&g, &one_hop, "Leaf0"));
+        assert!(!point_lookup_on(&g, &two_hops, "Leaf0"));
+        let extra = g.add_node("lx", ["Account"], [("owner", Value::str("LeafX"))]);
+        g.add_edge("hx", Endpoints::directed(hub, extra), ["Transfer"], []);
+        g.nodes_with_label("Account");
+        assert!(!point_lookup_on(&g, &one_hop, "Hub"));
+    }
+
+    #[test]
+    fn a_keyed_one_hop_lookup_is_a_point_lookup() {
+        let gp = lookup(vec![transfer("t"), account("y")]);
+        assert!(point_lookup(&gp, "Scott"));
+        // A key no node holds names no node: still bounded.
+        assert!(point_lookup(&gp, "Nobody"));
+    }
+
+    #[test]
+    fn an_unindexed_binding_falls_back_to_a_label_scan() {
+        // Integers are not indexed, so the start is the label scan.
+        let gp = lookup(vec![transfer("t"), account("y")]);
+        assert!(!point_lookup(&gp, 7));
+    }
+
+    #[test]
+    fn a_probe_naming_two_nodes_is_not_a_point_lookup() {
+        let gp = lookup(vec![transfer("t"), account("y")]);
+        assert!(!point_lookup(&gp, "Twin"));
+    }
+
+    #[test]
+    fn quantified_hops_are_not_point_lookups() {
+        let bounded = lookup(vec![
+            transfer("t").quantified(Quantifier::range(1, Some(3))),
+            account("y"),
+        ]);
+        assert!(!point_lookup(&bounded, "Scott"));
+        let mut unbounded = lookup(vec![
+            transfer("t").quantified(Quantifier::plus()),
+            account("y"),
+        ]);
+        unbounded.paths[0].selector = Some(Selector::AnyShortest);
+        assert!(!point_lookup(&unbounded, "Scott"));
+        let questioned = lookup(vec![
+            PathPattern::Questioned(Box::new(
+                PathPattern::concat(vec![transfer("t"), account("m")]).paren(),
+            )),
+            transfer("u"),
+            account("y"),
+        ]);
+        assert!(!point_lookup(&questioned, "Scott"));
+    }
+
+    #[test]
+    fn two_stages_are_not_a_point_lookup() {
+        let mut gp = lookup(vec![transfer("t"), account("y")]);
+        gp.paths
+            .push(PathPatternExpr::plain(PathPattern::concat(vec![
+                node("y"),
+                transfer("u"),
+                account("z"),
+            ])));
+        assert!(!point_lookup(&gp, "Scott"));
+    }
+
+    #[test]
+    fn an_exists_postfilter_is_not_a_point_lookup() {
+        let mut gp = lookup(vec![transfer("t"), account("y")]);
+        gp.where_clause = Some(Expr::Exists(Box::new(GraphPattern::single(
+            PathPattern::concat(vec![node("y"), transfer("u"), account("z")]),
+        ))));
+        assert!(!point_lookup(&gp, "Scott"));
     }
 
     #[test]

@@ -658,6 +658,13 @@ impl PropertyGraph {
         self.index.get_or_init(|| Arc::new(NodeIndex::build(self)))
     }
 
+    /// Whether the node index is built, so that
+    /// [`Self::nodes_with_label`] and [`Self::nodes_with_prop`] read it
+    /// instead of first scanning every node to build it.
+    pub fn has_index(&self) -> bool {
+        self.index.get().is_some()
+    }
+
     /// The nodes carrying `label`, in ascending id order. The index
     /// behind it is built on first use and dropped by node mutations.
     pub fn nodes_with_label(&self, label: &str) -> &[NodeId] {

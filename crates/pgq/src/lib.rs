@@ -32,7 +32,7 @@ pub mod view;
 pub use csv::CsvError;
 pub use ddl::parse_ddl;
 pub use graph_table::{graph_table, prepare_graph_table, PgqError, PreparedGraphTable};
-pub use table::{Database, Table};
+pub use table::{Database, Structure, Table};
 pub use view::{materialize_tabulation, tabulate, EdgeTable, GraphView, VertexTable, ViewError};
 
 use std::collections::BTreeMap;

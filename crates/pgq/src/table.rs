@@ -15,6 +15,23 @@ pub struct Table {
     /// [`tabulate`](crate::tabulate); `None` for any other table, which
     /// a tabulation's view reads as labelled by its name alone.
     pub labels: Option<Vec<String>>,
+    /// The names of the structural columns, recorded by
+    /// [`tabulate`](crate::tabulate); `None` for any other table, which a
+    /// tabulation's view reads with the fixed names `ID` (and, when it has
+    /// a `SRC` column, `SRC`, `DST` and `DIRECTED`).
+    pub structure: Option<Structure>,
+}
+
+/// The structural columns of a tabulated table: the element key and, for
+/// an edge table, its endpoints and direction. Every other column is a
+/// property.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Structure {
+    /// The key column.
+    pub id: String,
+    /// The source, destination and direction columns of an edge table;
+    /// `None` for a node table.
+    pub edge: Option<[String; 3]>,
 }
 
 impl Table {
@@ -28,6 +45,7 @@ impl Table {
             columns: columns.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
             labels: None,
+            structure: None,
         }
     }
 

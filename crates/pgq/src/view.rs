@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use property_graph::{ElementId, Endpoints, PropertyGraph, Value};
 
-use crate::table::{Database, Table};
+use crate::table::{Database, Structure, Table};
 
 /// Error raised when a view does not fit its database.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -270,7 +270,10 @@ fn duplicate(table: &str, key: &str) -> ViewError {
 /// relation per *label set* occurring on nodes or edges, grouped by the
 /// graph's own sets, with the set recorded in [`Table::labels`]. Node
 /// tables have an `ID` column plus one column per property; edge tables
-/// additionally have `SRC`, `DST` and `DIRECTED` columns. A table is
+/// additionally have `SRC`, `DST` and `DIRECTED` columns. A structural
+/// column whose name a property of its table already spells takes the
+/// first of `ID_1`, `ID_2`, … (`SRC_1`, … likewise) that none spells;
+/// the names chosen are recorded in [`Table::structure`]. A table is
 /// named by concatenating its labels (the `CityCountry` table for node
 /// `c2`), or `Unlabeled` / `UnlabeledEdge` for unlabelled elements. When
 /// two sets spell the same name — {AB} and {A, B}, or a node and an edge
@@ -310,10 +313,22 @@ pub fn tabulate(g: &PropertyGraph) -> Database {
             ElementId::Edge(e) => g.edge(e).properties.keys(),
         };
         let props: BTreeSet<&String> = elements.iter().flat_map(|&el| keys(el)).collect();
-        let mut columns = vec!["ID"];
-        if is_edge {
-            columns.extend(["SRC", "DST", "DIRECTED"]);
-        }
+        let free = |base: &str| {
+            let taken = |name: &String| props.contains(&name);
+            let mut name = base.to_owned();
+            let mut k = 0;
+            while taken(&name) {
+                k += 1;
+                name = format!("{base}_{k}");
+            }
+            name
+        };
+        let structure = Structure {
+            id: free("ID"),
+            edge: is_edge.then(|| ["SRC", "DST", "DIRECTED"].map(free)),
+        };
+        let mut columns = vec![structure.id.as_str()];
+        columns.extend(structure.edge.iter().flatten().map(String::as_str));
         columns.extend(props.iter().map(|p| p.as_str()));
         let mut table = Table::new(name, columns);
         for el in elements {
@@ -329,41 +344,48 @@ pub fn tabulate(g: &PropertyGraph) -> Database {
             table.push(row);
         }
         table.labels = Some(labels.iter().cloned().collect());
+        table.structure = Some(structure);
         db.insert(table);
     }
     db
 }
 
 /// The view that reads a [`tabulate`] export back — the inverse
-/// direction, used to show the Figure 1 ↔ Figure 2 correspondence. A
-/// table with a `SRC` column is an edge table keyed by `ID` between `SRC`
-/// and `DST`, its direction read per row from `DIRECTED`; every other
-/// table is a vertex table keyed by `ID`. Every other column is a
-/// property, and each table's label set is read from the recorded set
+/// direction, used to show the Figure 1 ↔ Figure 2 correspondence. Each
+/// table's structural columns are the ones recorded in
+/// [`Table::structure`]: an edge table is keyed by its `ID` column
+/// between its `SRC` and `DST` columns, its direction read per row from
+/// `DIRECTED`, and a vertex table is keyed by its `ID` column. A table
+/// without a record is read with those fixed names, as an edge table
+/// when it has a `SRC` column. Every other column is a property, and
+/// each table's label set is read from the recorded set
 /// ([`Table::labels`]); a table without one is labelled by its name.
 pub fn view_of_tabulation(db: &Database) -> GraphView {
     let mut view = GraphView::new("tabulated");
     for t in db.tables() {
         let labels = (t.labels.clone()).unwrap_or_else(|| vec![t.name.clone()]);
-        if t.column_index("SRC").is_some() {
-            let props = t
-                .columns
-                .iter()
-                .filter(|c| !matches!(c.as_str(), "ID" | "SRC" | "DST" | "DIRECTED"));
-            view = view.edge(
-                EdgeTable::new(&t.name, "ID", "SRC", "DST")
+        let structure = t.structure.clone().unwrap_or_else(|| Structure {
+            id: "ID".to_owned(),
+            edge: t
+                .column_index("SRC")
+                .map(|_| ["SRC", "DST", "DIRECTED"].map(str::to_owned)),
+        });
+        let structural =
+            |c: &&String| **c == structure.id || structure.edge.iter().flatten().any(|s| s == *c);
+        let props = t.columns.iter().filter(|c| !structural(c));
+        view = match &structure.edge {
+            Some([src, dst, directed]) => view.edge(
+                EdgeTable::new(&t.name, &structure.id, src, dst)
                     .labels(labels)
                     .properties(props)
-                    .direction_from("DIRECTED"),
-            );
-        } else {
-            let props = t.columns.iter().filter(|c| *c != "ID");
-            view = view.vertex(
-                VertexTable::new(&t.name, "ID")
+                    .direction_from(directed),
+            ),
+            None => view.vertex(
+                VertexTable::new(&t.name, &structure.id)
                     .labels(labels)
                     .properties(props),
-            );
-        }
+            ),
+        };
     }
     view
 }
@@ -608,6 +630,39 @@ mod tests {
         assert_eq!(
             tables,
             [r#"AB_1 ["A", "B"]"#, r#"AB_2 ["AB"]"#, r#"C ["C"]"#]
+        );
+    }
+
+    #[test]
+    fn properties_named_like_structural_columns_round_trip() {
+        let mut g = PropertyGraph::new();
+        let props = [("ID", Value::Int(7)), ("SRC", Value::str("nowhere"))];
+        let a = g.add_node("a1", ["Account"], props);
+        let b = g.add_node("a2", ["Account"], []);
+        g.add_edge(
+            "t1",
+            Endpoints::directed(a, b),
+            ["Transfer"],
+            [("DST", Value::str("elsewhere"))],
+        );
+        let db = tabulate(&g);
+        let account = db.table("Account").unwrap();
+        assert_eq!(account.columns, ["ID_1", "ID", "SRC"]);
+        let transfer = db.table("Transfer").unwrap();
+        assert_eq!(transfer.columns, ["ID", "SRC", "DST_1", "DIRECTED", "DST"]);
+        let back = materialize_tabulation(&db).unwrap();
+        assert_eq!((back.node_count(), back.edge_count()), (2, 1));
+        let a1 = back.node(back.node_by_name("a1").unwrap());
+        assert_eq!(a1.property("ID"), &Value::Int(7));
+        assert_eq!(a1.property("SRC"), &Value::str("nowhere"));
+        let t1 = back.edge(back.edge_by_name("t1").unwrap());
+        assert_eq!(t1.property("DST"), &Value::str("elsewhere"));
+        assert_eq!(
+            t1.endpoints.pair(),
+            (
+                back.node_by_name("a1").unwrap(),
+                back.node_by_name("a2").unwrap()
+            )
         );
     }
 

@@ -8,7 +8,9 @@
 //!    immediately (`HELLO`, `STATS`, `FETCH`, `CLOSE` — all cheap,
 //!    connection-local work) or produce a [`WorkItem`] for a worker;
 //! 2. [`Shared::run_work`] — the query/prepare/execute itself, safe to
-//!    run on any thread (it only touches the shared session);
+//!    run on any thread (it only touches the shared session); a point
+//!    lookup that [`Shared::inline`] clears runs as
+//!    [`Shared::run_inline`] on the reactor instead;
 //! 3. [`ConnState::finish`] — fold the worker's output back into
 //!    connection-local state (assign prepared handles and cursor ids).
 //!
@@ -23,6 +25,7 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use gpml_core::plan::Statement;
+use gpml_core::Params;
 use gpml_storage::Mutation;
 use gql::{QueryResult, ResultCursor};
 use property_graph::Value;
@@ -47,7 +50,7 @@ pub(crate) enum WorkItem {
     /// dispatch, so an unknown handle never costs a worker trip).
     Execute {
         prepared: Statement,
-        params: Vec<(String, Value)>,
+        params: Params,
         cursor: bool,
     },
     /// A mutation batch ready to commit — one bare mutation, or the
@@ -286,7 +289,7 @@ impl ConnState {
                 Action::Work(
                     WorkItem::Execute {
                         prepared: prepared.clone(),
-                        params,
+                        params: params.into_iter().collect(),
                         cursor,
                     },
                     Some(ctx),

@@ -5,12 +5,38 @@
 //! One reactor thread owns the listener and every connection's socket,
 //! all non-blocking, multiplexed with `poll(2)` through a thin
 //! `cfg(unix)` syscall shim (std already links libc; no crates needed).
-//! Query execution never runs on the reactor: a classified request
-//! becomes a [`WorkItem`] on an mpsc channel drained by a fixed pool of
-//! worker threads (sized to cores, the same cheap-std-threads
-//! discipline as `core::eval::pool`), and completions come back over a
-//! second channel paired with a self-pipe [`Waker`] that drops the
-//! reactor out of `poll`.
+//! A classified request that does real work becomes a [`WorkItem`] on an
+//! mpsc channel drained by a fixed pool of worker threads (sized to
+//! cores, the same cheap-std-threads discipline as `core::eval::pool`),
+//! and completions come back over a second channel paired with a
+//! self-pipe [`Waker`] that drops the reactor out of `poll`.
+//!
+//! # Point lookups run here
+//!
+//! The exception is a request whose work has a fixed bound.
+//! [`Shared::inline`] clears it before dispatch when it is a non-cursor
+//! `EXECUTE`, or a non-cursor `QUERY` whose plan is already cached
+//! (looked up without counting; the reactor never compiles), and its
+//! plan is a point lookup under its bindings over the snapshot it will
+//! read: one stage, no `EXISTS` subplan, no quantifier or `?`, a node
+//! index already built, a start that is an index probe naming at most
+//! one node, and at most `POINT_LOOKUP_WALKS` (64) walks out of that
+//! node within the pattern's number of hops. The check itself never
+//! builds an index and reads at most 65 degrees, and the run matches and
+//! projects at most 64 walks: the same order as the worker round trip.
+//! So the reactor runs it, finishes it, and queues its reply in the
+//! same wake that read it — no channel, no worker, no self-pipe.
+//! Everything else (`PREPARE`, commits, cursors, multi-stage plans,
+//! quantified stages, label and all-node scans, starts near a hub, and
+//! any request after a node write until a worker rebuilds the index)
+//! goes to the workers. Both paths run through one guarded helper and
+//! complete through one ([`ConnState::finish`], then the queued reply).
+//!
+//! **Fairness:** a connection runs at most one request inline per loop
+//! iteration. Whole frames still in its read buffer are served on the
+//! next iteration, and `poll` does not sleep while any readable
+//! connection holds one, so a pipelined burst of lookups takes turns
+//! with every other connection instead of monopolizing the loop.
 //!
 //! # Per-connection discipline
 //!
@@ -52,9 +78,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gpml_obs::TraceBuilder;
+
 use crate::conn::{Action, ConnState, WorkItem, WorkOutput};
 use crate::protocol::{ErrorCode, Response, MAX_FRAME};
 use crate::server::{ObsCtx, Shared};
+
+/// A request on its way to a worker, and its output on the way back.
+type Job = (u64, WorkItem, Option<ObsCtx>);
+type Done = (u64, WorkOutput, Option<ObsCtx>);
 
 /// How long a graceful shutdown waits for in-flight queries to finish
 /// and their responses to flush before closing connections anyway.
@@ -192,6 +224,9 @@ struct Conn {
     /// Last time a full frame arrived or response bytes moved — the
     /// idle-timeout clock.
     last_progress: Instant,
+    /// The loop iteration in which this connection last ran a request
+    /// inline: at most one per iteration.
+    inlined_at: u64,
 }
 
 impl Conn {
@@ -199,6 +234,21 @@ impl Conn {
     /// write. This single predicate *is* the backpressure discipline.
     fn wants_read(&self) -> bool {
         !self.busy && self.write_buf.is_empty() && !self.closing
+    }
+
+    /// The announced payload length of the frame at the head of the read
+    /// buffer, once its length prefix is in.
+    fn head_len(&self) -> Option<usize> {
+        let prefix = self.read_buf.first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*prefix) as usize)
+    }
+
+    /// Whether the read buffer holds something [`advance`] acts on
+    /// without reading more: a whole frame, or a length prefix over the
+    /// cap (a hard close).
+    fn frame_ready(&self) -> bool {
+        self.head_len()
+            .is_some_and(|len| len > MAX_FRAME || self.read_buf.len() >= 4 + len)
     }
 
     /// Serializes a response into the bounded write queue;
@@ -242,25 +292,54 @@ enum Verdict {
 }
 
 /// One readiness event.
+#[derive(Clone, Copy)]
 enum Event {
     Accept,
     Conn(u64, i16),
+    /// A connection holds a whole frame it was not served in the last
+    /// iteration because it had already run a request inline.
+    Ready(u64),
+}
+
+/// The loop's `poll` buffers, kept across iterations and refilled each
+/// pass.
+#[derive(Default)]
+struct PollSet {
+    #[cfg(unix)]
+    fds: Vec<sys::PollFd>,
+    #[cfg(unix)]
+    ids: Vec<Option<u64>>,
+    events: Vec<Event>,
+}
+
+/// What request dispatch needs from the loop.
+struct Dispatch {
+    /// The worker pool's job channel.
+    jobs: mpsc::Sender<Job>,
+    /// The current loop iteration, which rations inline runs.
+    tick: u64,
 }
 
 /// Runs the event loop until `stop()`. Owns the listener, every
 /// connection, and the worker pool.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker: Arc<Waker>) {
     let _ = listener.set_nonblocking(true);
-    let (job_tx, job_rx) = mpsc::channel::<(u64, WorkItem, Option<ObsCtx>)>();
-    let (done_tx, done_rx) = mpsc::channel::<(u64, WorkOutput, Option<ObsCtx>)>();
+    let (job_tx, job_rx) = mpsc::channel::<Job>();
+    let (done_tx, done_rx) = mpsc::channel::<Done>();
     let workers = spawn_workers(&shared, job_rx, done_tx, &waker);
+    let mut dispatch = Dispatch {
+        jobs: job_tx,
+        tick: 0,
+    };
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 0;
     let mut scratch = vec![0u8; 64 * 1024];
+    let mut poll = PollSet::default();
     let mut drain_deadline: Option<Instant> = None;
     let idle_timeout = shared.idle_timeout();
 
     loop {
+        dispatch.tick += 1;
         let stopping = shared.is_stopping();
         if stopping {
             if drain_deadline.is_none() {
@@ -281,30 +360,38 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker: Arc<Waker>)
             }
         }
 
-        let events = poll_once(&shared, &waker, &listener, &conns);
-        for event in events {
-            match event {
+        poll_once(&shared, &waker, &listener, &conns, &mut poll);
+        for event in poll.events.drain(..) {
+            let (id, verdict) = match event {
                 Event::Accept => {
                     if !shared.is_stopping() {
                         accept_ready(&shared, &listener, &mut conns, &mut next_id);
                     }
+                    continue;
                 }
-                Event::Conn(id, revents) => {
-                    let verdict = match conns.get_mut(&id) {
-                        Some(conn) => conn_event(&shared, conn, id, revents, &mut scratch, &job_tx),
-                        None => continue,
-                    };
-                    if verdict == Verdict::Close {
-                        close_conn(&shared, &mut conns, id);
+                Event::Conn(id, revents) => match conns.get_mut(&id) {
+                    Some(conn) => (
+                        id,
+                        conn_event(&shared, conn, id, revents, &mut scratch, &dispatch),
+                    ),
+                    None => continue,
+                },
+                Event::Ready(id) => match conns.get_mut(&id) {
+                    Some(conn) if conn.wants_read() && !shared.is_stopping() => {
+                        (id, advance(&shared, conn, id, &dispatch))
                     }
-                }
+                    _ => continue,
+                },
+            };
+            if verdict == Verdict::Close {
+                close_conn(&shared, &mut conns, id);
             }
         }
 
         // Completions: fold worker output back into connection state.
         while let Ok((id, output, ctx)) = done_rx.try_recv() {
             let verdict = match conns.get_mut(&id) {
-                Some(conn) => complete(&shared, conn, id, output, ctx, &job_tx),
+                Some(conn) => complete(&shared, conn, id, output, ctx, &dispatch),
                 None => continue, // closed during drain; no reader
             };
             if verdict == Verdict::Close {
@@ -329,28 +416,38 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker: Arc<Waker>)
     for id in ids {
         close_conn(&shared, &mut conns, id);
     }
-    drop(job_tx);
+    drop(dispatch);
     for w in workers {
         let _ = w.join();
     }
 }
 
-/// Polls every registered fd once and collects readiness. On non-unix
-/// targets this sleeps a tick and reports everything as ready.
+/// Polls every registered fd once and collects readiness into
+/// `poll.events`. A connection still holding a whole frame it was not
+/// served (see [`advance`]) gets a `Ready` event, and while one does the
+/// poll does not sleep. On non-unix targets this sleeps a tick and
+/// reports everything as ready.
 fn poll_once(
     shared: &Shared,
     waker: &Waker,
     listener: &TcpListener,
     conns: &HashMap<u64, Conn>,
-) -> Vec<Event> {
+    poll: &mut PollSet,
+) {
     let accepting = !shared.is_stopping();
     let idle_timeout = shared.idle_timeout();
-    let mut events = Vec::new();
+    poll.events.clear();
+    for (&id, conn) in conns.iter() {
+        if accepting && !conn.dead && conn.wants_read() && conn.frame_ready() {
+            poll.events.push(Event::Ready(id));
+        }
+    }
     #[cfg(unix)]
     {
         use std::os::unix::io::AsRawFd;
-        let mut fds = Vec::with_capacity(conns.len() + 2);
-        let mut ids: Vec<Option<u64>> = Vec::with_capacity(conns.len() + 2);
+        let (fds, ids) = (&mut poll.fds, &mut poll.ids);
+        fds.clear();
+        ids.clear();
         fds.push(sys::PollFd {
             fd: waker.fd(),
             events: sys::POLLIN,
@@ -366,7 +463,11 @@ fn poll_once(
             ids.push(None);
         }
         let listener_slot = if accepting { 1 } else { usize::MAX };
-        let mut timeout = POLL_CAP_MS;
+        let mut timeout = if poll.events.is_empty() {
+            POLL_CAP_MS
+        } else {
+            0
+        };
         for (&id, conn) in conns.iter() {
             if conn.dead {
                 // Already condemned; re-reporting its POLLERR every
@@ -395,7 +496,7 @@ fn poll_once(
                 timeout = timeout.min(left_ms + 1);
             }
         }
-        if sys::poll_fds(&mut fds, timeout).is_err() {
+        if sys::poll_fds(fds, timeout).is_err() {
             std::thread::sleep(Duration::from_millis(2));
         }
         waker.drain();
@@ -404,8 +505,8 @@ fn poll_once(
                 continue;
             }
             match ids[slot] {
-                Some(id) => events.push(Event::Conn(id, fd.revents)),
-                None if slot == listener_slot => events.push(Event::Accept),
+                Some(id) => poll.events.push(Event::Conn(id, fd.revents)),
+                None if slot == listener_slot => poll.events.push(Event::Accept),
                 None => {} // the waker, already drained
             }
         }
@@ -416,7 +517,7 @@ fn poll_once(
         std::thread::sleep(Duration::from_millis(2));
         waker.drain();
         if accepting {
-            events.push(Event::Accept);
+            poll.events.push(Event::Accept);
         }
         for (&id, conn) in conns.iter() {
             let mut revents = 0i16;
@@ -427,11 +528,10 @@ fn poll_once(
                 revents |= sys::POLLOUT;
             }
             if revents != 0 {
-                events.push(Event::Conn(id, revents));
+                poll.events.push(Event::Conn(id, revents));
             }
         }
     }
-    events
 }
 
 /// Accepts every pending connection, applying `--max-conns` admission:
@@ -476,6 +576,7 @@ fn accept_ready(
             eof: false,
             counted: admitted,
             last_progress: Instant::now(),
+            inlined_at: 0,
         };
         if admitted {
             stats.connections_total.fetch_add(1, Ordering::Relaxed);
@@ -508,7 +609,7 @@ fn conn_event(
     id: u64,
     revents: i16,
     scratch: &mut [u8],
-    job_tx: &mpsc::Sender<(u64, WorkItem, Option<ObsCtx>)>,
+    dispatch: &Dispatch,
 ) -> Verdict {
     if revents & (sys::POLLERR | sys::POLLNVAL) != 0 {
         if conn.busy {
@@ -524,12 +625,12 @@ fn conn_event(
         // A finished flush re-enables reads; buffered pipelined frames
         // can proceed immediately rather than waiting for more bytes.
         if conn.write_buf.is_empty() && !shared.is_stopping() {
-            return advance(shared, conn, id, job_tx);
+            return advance(shared, conn, id, dispatch);
         }
         return Verdict::Keep;
     }
     if conn.wants_read() && !shared.is_stopping() && revents & (sys::POLLIN | sys::POLLHUP) != 0 {
-        return read_ready(shared, conn, id, scratch, job_tx);
+        return read_ready(shared, conn, id, scratch, dispatch);
     }
     if revents & sys::POLLHUP != 0 && !conn.busy && conn.write_buf.is_empty() {
         return Verdict::Close;
@@ -544,7 +645,7 @@ fn read_ready(
     conn: &mut Conn,
     id: u64,
     scratch: &mut [u8],
-    job_tx: &mpsc::Sender<(u64, WorkItem, Option<ObsCtx>)>,
+    dispatch: &Dispatch,
 ) -> Verdict {
     loop {
         if conn.read_buf.len() >= 4 + MAX_FRAME {
@@ -565,28 +666,25 @@ fn read_ready(
             Err(_) => return Verdict::Close,
         }
     }
-    advance(shared, conn, id, job_tx)
+    advance(shared, conn, id, dispatch)
 }
 
 /// Consumes buffered frames until the connection goes busy, has a
 /// response pending, or runs out of complete frames. At most one
 /// request is ever in flight — the protocol is strict request/response.
-fn advance(
-    shared: &Shared,
-    conn: &mut Conn,
-    id: u64,
-    job_tx: &mpsc::Sender<(u64, WorkItem, Option<ObsCtx>)>,
-) -> Verdict {
+///
+/// A worked request that [`Shared::inline`] clears runs right here, on
+/// the reactor, and its reply is queued before the next frame is read.
+/// Fairness: a connection runs at most one request inline per loop
+/// iteration. Frames it still holds wait for the next iteration, which
+/// [`poll_once`] starts without sleeping, so a pipelined burst of
+/// lookups shares the loop with every other connection instead of
+/// monopolizing it.
+fn advance(shared: &Shared, conn: &mut Conn, id: u64, dispatch: &Dispatch) -> Verdict {
     while conn.wants_read() {
-        if conn.read_buf.len() < 4 {
+        let Some(len) = conn.head_len() else {
             break;
-        }
-        let len = u32::from_be_bytes([
-            conn.read_buf[0],
-            conn.read_buf[1],
-            conn.read_buf[2],
-            conn.read_buf[3],
-        ]) as usize;
+        };
         if len > MAX_FRAME {
             // No way to resynchronize past a lying length prefix; same
             // hard close as the blocking read_frame path.
@@ -595,21 +693,34 @@ fn advance(
         if conn.read_buf.len() < 4 + len {
             break;
         }
+        if conn.inlined_at == dispatch.tick {
+            return Verdict::Keep;
+        }
         let payload = conn.read_buf[4..4 + len].to_vec();
         conn.read_buf.drain(..4 + len);
         conn.last_progress = Instant::now();
-        match std::str::from_utf8(&payload) {
+        let verdict = match std::str::from_utf8(&payload) {
             Ok(text) => match conn.state.classify(shared, text) {
                 Action::Respond(response, ctx) => {
                     conn.queue_response(shared, response, ctx);
-                    if flush_verdict(conn) == Verdict::Close {
-                        return Verdict::Close;
-                    }
+                    flush_verdict(conn)
                 }
-                Action::Work(item, ctx) => {
-                    conn.busy = true;
-                    if job_tx.send((id, item, ctx)).is_err() {
-                        return Verdict::Close; // workers gone: shutting down
+                Action::Work(item, mut ctx) => {
+                    match shared.inline(item, ctx.as_mut().and_then(ObsCtx::trace_mut)) {
+                        Ok(run) => {
+                            conn.inlined_at = dispatch.tick;
+                            let output = run_guarded("reactor", &mut ctx, |trace| {
+                                shared.run_inline(run, trace)
+                            });
+                            settle(shared, conn, output, ctx)
+                        }
+                        Err(item) => {
+                            conn.busy = true;
+                            if dispatch.jobs.send((id, item, ctx)).is_err() {
+                                return Verdict::Close; // workers gone: shutting down
+                            }
+                            Verdict::Keep
+                        }
                     }
                 }
             },
@@ -622,10 +733,11 @@ fn advance(
                     },
                     None,
                 );
-                if flush_verdict(conn) == Verdict::Close {
-                    return Verdict::Close;
-                }
+                flush_verdict(conn)
             }
+        };
+        if verdict == Verdict::Close {
+            return Verdict::Close;
         }
     }
     // A half-closed peer's connection ends once everything it pipelined
@@ -646,22 +758,34 @@ fn flush_verdict(conn: &mut Conn) -> Verdict {
     }
 }
 
+/// Completes one worked request on its connection, wherever it ran:
+/// folds the output into connection state (handles, cursors), queues the
+/// reply, and starts flushing it.
+fn settle(
+    shared: &Shared,
+    conn: &mut Conn,
+    output: WorkOutput,
+    mut ctx: Option<ObsCtx>,
+) -> Verdict {
+    let response = conn.state.finish(shared, output, ctx.as_mut());
+    conn.queue_response(shared, response, ctx);
+    flush_verdict(conn)
+}
+
 /// Folds a worker completion back into its connection.
 fn complete(
     shared: &Shared,
     conn: &mut Conn,
     id: u64,
     output: WorkOutput,
-    mut ctx: Option<ObsCtx>,
-    job_tx: &mpsc::Sender<(u64, WorkItem, Option<ObsCtx>)>,
+    ctx: Option<ObsCtx>,
+    dispatch: &Dispatch,
 ) -> Verdict {
     conn.busy = false;
     if conn.dead {
         return Verdict::Close;
     }
-    let response = conn.state.finish(shared, output, ctx.as_mut());
-    conn.queue_response(shared, response, ctx);
-    if flush_verdict(conn) == Verdict::Close {
+    if settle(shared, conn, output, ctx) == Verdict::Close {
         return Verdict::Close;
     }
     if conn.write_buf.is_empty() {
@@ -669,7 +793,7 @@ fn complete(
             // Drained: the in-flight query was answered in full.
             return Verdict::Close;
         }
-        return advance(shared, conn, id, job_tx);
+        return advance(shared, conn, id, dispatch);
     }
     Verdict::Keep
 }
@@ -692,8 +816,8 @@ fn close_conn(shared: &Shared, conns: &mut HashMap<u64, Conn>, id: u64) {
 /// query, post the completion, and wake the reactor.
 fn spawn_workers(
     shared: &Arc<Shared>,
-    job_rx: mpsc::Receiver<(u64, WorkItem, Option<ObsCtx>)>,
-    done_tx: mpsc::Sender<(u64, WorkOutput, Option<ObsCtx>)>,
+    job_rx: mpsc::Receiver<Job>,
+    done_tx: mpsc::Sender<Done>,
     waker: &Arc<Waker>,
 ) -> Vec<JoinHandle<()>> {
     let job_rx = Arc::new(Mutex::new(job_rx));
@@ -711,17 +835,8 @@ fn spawn_workers(
                         Err(_) => return,
                     };
                     let Ok((id, item, mut ctx)) = job else { return };
-                    // A panicking query must not take the pool (and
-                    // every connection behind it) down with it.
-                    let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shared.run_work(item, ctx.as_mut().and_then(ObsCtx::trace_mut))
-                    }))
-                    .unwrap_or_else(|_| {
-                        WorkOutput::Response(Response::Error {
-                            code: ErrorCode::Host,
-                            message: "internal error: query execution panicked".to_owned(),
-                        })
-                    });
+                    let output =
+                        run_guarded("worker", &mut ctx, |trace| shared.run_work(item, trace));
                     if done_tx.send((id, output, ctx)).is_err() {
                         return;
                     }
@@ -730,4 +845,26 @@ fn spawn_workers(
                 .expect("spawn gpmld worker thread")
         })
         .collect()
+}
+
+/// Runs one worked request on the current thread — a pool worker, or the
+/// reactor for a request [`Shared::inline`] cleared — and tags its trace
+/// with which (`ran_on`). A panicking query becomes `ERR HOST`: it must
+/// not take the pool or the loop, and every connection behind them,
+/// down with it.
+fn run_guarded(
+    ran_on: &'static str,
+    ctx: &mut Option<ObsCtx>,
+    run: impl FnOnce(Option<&mut TraceBuilder>) -> WorkOutput,
+) -> WorkOutput {
+    let mut trace = ctx.as_mut().and_then(ObsCtx::trace_mut);
+    if let Some(tb) = trace.as_deref_mut() {
+        tb.tag("ran_on", ran_on);
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(trace))).unwrap_or_else(|_| {
+        WorkOutput::Response(Response::Error {
+            code: ErrorCode::Host,
+            message: "internal error: query execution panicked".to_owned(),
+        })
+    })
 }

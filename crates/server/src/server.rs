@@ -4,8 +4,9 @@
 //!
 //! One reactor thread multiplexes every non-blocking socket with
 //! `poll(2)` (the private `reactor` module) and dispatches query
-//! execution to a fixed worker pool sized to cores; the per-request logic
-//! lives in the private `conn` module. Thousands of mostly-idle
+//! execution to a fixed worker pool sized to cores, except for point
+//! lookups, which it runs itself (see `Shared::inline`); the per-request
+//! logic lives in the private `conn` module. Thousands of mostly-idle
 //! connections cost a pollfd each, not a thread; results can be streamed
 //! through cursors; `--max-conns`, `--idle-timeout`, and bounded write
 //! queues with backpressure apply.
@@ -175,6 +176,15 @@ impl ObsCtx {
             ObsCtx::Fetch { .. } => None,
         }
     }
+}
+
+/// A request [`Shared::inline`] cleared to run on the reactor: its
+/// statement and bindings, and the snapshot its start was resolved
+/// against, which its execution reads.
+pub(crate) struct Inline {
+    prepared: Statement,
+    params: Params,
+    graph: Arc<PropertyGraph>,
 }
 
 /// The server's observability surface: the lane latency histograms, the
@@ -377,8 +387,8 @@ impl Shared {
                 params,
                 cursor,
             } => {
-                let params: Params = params.into_iter().collect();
-                match self.run_profiled(&prepared, &params, trace.as_deref_mut()) {
+                let g = self.journal.snapshot();
+                match self.run_profiled(&g, &prepared, &params, trace.as_deref_mut()) {
                     Ok(result) if cursor => WorkOutput::Cursor(result),
                     Ok(result) => WorkOutput::Response(Response::Result(result)),
                     Err(e) => WorkOutput::Response(error_response(e)),
@@ -446,11 +456,7 @@ impl Shared {
                 compiled = true;
                 self.session.prepare_uncached(text)
             });
-        if let (Some(tb), Some(start)) = (trace, start) {
-            let idx = tb.span("prepare", None, start, tb.elapsed_us() - start);
-            tb.span_stat(idx, "cache_hit", u64::from(!compiled));
-            tb.tag("cache", if compiled { "miss" } else { "hit" });
-        }
+        trace_prepare(trace, start, compiled);
         if compiled && prepared.is_ok() {
             if let Some(p) = &self.persist {
                 p.save(&self.cache);
@@ -472,7 +478,87 @@ impl Shared {
         if !prepared.has_return() {
             return Err(GqlError::missing_return(text));
         }
-        self.run_profiled(&prepared, &Params::new(), trace)
+        let g = self.journal.snapshot();
+        self.run_profiled(&g, &prepared, &Params::new(), trace)
+    }
+
+    /// Clears a request to run on the reactor, or hands it back for the
+    /// workers. Only a non-cursor `EXECUTE`, or a non-cursor `QUERY`
+    /// whose text is already cached, qualifies, and only when its plan
+    /// [is a point lookup](gpml_core::plan::ExecutablePlan::is_point_lookup)
+    /// under its bindings over the snapshot pinned here, which is the
+    /// one the execution then reads. The reactor never compiles: a
+    /// `QUERY` is looked up without counting, and its hit is counted
+    /// (and traced as the request's `prepare` span) only once it is
+    /// cleared, so a request handed back is looked up, hit or miss,
+    /// exactly once, by the worker.
+    pub(crate) fn inline(
+        &self,
+        item: WorkItem,
+        trace: Option<&mut TraceBuilder>,
+    ) -> Result<Inline, WorkItem> {
+        match item {
+            WorkItem::Execute {
+                prepared,
+                params,
+                cursor: false,
+            } => self
+                .point_lookup(prepared, params)
+                .map_err(|(prepared, params)| WorkItem::Execute {
+                    prepared,
+                    params,
+                    cursor: false,
+                }),
+            WorkItem::Query {
+                text,
+                cursor: false,
+            } => {
+                let start = trace.as_ref().map(|tb| tb.elapsed_us());
+                let opts = self.session.options();
+                let run = (self.cache.peek_cloned(&text, opts))
+                    .filter(Statement::has_return)
+                    .and_then(|prepared| self.point_lookup(prepared, Params::new()).ok())
+                    .filter(|_| self.cache.touch(&text, opts));
+                match run {
+                    Some(run) => {
+                        trace_prepare(trace, start, false);
+                        Ok(run)
+                    }
+                    None => Err(WorkItem::Query {
+                        text,
+                        cursor: false,
+                    }),
+                }
+            }
+            other => Err(other),
+        }
+    }
+
+    /// `prepared` under `params`, ready to run inline if it is a point
+    /// lookup on the current snapshot; handed back otherwise.
+    fn point_lookup(
+        &self,
+        prepared: Statement,
+        params: Params,
+    ) -> Result<Inline, (Statement, Params)> {
+        let graph = self.journal.snapshot();
+        if prepared.plan().is_point_lookup(&graph, &params) {
+            Ok(Inline {
+                prepared,
+                params,
+                graph,
+            })
+        } else {
+            Err((prepared, params))
+        }
+    }
+
+    /// Runs a request [`Self::inline`] cleared, on the reactor.
+    pub(crate) fn run_inline(&self, run: Inline, trace: Option<&mut TraceBuilder>) -> WorkOutput {
+        match self.run_profiled(&run.graph, &run.prepared, &run.params, trace) {
+            Ok(result) => WorkOutput::Response(Response::Result(result)),
+            Err(e) => WorkOutput::Response(error_response(e)),
+        }
     }
 
     /// Executes `prepared` under a per-request [`ExecProfile`] and folds
@@ -482,20 +568,22 @@ impl Shared {
     /// profile also becomes the trace's `execute` span tree: one child
     /// span per plan stage carrying that stage's counters, so `TRACE
     /// LAST n` shows exactly what `--explain` would for the same query.
+    ///
+    /// `g` is the snapshot the caller pinned for the whole execution: a
+    /// commit landing mid-query swaps the journal's `Arc` but cannot
+    /// touch this one.
     fn run_profiled(
         &self,
+        g: &PropertyGraph,
         prepared: &Statement,
         params: &Params,
         trace: Option<&mut TraceBuilder>,
     ) -> Result<QueryResult, GqlError> {
         let profile = ExecProfile::new(prepared.plan().stage_count());
-        // Pin the epoch for the whole execution: a commit landing
-        // mid-query swaps the journal's Arc but cannot touch this one.
-        let g = self.journal.snapshot();
         let exec_start = trace.as_ref().map(|tb| tb.elapsed_us());
-        let result =
-            self.session
-                .execute_prepared_profiled_on(&g, prepared, params, Some(&profile));
+        let result = self
+            .session
+            .execute_prepared_profiled_on(g, prepared, params, Some(&profile));
         if let (Some(tb), Some(start)) = (trace, exec_start) {
             let root = tb.span("execute", None, start, tb.elapsed_us() - start);
             if let Ok(r) = &result {
@@ -761,6 +849,16 @@ pub fn serve_shared(graph: Arc<PropertyGraph>, config: ServerConfig) -> io::Resu
         shared,
         serve_thread: Some(serve_thread),
     })
+}
+
+/// Records a plan lookup that began at `start` as the trace's `prepare`
+/// span, tagged with whether it hit the cache or compiled.
+fn trace_prepare(trace: Option<&mut TraceBuilder>, start: Option<u64>, compiled: bool) {
+    if let (Some(tb), Some(start)) = (trace, start) {
+        let idx = tb.span("prepare", None, start, tb.elapsed_us() - start);
+        tb.span_stat(idx, "cache_hit", u64::from(!compiled));
+        tb.tag("cache", if compiled { "miss" } else { "hit" });
+    }
 }
 
 /// Maps a host error onto the wire's typed codes. Parameter-binding

@@ -92,6 +92,19 @@ impl AbuseClient {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
+    /// Whether the server has sent anything not yet read, without
+    /// waiting for it.
+    pub fn has_pending(&mut self) -> io::Result<bool> {
+        self.stream.set_nonblocking(true)?;
+        let peeked = self.stream.peek(&mut [0u8; 1]);
+        self.stream.set_nonblocking(false)?;
+        match peeked {
+            Ok(_) => Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
     /// True once the server closes this connection within `deadline`.
     /// Any payload the server flushes first (say, a goodbye error frame)
     /// is read through and discarded on the way to EOF.

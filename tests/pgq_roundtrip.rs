@@ -112,11 +112,14 @@ const LABEL_SETS: &[&[&str]] = &[
     &["A", "Unlabeled"],
 ];
 
+/// Property keys that spell the tabulation's own structural columns, or
+/// the first name it falls back to when a property takes `ID`.
+const STRUCTURAL_KEYS: &[&str] = &["ID", "SRC", "DST", "DIRECTED", "ID_1"];
+
 /// A graph drawn from `seed`: 1–6 nodes and 0–10 edges, each with a
-/// label set from [`LABEL_SETS`] and zero to two properties (keys other
-/// than the tabulation's own `ID`, `SRC`, `DST` and `DIRECTED` columns);
-/// edges are directed or undirected between random endpoints, so
-/// self-loops and parallel edges are common.
+/// label set from [`LABEL_SETS`] and zero to three properties, the third
+/// keyed by one of [`STRUCTURAL_KEYS`]; edges are directed or undirected
+/// between random endpoints, so self-loops and parallel edges are common.
 fn drawn_graph(seed: u64) -> PropertyGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = |rng: &mut StdRng| LABEL_SETS[rng.gen_range(0..LABEL_SETS.len())].iter();
@@ -127,6 +130,10 @@ fn drawn_graph(seed: u64) -> PropertyGraph {
         }
         if rng.gen_bool(0.3) {
             props.push(("name", Value::str(["x", "y"][rng.gen_range(0..2usize)])));
+        }
+        if rng.gen_bool(0.3) {
+            let key = STRUCTURAL_KEYS[rng.gen_range(0..STRUCTURAL_KEYS.len())];
+            props.push((key, Value::Int(rng.gen_range(0..3i64))));
         }
         props
     };

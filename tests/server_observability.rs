@@ -410,3 +410,80 @@ fn commit_traces_carry_wal_spans() {
     assert_eq!(json_u64(span_of(trace, "commit"), "applied"), 1);
     server.stop();
 }
+
+/// Every worked request's trace says where it ran. A point lookup (a
+/// prepared one, or a `QUERY` whose text is already cached) runs on the
+/// reactor; a cache-missing `QUERY`, a quantified path query, a cursor
+/// and a commit run on a worker.
+#[test]
+fn traces_say_where_each_request_ran() {
+    const LOOKUP: &str = "MATCH (a:Account WHERE a.owner = 'Scott')-[t:Transfer]->(b:Account) \
+                          RETURN b.owner AS r";
+    const SKELETON: &str = "MATCH (a:Account WHERE a.owner = $owner)-[t:Transfer]->(b:Account) \
+                            RETURN b.owner AS r";
+    const PATH: &str = "MATCH ANY SHORTEST (a:Account WHERE a.owner = 'Scott')-[:Transfer]->+\
+                        (b:Account WHERE b.isBlocked = 'yes') RETURN b.owner AS r";
+    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // The trace of the request just answered.
+    let last = |client: &mut Client| {
+        let traces = client.trace_last(1).expect("trace");
+        assert_eq!(traces.len(), 1, "{traces:?}");
+        traces[0].clone()
+    };
+    let ran = |trace: &str, on: &str| {
+        assert!(
+            trace.contains(&format!("\"ran_on\":\"{on}\"")),
+            "want {on}: {trace}"
+        );
+    };
+
+    let first = client.query(LOOKUP).expect("query");
+    let trace = last(&mut client);
+    ran(&trace, "worker");
+    assert!(trace.contains("\"cache\":\"miss\""), "{trace}");
+
+    let again = client.query(LOOKUP).expect("cached query");
+    assert_eq!(again, first);
+    let trace = last(&mut client);
+    ran(&trace, "reactor");
+    assert!(trace.contains("\"cache\":\"hit\""), "{trace}");
+    for name in ["prepare", "execute", "stage[0]", "encode"] {
+        span_of(&trace, name);
+    }
+
+    let handle = client.prepare(SKELETON).expect("prepare").handle;
+    ran(&last(&mut client), "worker");
+    let params = Params::new().with("owner", "Scott");
+    assert_eq!(client.execute(handle, &params).expect("execute"), first);
+    let trace = last(&mut client);
+    ran(&trace, "reactor");
+    assert!(trace.contains("\"label\":\"EXECUTE\""), "{trace}");
+
+    for _ in 0..2 {
+        // Cached or not, a quantified stage stays on the workers.
+        client.query(PATH).expect("path query");
+        ran(&last(&mut client), "worker");
+    }
+
+    client.query_cursor(LOOKUP).expect("cursor");
+    ran(&last(&mut client), "worker");
+
+    client
+        .insert_node("where1", &["Account"], &[])
+        .expect("commit");
+    ran(&last(&mut client), "worker");
+
+    // The node write dropped the index, and the reactor never builds it:
+    // the next lookup rebuilds it on a worker, and the one after that
+    // runs on the reactor again.
+    for on in ["worker", "reactor"] {
+        assert_eq!(client.execute(handle, &params).expect("execute"), first);
+        ran(&last(&mut client), on);
+    }
+
+    // One miss per distinct text, every replay a hit, wherever it ran.
+    let cache = server.cache_stats();
+    assert_eq!((cache.misses, cache.hits), (3, 3), "{cache:?}");
+    server.stop();
+}

@@ -7,19 +7,20 @@
 //! reactor's admission control, idle reaping, backpressure, and
 //! resource teardown — the paths a well-behaved client never exercises.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::abuse::AbuseClient;
+use common::abuse::{frame_bytes, AbuseClient};
 
 use gpml_server::client::{stat, Client};
-use gpml_server::protocol::MAX_FRAME;
+use gpml_server::protocol::{Request, Response, MAX_FRAME};
 use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
 use gpml_suite::core::Params;
-use gpml_suite::datagen::{fig1, transfer_network, TransferNetworkConfig};
+use gpml_suite::datagen::{fig1, grid, transfer_network, TransferNetworkConfig};
 use gpml_suite::gql::{QueryResult, Session};
-use property_graph::{PropertyGraph, Value};
+use property_graph::{Endpoints, PropertyGraph, Value};
 
 /// How long tests wait for an expected server action before declaring
 /// it missing. Generous for loaded CI; the suite never *sleeps* this
@@ -436,5 +437,253 @@ fn gauges_return_to_zero_after_abuse_gauntlet() {
         .query("MATCH (x:Account) RETURN x.owner AS o ORDER BY o")
         .expect("post-gauntlet query");
     assert!(!r.is_empty());
+    server.stop();
+}
+
+/// The point-lookup skeleton the reactor may answer itself.
+const LOOKUP: &str = "MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account) \
+                      RETURN y.owner AS r, t.amount AS a ORDER BY r, a";
+
+/// `base` plus ten `Account`s keyed `owner0` … `owner9`, each with
+/// `fan_out` transfers spread over the other nine.
+fn with_accounts(mut g: PropertyGraph, fan_out: usize) -> PropertyGraph {
+    let ids: Vec<_> = (0..10)
+        .map(|i| {
+            let owner = Value::str(format!("owner{i}"));
+            g.add_node(&format!("acct{i}"), ["Account"], [("owner", owner)])
+        })
+        .collect();
+    for (i, &from) in ids.iter().enumerate() {
+        for k in 0..fan_out {
+            let to = ids[(i + 1 + k % 9) % 10];
+            g.add_edge(
+                &format!("tx{i}_{k}"),
+                Endpoints::directed(from, to),
+                ["Transfer"],
+                [("amount", Value::Int(k as i64))],
+            );
+        }
+    }
+    g
+}
+
+/// Starvation (the event loop's first duty): while one client's
+/// unbounded quantified query occupies a worker for hundreds of
+/// milliseconds, another client's point lookups are answered, every one
+/// correct, before the slow reply arrives.
+#[test]
+fn a_slow_query_does_not_starve_point_lookups() {
+    // Every trail of a 9x8 grid, none of which ends anywhere: an empty
+    // answer that costs a worker hundreds of milliseconds.
+    const SLOW: &str = "MATCH TRAIL (a:Cell)-[:Step]->+(b:Cell WHERE b.k = 1) RETURN b.k AS k";
+    const LOOKUPS: usize = 20;
+    let graph = with_accounts(grid(9, 8), 3);
+    let oracle: Vec<QueryResult> = {
+        let mut s = Session::new();
+        s.register("g", graph.clone());
+        let prepared = s.prepare(LOOKUP).expect("oracle prepare");
+        (0..10)
+            .map(|i| {
+                let params = Params::new().with("owner", format!("owner{i}"));
+                s.execute_prepared_with("g", &prepared, &params)
+                    .expect("oracle execute")
+            })
+            .collect()
+    };
+    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let answered = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut slow = Client::connect(addr).expect("connect slow");
+            let r = slow.query(SLOW).expect("slow query");
+            answered.store(true, Ordering::SeqCst);
+            assert!(r.is_empty(), "{r:?}");
+        });
+        let mut fast = Client::connect(addr).expect("connect fast");
+        // The slow query is classified, so it is on a worker from here.
+        await_stat(&mut fast, "requests.query", 1);
+        let handle = fast.prepare(LOOKUP).expect("prepare").handle;
+        for k in 0..LOOKUPS {
+            let params = Params::new().with("owner", format!("owner{}", k % 10));
+            let got = fast.execute(handle, &params).expect("lookup");
+            assert_eq!(got, oracle[k % 10], "lookup {k}");
+        }
+        assert!(
+            !answered.load(Ordering::SeqCst),
+            "{LOOKUPS} lookups waited behind the slow query"
+        );
+    });
+    server.stop();
+}
+
+/// Fairness: a client that pipelines 500 point lookups in one write is
+/// served one lookup per loop iteration, so a bystander's single
+/// request is answered while the burst is still being worked through.
+#[test]
+fn a_pipelined_burst_does_not_starve_a_bystander() {
+    const BURST: usize = 500;
+    // [`TWO_HOPS`] from a node with fan-out 3: 42 walks, few enough to
+    // run on the reactor, for an empty, tiny reply, so the
+    // burst's replies never back up into the socket buffers (which would
+    // pause it anyway).
+    let graph = with_accounts(PropertyGraph::new(), 3);
+    let oracle = {
+        let mut s = Session::new();
+        s.register("g", graph.clone());
+        let prepared = s.prepare(TWO_HOPS).expect("oracle prepare");
+        let params = Params::new().with("owner", "owner0");
+        s.execute_prepared_with("g", &prepared, &params)
+            .expect("oracle execute")
+    };
+    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let mut bystander = Client::connect(server.addr()).expect("connect bystander");
+    bystander.hello("bystander").expect("hello");
+
+    let mut burst = AbuseClient::connect(server.addr()).expect("connect burst");
+    let recv = |c: &mut AbuseClient| {
+        let frame = c.recv_frame(PATIENCE).expect("read").expect("open");
+        Response::parse(&frame).expect("parse")
+    };
+    let prepare = Request::Prepare {
+        text: TWO_HOPS.to_owned(),
+    };
+    burst.send_frame(&prepare.serialize()).expect("send");
+    let Response::Prepared { handle, .. } = recv(&mut burst) else {
+        panic!("PREPARE failed");
+    };
+    let execute = Request::Execute {
+        handle,
+        params: vec![("owner".to_owned(), Value::str("owner0"))],
+    };
+    let frames = frame_bytes(&execute.serialize()).repeat(BURST);
+    burst
+        .send_raw(&frames)
+        .expect("one write of the whole burst");
+
+    // The first reply shows the burst is being served…
+    assert_eq!(recv(&mut burst), Response::Result(oracle.clone()));
+    // …and the bystander's request is answered while it still is.
+    let executes = stat(&bystander.stats().expect("stats"), "requests.execute");
+    assert!(
+        executes.is_some_and(|n| n < BURST as u64),
+        "the bystander waited out the burst: requests.execute = {executes:?}"
+    );
+    for i in 1..BURST {
+        assert_eq!(
+            recv(&mut burst),
+            Response::Result(oracle.clone()),
+            "reply {i}"
+        );
+    }
+    server.stop();
+}
+
+/// Two hops out of the key `$owner`, ending nowhere.
+const TWO_HOPS: &str = "MATCH (x:Account WHERE x.owner = $owner)-[:Transfer]->(m:Account)\
+                        -[:Transfer]->(y:Account WHERE y.owner = 'nobody') \
+                        RETURN y.owner AS r";
+
+/// Prepares `text` on a fresh raw connection and executes it with
+/// `owner` bound, then asks a bystander for `STATS` until they show the
+/// `EXECUTE` classified, and requires that its reply is still unwritten
+/// then: the request runs on a worker, and the reactor answered the
+/// bystander without waiting for it. Returns the `EXECUTE`'s reply.
+fn answered_off_the_reactor(addr: std::net::SocketAddr, text: &str, owner: &str) -> Response {
+    let mut client = AbuseClient::connect(addr).expect("connect");
+    let recv = |c: &mut AbuseClient| {
+        let frame = c.recv_frame(PATIENCE).expect("read").expect("open");
+        Response::parse(&frame).expect("parse")
+    };
+    let prepare = Request::Prepare {
+        text: text.to_owned(),
+    };
+    client.send_frame(&prepare.serialize()).expect("send");
+    let Response::Prepared { handle, .. } = recv(&mut client) else {
+        panic!("PREPARE failed");
+    };
+    let mut bystander = Client::connect(addr).expect("connect bystander");
+    let executes = |c: &mut Client| stat(&c.stats().expect("stats"), "requests.execute");
+    let before = executes(&mut bystander).expect("requests.execute");
+    let execute = Request::Execute {
+        handle,
+        params: vec![("owner".to_owned(), Value::str(owner))],
+    };
+    client.send_frame(&execute.serialize()).expect("send");
+    let deadline = Instant::now() + PATIENCE;
+    while executes(&mut bystander) == Some(before) {
+        assert!(
+            Instant::now() < deadline,
+            "the EXECUTE was never classified"
+        );
+    }
+    assert!(
+        !client.has_pending().expect("peek"),
+        "the bystander's STATS waited for the lookup's reply"
+    );
+    recv(&mut client)
+}
+
+/// The reactor never builds the node index. A node write drops it, so
+/// the next lookup, eligible in every other way, goes to a worker, which
+/// rebuilds it over 100 000 nodes while the reactor keeps serving.
+#[test]
+fn a_lookup_after_a_node_write_rebuilds_the_index_off_the_reactor() {
+    let mut graph = PropertyGraph::new();
+    for i in 0..100_000 {
+        let owner = Value::str(format!("filler{i}"));
+        graph.add_node(&format!("f{i}"), ["Account"], [("owner", owner)]);
+    }
+    let graph = with_accounts(graph, 3);
+    let oracle = {
+        let mut s = Session::new();
+        s.register("g", graph.clone());
+        let prepared = s.prepare(LOOKUP).expect("oracle prepare");
+        let params = Params::new().with("owner", "owner0");
+        s.execute_prepared_with("g", &prepared, &params)
+            .expect("oracle execute")
+    };
+    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let mut writer = Client::connect(server.addr()).expect("connect writer");
+    let handle = writer.prepare(LOOKUP).expect("prepare").handle;
+    let params = Params::new().with("owner", "owner0");
+    // The first lookup builds the index (on a worker); the write drops it.
+    assert_eq!(writer.execute(handle, &params).expect("warm"), oracle);
+    writer
+        .insert_node("fresh", &["Account"], &[])
+        .expect("commit");
+    let reply = answered_off_the_reactor(server.addr(), LOOKUP, "owner0");
+    assert_eq!(reply, Response::Result(oracle));
+    server.stop();
+}
+
+/// The reactor runs no lookup whose walks the graph leaves unbounded:
+/// two hops out of a hub with 100 000 transfers go to a worker, and a
+/// bystander is answered while they run.
+#[test]
+fn a_lookup_from_a_hub_runs_off_the_reactor() {
+    let mut graph = with_accounts(PropertyGraph::new(), 3);
+    let hub = graph.add_node("hub", ["Account"], [("owner", Value::str("hub"))]);
+    for i in 0..100_000 {
+        let leaf = graph.add_node(&format!("leaf{i}"), ["Account"], []);
+        graph.add_edge(
+            &format!("h{i}"),
+            Endpoints::directed(hub, leaf),
+            ["Transfer"],
+            [],
+        );
+    }
+    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let mut warm = Client::connect(server.addr()).expect("connect");
+    let handle = warm.prepare(TWO_HOPS).expect("prepare").handle;
+    // The index is built before the timed request, so only the hub's
+    // walks keep it off the reactor.
+    let params = Params::new().with("owner", "owner0");
+    assert!(warm.execute(handle, &params).expect("warm").is_empty());
+    let reply = answered_off_the_reactor(server.addr(), TWO_HOPS, "hub");
+    let Response::Result(rows) = reply else {
+        panic!("hub lookup failed: {reply:?}");
+    };
+    assert!(rows.is_empty(), "{rows:?}");
     server.stop();
 }
