@@ -56,28 +56,6 @@ impl LabelExpr {
         }
     }
 
-    /// All label names mentioned by the expression (used by planners and
-    /// the SQL/PGQ view mapper).
-    pub fn mentioned_labels(&self) -> BTreeSet<&str> {
-        let mut out = BTreeSet::new();
-        self.collect_labels(&mut out);
-        out
-    }
-
-    fn collect_labels<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
-        match self {
-            LabelExpr::Wildcard => {}
-            LabelExpr::Label(l) => {
-                out.insert(l.as_str());
-            }
-            LabelExpr::Not(e) => e.collect_labels(out),
-            LabelExpr::And(a, b) | LabelExpr::Or(a, b) => {
-                a.collect_labels(out);
-                b.collect_labels(out);
-            }
-        }
-    }
-
     fn precedence(&self) -> u8 {
         match self {
             LabelExpr::Or(..) => 0,
@@ -181,14 +159,5 @@ mod tests {
         assert_eq!(e.to_string(), "(A|B)&!C");
         let f = LabelExpr::label("A").or(LabelExpr::label("B").and(LabelExpr::label("C")));
         assert_eq!(f.to_string(), "A|B&C");
-    }
-
-    #[test]
-    fn mentioned_labels_are_collected() {
-        let e = LabelExpr::label("A")
-            .or(LabelExpr::label("B"))
-            .and(LabelExpr::label("A").not());
-        let ls = e.mentioned_labels();
-        assert_eq!(ls.into_iter().collect::<Vec<_>>(), vec!["A", "B"]);
     }
 }

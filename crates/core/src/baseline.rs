@@ -425,23 +425,6 @@ fn to_rigid(frag: Frag) -> Rigid {
     rigid
 }
 
-/// Environment for rigid-pattern predicates: instance names resolve
-/// directly; base names of superscripted instances resolve to the
-/// collected group (iteration order).
-struct RigidEnv<'a> {
-    binding: &'a BTreeMap<String, BoundValue>,
-    groups: &'a BTreeMap<String, BoundValue>,
-}
-
-impl filter::Env for RigidEnv<'_> {
-    fn lookup(&self, var: &str) -> Option<BoundValue> {
-        self.binding
-            .get(var)
-            .or_else(|| self.groups.get(var))
-            .cloned()
-    }
-}
-
 /// One partial solution while joining parts.
 #[derive(Clone, Debug)]
 struct Partial {
@@ -603,6 +586,7 @@ fn match_rigid(
     });
 
     // -- Predicates & reduction. --------------------------------------------
+    let no_params = crate::params::Params::new();
     let mut out = Vec::new();
     for p in partials {
         // Build group bindings from superscripted instances.
@@ -649,14 +633,15 @@ fn match_rigid(
             });
         }
 
-        let env = RigidEnv {
-            binding: &p.binding,
-            groups: &groups,
-        };
+        // Rigid-pattern predicates: instance names resolve directly; base
+        // names of superscripted instances resolve to the collected group
+        // (iteration order). The baseline binds no parameters.
+        let vars = |v: &str| p.binding.get(v).or_else(|| groups.get(v));
+        let scope = filter::Scope::new(&vars, &no_params);
         if !rigid
             .preds
             .iter()
-            .all(|pred| filter::truth(graph, &env, pred) == Some(true))
+            .all(|pred| filter::truth(graph, &scope, pred) == Some(true))
         {
             continue;
         }
@@ -700,6 +685,9 @@ pub fn evaluate(
         return Err(Error::UnboundParameter { name });
     }
 
+    // The postfilter's `EXISTS` subqueries run as subplans prepared up
+    // front, exactly as the plan layer prepares them.
+    let exists = crate::plan::prepare_exists(&normalized, opts)?;
     let mut per_path = Vec::with_capacity(normalized.paths.len());
     for expr in &normalized.paths {
         per_path.push(match_one_path(graph, expr, opts)?);
@@ -709,7 +697,7 @@ pub fn evaluate(
         &normalized,
         &per_path,
         opts,
-        &crate::plan::ExistsPlans::default(),
+        &exists,
     ))
 }
 

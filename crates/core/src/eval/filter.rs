@@ -7,103 +7,109 @@
 //! §4.6 question-mark example behave as the paper describes: when the
 //! optional pattern part does not match, `p.isBlocked='yes'` is unknown,
 //! so the other disjunct must hold.
+//!
+//! Every predicate reads its variables and parameters through one
+//! [`Scope`], which each evaluation site builds in place over what it
+//! already holds: the interpreter's run state, the kernel's one element
+//! and start node, the joined row of the final `WHERE` and of the host
+//! projections, and the baseline's rigid-pattern binding. Lookups borrow;
+//! nothing is cloned to evaluate a predicate. Only the final `WHERE`
+//! supplies [`Scope::exists`], running the plan's prepared `EXISTS`
+//! subplans; everywhere else an `EXISTS` is unknown (analysis admits it
+//! only in the final `WHERE`).
 
 use std::borrow::Cow;
 
-use property_graph::{ElementId, PropertyGraph, Value};
+use property_graph::{EdgeId, ElementId, NodeId, PropertyGraph, Value};
 
 use crate::ast::{AggArg, AggFunc, ArithOp, CmpOp, Expr, GraphPattern};
 use crate::binding::BoundValue;
+use crate::params::Params;
 
-/// A variable-lookup environment: the matcher supplies its frame stack,
-/// the post-filter supplies the joined row.
-pub trait Env {
-    /// The binding of `var`, if any.
-    fn lookup(&self, var: &str) -> Option<BoundValue>;
+/// What a predicate can see: variable bindings, `$name` parameters and,
+/// in the final `WHERE` only, `EXISTS` subqueries.
+pub(crate) struct Scope<'a> {
+    /// The binding of a variable, if any.
+    pub(crate) vars: &'a dyn Fn(&str) -> Option<&'a BoundValue>,
+    /// The execution's parameter bindings. Bind-time validation has
+    /// checked them for completeness, so a missing one (`NULL`, hence
+    /// *unknown*) never reaches a predicate through the plan executor.
+    pub(crate) params: &'a Params,
+    /// Evaluates an `EXISTS { pattern }` subquery against the row in
+    /// scope; without one, `EXISTS` is *unknown*.
+    pub(crate) exists: Option<&'a Subquery<'a>>,
+}
 
-    /// Evaluates an `EXISTS { pattern }` subquery relative to this
-    /// environment. The default (`None` = unknown) is used by contexts
-    /// that cannot run subqueries — static analysis restricts `EXISTS`
-    /// to the final `WHERE`, whose environment overrides this.
-    fn exists(&self, pattern: &GraphPattern) -> Option<bool> {
-        let _ = pattern;
-        None
-    }
+/// An `EXISTS` hook: the truth of a subquery against the row in scope.
+pub(crate) type Subquery<'a> = dyn Fn(&GraphPattern) -> Option<bool> + 'a;
 
-    /// The value bound to the `$name` query parameter, if any. The
-    /// default (`None`, evaluating to `NULL` → *unknown*) is used by
-    /// environments without parameter support; execution environments of
-    /// parameterized plans override it with the caller's
-    /// [`Params`](crate::Params) — which bind-time validation has already
-    /// checked for completeness, so a `None` never reaches a filter
-    /// through the plan executor.
-    fn param(&self, name: &str) -> Option<Value> {
-        let _ = name;
-        None
+impl<'a> Scope<'a> {
+    /// A scope without `EXISTS` support.
+    pub(crate) fn new(
+        vars: &'a dyn Fn(&str) -> Option<&'a BoundValue>,
+        params: &'a Params,
+    ) -> Scope<'a> {
+        Scope {
+            vars,
+            params,
+            exists: None,
+        }
     }
 }
 
-impl<F> Env for F
-where
-    F: Fn(&str) -> Option<BoundValue>,
-{
-    fn lookup(&self, var: &str) -> Option<BoundValue> {
-        self(var)
-    }
-}
-
-/// Three-valued truth of `expr` under `env`: `Some(true)`, `Some(false)`,
+/// Three-valued truth of `expr` in `scope`: `Some(true)`, `Some(false)`,
 /// or `None` for *unknown*.
-pub fn truth(graph: &PropertyGraph, env: &dyn Env, expr: &Expr) -> Option<bool> {
+pub(crate) fn truth(graph: &PropertyGraph, scope: &Scope, expr: &Expr) -> Option<bool> {
     match expr {
-        Expr::Not(e) => truth(graph, env, e).map(|b| !b),
-        Expr::And(a, b) => match (truth(graph, env, a), truth(graph, env, b)) {
+        Expr::Not(e) => truth(graph, scope, e).map(|b| !b),
+        Expr::And(a, b) => match (truth(graph, scope, a), truth(graph, scope, b)) {
             (Some(false), _) | (_, Some(false)) => Some(false),
             (Some(true), Some(true)) => Some(true),
             _ => None,
         },
-        Expr::Or(a, b) => match (truth(graph, env, a), truth(graph, env, b)) {
+        Expr::Or(a, b) => match (truth(graph, scope, a), truth(graph, scope, b)) {
             (Some(true), _) | (_, Some(true)) => Some(true),
             (Some(false), Some(false)) => Some(false),
             _ => None,
         },
-        Expr::Cmp(op, a, b) => cmp(graph, env, *op, a, b),
+        Expr::Cmp(op, a, b) => cmp(graph, scope, *op, a, b),
         Expr::IsNull(e, want_null) => {
-            let v = eval(graph, env, e);
+            let v = operand(graph, scope, e);
             Some(v.is_null() == *want_null)
         }
-        Expr::IsDirected(var) => match element(env, var) {
+        Expr::IsDirected(var) => match element(scope, var) {
             Some(ElementId::Edge(e)) => Some(graph.edge(e).endpoints.is_directed()),
             _ => None,
         },
-        Expr::IsSourceOf { node, edge } => endpoint_test(graph, env, node, edge, true),
-        Expr::IsDestinationOf { node, edge } => endpoint_test(graph, env, node, edge, false),
+        Expr::IsSourceOf { node, edge } => endpoint_test(graph, scope, node, edge, true),
+        Expr::IsDestinationOf { node, edge } => endpoint_test(graph, scope, node, edge, false),
         Expr::Same(vars) => {
-            let els: Option<Vec<_>> = vars.iter().map(|v| element(env, v)).collect();
+            let els: Option<Vec<_>> = vars.iter().map(|v| element(scope, v)).collect();
             let els = els?;
             Some(els.windows(2).all(|w| w[0] == w[1]))
         }
         Expr::AllDifferent(vars) => {
-            let els: Option<Vec<_>> = vars.iter().map(|v| element(env, v)).collect();
+            let els: Option<Vec<_>> = vars.iter().map(|v| element(scope, v)).collect();
             let els = els?;
             Some((0..els.len()).all(|i| (i + 1..els.len()).all(|j| els[i] != els[j])))
         }
-        Expr::Exists(gp) => env.exists(gp),
+        Expr::Exists(gp) => scope.exists.and_then(|exists| exists(gp)),
         // Anything else is a value expression; interpret its value as a
         // truth value (booleans only).
-        other => eval(graph, env, other).truth(),
+        other => operand(graph, scope, other).truth(),
     }
 }
 
 /// Evaluates `expr` to a scalar [`Value`]; failures surface as `Null`.
-pub fn eval(graph: &PropertyGraph, env: &dyn Env, expr: &Expr) -> Value {
+pub(crate) fn eval(graph: &PropertyGraph, scope: &Scope, expr: &Expr) -> Value {
     match expr {
-        Expr::Literal(_) | Expr::Property(..) => operand(graph, env, expr).into_owned(),
-        Expr::Parameter(name) => env.param(name).unwrap_or(Value::Null),
+        Expr::Literal(_) | Expr::Property(..) | Expr::Parameter(_) => {
+            operand(graph, scope, expr).into_owned()
+        }
         Expr::Var(_) => Value::Null, // bare element refs have no scalar value
         Expr::Arith(op, a, b) => {
-            let a = operand(graph, env, a);
-            let b = operand(graph, env, b);
+            let a = operand(graph, scope, a);
+            let b = operand(graph, scope, b);
             let r = match op {
                 ArithOp::Add => a.add(&b),
                 ArithOp::Sub => a.subtract(&b),
@@ -116,46 +122,51 @@ pub fn eval(graph: &PropertyGraph, env: &dyn Env, expr: &Expr) -> Value {
             func,
             arg,
             distinct,
-        } => aggregate(graph, env, *func, arg, *distinct),
+        } => aggregate(graph, scope, *func, arg, *distinct),
         // Predicates used in value position yield their truth value.
-        other => match truth(graph, env, other) {
+        other => match truth(graph, scope, other) {
             Some(b) => Value::Bool(b),
             None => Value::Null,
         },
     }
 }
 
-/// The value of an operand: literals and properties borrowed from the
-/// expression and the graph, anything else evaluated.
-fn operand<'a>(graph: &'a PropertyGraph, env: &dyn Env, expr: &'a Expr) -> Cow<'a, Value> {
+/// The value of an operand: literals, properties and parameters borrowed
+/// from the expression, the graph and the scope, anything else evaluated.
+fn operand<'a, 's: 'a>(
+    graph: &'a PropertyGraph,
+    scope: &Scope<'s>,
+    expr: &'a Expr,
+) -> Cow<'a, Value> {
     const NULL: &Value = &Value::Null;
     match expr {
         Expr::Literal(v) => Cow::Borrowed(v),
-        Expr::Property(var, key) => Cow::Borrowed(match element(env, var) {
+        Expr::Property(var, key) => Cow::Borrowed(match element(scope, var) {
             Some(el) => graph.property(el, key),
             None => NULL,
         }),
-        other => Cow::Owned(eval(graph, env, other)),
+        Expr::Parameter(name) => Cow::Borrowed(scope.params.get(name).unwrap_or(NULL)),
+        other => Cow::Owned(eval(graph, scope, other)),
     }
 }
 
 /// The element bound to `var`, when it is a singleton element binding.
-fn element(env: &dyn Env, var: &str) -> Option<ElementId> {
-    env.lookup(var).and_then(|v| v.as_element())
+fn element(scope: &Scope, var: &str) -> Option<ElementId> {
+    (scope.vars)(var).and_then(BoundValue::as_element)
 }
 
 fn endpoint_test(
     graph: &PropertyGraph,
-    env: &dyn Env,
+    scope: &Scope,
     node: &str,
     edge: &str,
     want_source: bool,
 ) -> Option<bool> {
-    let n = match element(env, node)? {
+    let n = match element(scope, node)? {
         ElementId::Node(n) => n,
         ElementId::Edge(_) => return None,
     };
-    let e = match element(env, edge)? {
+    let e = match element(scope, edge)? {
         ElementId::Edge(e) => e,
         ElementId::Node(_) => return None,
     };
@@ -168,37 +179,39 @@ fn endpoint_test(
     }
 }
 
-fn cmp(graph: &PropertyGraph, env: &dyn Env, op: CmpOp, a: &Expr, b: &Expr) -> Option<bool> {
+fn cmp(graph: &PropertyGraph, scope: &Scope, op: CmpOp, a: &Expr, b: &Expr) -> Option<bool> {
     // GQL permits equality tests on element references (`p = q`, §4.7).
     if let (Expr::Var(va), Expr::Var(vb)) = (a, b) {
-        let (ea, eb) = (element(env, va)?, element(env, vb)?);
+        let (ea, eb) = (element(scope, va)?, element(scope, vb)?);
         return match op {
             CmpOp::Eq => Some(ea == eb),
             CmpOp::Ne => Some(ea != eb),
             _ => None,
         };
     }
-    let va = operand(graph, env, a);
-    let vb = operand(graph, env, b);
+    let va = operand(graph, scope, a);
+    let vb = operand(graph, scope, b);
     va.sql_compare(&vb).map(|ord| op.test(ord))
 }
 
-/// The group of elements an aggregate argument ranges over: a group
-/// binding as-is, a singleton as a one-element group, an unbound variable
-/// as the empty group.
-fn agg_elements(env: &dyn Env, var: &str) -> Vec<ElementId> {
-    match env.lookup(var) {
-        Some(BoundValue::NodeGroup(ns)) => ns.into_iter().map(ElementId::Node).collect(),
-        Some(BoundValue::EdgeGroup(es)) => es.into_iter().map(ElementId::Edge).collect(),
-        Some(BoundValue::Node(n)) => vec![ElementId::Node(n)],
-        Some(BoundValue::Edge(e)) => vec![ElementId::Edge(e)],
-        _ => Vec::new(),
-    }
+/// The group of elements an aggregate argument ranges over, borrowed
+/// from the scope: a group binding as-is, a singleton as a one-element
+/// group, an unbound variable as the empty group.
+fn agg_elements<'a>(scope: &Scope<'a>, var: &str) -> impl Iterator<Item = ElementId> + 'a {
+    let (nodes, edges): (&[NodeId], &[EdgeId]) = match (scope.vars)(var) {
+        Some(BoundValue::NodeGroup(ns)) => (ns, &[]),
+        Some(BoundValue::EdgeGroup(es)) => (&[], es),
+        Some(BoundValue::Node(n)) => (std::slice::from_ref(n), &[]),
+        Some(BoundValue::Edge(e)) => (&[], std::slice::from_ref(e)),
+        _ => (&[], &[]),
+    };
+    let nodes = nodes.iter().map(|&n| ElementId::Node(n));
+    nodes.chain(edges.iter().map(|&e| ElementId::Edge(e)))
 }
 
 fn aggregate(
     graph: &PropertyGraph,
-    env: &dyn Env,
+    scope: &Scope,
     func: AggFunc,
     arg: &AggArg,
     distinct: bool,
@@ -207,21 +220,23 @@ fn aggregate(
         AggArg::Var(v) | AggArg::VarStar(v) => {
             // COUNT(e) / COUNT(e.*): count group members; other aggregates
             // over bare elements are meaningless and yield NULL.
-            let mut els = agg_elements(env, v);
-            if distinct {
+            let count = if distinct {
+                let mut els: Vec<ElementId> = agg_elements(scope, v).collect();
                 els.sort();
                 els.dedup();
-            }
+                els.len()
+            } else {
+                agg_elements(scope, v).count()
+            };
             match func {
-                AggFunc::Count => Value::Int(els.len() as i64),
+                AggFunc::Count => Value::Int(count as i64),
                 _ => Value::Null,
             }
         }
         AggArg::Property(v, key) => {
             // SQL semantics: NULL property values do not contribute.
-            let mut vals: Vec<Value> = agg_elements(env, v)
-                .into_iter()
-                .map(|el| graph.property(el, key).clone())
+            let mut vals: Vec<&Value> = agg_elements(scope, v)
+                .map(|el| graph.property(el, key))
                 .filter(|v| !v.is_null())
                 .collect();
             if distinct {
@@ -230,12 +245,12 @@ fn aggregate(
             }
             match func {
                 AggFunc::Count => Value::Int(vals.len() as i64),
-                AggFunc::Min => vals.into_iter().min().unwrap_or(Value::Null),
-                AggFunc::Max => vals.into_iter().max().unwrap_or(Value::Null),
+                AggFunc::Min => vals.into_iter().min().cloned().unwrap_or(Value::Null),
+                AggFunc::Max => vals.into_iter().max().cloned().unwrap_or(Value::Null),
                 AggFunc::Sum => vals
                     .iter()
                     .try_fold(None::<Value>, |acc, v| match acc {
-                        None => Some(Some(v.clone())),
+                        None => Some(Some((*v).clone())),
                         Some(a) => a.add(v).map(Some),
                     })
                     .flatten()
@@ -245,7 +260,7 @@ fn aggregate(
                         return Value::Null;
                     }
                     let n = vals.len() as f64;
-                    let sum: Option<f64> = vals.iter().map(Value::as_f64).sum();
+                    let sum: Option<f64> = vals.iter().map(|v| v.as_f64()).sum();
                     match sum {
                         Some(s) => Value::Float(s / n),
                         None => Value::Null,
@@ -262,15 +277,20 @@ mod tests {
     use property_graph::{Endpoints, PropertyGraph};
     use std::collections::BTreeMap;
 
-    struct MapEnv(BTreeMap<String, BoundValue>);
+    /// The tests' variable bindings (`.0`) and parameters (`.1`).
+    struct Vars(BTreeMap<String, BoundValue>, Params);
 
-    impl Env for MapEnv {
-        fn lookup(&self, var: &str) -> Option<BoundValue> {
-            self.0.get(var).cloned()
-        }
+    /// [`super::truth`] in a scope over `vars`.
+    fn truth(g: &PropertyGraph, vars: &Vars, e: &Expr) -> Option<bool> {
+        super::truth(g, &Scope::new(&|v| vars.0.get(v), &vars.1), e)
     }
 
-    fn setup() -> (PropertyGraph, MapEnv) {
+    /// [`super::eval`] in a scope over `vars`.
+    fn eval(g: &PropertyGraph, vars: &Vars, e: &Expr) -> Value {
+        super::eval(g, &Scope::new(&|v| vars.0.get(v), &vars.1), e)
+    }
+
+    fn setup() -> (PropertyGraph, Vars) {
         let mut g = PropertyGraph::new();
         let a = g.add_node(
             "a1",
@@ -300,7 +320,7 @@ mod tests {
         env.insert("e".to_owned(), BoundValue::Edge(t1));
         env.insert("u".to_owned(), BoundValue::Edge(h));
         env.insert("ts".to_owned(), BoundValue::EdgeGroup(vec![t1, t2]));
-        (g, MapEnv(env))
+        (g, Vars(env, Params::new()))
     }
 
     #[test]
@@ -320,17 +340,8 @@ mod tests {
     /// parameter make every comparison unknown.
     #[test]
     fn comparisons_are_three_valued() {
-        struct ParamEnv(MapEnv);
-        impl Env for ParamEnv {
-            fn lookup(&self, var: &str) -> Option<BoundValue> {
-                self.0.lookup(var)
-            }
-            fn param(&self, name: &str) -> Option<Value> {
-                (name == "n").then_some(Value::Float(8e6))
-            }
-        }
-        let (g, env) = setup();
-        let env = ParamEnv(env);
+        let (g, mut env) = setup();
+        env.1.set("n", Value::Float(8e6));
         let ops = [
             CmpOp::Eq,
             CmpOp::Ne,

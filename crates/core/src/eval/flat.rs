@@ -201,6 +201,19 @@ impl FlatProgram {
         self.instr_count() * std::mem::size_of::<Instr>()
     }
 
+    /// The prefilter owned by operand `arg` of `op`: a node pattern's
+    /// (`NodeTest`), an edge pattern's (`Consume`) or a parenthesized
+    /// scope's `WHERE` (`CloseParen`).
+    fn predicate(&self, op: Op, arg: u32) -> Option<&Expr> {
+        let arg = arg as usize;
+        match op {
+            Op::NodeTest => self.node_pats[arg].predicate.as_ref(),
+            Op::Consume => self.edge_pats[arg].predicate.as_ref(),
+            Op::CloseParen => self.parens[arg].predicate.as_ref(),
+            _ => None,
+        }
+    }
+
     /// Numbers of node tests, edge tests, and quantifiers (operand-table
     /// sizes, for plan cost reports).
     pub fn table_sizes(&self) -> (usize, usize, usize) {
@@ -545,9 +558,10 @@ struct RunState {
     scopes: Vec<Scope>,
     loops: Vec<Loop>,
     alt_marks: Vec<u32>,
-    /// Prefilters whose variables were not yet bound when encountered;
-    /// re-checked when the match completes.
-    deferred: Vec<Expr>,
+    /// Prefilters whose variables were not yet bound when encountered,
+    /// as the opcode and operand that own them (see
+    /// [`FlatProgram::predicate`]); re-checked when the match completes.
+    deferred: Vec<(Op, u32)>,
 }
 
 impl RunState {
@@ -675,21 +689,6 @@ impl RunState {
             _ => return false,
         }
         true
-    }
-}
-
-struct StateEnv<'a> {
-    state: &'a RunState,
-    params: &'a Params,
-}
-
-impl filter::Env for StateEnv<'_> {
-    fn lookup(&self, var: &str) -> Option<BoundValue> {
-        self.state.lookup(var).cloned()
-    }
-
-    fn param(&self, name: &str) -> Option<property_graph::Value> {
-        self.params.get(name).cloned()
     }
 }
 
@@ -936,14 +935,13 @@ impl<'a> FlatMatcher<'a> {
             loop {
                 let ins = self.prog.instrs[pc];
                 if ins.op == Op::Consume {
-                    let arg = ins.arg as usize;
-                    let (ep, scan) = (&self.prog.edge_pats[arg], &self.labels.edges[arg]);
+                    let scan = &self.labels.edges[ins.arg as usize];
                     for step in scan.steps(self.graph, from) {
                         self.counts.bump(|c| c.edges_traversed += 1);
                         if !scan.admits(self.graph, step) {
                             continue;
                         }
-                        if self.step(&mut state, &mut trail, ep, *step) {
+                        if self.step(&mut state, &mut trail, ins.arg, *step) {
                             state.at = ins.target as usize;
                             self.closure(&mut state, &mut trail, &mut frontier, &mut results)?;
                         }
@@ -971,13 +969,7 @@ impl<'a> FlatMatcher<'a> {
     /// [`super::labels::EdgeScan`], which has already checked its
     /// orientation and labels. Every mutation is on the trail, rejected
     /// or not.
-    fn step(
-        &self,
-        work: &mut RunState,
-        trail: &mut Vec<Undo>,
-        ep: &EdgePattern,
-        step: Step,
-    ) -> bool {
+    fn step(&self, work: &mut RunState, trail: &mut Vec<Undo>, arg: u32, step: Step) -> bool {
         // Restrictor scopes prune during the search (§5.1).
         for scope in &work.scopes {
             if scope.closed {
@@ -1005,15 +997,12 @@ impl<'a> FlatMatcher<'a> {
                 trail.push(Undo::ScopeClosed(i));
             }
         }
-        if let Some(v) = &ep.var {
+        if let Some(v) = &self.prog.edge_pats[arg as usize].var {
             if !work.bind(trail, v, BoundValue::Edge(step.edge)) {
                 return false;
             }
         }
-        match &ep.predicate {
-            Some(pred) => self.prefilter(work, trail, pred),
-            None => true,
-        }
+        self.prefilter(work, trail, Op::Consume, arg)
     }
 
     /// ε-closure over the flat program, run on the caller's working state
@@ -1120,10 +1109,7 @@ impl<'a> FlatMatcher<'a> {
                         return false;
                     }
                 }
-                match &np.predicate {
-                    Some(pred) => self.prefilter(work, trail, pred),
-                    None => true,
-                }
+                self.prefilter(work, trail, Op::NodeTest, ins.arg)
             }
             Op::OpenParen => {
                 if let Some(r) = self.prog.parens[arg].restrictor {
@@ -1139,10 +1125,8 @@ impl<'a> FlatMatcher<'a> {
                 true
             }
             Op::CloseParen => {
-                if let Some(pred) = &self.prog.parens[arg].predicate {
-                    if !self.prefilter(work, trail, pred) {
-                        return false;
-                    }
+                if !self.prefilter(work, trail, Op::CloseParen, ins.arg) {
+                    return false;
                 }
                 if let Some(scope) = work.scopes.pop_if(|s| s.paren == arg) {
                     trail.push(Undo::ScopePopped(scope));
@@ -1240,9 +1224,13 @@ impl<'a> FlatMatcher<'a> {
         }
     }
 
-    /// Evaluates a prefilter, deferring it (on the trail) when it
-    /// references variables that are not bound yet.
-    fn prefilter(&self, work: &mut RunState, trail: &mut Vec<Undo>, pred: &Expr) -> bool {
+    /// Evaluates the prefilter of operand `arg` of `op`, if it has one,
+    /// deferring it (on the trail) when it references variables that are
+    /// not bound yet.
+    fn prefilter(&self, work: &mut RunState, trail: &mut Vec<Undo>, op: Op, arg: u32) -> bool {
+        let Some(pred) = self.prog.predicate(op, arg) else {
+            return true;
+        };
         let mut unbound = false;
         pred.visit_vars(&mut |v, _| {
             if !is_anonymous(v) && work.lookup(v).is_none() {
@@ -1250,27 +1238,29 @@ impl<'a> FlatMatcher<'a> {
             }
         });
         if unbound {
-            work.deferred.push(pred.clone());
+            work.deferred.push((op, arg));
             trail.push(Undo::Deferred);
             return true;
         }
-        let env = StateEnv {
-            state: work,
-            params: self.params,
-        };
-        filter::truth(self.graph, &env, pred) == Some(true)
+        self.holds(work, pred)
+    }
+
+    /// Whether `pred` holds over the bindings of `state`.
+    fn holds(&self, state: &RunState, pred: &Expr) -> bool {
+        let vars = |v: &str| state.lookup(v);
+        filter::truth(self.graph, &filter::Scope::new(&vars, self.params), pred) == Some(true)
     }
 
     /// Turns an accepting state into a path binding, re-checking deferred
     /// prefilters against the complete variable map.
     fn finalize(&self, state: &RunState) -> Option<PathBinding> {
         debug_assert!(state.frames.is_empty());
-        let env = StateEnv {
-            state,
-            params: self.params,
-        };
-        for pred in &state.deferred {
-            if filter::truth(self.graph, &env, pred) != Some(true) {
+        for &(op, arg) in &state.deferred {
+            if !self
+                .prog
+                .predicate(op, arg)
+                .is_none_or(|pred| self.holds(state, pred))
+            {
                 return None;
             }
         }

@@ -570,31 +570,6 @@ struct Scratch {
     tested: Vec<(u32, bool)>,
 }
 
-/// The predicate environment of one element: its own binding, the start
-/// variable and the parameters — all an eligible predicate reads.
-struct ElementEnv<'a> {
-    own: Option<&'a str>,
-    value: BoundValue,
-    start: Option<(&'a str, NodeId)>,
-    params: &'a Params,
-}
-
-impl filter::Env for ElementEnv<'_> {
-    fn lookup(&self, var: &str) -> Option<BoundValue> {
-        if Some(var) == self.own {
-            return Some(self.value.clone());
-        }
-        match self.start {
-            Some((v, n)) if v == var => Some(BoundValue::Node(n)),
-            _ => None,
-        }
-    }
-
-    fn param(&self, name: &str) -> Option<property_graph::Value> {
-        self.params.get(name).cloned()
-    }
-}
-
 /// The kernel executor for one stage search: see the module docs.
 pub(crate) struct ShortestKernel<'a> {
     graph: &'a PropertyGraph,
@@ -865,14 +840,18 @@ impl<'a> ShortestKernel<'a> {
         }
     }
 
+    /// Whether `pred` holds of one element, bound to `own`, with the
+    /// start variable bound to `start`: all an eligible predicate reads.
     fn holds(&self, pred: &Expr, own: Option<&str>, value: BoundValue, start: NodeId) -> bool {
-        let env = ElementEnv {
-            own,
-            value,
-            start: self.plan.start_var.as_deref().map(|v| (v, start)),
-            params: self.params,
+        let start = (self.plan.start_var.as_deref(), BoundValue::Node(start));
+        let vars = |v: &str| {
+            if Some(v) == own {
+                Some(&value)
+            } else {
+                (Some(v) == start.0).then_some(&start.1)
+            }
         };
-        filter::truth(self.graph, &env, pred) == Some(true)
+        filter::truth(self.graph, &filter::Scope::new(&vars, self.params), pred) == Some(true)
     }
 
     /// The binding of the walk ending in arena link `link`.

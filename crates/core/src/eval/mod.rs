@@ -33,13 +33,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use property_graph::{NodeId, PropertyGraph};
 
-pub use filter::{eval as eval_expr, truth as expr_truth, Env};
-
 use crate::ast::{GraphPattern, PathPatternExpr};
 use crate::binding::{BoundValue, MatchRow, MatchSet, PathBinding};
 use crate::error::Result;
 use crate::params::Params;
 use crate::plan::{prepare, ExistsPlans};
+use filter::Scope;
 
 /// Semantics variant (§3 comparison modes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -385,9 +384,8 @@ pub fn evaluate(
 /// declaration-order nested-loop form used by the §6 spec-literal
 /// baseline. The plan executor drives a [`JoinState`] directly instead,
 /// feeding stages in cost order and joining through hash tables where the
-/// plan's join keys allow. `exists` carries any subplans prepared for the
-/// postfilter's `EXISTS` subqueries; patterns without a prepared subplan
-/// are prepared on the fly (the baseline's path).
+/// plan's join keys allow. `exists` carries the subplans prepared for the
+/// postfilter's `EXISTS` subqueries.
 pub(crate) fn join_and_filter(
     graph: &PropertyGraph,
     normalized: &GraphPattern,
@@ -399,7 +397,7 @@ pub(crate) fn join_and_filter(
     for (expr, bindings) in normalized.paths.iter().zip(per_path) {
         join.merge_stage(expr, bindings, &[]);
     }
-    join.finish(graph, normalized, opts, exists, &Params::new())
+    join.finish(graph, normalized, exists, &Params::new())
 }
 
 /// Incremental cross-stage join: the accumulated rows of all stages merged
@@ -541,108 +539,45 @@ impl JoinState {
 
     /// Applies the final `WHERE` postfilter and produces the result set.
     /// `params` supplies the values of any `$name` placeholders in the
-    /// postfilter (and in prepared `EXISTS` subplans).
+    /// postfilter and in its `EXISTS` subqueries, which run only as the
+    /// subplans in `exists`: a subquery without one is *unknown*.
     pub(crate) fn finish(
         self,
         graph: &PropertyGraph,
         normalized: &GraphPattern,
-        opts: &EvalOptions,
         exists: &ExistsPlans,
         params: &Params,
     ) -> MatchSet {
         let mut rows: Vec<MatchRow> = self.rows.into_iter().map(|(r, _)| r).collect();
         if let Some(post) = &normalized.where_clause {
-            // EXISTS subqueries are evaluated once per distinct subpattern
-            // and joined against each row on shared variable names.
-            let cache: RefCell<HashMap<GraphPattern, Option<MatchSet>>> =
-                RefCell::new(HashMap::new());
+            // Each subplan runs at most once, under the outer execution's
+            // parameters (its bind-time validation covered the
+            // subpattern's too), and its result is kept under the plan's
+            // own key.
+            let runs: RefCell<HashMap<&GraphPattern, Option<MatchSet>>> = RefCell::default();
             rows.retain(|row| {
-                let env = RowEnv {
-                    graph,
-                    row,
-                    opts,
-                    exists,
-                    params,
-                    cache: &cache,
+                let subquery = |pattern: &GraphPattern| {
+                    let (key, plan) = exists.get_key_value(pattern)?;
+                    let mut runs = runs.borrow_mut();
+                    let sub = runs
+                        .entry(key)
+                        .or_insert_with(|| plan.execute_bound(graph, params).ok());
+                    // Correlation: a subquery match must agree with the
+                    // row on every variable the two share.
+                    Some(sub.as_ref()?.rows.iter().any(|subrow| {
+                        (subrow.values.iter())
+                            .all(|(var, val)| row.get(var).is_none_or(|outer| outer == val))
+                    }))
                 };
-                filter::truth(graph, &env, post) == Some(true)
+                let scope = Scope {
+                    vars: &|v| row.get(v),
+                    params,
+                    exists: Some(&subquery),
+                };
+                filter::truth(graph, &scope, post) == Some(true)
             });
         }
         MatchSet { rows }
-    }
-}
-
-/// A host-side projection environment: variable lookups from a joined
-/// result row plus `$name` lookups from the execution's parameter
-/// bindings. The GQL `RETURN`/`ORDER BY` and SQL/PGQ `COLUMNS`
-/// projections evaluate through one of these, so host expressions see
-/// exactly the values the pattern predicates saw.
-pub(crate) struct RowParamEnv<'a> {
-    /// The joined result row providing variable bindings.
-    pub row: &'a MatchRow,
-    /// The execution's parameter bindings.
-    pub params: &'a Params,
-}
-
-impl filter::Env for RowParamEnv<'_> {
-    fn lookup(&self, var: &str) -> Option<BoundValue> {
-        self.row.get(var).cloned()
-    }
-
-    fn param(&self, name: &str) -> Option<property_graph::Value> {
-        self.params.get(name).cloned()
-    }
-}
-
-/// Postfilter environment: row lookups plus `EXISTS` subquery support
-/// with per-subpattern memoization.
-struct RowEnv<'a> {
-    graph: &'a PropertyGraph,
-    row: &'a MatchRow,
-    opts: &'a EvalOptions,
-    exists: &'a ExistsPlans,
-    params: &'a Params,
-    cache: &'a RefCell<HashMap<GraphPattern, Option<MatchSet>>>,
-}
-
-impl filter::Env for RowEnv<'_> {
-    fn lookup(&self, var: &str) -> Option<BoundValue> {
-        self.row.get(var).cloned()
-    }
-
-    fn param(&self, name: &str) -> Option<property_graph::Value> {
-        self.params.get(name).cloned()
-    }
-
-    fn exists(&self, pattern: &GraphPattern) -> Option<bool> {
-        let mut cache = self.cache.borrow_mut();
-        // Looked up by reference: only a miss clones the pattern.
-        if !cache.contains_key(pattern) {
-            // Prefer the subplan prepared at prepare time; fall back to a
-            // one-shot prepare for callers (the baseline) without one.
-            // Either way the *outer* execution's bindings flow in — the
-            // enclosing plan's bind-time validation covered the
-            // subpattern's parameters too.
-            let sub = match self.exists.get(pattern) {
-                Some(subplan) => subplan.execute_bound(self.graph, self.params).ok(),
-                None => prepare(pattern, self.opts)
-                    .ok()
-                    .and_then(|q| q.execute_bound(self.graph, self.params).ok()),
-            };
-            cache.insert(pattern.clone(), sub);
-        }
-        let sub = cache.get(pattern)?.as_ref()?;
-        // Correlation: a subquery match must agree with the enclosing row
-        // on every variable the two share.
-        Some(sub.rows.iter().any(|subrow| {
-            subrow
-                .values
-                .iter()
-                .all(|(var, val)| match self.row.get(var) {
-                    Some(outer) => outer == val,
-                    None => true,
-                })
-        }))
     }
 }
 

@@ -8,13 +8,13 @@
 //!    needed, and quantified bare edge patterns receive anonymous node
 //!    patterns on both sides);
 //! 2. expands syntactic sugar (`+` → `{1,}`, `*` → `{0,}` — already encoded
-//!    numerically in [`Quantifier`]); and
+//!    numerically in [`Quantifier`](crate::ast::Quantifier)); and
 //! 3. introduces a fresh variable into every anonymous node and edge
 //!    pattern. Fresh node variables are named `□1, □2, ...` and fresh edge
 //!    variables `−1, −2, ...`, following the paper's notation; the `□`/`−`
 //!    prefix is what marks a variable as anonymous throughout the engine.
 
-use crate::ast::{GraphPattern, NodePattern, PathPattern, PathPatternExpr, Quantifier};
+use crate::ast::{GraphPattern, NodePattern, PathPattern, PathPatternExpr};
 
 /// Prefix of fresh anonymous node variables.
 pub const ANON_NODE_PREFIX: &str = "\u{25A1}"; // □
@@ -190,12 +190,6 @@ impl Normalizer {
     }
 }
 
-/// The quantifier that `?` abbreviates — `{0,1}`, except for the variable
-/// classification difference discussed in §4.6.
-pub fn question_mark_bounds() -> Quantifier {
-    Quantifier::range(0, Some(1))
-}
-
 // Re-export for convenience in doc examples.
 #[allow(unused_imports)]
 use crate::ast::Direction;
@@ -205,7 +199,7 @@ use crate::ast::LabelExpr;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Direction, EdgePattern, LabelExpr, NodePattern, PathPattern};
+    use crate::ast::{Direction, EdgePattern, LabelExpr, NodePattern, PathPattern, Quantifier};
 
     fn edge(dir: Direction) -> PathPattern {
         PathPattern::Edge(EdgePattern::any(dir))

@@ -158,22 +158,7 @@ pub fn prepare(pattern: &GraphPattern, opts: &EvalOptions) -> Result<PreparedQue
         }
     }
 
-    // Prepare every EXISTS subquery of the postfilter as its own subplan,
-    // so repeated executions skip the subquery's analysis and compilation
-    // too. Deliberately eager: a one-shot query whose match is empty pays
-    // for subplans it never runs, but execute latency stays flat — no
-    // first-row compilation jitter. (Analysis already guaranteed the
-    // subpatterns are well-formed.)
-    let mut exists = ExistsPlans::new();
-    if let Some(post) = &normalized.where_clause {
-        let mut subs = Vec::new();
-        collect_exists(post, &mut subs);
-        for sub in subs {
-            if !exists.contains_key(sub) {
-                exists.insert(sub.clone(), prepare(sub, opts)?);
-            }
-        }
-    }
+    let exists = prepare_exists(&normalized, opts)?;
 
     // Parameter slots: every `$name` placeholder in any predicate of the
     // normalized pattern (prefilters, the postfilter, and EXISTS
@@ -438,13 +423,7 @@ impl PreparedQuery {
             }
             join.merge_stage(&stage.expr, &bindings, &step.keys);
         }
-        Ok(join.finish(
-            graph,
-            &self.plan.normalized,
-            &self.opts,
-            &self.plan.exists,
-            params,
-        ))
+        Ok(join.finish(graph, &self.plan.normalized, &self.plan.exists, params))
     }
 
     /// The lowered plan (inspect or `Display` it for an EXPLAIN view).
@@ -842,6 +821,26 @@ impl JoinEdge {
 
 /// Prepared subplans for `EXISTS` subqueries, keyed by their subpattern.
 pub(crate) type ExistsPlans = HashMap<GraphPattern, PreparedQuery>;
+
+/// Prepares every `EXISTS` subquery of a normalized pattern's postfilter
+/// as its own subplan: the only way the postfilter runs one. Deliberately
+/// eager: a one-shot query whose match is empty pays for subplans it
+/// never runs, but execute latency stays flat, with no first-row
+/// compilation jitter. (Analysis already guaranteed the subpatterns are
+/// well-formed.)
+pub(crate) fn prepare_exists(normalized: &GraphPattern, opts: &EvalOptions) -> Result<ExistsPlans> {
+    let mut exists = ExistsPlans::new();
+    if let Some(post) = &normalized.where_clause {
+        let mut subs = Vec::new();
+        collect_exists(post, &mut subs);
+        for sub in subs {
+            if !exists.contains_key(sub) {
+                exists.insert(sub.clone(), prepare(sub, opts)?);
+            }
+        }
+    }
+    Ok(exists)
+}
 
 // ---------------------------------------------------------------------------
 // GSQL mode rewrite (hoisted from the evaluator)
@@ -1739,5 +1738,34 @@ mod tests {
         assert!(text.contains("stage 0"), "{text}");
         assert!(text.contains("on {m}"), "{text}");
         assert!(text.contains("pipeline"), "{text}");
+    }
+
+    /// A postfilter `EXISTS` runs only as the plan's prepared subplan:
+    /// without one it is unknown, so neither `EXISTS` nor `NOT EXISTS`
+    /// keeps a row.
+    #[test]
+    fn exists_without_a_prepared_subplan_is_unknown() {
+        let g = chain(3);
+        let path = |vars: [&str; 3]| {
+            PathPatternExpr::plain(PathPattern::concat(vec![
+                node(vars[0]),
+                edge_r(vars[1]),
+                node(vars[2]),
+            ]))
+        };
+        let exists = Expr::Exists(Box::new(GraphPattern {
+            paths: vec![path(["b", "f", "c"])],
+            where_clause: None,
+        }));
+        for post in [exists.clone(), Expr::Not(Box::new(exists))] {
+            let gp = GraphPattern {
+                paths: vec![path(["a", "e", "b"])],
+                where_clause: Some(post),
+            };
+            let mut q = prepare(&gp, &EvalOptions::default()).unwrap();
+            assert_eq!(q.execute(&g).unwrap().len(), 1, "{gp}");
+            Arc::get_mut(&mut q.plan).unwrap().exists.clear();
+            assert!(q.execute(&g).unwrap().is_empty(), "{gp}");
+        }
     }
 }

@@ -17,8 +17,9 @@ use super::{prepare, ExecutablePlan, PreparedQuery};
 use crate::ast::{Expr, GraphPattern};
 use crate::binding::{BoundValue, MatchRow};
 use crate::error::Result;
+use crate::eval::filter::{self, Scope};
 use crate::eval::flat::FlatProgram;
-use crate::eval::{eval_expr, EvalOptions, ExecProfile, RowParamEnv};
+use crate::eval::{EvalOptions, ExecProfile};
 use crate::params::Params;
 
 /// A host's projection clause: the items, in column order, and the row
@@ -53,7 +54,11 @@ impl Projection {
     ) -> Vec<Vec<C>> {
         let cell = |row: &MatchRow, expr: &Expr| match expr {
             Expr::Var(v) => row.get(v).map_or_else(|| C::from(Value::Null), &bound),
-            _ => C::from(eval_expr(graph, &RowParamEnv { row, params }, expr)),
+            _ => C::from(filter::eval(
+                graph,
+                &Scope::new(&|v| row.get(v), params),
+                expr,
+            )),
         };
         let mut keyed: Vec<(Vec<C>, Vec<C>)> = rows
             .iter()

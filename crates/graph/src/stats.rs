@@ -362,20 +362,6 @@ impl GraphStats {
         edges as f64 / self.node_count as f64
     }
 
-    /// Average number of undirected incidences per node for `label` (or
-    /// all undirected edges when `None`): each undirected edge is
-    /// traversable from both ends.
-    pub fn avg_undirected_degree(&self, label: Option<&str>) -> f64 {
-        if self.node_count == 0 {
-            return 0.0;
-        }
-        let edges = match label {
-            Some(l) => self.edges_with_label(l).undirected,
-            None => self.undirected_edge_count,
-        };
-        2.0 * edges as f64 / self.node_count as f64
-    }
-
     /// Distinct values observed for property `key`, if any element has it.
     pub fn distinct_values(&self, key: &str) -> Option<usize> {
         self.distinct_property_values.get(key).copied()
@@ -489,7 +475,6 @@ mod tests {
         let g = sample();
         let s = g.stats();
         assert!((s.avg_out_degree(Some("Transfer")) - 2.0 / 3.0).abs() < 1e-9);
-        assert!((s.avg_undirected_degree(Some("Knows")) - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(s.distinct_values("owner"), Some(2));
         assert_eq!(s.distinct_values("amount"), Some(1));
         assert_eq!(s.distinct_values("missing"), None);

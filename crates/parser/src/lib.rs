@@ -99,11 +99,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Current byte offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// The unconsumed remainder of the input.
     pub fn rest(&self) -> &'a str {
         &self.src[self.pos..]
@@ -148,7 +143,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, s: &str) -> Result<()> {
+    /// Consumes `s` (after whitespace), or fails at the current position.
+    pub fn expect(&mut self, s: &str) -> Result<()> {
         if self.eat(s) {
             Ok(())
         } else {
@@ -1023,17 +1019,16 @@ impl<'a> Parser<'a> {
         self.expect("'")?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                Some(b'\'') if self.peek_at(1) == Some(b'\'') => {
+            match self.rest().chars().next() {
+                Some('\'') if self.peek_at(1) == Some(b'\'') => {
                     out.push('\'');
                     self.pos += 2;
                 }
-                Some(b'\'') => {
+                Some('\'') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(_) => {
-                    let ch = self.src[self.pos..].chars().next().expect("in bounds");
+                Some(ch) => {
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

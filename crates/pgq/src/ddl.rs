@@ -32,34 +32,24 @@ use crate::view::{EdgeTable, GraphView, VertexTable};
 /// Parses one `CREATE PROPERTY GRAPH` statement.
 pub fn parse_ddl(input: &str) -> Result<GraphView, PgqError> {
     let mut p = Parser::new(input);
-    expect_kw(&mut p, "CREATE")?;
-    expect_kw(&mut p, "PROPERTY")?;
-    expect_kw(&mut p, "GRAPH")?;
+    p.expect_kw("CREATE")?;
+    p.expect_kw("PROPERTY")?;
+    p.expect_kw("GRAPH")?;
     let name = p.ident()?;
     let mut view = GraphView::new(name);
 
-    expect_kw(&mut p, "VERTEX")?;
-    expect_kw(&mut p, "TABLES")?;
-    expect(&mut p, "(")?;
-    loop {
-        view = view.vertex(parse_vertex(&mut p)?);
-        if !p.eat(",") {
-            break;
-        }
+    p.expect_kw("VERTEX")?;
+    p.expect_kw("TABLES")?;
+    for v in parens(&mut p, parse_vertex)? {
+        view = view.vertex(v);
     }
-    expect(&mut p, ")")?;
 
-    if eat_kw(&mut p, "EDGE") {
-        expect_kw(&mut p, "TABLES")?;
-        expect(&mut p, "(")?;
+    if p.eat_kw("EDGE") {
+        p.expect_kw("TABLES")?;
         let declared: Vec<String> = view.vertices.iter().map(|v| v.table.clone()).collect();
-        loop {
-            view = view.edge(parse_edge(&mut p, &declared)?);
-            if !p.eat(",") {
-                break;
-            }
+        for e in parens(&mut p, |p| parse_edge(p, &declared))? {
+            view = view.edge(e);
         }
-        expect(&mut p, ")")?;
     }
     p.expect_eof()?;
     Ok(view)
@@ -67,7 +57,7 @@ pub fn parse_ddl(input: &str) -> Result<GraphView, PgqError> {
 
 fn parse_vertex(p: &mut Parser<'_>) -> Result<VertexTable, PgqError> {
     let table = p.ident()?;
-    expect_kw(p, "KEY")?;
+    p.expect_kw("KEY")?;
     let key = parens_single(p)?;
     let mut v = VertexTable::new(table, key);
     if let Some(labels) = parse_labels(p)? {
@@ -81,17 +71,17 @@ fn parse_vertex(p: &mut Parser<'_>) -> Result<VertexTable, PgqError> {
 
 fn parse_edge(p: &mut Parser<'_>, declared_vertices: &[String]) -> Result<EdgeTable, PgqError> {
     let table = p.ident()?;
-    expect_kw(p, "KEY")?;
+    p.expect_kw("KEY")?;
     let key = parens_single(p)?;
-    expect_kw(p, "SOURCE")?;
-    expect_kw(p, "KEY")?;
+    p.expect_kw("SOURCE")?;
+    p.expect_kw("KEY")?;
     let source = parens_single(p)?;
-    expect_kw(p, "REFERENCES")?;
+    p.expect_kw("REFERENCES")?;
     let src_table = p.ident()?;
-    expect_kw(p, "DESTINATION")?;
-    expect_kw(p, "KEY")?;
+    p.expect_kw("DESTINATION")?;
+    p.expect_kw("KEY")?;
     let destination = parens_single(p)?;
-    expect_kw(p, "REFERENCES")?;
+    p.expect_kw("REFERENCES")?;
     let dst_table = p.ident()?;
     for t in [&src_table, &dst_table] {
         if !declared_vertices.contains(t) {
@@ -107,7 +97,7 @@ fn parse_edge(p: &mut Parser<'_>, declared_vertices: &[String]) -> Result<EdgeTa
     if let Some(props) = parse_properties(p)? {
         e = e.properties(props);
     }
-    if eat_kw(p, "UNDIRECTED") {
+    if p.eat_kw("UNDIRECTED") {
         e = e.undirected();
     }
     Ok(e)
@@ -115,10 +105,10 @@ fn parse_edge(p: &mut Parser<'_>, declared_vertices: &[String]) -> Result<EdgeTa
 
 /// `LABEL x` or `LABELS (x, y, ...)`.
 fn parse_labels(p: &mut Parser<'_>) -> Result<Option<Vec<String>>, PgqError> {
-    if eat_kw(p, "LABEL") {
+    if p.eat_kw("LABEL") {
         return Ok(Some(vec![p.ident()?]));
     }
-    if eat_kw(p, "LABELS") {
+    if p.eat_kw("LABELS") {
         return Ok(Some(parens_list(p)?));
     }
     Ok(None)
@@ -126,61 +116,38 @@ fn parse_labels(p: &mut Parser<'_>) -> Result<Option<Vec<String>>, PgqError> {
 
 /// `PROPERTIES (a, b, ...)` or `NO PROPERTIES`.
 fn parse_properties(p: &mut Parser<'_>) -> Result<Option<Vec<String>>, PgqError> {
-    if eat_kw(p, "NO") {
-        expect_kw(p, "PROPERTIES")?;
+    if p.eat_kw("NO") {
+        p.expect_kw("PROPERTIES")?;
         return Ok(Some(Vec::new()));
     }
-    if eat_kw(p, "PROPERTIES") {
+    if p.eat_kw("PROPERTIES") {
         return Ok(Some(parens_list(p)?));
     }
     Ok(None)
 }
 
 fn parens_single(p: &mut Parser<'_>) -> Result<String, PgqError> {
-    let mut items = parens_list(p)?;
-    if items.len() != 1 {
-        return Err(PgqError::Syntax("expected exactly one column".into()));
-    }
-    Ok(items.pop().expect("one item"))
+    let [column] = <[String; 1]>::try_from(parens_list(p)?)
+        .map_err(|_| PgqError::Syntax("expected exactly one column".into()))?;
+    Ok(column)
 }
 
 fn parens_list(p: &mut Parser<'_>) -> Result<Vec<String>, PgqError> {
-    expect(p, "(")?;
-    let mut items = vec![p.ident()?];
+    parens(p, |p| Ok(p.ident()?))
+}
+
+/// `(item, item, ...)`: a parenthesized, comma-separated, non-empty list.
+fn parens<'a, T>(
+    p: &mut Parser<'a>,
+    mut item: impl FnMut(&mut Parser<'a>) -> Result<T, PgqError>,
+) -> Result<Vec<T>, PgqError> {
+    p.expect("(")?;
+    let mut items = vec![item(p)?];
     while p.eat(",") {
-        items.push(p.ident()?);
+        items.push(item(p)?);
     }
-    expect(p, ")")?;
+    p.expect(")")?;
     Ok(items)
-}
-
-fn expect(p: &mut Parser<'_>, s: &str) -> Result<(), PgqError> {
-    if p.eat(s) {
-        Ok(())
-    } else {
-        Err(PgqError::Syntax(format!(
-            "expected `{s}` at byte {}",
-            p.pos()
-        )))
-    }
-}
-
-fn expect_kw(p: &mut Parser<'_>, kw: &str) -> Result<(), PgqError> {
-    if eat_kw(p, kw) {
-        Ok(())
-    } else {
-        Err(PgqError::Syntax(format!(
-            "expected {kw} at byte {}",
-            p.pos()
-        )))
-    }
-}
-
-/// DDL keywords are not GPML reserved words, so `Parser::eat_kw` alone is
-/// not enough — but it does exactly the case-insensitive whole-word match
-/// we need.
-fn eat_kw(p: &mut Parser<'_>, kw: &str) -> bool {
-    p.eat_kw(kw)
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! `server_wire.rs` renders them to concrete syntax (the AST printer
 //! round-trips through the parser) and replays them over the gpmld wire
 //! protocol. One generator set, two consumers — so the wire corpus is
-//! exactly the corpus the engine-agreement suite already trusts.
+//! exactly the corpus the engine-agreement suite already trusts. It also
+//! holds the small fixture graphs more than one suite reads.
 
 // Each integration-test crate compiles this module independently and
 // uses a different subset of it.
@@ -15,7 +16,22 @@ pub mod abuse;
 use proptest::prelude::*;
 
 use gpml_suite::core::ast::*;
-use gpml_suite::graph::Value;
+use gpml_suite::graph::{Endpoints, PropertyGraph, Value};
+
+/// Cypher's §3 example graph, for `MATCH (a:Person)-->(:Cat) WHERE NOT
+/// (a)-->(:Dog)`: Ann owns a cat; Bob owns a cat and a dog.
+pub fn pets() -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    let ann = g.add_node("ann", ["Person"], [("name", Value::str("Ann"))]);
+    let bob = g.add_node("bob", ["Person"], [("name", Value::str("Bob"))]);
+    let cat1 = g.add_node("cat1", ["Cat"], []);
+    let cat2 = g.add_node("cat2", ["Cat"], []);
+    let dog = g.add_node("dog", ["Dog"], []);
+    g.add_edge("o1", Endpoints::directed(ann, cat1), ["owns"], []);
+    g.add_edge("o2", Endpoints::directed(bob, cat2), ["owns"], []);
+    g.add_edge("o3", Endpoints::directed(bob, dog), ["owns"], []);
+    g
+}
 
 pub fn var() -> impl Strategy<Value = Option<String>> {
     proptest::option::of(proptest::sample::select(vec![

@@ -6,6 +6,9 @@
 //!   pairwise distinct);
 //! * `EXISTS` subqueries in the postfilter.
 
+mod common;
+use common::pets;
+
 use gpml_suite::core::eval::{evaluate, EvalOptions, MatchIso};
 use gpml_suite::core::{Error, MatchSet, Selector};
 use gpml_suite::datagen::fig1;
@@ -202,20 +205,6 @@ fn cheapest_selectors_roundtrip() {
 // EXISTS subqueries (the §3 Cypher capability: testing for the presence
 // or absence of a path relative to a matched element)
 // ---------------------------------------------------------------------------
-
-/// Cypher's §3 example: MATCH (a:Person)-->(:Cat) WHERE NOT (a)-->(:Dog).
-fn pets() -> PropertyGraph {
-    let mut g = PropertyGraph::new();
-    let ann = g.add_node("ann", ["Person"], [("name", Value::str("Ann"))]);
-    let bob = g.add_node("bob", ["Person"], [("name", Value::str("Bob"))]);
-    let cat1 = g.add_node("cat1", ["Cat"], []);
-    let cat2 = g.add_node("cat2", ["Cat"], []);
-    let dog = g.add_node("dog", ["Dog"], []);
-    g.add_edge("o1", Endpoints::directed(ann, cat1), ["owns"], []);
-    g.add_edge("o2", Endpoints::directed(bob, cat2), ["owns"], []);
-    g.add_edge("o3", Endpoints::directed(bob, dog), ["owns"], []);
-    g
-}
 
 #[test]
 fn exists_implements_cypher_not_pattern() {

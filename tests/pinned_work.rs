@@ -198,9 +198,9 @@ fn interpreter_work_is_pinned() {
 /// change that lowers a count tightens its bound.
 #[rustfmt::skip]
 const ALLOCATION_BOUNDS: &[(&str, &str, u64, u64)] = &[
-    ("net200", LOOKUP, 158, 5),
-    ("net2000", JOIN, 921, 7),
-    ("net2000", PATH, 3304, 10),
+    ("net200", LOOKUP, 157, 5),
+    ("net2000", JOIN, 920, 7),
+    ("net2000", PATH, 3303, 10),
 ];
 
 #[test]

@@ -5,7 +5,8 @@
 //! any generated pattern and any chunk size, concatenating `FETCH`
 //! chunks yields exactly the single-frame result (same rows, same
 //! order, same float bits), including when two cursors on one
-//! connection are drained interleaved.
+//! connection are drained interleaved. A prepared statement opened with
+//! `EXECUTE … CURSOR` drains to the in-process prepared result.
 
 use std::sync::{Arc, OnceLock};
 
@@ -17,7 +18,9 @@ use common::{chain_pattern, union_pattern};
 use gpml_server::client::Client;
 use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
 use gpml_suite::core::ast::{GraphPattern, PathPattern, PathPatternExpr};
-use gpml_suite::datagen::small_mixed;
+use gpml_suite::core::Params;
+use gpml_suite::datagen::{fig1, small_mixed};
+use gpml_suite::gql::Session;
 
 /// One server over the same corpus graph `server_wire.rs` uses, shared
 /// by every proptest case.
@@ -106,4 +109,49 @@ proptest! {
         prop_assert!(client.fetch(c2.cursor, 1).is_err());
         }
     }
+}
+
+/// `EXECUTE … CURSOR` end to end: a parameterized statement prepared
+/// over the wire and opened with bindings behind a cursor drains, in
+/// `FETCH` chunks of any size, to exactly what the in-process
+/// `execute_prepared_with` returns for the same bindings. Cursors always
+/// run on a worker: the reactor serves only non-cursor requests.
+#[test]
+fn execute_cursor_drains_to_the_in_process_result() {
+    let skeleton = "MATCH (a:Account WHERE a.owner = $owner)-[t:Transfer]->(b) \
+                    RETURN b.owner AS receiver, t.amount AS amount ORDER BY receiver, amount";
+    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut session = Session::new();
+    session.register("g", fig1());
+    let prepared = session.prepare(skeleton).unwrap();
+    let wire = client.prepare(skeleton).expect("prepare");
+    assert_eq!(wire.params, vec!["owner".to_owned()]);
+
+    let mut drained = 0;
+    for owner in ["Dave", "Scott", "Aretha", "Mike", "nobody"] {
+        let params = Params::new().with("owner", owner);
+        let want = session
+            .execute_prepared_with("g", &prepared, &params)
+            .unwrap();
+        for n in [1u64, 2, 64] {
+            let cursor = client
+                .execute_cursor(wire.handle, &params)
+                .expect("open cursor");
+            assert_eq!(cursor.total, want.len() as u64, "owner={owner}");
+            assert_eq!(cursor.columns, want.columns);
+            let traces = client.trace_last(1).expect("trace");
+            assert_eq!(traces.len(), 1, "{traces:?}");
+            let trace = &traces[0];
+            assert!(trace.contains("\"label\":\"EXECUTE CURSOR\""), "{trace}");
+            assert!(trace.contains("\"ran_on\":\"worker\""), "{trace}");
+            let got = client.fetch_all(&cursor, n).expect("drain");
+            assert_eq!(got, want, "owner={owner}, n={n}");
+            // The last chunk freed the cursor.
+            assert!(client.fetch(cursor.cursor, 1).is_err());
+            drained += got.len();
+        }
+    }
+    assert!(drained > 3, "the bindings must yield rows to drain");
+    server.stop();
 }
