@@ -34,14 +34,24 @@
 //! # Walk order
 //!
 //! [`Path`] orders by its node sequence first and its edge sequence second.
-//! Every state in a BFS layer carries two dense ranks among the layer's
-//! walks: `nrank` for the node sequence and `erank` for the edge sequence.
-//! A step from parent `p` over edge `e` to node `n` sorts by
-//! `((nrank(p), n), (erank(p), e))` — exactly the order of the extended
-//! walks — and candidates are admitted in that order, so the first arrival
-//! at each product state carries the smallest shortest walk that reaches
-//! it. Ranking node and edge sequences separately matters as soon as two
-//! states share a node sequence over different edges.
+//! Every state in a BFS layer carries `nrank`, the dense rank of its
+//! walk's node sequence among the layer's walks. A step from parent `p`
+//! over edge `e` to node `n` sorts by `(nrank(p), n, e)`, and candidates
+//! are admitted in that order, so the first arrival at each product state
+//! carries the smallest shortest walk that reaches it.
+//!
+//! The edge sequence needs no rank of its own: in an eligible stage it
+//! never decides an admission or an accept. Two states of one layer that
+//! share a node sequence share their last node, so they sit in different
+//! `(pc, count)` planes (one plane admits a node once). The prefix, the
+//! body and the suffix each consume a fixed number of edges, so a layer's
+//! length fixes which `Consume` each plane's closure reaches, and at what
+//! count, and which one reaches the accept state: two such planes never
+//! feed one arrival plane or one accept plane. Only steps out of one
+//! parent compete there, and `e` orders those. Widening eligibility to
+//! `|`, `?` or several quantifiers breaks this argument; such a change
+//! must bring back an edge-sequence tie-break, with a test that fails
+//! without it.
 //!
 //! # Closures as arc tables
 //!
@@ -489,8 +499,9 @@ struct Link {
 
 /// A product state admitted to a BFS layer: the `Consume` at `pc`, the
 /// node it stands on, the capped loop count, its walk (an arena link) and
-/// that walk's ranks among the layer's walks. An arrival — the start of
-/// an ε-closure — has the same shape, with `pc` where the closure starts.
+/// the rank of that walk's node sequence among the layer's. An arrival —
+/// the start of an ε-closure — has the same shape, with `pc` where the
+/// closure starts.
 #[derive(Clone, Copy)]
 struct Entry {
     pc: u32,
@@ -498,18 +509,16 @@ struct Entry {
     node: NodeId,
     link: u32,
     nrank: u32,
-    /// The index of the arrival that admitted the state until the layer
-    /// is complete; then the edge-sequence rank of its walk.
-    erank: u32,
 }
 
-/// One step out of a layer's state. Fields are in walk order, so sorting
-/// candidates sorts the extended walks (`from` only breaks exact ties).
+/// One step out of a layer's state. Sorting candidates sorts the extended
+/// walks by node sequence; `edge` orders parallel edges out of one
+/// parent, and `from` only breaks the ties that never compete (see the
+/// module docs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Cand {
     nrank: u32,
     node: NodeId,
-    erank: u32,
     edge: EdgeId,
     from: u32,
 }
@@ -562,10 +571,6 @@ struct Scratch {
     layer: Vec<Entry>,
     next: Vec<Entry>,
     cands: Vec<Cand>,
-    /// Per arrival of the layer being built: its walk's edge-sequence key
-    /// `(erank(parent), edge)`, then its index.
-    arrivals: Vec<(u32, EdgeId, u32)>,
-    ranks: Vec<u32>,
     /// The guards one closure has tested so far, with their outcomes.
     tested: Vec<(u32, bool)>,
 }
@@ -624,8 +629,6 @@ impl<'a> ShortestKernel<'a> {
             layer: Vec::new(),
             next: Vec::new(),
             cands: Vec::new(),
-            arrivals: Vec::new(),
-            ranks: Vec::new(),
             tested: Vec::new(),
         };
         let mut results = Vec::new();
@@ -663,12 +666,9 @@ impl<'a> ShortestKernel<'a> {
             node: start,
             link: 0,
             nrank: 0,
-            erank: 0,
         };
         self.closure(root, start, s, results)?;
-        s.ranks.clear();
-        s.ranks.push(0);
-        self.finish_layer(s);
+        std::mem::swap(&mut s.layer, &mut s.next);
 
         let mut depth = 0usize;
         while !s.layer.is_empty() && depth < self.max_edges {
@@ -686,7 +686,6 @@ impl<'a> ShortestKernel<'a> {
                         s.cands.push(Cand {
                             nrank: e.nrank,
                             node: step.to,
-                            erank: e.erank,
                             edge: step.edge,
                             from: i as u32,
                         });
@@ -696,7 +695,6 @@ impl<'a> ShortestKernel<'a> {
             s.cands.sort_unstable();
 
             s.next.clear();
-            s.arrivals.clear();
             let mut nrank = 0u32;
             let mut last_nkey = None;
             for ci in 0..s.cands.len() {
@@ -716,8 +714,6 @@ impl<'a> ShortestKernel<'a> {
                     edge: c.edge,
                     node: c.node,
                 });
-                let index = s.arrivals.len() as u32;
-                s.arrivals.push((c.erank, c.edge, index));
                 let ins = self.prog.instrs[parent.pc as usize];
                 let arrival = Entry {
                     pc: ins.target,
@@ -725,44 +721,20 @@ impl<'a> ShortestKernel<'a> {
                     node: c.node,
                     link,
                     nrank,
-                    erank: index,
                 };
                 self.closure(arrival, start, s, results)?;
             }
-
-            // Edge-sequence ranks of the new layer's walks.
-            s.arrivals.sort_unstable();
-            s.ranks.clear();
-            s.ranks.resize(s.arrivals.len(), 0);
-            let mut erank = 0u32;
-            for i in 0..s.arrivals.len() {
-                let (parent_rank, edge, index) = s.arrivals[i];
-                if i > 0 && (s.arrivals[i - 1].0, s.arrivals[i - 1].1) != (parent_rank, edge) {
-                    erank += 1;
-                }
-                s.ranks[index as usize] = erank;
-            }
-            self.finish_layer(s);
+            std::mem::swap(&mut s.layer, &mut s.next);
         }
         Ok(())
     }
 
-    /// Replaces each new entry's arrival index by its walk's edge rank and
-    /// makes the new layer current.
-    fn finish_layer(&self, s: &mut Scratch) {
-        for e in &mut s.next {
-            e.erank = s.ranks[e.erank as usize];
-        }
-        std::mem::swap(&mut s.layer, &mut s.next);
-    }
-
-    /// The ε-closure of one arrival (its `erank` still the arrival
-    /// index): takes each arc of the closure that starts at the arrival's
-    /// PC whose count interval and guards admit it, in table order,
-    /// testing each guard against the arrival node at most once. Every
-    /// `Consume` reached admits a product state to the next layer unless
-    /// an earlier arrival already did, and reaching the accept state for
-    /// the first time records the walk.
+    /// The ε-closure of one arrival: takes each arc of the closure that
+    /// starts at the arrival's PC whose count interval and guards admit
+    /// it, in table order, testing each guard against the arrival node at
+    /// most once. Every `Consume` reached admits a product state to the
+    /// next layer unless an earlier arrival already did, and reaching the
+    /// accept state for the first time records the walk.
     fn closure(
         &self,
         a: Entry,

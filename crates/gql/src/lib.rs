@@ -45,7 +45,6 @@ pub mod json;
 pub use cursor::ResultCursor;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use gpml_core::binding::{BoundValue, MatchRow};
 use gpml_core::eval::{EvalOptions, ExecProfile};
@@ -274,15 +273,16 @@ impl GqlError {
 /// plan cache keyed by `(query text, EvalOptions)` so replayed statements
 /// skip parse, analysis, and compilation.
 ///
-/// Graphs are held behind [`Arc`], so registering a shared graph (and
-/// building one session per server connection over it) costs a pointer,
-/// not a copy. The plan cache is a [`SharedPlanLru`] handle: by default
-/// each session gets its own, but [`Session::with_cache`] lets many
-/// sessions — e.g. the `gpmld` server's connection threads — share one,
-/// so the same skeleton prepared by a thousand sessions compiles once.
+/// The catalog owns its graphs by value. The plan cache is a
+/// [`SharedPlanLru`] handle: by default each session gets its own, but
+/// [`Session::with_cache`] lets many sessions share one, so the same
+/// skeleton prepared by a thousand sessions compiles once. The `gpmld`
+/// server builds one graph-less session this way and evaluates against
+/// its journal's epochs through
+/// [`Session::execute_prepared_profiled_on`].
 #[derive(Default)]
 pub struct Session {
-    catalog: BTreeMap<String, Arc<PropertyGraph>>,
+    catalog: BTreeMap<String, PropertyGraph>,
     options: EvalOptions,
     /// Thread-safe handle (possibly shared with sibling sessions); lock
     /// scopes are per-lookup, never held across execution.
@@ -345,20 +345,12 @@ impl Session {
 
     /// Registers a graph under `name` (GQL's catalog).
     pub fn register(&mut self, name: impl Into<String>, graph: PropertyGraph) {
-        self.register_shared(name, Arc::new(graph));
-    }
-
-    /// Registers an already-shared graph under `name` without copying it.
-    /// This is the server entry point: every connection's session holds
-    /// the same `Arc<PropertyGraph>`, so a thousand sessions over one
-    /// graph cost a thousand pointers.
-    pub fn register_shared(&mut self, name: impl Into<String>, graph: Arc<PropertyGraph>) {
         self.catalog.insert(name.into(), graph);
     }
 
     /// The graph registered under `name`.
     pub fn graph(&self, name: &str) -> Option<&PropertyGraph> {
-        self.catalog.get(name).map(Arc::as_ref)
+        self.catalog.get(name)
     }
 
     /// The graph registered under `name`, or the host error naming it.

@@ -144,7 +144,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Consumes `s` (after whitespace), or fails at the current position.
-    pub fn expect(&mut self, s: &str) -> Result<()> {
+    pub fn expect_token(&mut self, s: &str) -> Result<()> {
         if self.eat(s) {
             Ok(())
         } else {
@@ -330,9 +330,9 @@ impl<'a> Parser<'a> {
                 return Ok(Some(Selector::AnyShortest));
             }
             if self.eat_kw("CHEAPEST") {
-                self.expect("(")?;
+                self.expect_token("(")?;
                 let weight = self.ident()?;
-                self.expect(")")?;
+                self.expect_token(")")?;
                 return Ok(Some(Selector::AnyCheapest { weight }));
             }
             // `ANY 3` vs plain `ANY`.
@@ -352,9 +352,9 @@ impl<'a> Parser<'a> {
         }
         if self.eat_kw("CHEAPEST") {
             let k = self.unsigned()?;
-            self.expect("(")?;
+            self.expect_token("(")?;
             let weight = self.ident()?;
-            self.expect(")")?;
+            self.expect_token(")")?;
             return Ok(Some(Selector::CheapestK { k, weight }));
         }
         Ok(None)
@@ -459,7 +459,7 @@ impl<'a> Parser<'a> {
 
     /// `{m,n}`, `{m,}`, `{m}` (exactly m).
     fn parse_brace_quantifier(&mut self) -> Result<Quantifier> {
-        self.expect("{")?;
+        self.expect_token("{")?;
         let min = self.unsigned()?;
         let q = if self.eat(",") {
             self.skip_ws();
@@ -472,20 +472,20 @@ impl<'a> Parser<'a> {
         } else {
             Quantifier::range(min, Some(min))
         };
-        self.expect("}")?;
+        self.expect_token("}")?;
         Ok(q)
     }
 
     /// `( var? (':' labelExpr)? (WHERE expr)? )`
     fn parse_node_pattern(&mut self) -> Result<PathPattern> {
-        self.expect("(")?;
+        self.expect_token("(")?;
         let (var, label, predicate) = self.parse_element_spec()?;
         self.skip_ws();
         if self.peek() == Some(b'{') {
             // Targeted message for the common Cypher habit.
             return self.err("property maps `{k: v}` are Cypher syntax; use WHERE");
         }
-        self.expect(")")?;
+        self.expect_token(")")?;
         Ok(PathPattern::Node(NodePattern {
             var,
             label,
@@ -517,7 +517,7 @@ impl<'a> Parser<'a> {
 
     /// `[ restrictor? pattern (WHERE expr)? ]`
     fn parse_paren_pattern(&mut self) -> Result<PathPattern> {
-        self.expect("[")?;
+        self.expect_token("[")?;
         let restrictor = self.parse_restrictor();
         let inner = self.parse_union()?;
         let predicate = if self.eat_kw("WHERE") {
@@ -525,7 +525,7 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        self.expect("]")?;
+        self.expect_token("]")?;
         Ok(PathPattern::Paren {
             restrictor,
             inner: Box::new(inner),
@@ -558,7 +558,7 @@ impl<'a> Parser<'a> {
         if self.starts_with("<-[") {
             self.pos += 3;
             let (var, label, predicate) = self.parse_element_spec()?;
-            self.expect("]")?;
+            self.expect_token("]")?;
             let direction = if self.eat("->") {
                 Direction::LeftOrRight
             } else if self.eat("-") {
@@ -576,8 +576,8 @@ impl<'a> Parser<'a> {
         if self.starts_with("<~[") {
             self.pos += 3;
             let (var, label, predicate) = self.parse_element_spec()?;
-            self.expect("]")?;
-            self.expect("~")?;
+            self.expect_token("]")?;
+            self.expect_token("~")?;
             return Ok(Some(PathPattern::Edge(EdgePattern {
                 var,
                 label,
@@ -588,7 +588,7 @@ impl<'a> Parser<'a> {
         if self.starts_with("~[") {
             self.pos += 2;
             let (var, label, predicate) = self.parse_element_spec()?;
-            self.expect("]")?;
+            self.expect_token("]")?;
             let direction = if self.eat("~>") {
                 Direction::UndirectedOrRight
             } else if self.eat("~") {
@@ -606,7 +606,7 @@ impl<'a> Parser<'a> {
         if self.starts_with("-[") {
             self.pos += 2;
             let (var, label, predicate) = self.parse_element_spec()?;
-            self.expect("]")?;
+            self.expect_token("]")?;
             let direction = if self.eat("->") {
                 Direction::Right
             } else if self.eat("-") {
@@ -689,7 +689,7 @@ impl<'a> Parser<'a> {
         }
         if self.eat("(") {
             let e = self.parse_label_expr()?;
-            self.expect(")")?;
+            self.expect_token(")")?;
             return Ok(e);
         }
         Ok(LabelExpr::Label(self.ident()?))
@@ -903,7 +903,7 @@ impl<'a> Parser<'a> {
             Some(b'(') => {
                 self.pos += 1;
                 let e = self.parse_expr()?;
-                self.expect(")")?;
+                self.expect_token(")")?;
                 Ok(e)
             }
             Some(b'$') => {
@@ -955,19 +955,19 @@ impl<'a> Parser<'a> {
             }
             "EXISTS" => {
                 self.pos += word.len();
-                self.expect("{")?;
+                self.expect_token("{")?;
                 let gp = self.parse_graph_pattern()?;
-                self.expect("}")?;
+                self.expect_token("}")?;
                 Ok(Expr::Exists(Box::new(gp)))
             }
             "SAME" | "ALL_DIFFERENT" => {
                 self.pos += word.len();
-                self.expect("(")?;
+                self.expect_token("(")?;
                 let mut vars = vec![self.ident()?];
                 while self.eat(",") {
                     vars.push(self.ident()?);
                 }
-                self.expect(")")?;
+                self.expect_token(")")?;
                 Ok(if upper == "SAME" {
                     Expr::Same(vars)
                 } else {
@@ -983,7 +983,7 @@ impl<'a> Parser<'a> {
                     "MIN" => AggFunc::Min,
                     _ => AggFunc::Max,
                 };
-                self.expect("(")?;
+                self.expect_token("(")?;
                 let distinct = self.eat_kw("DISTINCT");
                 let var = self.ident()?;
                 let arg = if self.eat(".") {
@@ -995,7 +995,7 @@ impl<'a> Parser<'a> {
                 } else {
                     AggArg::Var(var)
                 };
-                self.expect(")")?;
+                self.expect_token(")")?;
                 Ok(Expr::Aggregate {
                     func,
                     arg,
@@ -1016,7 +1016,7 @@ impl<'a> Parser<'a> {
 
     /// `'...'` with `''` as the escaped quote.
     fn string_literal(&mut self) -> Result<String> {
-        self.expect("'")?;
+        self.expect_token("'")?;
         let mut out = String::new();
         loop {
             match self.rest().chars().next() {

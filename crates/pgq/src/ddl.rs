@@ -141,12 +141,12 @@ fn parens<'a, T>(
     p: &mut Parser<'a>,
     mut item: impl FnMut(&mut Parser<'a>) -> Result<T, PgqError>,
 ) -> Result<Vec<T>, PgqError> {
-    p.expect("(")?;
+    p.expect_token("(")?;
     let mut items = vec![item(p)?];
     while p.eat(",") {
         items.push(item(p)?);
     }
-    p.expect(")")?;
+    p.expect_token(")")?;
     Ok(items)
 }
 

@@ -80,11 +80,6 @@ impl Catalog {
         self.materialized.get(name)
     }
 
-    /// Names of all materialized graphs.
-    pub fn graph_names(&self) -> impl Iterator<Item = &str> {
-        self.materialized.keys().map(String::as_str)
-    }
-
     /// `GRAPH_TABLE(name MATCH ... COLUMNS (...))`.
     pub fn graph_table(&self, name: &str, body: &str) -> Result<Table, PgqError> {
         let graph = self

@@ -21,7 +21,8 @@
 //!   non-blocking sockets with a fixed worker pool executing queries,
 //!   admission control (`--max-conns`), idle timeouts, and bounded write
 //!   queues with backpressure. Every connection shares one journal of
-//!   graph epochs, one [`gql::Session`], and one shared
+//!   graph epochs (the served graph's only holder), one
+//!   [`gql::Session`] that registers no graph, and one shared
 //!   [`SharedPlanLru`](gpml_core::plan::SharedPlanLru), so a thousand
 //!   clients preparing the same skeleton cost one compile;
 //! * [`client`] — a blocking [`Client`] used by the `gpml connect`
@@ -58,4 +59,4 @@ mod stats;
 pub use client::{
     Client, ClientError, CommitAck, CursorHandle, MutateAck, PreparedHandle, RowChunk,
 };
-pub use server::{serve, serve_shared, ServerConfig, ServerHandle, DEFAULT_TRACE_RING};
+pub use server::{serve, ServerConfig, ServerHandle, DEFAULT_TRACE_RING};

@@ -198,10 +198,9 @@ impl GraphJournal {
     ) -> io::Result<GraphJournal> {
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let (mut epoch, mut graph) = match load_snapshot(&snapshot_path)? {
-            Some((e, g)) => (e, g),
-            None => (0, boot),
-        };
+        // A loaded snapshot drops `boot` here, not at return, so it never
+        // lives beside the replay `base` copy.
+        let (mut epoch, mut graph) = load_snapshot(&snapshot_path)?.unwrap_or((0, boot));
         let (wal, commits) = Wal::open(&dir.join(WAL_FILE), fsync_on_commit)?;
         let pending: Vec<_> = commits.into_iter().filter(|r| r.epoch > epoch).collect();
         // Records at or below `epoch` are already folded into the snapshot.

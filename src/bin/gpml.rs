@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::io::BufRead;
 
 use gpml_server::client::Client;
-use gpml_server::server::{serve_shared, ServerConfig};
+use gpml_server::server::{serve, ServerConfig};
 use gpml_server::MutateAck;
 use gpml_suite::core::eval::{EvalOptions, MatchMode};
 use gpml_suite::core::plan::DEFAULT_PLAN_CACHE_CAPACITY;
@@ -192,7 +192,7 @@ fn build_graph(spec: &str) -> Result<PropertyGraph, String> {
 
 /// Loads `<dir>/*.csv` as tables and materializes `<dir>/schema.ddl`.
 fn load_csv_dir(dir: &str) -> Result<PropertyGraph, String> {
-    use gpml_suite::pgq::{Catalog, Database, Table};
+    use gpml_suite::pgq::{parse_ddl, Database, Table};
     let mut db = Database::new();
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
     for entry in entries {
@@ -210,14 +210,8 @@ fn load_csv_dir(dir: &str) -> Result<PropertyGraph, String> {
     }
     let ddl_path = std::path::Path::new(dir).join("schema.ddl");
     let ddl = std::fs::read_to_string(&ddl_path).map_err(|e| format!("{ddl_path:?}: {e}"))?;
-    let mut catalog = Catalog::new(db);
-    catalog.execute_ddl(&ddl).map_err(|e| e.to_string())?;
-    let name = catalog
-        .graph_names()
-        .next()
-        .ok_or("schema.ddl defined no graph")?
-        .to_owned();
-    Ok(catalog.graph(&name).expect("just created").clone())
+    let view = parse_ddl(&ddl).map_err(|e| e.to_string())?;
+    view.materialize(&db).map_err(|e| e.to_string())
 }
 
 /// Handles the parameter commands both REPLs share (`:let`, `:unlet`,
@@ -577,7 +571,7 @@ fn serve_main(args: Vec<String>) -> ! {
     if let Some(dir) = data_dir {
         config.data_dir = Some(dir);
     }
-    let handle = match serve_shared(std::sync::Arc::new(graph), config) {
+    let handle = match serve(graph, config) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: cannot bind {bind_addr}: {e}");

@@ -8,7 +8,7 @@
 //! connection are drained interleaved. A prepared statement opened with
 //! `EXECUTE … CURSOR` drains to the in-process prepared result.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -16,7 +16,7 @@ mod common;
 use common::{chain_pattern, union_pattern};
 
 use gpml_server::client::Client;
-use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
+use gpml_server::server::{serve, ServerConfig, ServerHandle};
 use gpml_suite::core::ast::{GraphPattern, PathPattern, PathPatternExpr};
 use gpml_suite::core::Params;
 use gpml_suite::datagen::{fig1, small_mixed};
@@ -26,9 +26,7 @@ use gpml_suite::gql::Session;
 /// by every proptest case.
 fn corpus_server() -> &'static ServerHandle {
     static SERVER: OnceLock<ServerHandle> = OnceLock::new();
-    SERVER.get_or_init(|| {
-        serve_shared(Arc::new(small_mixed(11, 12, 20)), ServerConfig::default()).expect("bind")
-    })
+    SERVER.get_or_init(|| serve(small_mixed(11, 12, 20), ServerConfig::default()).expect("bind"))
 }
 
 fn render(pattern: PathPattern) -> String {
@@ -120,7 +118,7 @@ proptest! {
 fn execute_cursor_drains_to_the_in_process_result() {
     let skeleton = "MATCH (a:Account WHERE a.owner = $owner)-[t:Transfer]->(b) \
                     RETURN b.owner AS receiver, t.amount AS amount ORDER BY receiver, amount";
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let mut session = Session::new();
     session.register("g", fig1());

@@ -21,11 +21,10 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use gpml_server::client::Client;
 use gpml_server::protocol::ErrorCode;
-use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
+use gpml_server::server::{serve, ServerConfig, ServerHandle};
 use gpml_server::{ClientError, MutateAck};
 use gpml_suite::datagen::fig1;
 use gpml_suite::gql::{GqlValue, Session};
@@ -38,7 +37,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn start(config: ServerConfig) -> ServerHandle {
-    serve_shared(Arc::new(fig1()), config).expect("serve")
+    serve(fig1(), config).expect("serve")
 }
 
 fn client(handle: &ServerHandle) -> Client {

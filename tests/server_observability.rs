@@ -7,10 +7,8 @@
 //! the [`ExecProfile`] an in-process `--explain`-style execution of the
 //! same statement produces — the trace is the profile, not a lookalike.
 
-use std::sync::Arc;
-
 use gpml_server::client::Client;
-use gpml_server::server::{serve_shared, ServerConfig};
+use gpml_server::server::{serve, ServerConfig};
 use gpml_suite::core::eval::{EvalOptions, ExecProfile};
 use gpml_suite::core::Params;
 use gpml_suite::datagen::fig1;
@@ -57,7 +55,7 @@ fn span_of<'a>(trace: &'a str, name: &str) -> &'a str {
 
 #[test]
 fn metrics_exposes_counters_and_histograms() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let before = client.metrics().expect("metrics");
@@ -126,7 +124,7 @@ fn metrics_exposes_counters_and_histograms() {
 /// table, rather than read from the server's own table.
 #[test]
 fn stats_and_metrics_agree_on_every_shared_counter() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     client.query(TWO_STAGE).expect("query");
     let prepared = client.prepare(TWO_STAGE).expect("prepare");
@@ -206,7 +204,7 @@ fn stats_and_metrics_agree_on_every_shared_counter() {
 /// a key is a wire-compatibility break; this is the tripwire.
 #[test]
 fn stats_key_namespace_is_stable() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let stats = client.stats().expect("stats");
     let keys: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
@@ -255,7 +253,7 @@ fn trace_spans_match_explain_profile() {
         options: sequential(),
         ..ServerConfig::default()
     };
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let server = serve(fig1(), config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let result = client.query(TWO_STAGE).expect("query");
@@ -313,7 +311,7 @@ fn trace_spans_match_explain_profile() {
 /// time (and rows/bytes) back to the originating request's trace.
 #[test]
 fn fetch_drains_attribute_to_their_origin_trace() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let h = client.query_cursor(TWO_STAGE).expect("cursor");
@@ -355,7 +353,7 @@ fn slow_query_log_writes_jsonl() {
         trace_file: Some(path.clone()),
         ..ServerConfig::default()
     };
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let server = serve(fig1(), config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     client.query(TWO_STAGE).expect("query");
     server.stop();
@@ -379,7 +377,7 @@ fn trace_ring_zero_disables_tracing_not_metrics() {
         trace_ring: 0,
         ..ServerConfig::default()
     };
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let server = serve(fig1(), config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     client.query(TWO_STAGE).expect("query");
     assert!(client.trace_last(10).expect("trace").is_empty());
@@ -394,7 +392,7 @@ fn trace_ring_zero_disables_tracing_not_metrics() {
 /// Commits are traced with their WAL anatomy.
 #[test]
 fn commit_traces_carry_wal_spans() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     client
         .insert_node("obs1", &["Account"], &[])
@@ -423,7 +421,7 @@ fn traces_say_where_each_request_ran() {
                             RETURN b.owner AS r";
     const PATH: &str = "MATCH ANY SHORTEST (a:Account WHERE a.owner = 'Scott')-[:Transfer]->+\
                         (b:Account WHERE b.isBlocked = 'yes') RETURN b.owner AS r";
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     // The trace of the request just answered.
     let last = |client: &mut Client| {

@@ -8,7 +8,6 @@
 //! resource teardown — the paths a well-behaved client never exercises.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
@@ -16,7 +15,7 @@ use common::abuse::{frame_bytes, AbuseClient};
 
 use gpml_server::client::{stat, Client};
 use gpml_server::protocol::{Request, Response, MAX_FRAME};
-use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
+use gpml_server::server::{serve, ServerConfig, ServerHandle};
 use gpml_suite::core::Params;
 use gpml_suite::datagen::{fig1, grid, transfer_network, TransferNetworkConfig};
 use gpml_suite::gql::{QueryResult, Session};
@@ -28,7 +27,7 @@ use property_graph::{Endpoints, PropertyGraph, Value};
 const PATIENCE: Duration = Duration::from_secs(10);
 
 fn serve_fig1(config: ServerConfig) -> ServerHandle {
-    serve_shared(Arc::new(fig1()), config).expect("bind")
+    serve(fig1(), config).expect("bind")
 }
 
 /// Polls `STATS` through `observer` until `key` reaches `want` —
@@ -168,7 +167,7 @@ fn never_reading_receiver_stalls_only_itself() {
         s.register("g", graph.clone());
         s.execute("g", BLOB_QUERY).expect("oracle")
     };
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
 
     let mut glutton = AbuseClient::connect(server.addr()).expect("connect");
     glutton
@@ -262,7 +261,7 @@ fn over_frame_cap_result_streams_via_fetch() {
         s.register("g", graph.clone());
         s.execute("g", BLOB_QUERY).expect("oracle")
     };
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     // The one-shot path cannot carry it.
@@ -333,7 +332,7 @@ fn idle_population_does_not_disturb_active_clients() {
     };
     assert!(oracle.iter().any(|r| !r.is_empty()), "no binding matches");
 
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
     let mut observer = Client::connect(server.addr()).expect("connect observer");
     let start = stat(&observer.stats().expect("stats"), "conns.active").expect("conns.active");
 
@@ -490,7 +489,7 @@ fn a_slow_query_does_not_starve_point_lookups() {
             })
             .collect()
     };
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
     let addr = server.addr();
     let answered = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -536,7 +535,7 @@ fn a_pipelined_burst_does_not_starve_a_bystander() {
         s.execute_prepared_with("g", &prepared, &params)
             .expect("oracle execute")
     };
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
     let mut bystander = Client::connect(server.addr()).expect("connect bystander");
     bystander.hello("bystander").expect("hello");
 
@@ -643,7 +642,7 @@ fn a_lookup_after_a_node_write_rebuilds_the_index_off_the_reactor() {
         s.execute_prepared_with("g", &prepared, &params)
             .expect("oracle execute")
     };
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
     let mut writer = Client::connect(server.addr()).expect("connect writer");
     let handle = writer.prepare(LOOKUP).expect("prepare").handle;
     let params = Params::new().with("owner", "owner0");
@@ -673,7 +672,7 @@ fn a_lookup_from_a_hub_runs_off_the_reactor() {
             [],
         );
     }
-    let server = serve_shared(Arc::new(graph), ServerConfig::default()).expect("bind");
+    let server = serve(graph, ServerConfig::default()).expect("bind");
     let mut warm = Client::connect(server.addr()).expect("connect");
     let handle = warm.prepare(TWO_HOPS).expect("prepare").handle;
     // The index is built before the timed request, so only the hub's

@@ -19,7 +19,7 @@ use common::{chain_pattern, quantified_pattern};
 
 use gpml_server::client::Client;
 use gpml_server::protocol::{self, ErrorCode, Response};
-use gpml_server::server::{serve_shared, ServerConfig, ServerHandle};
+use gpml_server::server::{serve, ServerConfig, ServerHandle};
 use gpml_server::ClientError;
 use gpml_suite::core::ast::{GraphPattern, PathPatternExpr};
 use gpml_suite::core::Params;
@@ -37,9 +37,7 @@ fn corpus_graph() -> PropertyGraph {
 /// handle lives for the whole test binary.
 fn corpus_server() -> &'static ServerHandle {
     static SERVER: OnceLock<ServerHandle> = OnceLock::new();
-    SERVER.get_or_init(|| {
-        serve_shared(Arc::new(corpus_graph()), ServerConfig::default()).expect("bind")
-    })
+    SERVER.get_or_init(|| serve(corpus_graph(), ServerConfig::default()).expect("bind"))
 }
 
 /// The in-process oracle session over an identical graph.
@@ -114,7 +112,7 @@ proptest! {
 /// like the in-process `execute_prepared_with`.
 #[test]
 fn prepared_over_wire_matches_in_process_rebinds() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let skeleton = "MATCH (a:Account WHERE a.owner = $owner)-[t:Transfer]->(b) \
                     RETURN b.owner AS receiver, t.amount AS amount ORDER BY receiver";
@@ -150,7 +148,7 @@ fn concurrent_clients_share_one_plan_cache() {
             [("idx", Value::Int(i as i64))],
         );
     }
-    let server = serve_shared(Arc::new(g), ServerConfig::default()).expect("bind");
+    let server = serve(g, ServerConfig::default()).expect("bind");
     let skeleton = "MATCH (x:Account WHERE x.idx = $i) RETURN x.idx AS idx";
 
     // Warm the cache once so the miss count is deterministic (otherwise
@@ -205,7 +203,7 @@ fn concurrent_clients_share_one_plan_cache() {
 /// selective two-stage join drives the join pruning counter.
 #[test]
 fn stats_reports_execution_counters() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let exec_stats = |client: &mut Client| -> (u64, u64, u64, u64) {
@@ -290,7 +288,7 @@ fn plan_cache_file_warm_starts_with_zero_misses() {
     ];
 
     // First boot: cold cache, every statement compiles once.
-    let server = serve_shared(Arc::new(fig1()), config()).expect("bind");
+    let server = serve(fig1(), config()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let mut first = Vec::new();
     for stmt in statements {
@@ -303,7 +301,7 @@ fn plan_cache_file_warm_starts_with_zero_misses() {
 
     // Second boot, same file: the cache is seeded before any client
     // traffic, so replaying the same statements never compiles.
-    let server = serve_shared(Arc::new(fig1()), config()).expect("bind");
+    let server = serve(fig1(), config()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     for (stmt, want) in statements.iter().zip(&first) {
         let got = client.query(stmt).expect("warm query");
@@ -339,7 +337,7 @@ fn plan_cache_file_write_through_continues_at_capacity() {
         "MATCH (x:Account)-[t:Transfer]->(y:Account) RETURN y.owner AS b",
         "MATCH (x:Account)-[t:Transfer]->(y:Account) RETURN t.amount AS c",
     ];
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let server = serve(fig1(), config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     for stmt in statements {
         client.prepare(stmt).expect("prepare");
@@ -383,7 +381,7 @@ fn plan_cache_file_write_through_holds_under_concurrent_prepares() {
     let sent: std::collections::HashSet<String> = (0..clients)
         .flat_map(|c| (0..per_client).map(move |k| statement(c, k)))
         .collect();
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let server = serve(fig1(), config).expect("bind");
     let addr = server.addr();
     let (misses, torn) = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..clients)
@@ -445,7 +443,7 @@ fn plan_cache_file_leaves_out_refused_prepares() {
     };
     let bare = "MATCH (x:Account)";
     let table = "MATCH (x:Account) RETURN x.owner AS o";
-    let server = serve_shared(Arc::new(fig1()), config).expect("bind");
+    let server = serve(fig1(), config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     match client.prepare(bare) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Host),
@@ -463,7 +461,7 @@ fn plan_cache_file_leaves_out_refused_prepares() {
 /// working afterwards.
 #[test]
 fn error_paths_are_typed_and_survivable() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let code_of = |e: ClientError| match e {
@@ -551,7 +549,7 @@ fn error_paths_are_typed_and_survivable() {
 /// at the byte where `RETURN` was expected.
 #[test]
 fn query_without_return_looks_up_and_compiles_once() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let parse_error = |client: &mut Client, text: &str| match client.query(text).unwrap_err() {
         ClientError::Server { code, message } => {
@@ -592,7 +590,7 @@ fn query_without_return_looks_up_and_compiles_once() {
 /// connection can then speak the protocol normally.
 #[test]
 fn non_utf8_frame_is_survivable() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut raw = TcpStream::connect(server.addr()).expect("connect");
     raw.write_all(&2u32.to_be_bytes()).expect("len");
     raw.write_all(&[0xff, 0xfe]).expect("payload");
@@ -618,7 +616,7 @@ fn non_utf8_frame_is_survivable() {
 /// HELLO reports the graph census; sessions are counted up and down.
 #[test]
 fn hello_census_and_session_accounting() {
-    let server = serve_shared(Arc::new(fig1()), ServerConfig::default()).expect("bind");
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
     let mut a = Client::connect(server.addr()).expect("connect");
     let info = a.hello("test-suite").expect("hello");
     let get = |key: &str| {
@@ -637,5 +635,22 @@ fn hello_census_and_session_accounting() {
     let active = gpml_server::client::stat(&stats, "sessions.active").expect("sessions.active");
     assert!(active >= 2, "{stats:?}");
     drop(a);
+    server.stop();
+}
+
+/// The journal is the served graph's only holder: right after boot, and
+/// again after a commit with no reader, the current epoch is pinned by
+/// the journal and by this test's own handle, nothing else.
+#[test]
+fn the_journal_is_the_only_holder_of_the_served_graph() {
+    let server = serve(fig1(), ServerConfig::default()).expect("bind");
+    let boot = server.journal().snapshot();
+    assert_eq!(Arc::strong_count(&boot), 2);
+    drop(boot);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.insert_node("holder9", &["Account"], &[]).expect("commit");
+    let next = server.journal().snapshot();
+    assert_eq!(server.journal().epoch(), 1);
+    assert_eq!(Arc::strong_count(&next), 2);
     server.stop();
 }
